@@ -12,6 +12,13 @@ alpha is then Gaussian for every sigma_alpha in [0, inf]:
   matching the sampling-theory moments;
 * interior values interpolate, shrinking the OLS alphas toward zero.
 
+At prior precision lam = s^2 / sigma_monthly^2 on the intercept the family
+has a closed form: with u0 = [(X'X)^{-1}]_00 = (1 + Sh^2) / T,
+c = 1 / (1 + lam u0) and A = s^2 I + T Sigma_mle (PSD by construction), the
+posterior is N(c alpha_hat, u0 c / (T + 1) (A + lam c alpha_hat alpha_hat')),
+and c = 1 is the skeptic. Its distance from the skeptic costs one ``eigh(A)``
+per model and one n x n ``eigvalsh`` per sigma_alpha (grid point or bisection).
+
 ``sigma_alpha`` is quoted in annualized percent everywhere a user supplies
 it; annual-to-monthly conversion divides by 12 (an annualized mean scales
 linearly with horizon).
@@ -25,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset, ModelSpec
-from .errors import NonPDPosteriorError, NotPSDError
-from .linalg import PSD_CLAMP_REL, symmetrize
-from .regression import RegressionFit, _design, fit_ols, sharpe_sq
+from .errors import NotPSDError
+from .linalg import PSD_CLAMP_REL, TRACE_SNAP_REL, chol_solve, symmetrize
+from .regression import RegressionFit, fit_ols, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
 
@@ -106,88 +113,97 @@ class PriorSpec:
 class PosteriorFamily:
     """All posteriors of one (dataset, model) pair, indexed by sigma_alpha.
 
-    Fits the regression once, caches the design-matrix cross products, and
-    evaluates the posterior at any prior mispricing std without refitting.
-    This is the batched engine behind :func:`posterior_alpha` and the
-    sweep/equivalence machinery.
+    Fits the regression once and caches the one ``eigh(A)`` of the closed
+    form in the module docstring (NotPSDError if A is materially indefinite);
+    the engine behind :func:`posterior_alpha` and the sweep/equivalence
+    machinery.
     """
 
     def __init__(self, dataset: Dataset, model: ModelSpec):
-        self.fit = fit_ols(dataset, model)
-        returns, _, design = _design(dataset, model)
-        self._xtx = design.T @ design
-        self._xtr = design.T @ returns
-        bhat = np.vstack([self.fit.alpha_hat, self.fit.beta_hat.T])
-        self._bhat = bhat
-        resid = returns - design @ bhat
-        self._s_resid = symmetrize(resid.T @ resid)
-        self._bhat_quad = symmetrize(bhat.T @ self._xtx @ bhat)
-        self.s2 = float(np.diag(self.fit.sigma_mle).mean())
-        self._sh2 = sharpe_sq(self.fit)
+        self.fit = fit = fit_ols(dataset, model)
+        self.s2 = float(np.diag(fit.sigma_mle).mean())
+        self._u0 = (1.0 + sharpe_sq(fit)) / fit.T
+        scale = self._scale_matrix()
+        d, q = np.linalg.eigh(scale)
+        if float(d.min()) < -PSD_CLAMP_REL * float(np.abs(d).max()):
+            raise NotPSDError(f"posterior scale matrix eigenvalue {d.min():.3e} "
+                              f"beyond clamp tolerance")
+        d = np.clip(d, 0.0, None)
+        self._d_sq = d * d
+        # A^{1/2} alpha_hat in the eigenbasis of A.
+        self._gamma = np.sqrt(d) * (q.T @ fit.alpha_hat)
+        self._trace_a = float(np.trace(scale))
+        self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
+
+    def _scale_matrix(self) -> np.ndarray:
+        """A = s^2 I + T Sigma_mle, the skeptic covariance up to u0 / (T + 1)."""
+        return self.s2 * np.eye(self.fit.n) + self.fit.T * self.fit.sigma_mle
+
+    def _shrinkage(self, sigma_alpha_annual: float) -> tuple[float, float]:
+        """Prior precision lam = s^2 / sigma_monthly^2 (inf at sigma = 0) and c."""
+        sigma = sigma_annual_to_monthly(sigma_alpha_annual)
+        lam = math.inf if sigma == 0.0 else self.s2 / sigma**2
+        return lam, 1.0 / (1.0 + lam * self._u0)
 
     def dogmatic(self) -> GaussianDist:
-        n = self.fit.n
-        return GaussianDist(np.zeros(n), np.zeros((n, n)))
+        return posterior_alpha_dogmatic(self.fit.n)
 
     def skeptic(self) -> GaussianDist:
         """Data-based posterior at sigma_alpha = inf (closed form)."""
-        fit = self.fit
-        h0 = self.s2 * np.eye(fit.n)
-        scale = (1.0 + self._sh2) / fit.T / (fit.T + 1)
-        return GaussianDist(fit.alpha_hat.copy(), scale * (h0 + self._s_resid))
+        return posterior_alpha_skeptic(self.fit)
 
     def at(self, sigma_alpha_annual: float) -> GaussianDist:
         """Posterior at any annualized prior mispricing std in [0, inf]."""
-        s = float(sigma_alpha_annual)
-        if s < 0.0:
-            raise ValueError(f"sigma_alpha must be non-negative, got {s}")
-        if s == 0.0:
+        lam, c = self._shrinkage(sigma_alpha_annual)
+        if math.isinf(lam):
             return self.dogmatic()
-        if math.isinf(s):
+        if lam == 0.0:
             return self.skeptic()
-        sigma_monthly = sigma_annual_to_monthly(s)
-        return self._interior(self.s2 / sigma_monthly**2)
+        alpha = self.fit.alpha_hat
+        cov = (self._u0 * c / (self.fit.T + 1)
+               * (self._scale_matrix() + lam * c * np.outer(alpha, alpha)))
+        return GaussianDist(c * alpha, cov)
+
+    def wd2_to_skeptic(self, sigma_alpha_annual: float) -> tuple[float, float]:
+        """Closed form of ``wd2_components(self.at(sigma), self.skeptic())``.
+
+        With A = Q D Q', gamma = D^{1/2} Q' alpha_hat, b = u0 / (T + 1) and
+        g = lam c: mean term (1 - c)^2 |alpha_hat|^2, trace term b [(1 + c) tr A
+        + c g |alpha_hat|^2 - 2 sqrt(c) sum sqrt(eigvalsh(D^2 + g gamma gamma'))],
+        snapped to zero below TRACE_SNAP_REL of the total trace.
+        """
+        lam, c = self._shrinkage(sigma_alpha_annual)
+        if lam == 0.0:
+            return 0.0, 0.0
+        b = self._u0 / (self.fit.T + 1)
+        if math.isinf(lam):
+            return self._alpha_sq, b * self._trace_a
+        g = lam * c
+        # 1 - c computed as lam u0 c, which does not cancel at large sigma.
+        mean_sq = (lam * self._u0 * c) ** 2 * self._alpha_sq
+        eig = np.linalg.eigvalsh(np.diag(self._d_sq)
+                                 + g * np.outer(self._gamma, self._gamma))
+        root_sum = float(np.sqrt(np.clip(eig, 0.0, None)).sum())
+        total_trace = b * ((1.0 + c) * self._trace_a + c * g * self._alpha_sq)
+        trace_term = total_trace - 2.0 * b * math.sqrt(c) * root_sum
+        if trace_term <= TRACE_SNAP_REL * total_trace:
+            trace_term = 0.0
+        return mean_sq, trace_term
 
     def coefficients(self, sigma_alpha_annual: float) -> np.ndarray:
         """Posterior coefficient matrix ((k+1) x n); row 0 holds the alphas.
 
-        ``inf`` maps to zero prior precision, reproducing the OLS estimates.
+        The alphas shrink by c and the betas move by
+        lam c (Omega^{-1} mu / T) alpha_hat'. ``inf`` maps to zero prior
+        precision, reproducing the OLS estimates.
         """
-        s = float(sigma_alpha_annual)
-        if s <= 0.0:
+        if not float(sigma_alpha_annual) > 0.0:
             raise ValueError("coefficients need sigma_alpha > 0")
-        lam = 0.0 if math.isinf(s) else self.s2 / sigma_annual_to_monthly(s) ** 2
-        precision = self._xtx.copy()
-        precision[0, 0] += lam
-        return np.linalg.solve(precision, self._xtr)
-
-    def _interior(self, lam: float) -> GaussianDist:
         fit = self.fit
-        precision = self._xtx.copy()
-        precision[0, 0] += lam
-        vtil = np.linalg.solve(precision, np.eye(fit.k + 1))
-        btil = np.linalg.solve(precision, self._xtr)
-        h0 = self.s2 * np.eye(fit.n)
-        # btil' Vtil^{-1} btil reduces to btil' X'R because Vtil^{-1} btil = X'R.
-        h = h0 + self._s_resid + self._bhat_quad - symmetrize(btil.T @ self._xtr)
-        try:
-            h = _psd_clamp(symmetrize(h))
-        except NotPSDError as exc:
-            raise NonPDPosteriorError(f"posterior scale matrix not PSD: {exc}") from None
-        sigma_til = h / (fit.T + 1)
-        cov = vtil[0, 0] * sigma_til
-        return GaussianDist(btil[0].copy(), cov)
-
-
-def _psd_clamp(m: np.ndarray) -> np.ndarray:
-    """Clip roundoff-negative eigenvalues; reject anything materially negative."""
-    w, v = np.linalg.eigh(m)
-    spectral = float(np.abs(w).max()) if w.size else 0.0
-    if float(w.min()) < -PSD_CLAMP_REL * spectral:
-        raise NotPSDError(f"eigenvalue {w.min():.3e} beyond clamp tolerance")
-    if float(w.min()) < 0.0:
-        return (v * np.clip(w, 0.0, None)) @ v.T
-    return m
+        lam, c = self._shrinkage(sigma_alpha_annual)
+        shift = chol_solve(fit.factor_cov_mle, fit.factor_mean) / fit.T
+        return np.vstack([c * fit.alpha_hat,
+                          fit.beta_hat.T + lam * c * np.outer(shift, fit.alpha_hat)])
 
 
 def posterior_alpha(dataset: Dataset, model: ModelSpec,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -74,7 +75,8 @@ def _parse_floats(text: str) -> list[float]:
 
 
 class _OutputSet:
-    """Buffered CSV outputs, flushed together so failures leave nothing behind."""
+    """Buffered CSV outputs, staged in temporary files and renamed into place
+    together, so a failure leaves no partial or truncated output behind."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -84,18 +86,20 @@ class _OutputSet:
         body = "\n".join([f"# {metadata}", header, *rows]) + "\n"
         self._files.append((self.out_dir / name, body))
 
-    def flush(self) -> list[Path]:
+    def flush(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
+        staged: list[tuple[Path, Path]] = []
         try:
             for path, body in self._files:
-                path.write_text(body, encoding="utf-8")
-                written.append(path)
+                tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                staged.append((tmp, path))
+                tmp.write_text(body, encoding="utf-8")
+            for tmp, path in staged:
+                os.replace(tmp, path)
         except BaseException:
-            for path in written:
-                path.unlink(missing_ok=True)
+            for tmp, _ in staged:
+                tmp.unlink(missing_ok=True)
             raise
-        return written
 
 
 def _load_dataset(args) -> Dataset:

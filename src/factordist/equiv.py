@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bayes import GaussianDist, PosteriorFamily
+from .bayes import PosteriorFamily
 from .dataio import Dataset, ModelSpec
 from .errors import BadConfigError, NoConvergenceError, NotBracketedError, NumericalError
-from .transport import wd2_components
 
 AD_TOL = 1e-6
 # The bracket must also collapse before convergence is declared; on flat
@@ -58,9 +57,8 @@ class EquivResult:
     converged: bool
 
 
-def _row_at(family: PosteriorFamily, skeptic: GaussianDist,
-            sigma_annual: float) -> SweepRow:
-    mean_sq, trace_term = wd2_components(family.at(sigma_annual), skeptic)
+def _row_at(family: PosteriorFamily, sigma_annual: float) -> SweepRow:
+    mean_sq, trace_term = family.wd2_to_skeptic(sigma_annual)
     n = family.fit.n
     return SweepRow(
         sigma_alpha_annual=sigma_annual,
@@ -90,8 +88,7 @@ def sweep(dataset: Dataset, model: ModelSpec,
     if sorted(grid) != grid:
         raise BadConfigError("sigma grid must be sorted ascending")
     family = PosteriorFamily(dataset, model)
-    skeptic = family.skeptic()
-    rows = [_row_at(family, skeptic, g) for g in grid]
+    rows = [_row_at(family, g) for g in grid]
     for prev, cur in zip(rows, rows[1:]):
         if cur.ad > prev.ad + MONOTONE_SLACK * max(1.0, prev.ad):
             raise NumericalError(
@@ -120,10 +117,9 @@ def solve_equiv(dataset: Dataset, alt: ModelSpec, benchmark_ad: float,
     """
     target = float(benchmark_ad)
     family = PosteriorFamily(dataset, alt)
-    skeptic = family.skeptic()
 
     def ad_at(sigma: float) -> float:
-        return _row_at(family, skeptic, sigma).ad
+        return _row_at(family, sigma).ad
 
     ad_lo = ad_at(0.0)
     if abs(ad_lo - target) <= AD_TOL:

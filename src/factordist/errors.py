@@ -92,12 +92,6 @@ class DegenerateDoFError(InputError):
     """Joint test degrees of freedom T - n - k below one."""
 
 
-# -- posterior ---------------------------------------------------------------
-
-class NonPDPosteriorError(NumericalError):
-    """Posterior scale matrix failed the positive-semidefiniteness check."""
-
-
 # -- transport ---------------------------------------------------------------
 
 class DimMismatchError(InputError):

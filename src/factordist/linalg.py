@@ -23,6 +23,10 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 # Eigenvalues in [-PSD_CLAMP_REL * ||M||_2, 0) are treated as roundoff.
 PSD_CLAMP_REL = 1e-10
+# Transport trace residues below this fraction of the total trace are
+# cancellation noise; they must collapse to exactly zero or the square root
+# inflates them (sqrt(1e-15) is a visible 3e-8).
+TRACE_SNAP_REL = 1e-13
 # Cholesky pivots at or below CHOL_PIVOT_REL * trace(M) / dim reject the matrix.
 CHOL_PIVOT_REL = 1e-14
 

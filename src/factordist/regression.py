@@ -33,8 +33,7 @@ class RegressionFit:
     """OLS estimates for one model on one cross section.
 
     ``sigma_mle`` and ``factor_cov_mle`` both use the divide-by-T
-    maximum-likelihood convention. ``valpha_hat`` is the sampling covariance
-    of the alpha estimates, (1 + mu' Omega^{-1} mu) / T times ``sigma_mle``.
+    maximum-likelihood convention.
     """
 
     model: ModelSpec
@@ -46,7 +45,6 @@ class RegressionFit:
     sigma_mle: np.ndarray       # (n, n)
     factor_mean: np.ndarray     # (k,)
     factor_cov_mle: np.ndarray  # (k, k)
-    valpha_hat: np.ndarray      # (n, n)
     r2: np.ndarray              # (n,)
     asset_mean: np.ndarray      # (n,)
     first_date: int
@@ -56,19 +54,6 @@ class RegressionFit:
     def fingerprint(self) -> tuple[int, int, int, int]:
         """Cross-section identity: (n, T, first date, last date)."""
         return (self.n, self.T, self.first_date, self.last_date)
-
-
-def _design(dataset: Dataset, model: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, F, X) matrices for a model, validating the factor names."""
-    for name in model.factor_names:
-        if name not in dataset.factors.names:
-            raise UnknownFactorError(
-                f"model {model.name!r}: factor {name!r} not in factor panel"
-            )
-    returns = dataset.portfolios.values
-    factors = dataset.factors.select(model.factor_names)
-    design = np.column_stack([np.ones(dataset.t_obs), factors])
-    return returns, factors, design
 
 
 def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
@@ -86,7 +71,14 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
     RankDeficientError
         Collinear design columns.
     """
-    returns, factors, design = _design(dataset, model)
+    for name in model.factor_names:
+        if name not in dataset.factors.names:
+            raise UnknownFactorError(
+                f"model {model.name!r}: factor {name!r} not in factor panel"
+            )
+    returns = dataset.portfolios.values
+    factors = dataset.factors.select(model.factor_names)
+    design = np.column_stack([np.ones(dataset.t_obs), factors])
     t_obs, n = returns.shape
     k = factors.shape[1]
     if t_obs < k + 2:
@@ -107,9 +99,6 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
     factor_mean = factors.mean(axis=0)
     centered = factors - factor_mean
     factor_cov_mle = symmetrize(centered.T @ centered / t_obs)
-    # Full-rank X guarantees a positive-definite factor covariance.
-    sh2 = float(factor_mean @ chol_solve(factor_cov_mle, factor_mean))
-    valpha_hat = (1.0 + sh2) / t_obs * sigma_mle
 
     asset_mean = returns.mean(axis=0)
     sst = ((returns - asset_mean) ** 2).sum(axis=0)
@@ -127,7 +116,6 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         sigma_mle=sigma_mle,
         factor_mean=factor_mean,
         factor_cov_mle=factor_cov_mle,
-        valpha_hat=valpha_hat,
         r2=r2,
         asset_mean=asset_mean,
         first_date=dataset.portfolios.dates[0],

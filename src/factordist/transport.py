@@ -25,14 +25,10 @@ import numpy as np
 
 from .bayes import GaussianDist
 from .errors import DimMismatchError, SingularSourceError
-from .linalg import spd_sqrt, symmetrize
+from .linalg import TRACE_SNAP_REL, spd_sqrt, symmetrize
 
 # Relative eigenvalue threshold below which a source covariance cannot be mapped.
 SOURCE_RANK_REL = 1e-12
-# Trace residues below this fraction of the total trace are cancellation
-# noise; they must collapse to exactly zero or the square root inflates
-# them (sqrt(1e-15) is a visible 3e-8).
-TRACE_SNAP_REL = 1e-13
 
 
 def wd2_components(p1: GaussianDist, p2: GaussianDist) -> tuple[float, float]:

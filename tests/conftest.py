@@ -84,7 +84,6 @@ def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
     sigma = np.diag(sigma_diag)
     factor_mean = np.full(k, 0.5)
     factor_cov = 4.0 * np.eye(k)
-    sh2 = float(factor_mean @ np.linalg.solve(factor_cov, factor_mean))
     if asset_mean is None:
         asset_mean = alpha + 0.5
     return RegressionFit(
@@ -95,7 +94,6 @@ def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
         sigma_mle=sigma,
         factor_mean=factor_mean,
         factor_cov_mle=factor_cov,
-        valpha_hat=(1.0 + sh2) / T * sigma,
         r2=np.full(n, 0.9),
         asset_mean=np.asarray(asset_mean, dtype=float),
         first_date=196701,

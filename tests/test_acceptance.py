@@ -24,6 +24,7 @@ from factordist import (
     posterior_alpha_dogmatic,
     posterior_alpha_skeptic,
     power_scenario,
+    sharpe_sq,
     solve_equiv,
     sweep,
     transport_map,
@@ -89,10 +90,11 @@ def test_criterion_03_total_distance_equivalence():
         dataset, model = random_fit_inputs(rng)
         fit = fit_ols(dataset, model)
         # Frequentist moments through the full matrix machinery.
-        sampling = GaussianDist(fit.alpha_hat, fit.valpha_hat)
+        valpha = (1.0 + sharpe_sq(fit)) / fit.T * fit.sigma_mle
+        sampling = GaussianDist(fit.alpha_hat, valpha)
         full = wd2_gaussian(posterior_alpha_dogmatic(fit.n), sampling)
         direct = math.sqrt(float(fit.alpha_hat @ fit.alpha_hat)
-                           + float(np.trace(fit.valpha_hat)))
+                           + float(np.trace(valpha)))
         assert abs(full - direct) <= 1e-12 * max(1.0, direct)
         # Posterior moments through the per-asset decomposition.
         skeptic = posterior_alpha_skeptic(fit)

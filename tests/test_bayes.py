@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factordist import (
     Dataset,
@@ -15,9 +17,36 @@ from factordist import (
     posterior_alpha_skeptic,
     sharpe_sq,
     sigma_annual_to_monthly,
+    wd2_components,
 )
 
-from conftest import make_dataset, panel_from_columns
+from conftest import make_dataset, panel_from_columns, random_fit_inputs
+
+
+def matrix_posterior(dataset, model, sigma_annual):
+    """Reference posterior from the full normal equations.
+
+    The prior adds precision lam = s^2 / sigma_monthly^2 to the intercept:
+    Vtil = (X'X + lam e0 e0')^{-1}, Btil = Vtil X'R, and the covariance is
+    Vtil_00 (s^2 I + S + Bhat' X'X Bhat - Btil' X'R) / (T + 1), with S the
+    residual cross products.
+    """
+    returns = dataset.portfolios.values
+    design = np.column_stack([np.ones(dataset.t_obs),
+                              dataset.factors.select(model.factor_names)])
+    T, n = returns.shape
+    xtx = design.T @ design
+    xtr = design.T @ returns
+    bhat = np.linalg.solve(xtx, xtr)
+    resid = returns - design @ bhat
+    s_resid = resid.T @ resid
+    s2 = float(np.diag(s_resid).mean()) / T
+    precision = xtx.copy()
+    precision[0, 0] += s2 / sigma_annual_to_monthly(sigma_annual) ** 2
+    vtil = np.linalg.inv(precision)
+    btil = vtil @ xtr
+    h = s2 * np.eye(n) + s_resid + bhat.T @ xtx @ bhat - btil.T @ xtr
+    return btil[0], vtil[0, 0] * (h + h.T) / 2.0 / (T + 1)
 
 
 class TestSigmaConversion:
@@ -183,6 +212,38 @@ class TestPosteriorFamily:
             cov = family.at(sigma).cov
             assert np.linalg.eigvalsh(cov).min() >= -1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           k=st.integers(1, 3), T=st.integers(20, 80),
+           log10_sigma=st.floats(-3.0, 4.0))
+    def test_closed_form_matches_matrix_oracle(self, seed, n, k, T,
+                                               log10_sigma):
+        dataset, model = random_fit_inputs(np.random.default_rng(seed),
+                                           T=T, n=n, k=k)
+        sigma = 10.0**log10_sigma
+        family = PosteriorFamily(dataset, model)
+        post = family.at(sigma)
+        mean_ref, cov_ref = matrix_posterior(dataset, model, sigma)
+        assert (np.linalg.norm(post.mean - mean_ref)
+                <= 1e-10 * np.linalg.norm(mean_ref))
+        assert (np.linalg.norm(post.cov - cov_ref)
+                <= 1e-10 * np.linalg.norm(cov_ref))
+
+        skeptic = family.skeptic()
+        mean_sq, trace_term = family.wd2_to_skeptic(sigma)
+        mean_sq_ref, trace_ref = wd2_components(post, skeptic)
+        # The reference shift alpha_hat - c alpha_hat carries an absolute
+        # error of about eps |alpha_hat|, which dominates once 1 - c drops
+        # below ~1e-7; the closed form computes 1 - c as lam u0 c instead.
+        alpha_norm = float(np.linalg.norm(family.fit.alpha_hat))
+        assert abs(mean_sq - mean_sq_ref) <= (
+            1e-9 * mean_sq_ref
+            + 4 * np.finfo(float).eps * alpha_norm * math.sqrt(mean_sq_ref))
+        # Both trace forms cancel digits as sigma grows, so the bound is
+        # absolute in units of the total trace.
+        total = float(np.trace(post.cov) + np.trace(skeptic.cov))
+        assert abs(trace_term - trace_ref) <= 1e-11 * total
+
     def test_continuity_at_skeptic_boundary(self, base_dataset):
         dataset, model = base_dataset
         family = PosteriorFamily(dataset, model)
@@ -233,8 +294,9 @@ class TestSkeptic:
         fit = fit_ols(dataset, model)
         skeptic = posterior_alpha_skeptic(fit)
         # Agreement within 1% elementwise on the diagonal at T = 600.
-        np.testing.assert_allclose(np.diag(skeptic.cov),
-                                   np.diag(fit.valpha_hat), rtol=0.01)
+        valpha = (1.0 + sharpe_sq(fit)) / fit.T * fit.sigma_mle
+        np.testing.assert_allclose(np.diag(skeptic.cov), np.diag(valpha),
+                                   rtol=0.01)
 
     def test_trace_matches_frequentist_exactly(self, base_dataset):
         # The prior floor trades off against the T/(T+1) shrinkage so the
@@ -242,7 +304,8 @@ class TestSkeptic:
         dataset, model = base_dataset
         fit = fit_ols(dataset, model)
         skeptic = posterior_alpha_skeptic(fit)
-        assert np.trace(skeptic.cov) == pytest.approx(np.trace(fit.valpha_hat),
+        valpha = (1.0 + sharpe_sq(fit)) / fit.T * fit.sigma_mle
+        assert np.trace(skeptic.cov) == pytest.approx(np.trace(valpha),
                                                       rel=1e-12)
 
 

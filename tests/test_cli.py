@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from factordist import __version__
 from factordist.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def _synth(tmp_path, **overrides):
@@ -87,6 +91,31 @@ class TestRank:
         assert code == 1
         assert not (out / "report.csv").exists()
 
+    def test_write_failure_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path)
+        out = tmp_path / "out"
+        argv = ["rank", "--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(models), "--out", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "report.csv").write_bytes(b"previous run\n")
+        before["report.csv"] = b"previous run\n"
+
+        real_write_text = Path.write_text
+        calls = []
+
+        def failing_write_text(self, *args, **kwargs):
+            calls.append(self.name)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        assert main(argv) == 1
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_byte_identical_reruns(self, tmp_path):
         ports, facts = _synth(tmp_path)
         models = _models(tmp_path)
@@ -170,6 +199,30 @@ class TestSweep:
                      str(facts), "--models", str(models),
                      "--out", str(tmp_path / "out"), "--grid", ""])
         assert code == 1
+
+
+class TestGolden:
+    """sweep and equiv outputs pinned byte for byte below the metadata line.
+
+    The files under tests/data fix every printed number; rewrite them only
+    for an intended change of output.
+    """
+
+    @pytest.mark.parametrize("command,extra", [
+        ("sweep", ()),
+        ("equiv", ("--benchmark", "M3")),
+    ])
+    def test_matches_golden(self, tmp_path, command, extra):
+        ports, facts = _synth(tmp_path, n=6, k=3)
+        models = _models(tmp_path, "M1 = F1\nM2 = F1,F2\nM3 = F1,F2,F3\n")
+        out = tmp_path / "out"
+        assert main([command, "--portfolios", str(ports), "--factors",
+                     str(facts), "--models", str(models), "--out", str(out),
+                     *extra]) == 0
+        got = (out / f"{command}.csv").read_bytes().split(b"\n", 1)
+        want = (DATA / f"golden_{command}.csv").read_bytes().split(b"\n", 1)
+        assert got[0].startswith(b"# factordist")
+        assert got[1] == want[1]
 
 
 class TestEquiv:

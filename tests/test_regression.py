@@ -75,13 +75,6 @@ class TestFitOls:
         resid = dataset.portfolios.values - design @ coef
         np.testing.assert_allclose(resid.mean(axis=0), 0.0, atol=1e-10)
 
-    def test_valpha_is_scalar_multiple_of_sigma(self, base_dataset):
-        dataset, model = base_dataset
-        fit = fit_ols(dataset, model)
-        scale = (1.0 + sharpe_sq(fit)) / fit.T
-        np.testing.assert_allclose(fit.valpha_hat, scale * fit.sigma_mle,
-                                   atol=1e-10)
-
     def test_redundant_factor_raises(self, base_dataset):
         dataset, _ = base_dataset
         f1 = dataset.factors.column("F1")
@@ -192,6 +185,6 @@ def test_real_data_ff3_size_bm_alpha(kenfrench_25_size_bm):
     dataset = kenfrench_25_size_bm
     fit = fit_ols(dataset, ModelSpec("FF3", ("MKT", "SMB", "HML")))
     i = dataset.portfolios.names.index("SMALL LoBM")
-    se = np.sqrt(fit.valpha_hat[i, i])
+    se = np.sqrt((1.0 + sharpe_sq(fit)) / fit.T * fit.sigma_mle[i, i])
     assert fit.alpha_hat[i] == pytest.approx(-0.52, abs=0.01)
     assert fit.alpha_hat[i] / se == pytest.approx(-5.27, abs=0.1)
