@@ -79,35 +79,24 @@ class GaussianDist:
 class PriorSpec:
     """Prior hyperparameters implied by one fit and a mispricing std.
 
-    ``s2`` and ``h0_scale`` are both the average diagonal of the sample
-    residual covariance of the model being evaluated; ``nu0`` is n + 2.
-    Build instances with :meth:`from_fit`.
+    ``s2`` is the average diagonal of the sample residual covariance of the
+    model being evaluated (the inverted-Wishart scale is s^2 I with n + 2
+    degrees of freedom). Build instances with :meth:`from_fit`.
     """
 
     sigma_alpha_annual: float
     s2: float
-    nu0: int
-    h0_scale: float
 
     def __post_init__(self):
         if self.sigma_alpha_annual < 0.0:
             raise ValueError("sigma_alpha_annual must be >= 0")
         if not self.s2 > 0.0:
             raise ValueError("s2 must be positive")
-        if self.h0_scale != self.s2:
-            raise ValueError("h0_scale must equal s2")
-        if self.nu0 < 3:
-            raise ValueError("nu0 must be n + 2 for some n >= 1")
 
     @classmethod
     def from_fit(cls, fit: RegressionFit, sigma_alpha_annual: float) -> "PriorSpec":
-        s2 = float(np.diag(fit.sigma_mle).mean())
-        return cls(
-            sigma_alpha_annual=float(sigma_alpha_annual),
-            s2=s2,
-            nu0=fit.n + 2,
-            h0_scale=s2,
-        )
+        return cls(sigma_alpha_annual=float(sigma_alpha_annual),
+                   s2=float(np.diag(fit.sigma_mle).mean()))
 
 
 class PosteriorFamily:

@@ -3,9 +3,11 @@
 File conventions
 ----------------
 Returns CSV: header row ``date,<name>,...``; dates as YYYYMM integers; values
-as decimal percent per month (``0.52`` means 0.52%). Lines starting with
-``#`` are ignored, so files written by this package (which carry a metadata
-comment line) re-ingest cleanly.
+as decimal percent per month (``0.52`` means 0.52%), each an ASCII float such
+as ``-0.5`` or ``1.2e-3``, optionally space-padded or double-quoted (``1_000``,
+and ``nan`` or ``inf`` in a kept row, are rejected with their line number).
+Lines starting with ``#`` are ignored, so files written by this package (which
+carry a metadata comment line) re-ingest cleanly.
 
 Model file: one model per line, ``NAME = F1,F2,...``; ``#`` starts a comment.
 """
@@ -29,15 +31,6 @@ from .errors import (
 )
 
 DEFAULT_MISSING_CODES = (-99.99, -999.0)
-
-
-def _check_dates(dates: Sequence[int]) -> None:
-    for d in dates:
-        if d < 101 or not 1 <= d % 100 <= 12:
-            raise ParseError(f"{d} is not a valid YYYYMM month")
-    for prev, cur in zip(dates, dates[1:]):
-        if cur <= prev:
-            raise ParseError(f"dates not strictly increasing at {prev} -> {cur}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,12 @@ class ReturnsPanel:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("panel values must be finite")
-        _check_dates(self.dates)
+        for d in self.dates:
+            if d < 101 or not 1 <= d % 100 <= 12:
+                raise ParseError(f"{d} is not a valid YYYYMM month")
+        for prev, cur in zip(self.dates, self.dates[1:]):
+            if cur <= prev:
+                raise ParseError(f"dates not strictly increasing at {prev} -> {cur}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -130,64 +128,92 @@ def load_panel(path: str | Path,
     """Parse a returns CSV into a panel, dropping missing-coded rows.
 
     Rows containing any value in ``missing_codes`` are excluded entirely;
-    remaining rows keep their original order.
+    remaining rows keep their original order. Lines are checked as they
+    stream in and all values parsed by one ``np.loadtxt``; of several
+    malformed lines, the first is reported.
 
     Raises
     ------
     ParseError
-        Malformed header, date, or value (message carries the line number).
+        Malformed header, date, or value, a non-finite value in a kept row,
+        or kept dates out of order (message carries the line number).
     DuplicateDateError
         The same YYYYMM appears twice.
     EmptyPanelError
         No data rows survive.
     """
     path = Path(path)
-    codes = set(float(c) for c in missing_codes)
     names: tuple[str, ...] | None = None
     dates: list[int] = []
-    rows: list[list[float]] = []
+    linenos: list[int] = []
+    lines: list[str] = []  # data lines, values unparsed
     seen: set[int] = set()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not "".join(row).strip():
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if names is None:
-                if len(row) < 2:
-                    raise ParseError(f"{path}:{lineno}: header needs a date column "
-                                     "and at least one series")
-                names = tuple(c.strip() for c in row[1:])
-                continue
-            if len(row) != len(names) + 1:
-                raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} "
-                                 f"fields, got {len(row)}")
-            try:
-                date = int(row[0].strip())
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad date {row[0]!r}") from None
-            if date < 101 or not 1 <= date % 100 <= 12:
-                raise ParseError(f"{path}:{lineno}: {date} is not a valid YYYYMM")
-            try:
-                vals = [float(c) for c in row[1:]]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric value in row") from None
-            if date in seen:
-                raise DuplicateDateError(f"{path}: duplicate date {date}")
-            seen.add(date)
-            if any(v in codes for v in vals):
-                continue
-            dates.append(date)
-            rows.append(vals)
+    failure: ParseError | DuplicateDateError | None = None
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip(" \t\n\r\f\v,") or line.lstrip().startswith("#"):
+                    continue
+                if names is None:
+                    header = next(csv.reader([line]))
+                    if len(header) < 2:
+                        raise ParseError(f"{path}:{lineno}: header needs a date column "
+                                         "and at least one series")
+                    names = tuple(c.strip() for c in header[1:])
+                    continue
+                if line.count(",") != len(names):
+                    raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} "
+                                     f"fields, got {line.count(',') + 1}")
+                head = line[:line.index(",")]
+                try:
+                    date = int(head.strip().strip('"'))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad date {head!r}") from None
+                if date < 101 or not 1 <= date % 100 <= 12:
+                    raise ParseError(f"{path}:{lineno}: {date} is not a valid YYYYMM")
+                dates.append(date)
+                linenos.append(lineno)
+                lines.append(line)
+                if date in seen:
+                    raise DuplicateDateError(f"{path}: duplicate date {date}")
+                seen.add(date)
+        except (ParseError, DuplicateDateError) as exc:
+            failure = exc  # raised once the values of earlier lines are checked
+    # loadtxt warns on empty input, so a header-only file skips it.
+    values = _parse_values(path, lines, linenos, len(names)) if lines else np.empty((0, 0))
+    if failure is not None:
+        raise failure
     if names is None:
         raise ParseError(f"{path}: no header row found")
-    if not rows:
+    kept = np.flatnonzero(~np.isin(values, missing_codes).any(axis=1))
+    if not kept.size:
         raise EmptyPanelError(f"{path}: no usable rows after dropping missing codes")
+    values, kept_dates = values[kept], np.asarray(dates)[kept]
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}:{linenos[kept[bad[0]]]}: non-finite value")
+    bad = np.flatnonzero(np.diff(kept_dates) <= 0) + 1
+    if bad.size:
+        raise ParseError(f"{path}:{linenos[kept[bad[0]]]}: dates not strictly "
+                         f"increasing at {kept_dates[bad[0] - 1]} -> {kept_dates[bad[0]]}")
+    return ReturnsPanel(tuple(kept_dates.tolist()), names, values)
+
+
+def _parse_values(path: Path, lines: list[str], linenos: list[int],
+                  width: int) -> np.ndarray:
+    """Fields 1..width of the data lines; ParseError names the first bad line."""
+    def parse(chunk: list[str]) -> np.ndarray:
+        return np.loadtxt(chunk, delimiter=",", quotechar='"', comments=None,
+                          ndmin=2, usecols=range(1, width + 1))
     try:
-        _check_dates(dates)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return ReturnsPanel(tuple(dates), names, np.array(rows, dtype=float))
+        return parse(lines)
+    except ValueError:
+        for line, lineno in zip(lines, linenos):
+            try:
+                parse([line])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric value in row") from None
+        raise
 
 
 def load_models(path: str | Path) -> list[ModelSpec]:

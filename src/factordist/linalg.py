@@ -85,22 +85,21 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
 def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.ndarray:
     """Lower-triangular Cholesky factor with an explicit pivot threshold.
 
-    A pivot at or below ``pivot_tol_factor * trace(M) / dim`` raises
-    NotPDError, which callers use both to reject singular covariance
-    matrices and to detect rank deficiency (with a looser factor).
+    The factor is LAPACK's (``np.linalg.cholesky``). A matrix LAPACK rejects,
+    or a pivot (squared diagonal entry) at or below ``pivot_tol_factor *
+    trace(M) / dim``, raises NotPDError, which callers use both to reject
+    singular covariance matrices and to detect rank deficiency.
     """
     a = symmetrize(m)
-    n = a.shape[0]
-    tol = pivot_tol_factor * max(float(np.trace(a)), 0.0) / n
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - float(lower[j, :j] @ lower[j, :j])
-        if pivot <= tol:
-            raise NotPDError(f"pivot {pivot:.3e} at column {j} is <= {tol:.3e}")
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / ljj
+    tol = pivot_tol_factor * max(float(np.trace(a)), 0.0) / a.shape[0]
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPDError("matrix is not positive definite") from None
+    pivots = np.diag(lower) ** 2
+    bad = np.flatnonzero(pivots <= tol)
+    if bad.size:
+        raise NotPDError(f"pivot {pivots[bad[0]]:.3e} at column {bad[0]} is <= {tol:.3e}")
     return lower
 
 

@@ -158,11 +158,12 @@ def grs_test(fit: RegressionFit) -> tuple[float, float]:
             f"T - n - k = {fit.T} - {fit.n} - {fit.k} = {dof2} < 1"
         )
     try:
-        z = chol_solve(fit.sigma_mle, fit.alpha_hat)
+        lower = cholesky_spd(fit.sigma_mle)
     except NotPDError as exc:
         raise SingularResidualCovError(
             f"residual covariance singular (n={fit.n}, T={fit.T}): {exc}"
         ) from None
-    quad = float(fit.alpha_hat @ z)
-    stat = dof2 / fit.n * quad / (1.0 + sharpe_sq(fit))
+    # a' Sigma^{-1} a = |L^{-1} a|^2 with Sigma = L L'.
+    w = np.linalg.solve(lower, fit.alpha_hat)
+    stat = dof2 / fit.n * float(w @ w) / (1.0 + sharpe_sq(fit))
     return stat, f_cdf_upper(stat, fit.n, dof2)

@@ -87,8 +87,7 @@ class TestPriorSpec:
         dataset, model = base_dataset
         fit = fit_ols(dataset, model)
         prior = PriorSpec.from_fit(fit, 2.0)
-        assert prior.nu0 == fit.n + 2
-        assert prior.h0_scale == prior.s2
+        assert prior.sigma_alpha_annual == 2.0
         assert prior.s2 == pytest.approx(np.diag(fit.sigma_mle).mean())
 
     def test_negative_sigma_rejected(self, base_dataset):
@@ -99,7 +98,7 @@ class TestPriorSpec:
 
     def test_mismatched_s2_rejected(self, base_dataset):
         dataset, model = base_dataset
-        prior = PriorSpec(sigma_alpha_annual=2.0, s2=123.0, nu0=7, h0_scale=123.0)
+        prior = PriorSpec(sigma_alpha_annual=2.0, s2=123.0)
         with pytest.raises(ValueError, match="s2"):
             posterior_alpha(dataset, model, prior)
 

@@ -91,6 +91,19 @@ class TestRank:
         assert code == 1
         assert not (out / "report.csv").exists()
 
+    def test_non_finite_value_exit_1_names_line(self, tmp_path, capsys):
+        _, facts = _synth(tmp_path)
+        ports = tmp_path / "nan.csv"
+        ports.write_text("date,A,B\n200001,1.0,2.0\n200002,1.0,nan\n",
+                         encoding="utf-8")
+        models = _models(tmp_path, "ONE = F1\n")
+        code = main(["rank", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(models), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "nan.csv:3: non-finite value" in err
+        assert "Traceback" not in err
+
     def test_write_failure_keeps_previous_outputs(self, tmp_path, monkeypatch):
         ports, facts = _synth(tmp_path)
         models = _models(tmp_path)
@@ -202,15 +215,20 @@ class TestSweep:
 
 
 class TestGolden:
-    """sweep and equiv outputs pinned byte for byte below the metadata line.
+    """rank, sweep and equiv outputs pinned byte for byte below the metadata
+    line.
 
-    The files under tests/data fix every printed number; rewrite them only
-    for an intended change of output.
+    The files under tests/data (``golden_<output name>``) fix every printed
+    number; rewrite them only for an intended change of output.
     """
+
+    OUTPUTS = {"rank": ("report.csv", "marginal_M3.csv"),
+               "sweep": ("sweep.csv",), "equiv": ("equiv.csv",)}
 
     @pytest.mark.parametrize("command,extra", [
         ("sweep", ()),
         ("equiv", ("--benchmark", "M3")),
+        ("rank", ()),
     ])
     def test_matches_golden(self, tmp_path, command, extra):
         ports, facts = _synth(tmp_path, n=6, k=3)
@@ -219,10 +237,11 @@ class TestGolden:
         assert main([command, "--portfolios", str(ports), "--factors",
                      str(facts), "--models", str(models), "--out", str(out),
                      *extra]) == 0
-        got = (out / f"{command}.csv").read_bytes().split(b"\n", 1)
-        want = (DATA / f"golden_{command}.csv").read_bytes().split(b"\n", 1)
-        assert got[0].startswith(b"# factordist")
-        assert got[1] == want[1]
+        for name in self.OUTPUTS[command]:
+            got = (out / name).read_bytes().split(b"\n", 1)
+            want = (DATA / f"golden_{name}").read_bytes().split(b"\n", 1)
+            assert got[0].startswith(b"# factordist")
+            assert got[1] == want[1], name
 
 
 class TestEquiv:

@@ -1,7 +1,13 @@
+import csv
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factordist.dataio import (
+    DEFAULT_MISSING_CODES,
     ReturnsPanel,
     build_dataset,
     concat_panels,
@@ -26,6 +32,118 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def reference_load_panel(path, missing_codes=DEFAULT_MISSING_CODES):
+    """The row-by-row parser: csv records, one ``float()`` per value and a
+    per-row missing-code scan. Oracle for :func:`load_panel`."""
+    codes = set(float(c) for c in missing_codes)
+    names = None
+    dates, rows, seen = [], [], set()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or not "".join(row).strip():
+                continue
+            if row[0].lstrip().startswith("#"):
+                continue
+            if names is None:
+                if len(row) < 2:
+                    raise ParseError(f"{path}:{lineno}: header")
+                names = tuple(c.strip() for c in row[1:])
+                continue
+            if len(row) != len(names) + 1:
+                raise ParseError(f"{path}:{lineno}: ragged")
+            try:
+                date = int(row[0].strip())
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad date") from None
+            if date < 101 or not 1 <= date % 100 <= 12:
+                raise ParseError(f"{path}:{lineno}: not a valid YYYYMM")
+            try:
+                vals = [float(c) for c in row[1:]]
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric") from None
+            if date in seen:
+                raise DuplicateDateError(f"{path}: duplicate date {date}")
+            seen.add(date)
+            if any(v in codes for v in vals):
+                continue
+            dates.append(date)
+            rows.append(vals)
+    if names is None:
+        raise ParseError(f"{path}: no header row found")
+    if not rows:
+        raise EmptyPanelError(f"{path}: no usable rows")
+    return ReturnsPanel(tuple(dates), names, np.array(rows, dtype=float))
+
+
+def _outcome(loader, path):
+    """(dates, names, value bytes) of a parse, or (error type, line number)."""
+    try:
+        panel = loader(path)
+    except (ParseError, DuplicateDateError, EmptyPanelError) as exc:
+        lineno = re.search(r":(\d+):", str(exc))
+        return type(exc), lineno and int(lineno.group(1))
+    return panel.dates, panel.names, panel.values.tobytes()
+
+
+_VALUES = st.floats(-50.0, 50.0, allow_nan=False).map(lambda v: round(v, 4))
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _value_field(draw):
+    text = draw(st.sampled_from([repr, lambda v: format(v, ".6g"),
+                                 lambda v: f"{v:.3f}", lambda v: f"{v:e}"]))(
+        draw(_VALUES))
+    text = draw(_PAD) + text + draw(_PAD)
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+_MALFORMED_VALUE = st.sampled_from(["oops", "", "1.2.3", "--1", "1e", "0x10",
+                                    "1#2", "1 2", '"1,5"'])
+_SKIPPED = st.sampled_from(["", "   ", ",,", " , ", "# comment", "  # a, b c"])
+
+
+@st.composite
+def _panel_file(draw, malformed):
+    """CSV text with comments, blank lines, padded and quoted fields and
+    missing-code rows; ``malformed`` data lines are spoiled in place."""
+    width = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 8))
+    year = draw(st.integers(1926, 2030))
+    dates = [100 * (year + i // 12) + 1 + i % 12 for i in range(n_rows)]
+    header = ["date"] + [f"S{j}" for j in range(width)]
+    header = [draw(st.sampled_from([h, f" {h} ", f'"{h}"'])) for h in header]
+    rows = []
+    for date in dates:
+        fields = [draw(_value_field()) for _ in range(width)]
+        if draw(st.integers(0, 4)) == 0:
+            fields[draw(st.integers(0, width - 1))] = draw(
+                st.sampled_from(["-99.99", "-999", "-999.0", " -99.990"]))
+        head = draw(st.sampled_from([str(date), f" {date} ", f'"{date}"']))
+        rows.append([head] + fields)
+    for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=malformed,
+                           min_size=min(malformed, 1), unique=True)):
+        kind = draw(st.sampled_from(["ragged", "date", "month", "value", "dup"]))
+        if kind == "ragged":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1.0"]
+        elif kind == "date":
+            rows[i][0] = draw(st.sampled_from(["x2000", "2000-01", "", "20.01"]))
+        elif kind == "month":
+            rows[i][0] = str(dates[i] // 100 * 100 + draw(st.sampled_from([0, 13])))
+        elif kind == "value":
+            rows[i][draw(st.integers(1, width))] = draw(_MALFORMED_VALUE)
+        elif i > 0:
+            rows[i][0] = str(dates[i - 1])
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    out = []
+    for line in lines:
+        out.extend(draw(st.lists(_SKIPPED, max_size=2)))
+        out.append(line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + eol.join(out) + (eol if draw(st.booleans()) else "")
 
 
 class TestLoadPanel:
@@ -85,6 +203,40 @@ class TestLoadPanel:
         with pytest.raises(ParseError, match="strictly increasing"):
             load_panel(path)
 
+    def test_unsorted_kept_date_names_line(self, tmp_path):
+        # The out-of-order row follows a dropped row; only kept dates count.
+        path = _write(tmp_path, "f.csv", "date,A\n200003,1.0\n200004,-99.99\n"
+                                         "# note\n200002,2.0\n")
+        with pytest.raises(ParseError, match=r"f\.csv:5: dates not strictly "
+                                             r"increasing at 200003 -> 200002"):
+            load_panel(path)
+
+    def test_header_only_is_empty_panel(self, tmp_path):
+        path = _write(tmp_path, "f.csv", "# meta\ndate,A,B\n\n")
+        with pytest.raises(EmptyPanelError):
+            load_panel(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = _write(tmp_path, "f.csv", f"date,A,B\n200001,1,2\n200002,1,{value}\n")
+        with pytest.raises(ParseError, match=r"f\.csv:3: non-finite value"):
+            load_panel(path)
+
+    def test_non_finite_value_in_dropped_row_ignored(self, tmp_path):
+        path = _write(tmp_path, "f.csv", "date,A,B\n200001,1,2\n200002,-99.99,nan\n")
+        assert load_panel(path).dates == (200001,)
+
+    def test_underscore_digit_groups_rejected(self, tmp_path):
+        path = _write(tmp_path, "f.csv", "date,A\n200001,1_000\n")
+        with pytest.raises(ParseError, match=":2: non-numeric"):
+            load_panel(path)
+
+    def test_hash_inside_value_rejected(self, tmp_path):
+        # Only a line that starts with '#' is a comment.
+        path = _write(tmp_path, "f.csv", "date,A,B\n200001,1,2\n200002,1,2#3\n")
+        with pytest.raises(ParseError, match=":3: non-numeric"):
+            load_panel(path)
+
     def test_comment_lines_skipped(self, tmp_path):
         path = _write(tmp_path, "f.csv",
                       "# factordist 0.1.0 | cmd=synth\ndate,A\n200001,1.5\n")
@@ -105,6 +257,24 @@ class TestLoadPanel:
         back = load_panel(tmp_path / "p.csv")
         assert back.dates == panel.dates and back.names == panel.names
         np.testing.assert_allclose(back.values, panel.values)
+
+
+class TestLoadPanelOracle:
+    """load_panel against the row-by-row reference parser."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_panel_file(malformed=0))
+    def test_well_formed_matches_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(load_panel, path) == _outcome(reference_load_panel, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_panel_file(malformed=3))
+    def test_malformed_matches_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(load_panel, path) == _outcome(reference_load_panel, path)
 
 
 class TestBuildDataset:

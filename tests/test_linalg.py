@@ -1,7 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factordist.errors import (
     InvalidDoFError,
@@ -9,9 +14,49 @@ from factordist.errors import (
     NotPSDError,
     NotSymmetricError,
 )
-from factordist.linalg import chol_solve, cholesky_spd, f_cdf_upper, spd_sqrt, symmetrize
+from factordist.linalg import (
+    CHOL_PIVOT_REL,
+    chol_solve,
+    cholesky_spd,
+    f_cdf_upper,
+    spd_sqrt,
+    symmetrize,
+)
+from factordist.regression import RANK_PIVOT_REL
 
 from conftest import random_spd
+
+
+def reference_cholesky(m, pivot_tol_factor=CHOL_PIVOT_REL):
+    """Column-by-column Cholesky that stops at the first pivot at or below
+    ``pivot_tol_factor * trace / dim``. Oracle for :func:`cholesky_spd`."""
+    a = symmetrize(m)
+    n = a.shape[0]
+    tol = pivot_tol_factor * max(float(np.trace(a)), 0.0) / n
+    lower = np.zeros_like(a)
+    for j in range(n):
+        pivot = a[j, j] - float(lower[j, :j] @ lower[j, :j])
+        if pivot <= tol:
+            raise NotPDError(f"pivot {pivot:.3e} at column {j} is <= {tol:.3e}")
+        ljj = math.sqrt(pivot)
+        lower[j, j] = ljj
+        if j + 1 < n:
+            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / ljj
+    return lower
+
+
+def _wishart(seed, n):
+    g = np.random.default_rng(seed).normal(size=(2 * n + 5, n))
+    return g.T @ g / g.shape[0]
+
+
+def _chol_outcome(factor, m, pivot_tol_factor):
+    """The factor, or the column named by a rejection (None if unnamed)."""
+    try:
+        return factor(m, pivot_tol_factor)
+    except NotPDError as exc:
+        column = re.search(r"at column (\d+)", str(exc))
+        return column and int(column.group(1))
 
 
 class TestSpdSqrt:
@@ -99,8 +144,38 @@ class TestCholSolve:
     def test_pivot_threshold_scales_with_trace(self):
         # Pivot threshold is 1e-14 * trace / dim; a 1e-20 pivot next to a
         # unit pivot must be rejected rather than propagated.
-        with pytest.raises(NotPDError):
+        with pytest.raises(NotPDError, match="at column 1 "):
             cholesky_spd(np.diag([1.0, 1e-20]))
+
+
+class TestCholeskyOracle:
+    """cholesky_spd against the column-by-column reference factorization."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           scale=st.floats(1e-3, 1e3))
+    def test_factor_matches_reference(self, seed, n, scale):
+        m = scale * _wishart(seed, n)
+        got, want = cholesky_spd(m), reference_cholesky(m)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           data=st.data(), shrink=st.sampled_from([1e-20, 1e-30, 1e-6, 1e-3]),
+           tol=st.sampled_from([CHOL_PIVOT_REL, RANK_PIVOT_REL]))
+    def test_pivot_decision_matches_reference(self, seed, n, data, shrink, tol):
+        # Scaling row and column j by sqrt(shrink) scales pivot j by shrink:
+        # 1e-20 and below sit far under either threshold, 1e-6 and up far over.
+        d = np.ones(n)
+        d[data.draw(st.integers(0, n - 1))] = math.sqrt(shrink)
+        m = d[:, None] * _wishart(seed, n) * d[None, :]
+        got = _chol_outcome(cholesky_spd, m, tol)
+        want = _chol_outcome(reference_cholesky, m, tol)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        else:
+            assert got == want
 
 
 class TestSymmetrize:
