@@ -95,8 +95,7 @@ class PriorSpec:
 
     @classmethod
     def from_fit(cls, fit: RegressionFit, sigma_alpha_annual: float) -> "PriorSpec":
-        return cls(sigma_alpha_annual=float(sigma_alpha_annual),
-                   s2=float(np.diag(fit.sigma_mle).mean()))
+        return cls(sigma_alpha_annual=float(sigma_alpha_annual), s2=_s2(fit))
 
 
 class PosteriorFamily:
@@ -110,9 +109,7 @@ class PosteriorFamily:
 
     def __init__(self, dataset: Dataset, model: ModelSpec):
         self.fit = fit = fit_ols(dataset, model)
-        self.s2 = float(np.diag(fit.sigma_mle).mean())
-        self._u0 = (1.0 + sharpe_sq(fit)) / fit.T
-        scale = self._scale_matrix()
+        self.s2, self._u0, scale = _skeptic_parts(fit)
         d, q = np.linalg.eigh(scale)
         if float(d.min()) < -PSD_CLAMP_REL * float(np.abs(d).max()):
             raise NotPSDError(f"posterior scale matrix eigenvalue {d.min():.3e} "
@@ -123,10 +120,6 @@ class PosteriorFamily:
         self._gamma = np.sqrt(d) * (q.T @ fit.alpha_hat)
         self._trace_a = float(np.trace(scale))
         self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
-
-    def _scale_matrix(self) -> np.ndarray:
-        """A = s^2 I + T Sigma_mle, the skeptic covariance up to u0 / (T + 1)."""
-        return self.s2 * np.eye(self.fit.n) + self.fit.T * self.fit.sigma_mle
 
     def _shrinkage(self, sigma_alpha_annual: float) -> tuple[float, float]:
         """Prior precision lam = s^2 / sigma_monthly^2 (inf at sigma = 0) and c."""
@@ -146,12 +139,7 @@ class PosteriorFamily:
         lam, c = self._shrinkage(sigma_alpha_annual)
         if math.isinf(lam):
             return self.dogmatic()
-        if lam == 0.0:
-            return self.skeptic()
-        alpha = self.fit.alpha_hat
-        cov = (self._u0 * c / (self.fit.T + 1)
-               * (self._scale_matrix() + lam * c * np.outer(alpha, alpha)))
-        return GaussianDist(c * alpha, cov)
+        return _closed_form(self.fit, lam)
 
     def wd2_to_skeptic(self, sigma_alpha_annual: float) -> tuple[float, float]:
         """Closed form of ``wd2_components(self.at(sigma), self.skeptic())``.
@@ -227,7 +215,27 @@ def posterior_alpha_skeptic(fit: RegressionFit) -> GaussianDist:
     ``(1 + Sh^2) / T * (s^2 I + S) / (T + 1)`` with S the residual
     cross-product matrix.
     """
-    s2 = float(np.diag(fit.sigma_mle).mean())
-    s_resid = fit.T * fit.sigma_mle
-    scale = (1.0 + sharpe_sq(fit)) / fit.T / (fit.T + 1)
-    return GaussianDist(fit.alpha_hat.copy(), scale * (s2 * np.eye(fit.n) + s_resid))
+    return _closed_form(fit, 0.0)
+
+
+def _s2(fit: RegressionFit) -> float:
+    """Inverted-Wishart scale s^2: the average diagonal of Sigma_mle."""
+    return float(np.diag(fit.sigma_mle).mean())
+
+
+def _skeptic_parts(fit: RegressionFit) -> tuple[float, float, np.ndarray]:
+    """s^2, u0 = (1 + Sh^2) / T and A = s^2 I + T Sigma_mle (module docstring)."""
+    s2 = _s2(fit)
+    return s2, (1.0 + sharpe_sq(fit)) / fit.T, s2 * np.eye(fit.n) + fit.T * fit.sigma_mle
+
+
+def _closed_form(fit: RegressionFit, lam: float) -> GaussianDist:
+    """Posterior at finite prior precision lam: N(c alpha_hat, u0 c / (T + 1)
+    (A + lam c alpha_hat alpha_hat')) with c = 1 / (1 + lam u0); lam = 0 is the skeptic.
+    """
+    _, u0, cov = _skeptic_parts(fit)
+    c = 1.0 / (1.0 + lam * u0)
+    alpha = fit.alpha_hat
+    cov += lam * c * np.outer(alpha, alpha)
+    cov *= u0 * c / (fit.T + 1)
+    return GaussianDist(c * alpha, cov)

@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from .bayes import posterior_alpha_skeptic
 from .dataio import (
     DEFAULT_MISSING_CODES,
     Dataset,
-    ModelSpec,
     ReturnsPanel,
     build_dataset,
     concat_panels,
@@ -64,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
     # Usage problems are user errors: exit 1, not argparse's default 2.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(f"error: {message}")
+        self.exit(1, f"error: {message}\n")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -125,23 +123,15 @@ def _metadata(args, command: str, extra: str = "") -> str:
     return " | ".join(parts)
 
 
-def _model_reports(dataset: Dataset, models: list[ModelSpec], jobs: int):
-    def one(model):
-        fit = fit_ols(dataset, model)
-        skeptic = posterior_alpha_skeptic(fit)
-        breakdown = distance_breakdown(skeptic)
-        report = build_report(fit, skeptic, breakdown, grs_test(fit))
-        return report, skeptic
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, models))
-    return [one(m) for m in models]
-
-
 def cmd_rank(args) -> int:
     dataset = _load_dataset(args)
     models = load_models(args.models)
-    results = _model_reports(dataset, models, args.jobs)
+    results = []
+    for model in models:
+        fit = fit_ols(dataset, model)
+        skeptic = posterior_alpha_skeptic(fit)
+        report = build_report(fit, skeptic, distance_breakdown(skeptic), grs_test(fit))
+        results.append((report, skeptic))
     table = rank_models([r for r, _ in results])
     meta = _metadata(args, "rank")
     out = _OutputSet(Path(args.out))
@@ -178,19 +168,10 @@ def cmd_sweep(args) -> int:
     grid = _parse_floats(args.grid)
     dataset = _load_dataset(args)
     models = load_models(args.models)
-
-    def one(model):
-        return [(model.name, row) for row in sweep(dataset, model, grid)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(one, models))
-    else:
-        chunks = [one(m) for m in models]
-
     rows = [
-        ",".join([name, _fmt(r.sigma_alpha_annual), _fmt(r.ad),
+        ",".join([model.name, _fmt(r.sigma_alpha_annual), _fmt(r.ad),
                   _fmt(r.rmse_alpha), _fmt(r.rmse_sigma), _fmt(r.ratio_var)])
-        for chunk in chunks for name, r in chunk
+        for model in models for r in sweep(dataset, model, grid)
     ]
     out = _OutputSet(Path(args.out))
     out.add("sweep.csv", _metadata(args, "sweep", f"grid={args.grid}"),
@@ -283,8 +264,6 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--missing", default=",".join(str(c) for c in DEFAULT_MISSING_CODES),
                    help="comma-separated missing-value codes")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel model evaluations (results identical)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,21 +317,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        if exc.code in (0, None):
-            return 0
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        return int(exc.code)
-    except InputError as exc:
+        return int(exc.code or 0)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FactorDistError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,9 @@ Lines starting with ``#`` are ignored, so files written by this package (which
 carry a metadata comment line) re-ingest cleanly.
 
 Model file: one model per line, ``NAME = F1,F2,...``; ``#`` starts a comment.
+
+Both are UTF-8 text (a BOM is skipped); a byte that is not UTF-8 is a
+``ParseError`` naming its line.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -149,36 +152,35 @@ def load_panel(path: str | Path,
     lines: list[str] = []  # data lines, values unparsed
     seen: set[int] = set()
     failure: ParseError | DuplicateDateError | None = None
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip(" \t\n\r\f\v,") or line.lstrip().startswith("#"):
-                    continue
-                if names is None:
-                    header = next(csv.reader([line]))
-                    if len(header) < 2:
-                        raise ParseError(f"{path}:{lineno}: header needs a date column "
-                                         "and at least one series")
-                    names = tuple(c.strip() for c in header[1:])
-                    continue
-                if line.count(",") != len(names):
-                    raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} "
-                                     f"fields, got {line.count(',') + 1}")
-                head = line[:line.index(",")]
-                try:
-                    date = int(head.strip().strip('"'))
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad date {head!r}") from None
-                if date < 101 or not 1 <= date % 100 <= 12:
-                    raise ParseError(f"{path}:{lineno}: {date} is not a valid YYYYMM")
-                dates.append(date)
-                linenos.append(lineno)
-                lines.append(line)
-                if date in seen:
-                    raise DuplicateDateError(f"{path}: duplicate date {date}")
-                seen.add(date)
-        except (ParseError, DuplicateDateError) as exc:
-            failure = exc  # raised once the values of earlier lines are checked
+    try:
+        for lineno, line in enumerate(_lines(path), start=1):
+            if not line.strip(" \t\n\r\f\v,") or line.lstrip().startswith("#"):
+                continue
+            if names is None:
+                header = next(csv.reader([line]))
+                if len(header) < 2:
+                    raise ParseError(f"{path}:{lineno}: header needs a date column "
+                                     "and at least one series")
+                names = tuple(c.strip() for c in header[1:])
+                continue
+            if line.count(",") != len(names):
+                raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} "
+                                 f"fields, got {line.count(',') + 1}")
+            head = line[:line.index(",")]
+            try:
+                date = int(head.strip().strip('"'))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad date {head!r}") from None
+            if date < 101 or not 1 <= date % 100 <= 12:
+                raise ParseError(f"{path}:{lineno}: {date} is not a valid YYYYMM")
+            dates.append(date)
+            linenos.append(lineno)
+            lines.append(line)
+            if date in seen:
+                raise DuplicateDateError(f"{path}: duplicate date {date}")
+            seen.add(date)
+    except (ParseError, DuplicateDateError) as exc:
+        failure = exc  # raised once the values of earlier lines are checked
     # loadtxt warns on empty input, so a header-only file skips it.
     values = _parse_values(path, lines, linenos, len(names)) if lines else np.empty((0, 0))
     if failure is not None:
@@ -216,6 +218,23 @@ def _parse_values(path: Path, lines: list[str], linenos: list[int],
         raise
 
 
+def _lines(path: Path) -> Iterator[str]:
+    """Lines of a UTF-8 text file; ParseError names the line of a non-UTF-8 byte."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        raw = path.read_bytes()  # the stream decodes in blocks: find the line
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = raw[:exc.start]
+            lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ParseError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} "
+                             "is not UTF-8") from None
+        raise ParseError(f"{path}: not UTF-8") from None  # changed while read
+
+
 def load_models(path: str | Path) -> list[ModelSpec]:
     """Parse a model-definition file in file order.
 
@@ -229,26 +248,25 @@ def load_models(path: str | Path) -> list[ModelSpec]:
     path = Path(path)
     specs: list[ModelSpec] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'NAME = F1,F2,...'")
-            name, _, factors = line.partition("=")
-            name = name.strip()
-            factor_names = tuple(f.strip() for f in factors.split(",") if f.strip())
-            if not name:
-                raise ParseError(f"{path}:{lineno}: empty model name")
-            if name in seen:
-                raise DuplicateModelNameError(f"{path}:{lineno}: duplicate model "
-                                              f"name {name!r}")
-            seen.add(name)
-            try:
-                specs.append(ModelSpec(name, factor_names))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'NAME = F1,F2,...'")
+        name, _, factors = line.partition("=")
+        name = name.strip()
+        factor_names = tuple(f.strip() for f in factors.split(",") if f.strip())
+        if not name:
+            raise ParseError(f"{path}:{lineno}: empty model name")
+        if name in seen:
+            raise DuplicateModelNameError(f"{path}:{lineno}: duplicate model "
+                                          f"name {name!r}")
+        seen.add(name)
+        try:
+            specs.append(ModelSpec(name, factor_names))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     if not specs:
         raise ParseError(f"{path}: no model definitions found")
     return specs

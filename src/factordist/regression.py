@@ -22,7 +22,7 @@ from .errors import (
     SingularResidualCovError,
     UnknownFactorError,
 )
-from .linalg import chol_solve, cholesky_spd, f_cdf_upper, symmetrize
+from .linalg import chol_solve, cholesky_spd, f_cdf_upper
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
@@ -94,11 +94,12 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         ) from None
     coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ returns))
     resid = returns - design @ coef
-    sigma_mle = symmetrize(resid.T @ resid / t_obs)
+    # numpy forms A'A with BLAS syrk: sigma_mle and factor_cov_mle are exactly symmetric.
+    sigma_mle = resid.T @ resid / t_obs
 
     factor_mean = factors.mean(axis=0)
     centered = factors - factor_mean
-    factor_cov_mle = symmetrize(centered.T @ centered / t_obs)
+    factor_cov_mle = centered.T @ centered / t_obs
 
     asset_mean = returns.mean(axis=0)
     sst = ((returns - asset_mean) ** 2).sum(axis=0)

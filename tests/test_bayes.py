@@ -229,6 +229,10 @@ class TestPosteriorFamily:
                 <= 1e-10 * np.linalg.norm(cov_ref))
 
         skeptic = family.skeptic()
+        # Zero prior precision is the same closed form with c = 1, bit for bit.
+        at_inf = family.at(math.inf)
+        np.testing.assert_array_equal(at_inf.mean, skeptic.mean)
+        np.testing.assert_array_equal(at_inf.cov, skeptic.cov)
         mean_sq, trace_term = family.wd2_to_skeptic(sigma)
         mean_sq_ref, trace_ref = wd2_components(post, skeptic)
         # The reference shift alpha_hat - c alpha_hat carries an absolute

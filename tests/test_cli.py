@@ -104,6 +104,25 @@ class TestRank:
         assert err.startswith("error: ") and "nan.csv:3: non-finite value" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, content, line", [
+        ("portfolios", b"date,A,B\n200001,1.0,2.0\n200002,1.0,2\xe9\n", 3),
+        ("models", b"ONE = F1\nCAF\xe9 = F1\n", 2),
+    ], ids=["portfolios", "models"])
+    def test_non_utf8_file_exit_1_names_line(self, tmp_path, capsys, kind,
+                                             content, line):
+        ports, facts = _synth(tmp_path)
+        files = {"portfolios": ports, "models": _models(tmp_path, "ONE = F1\n")}
+        files[kind] = tmp_path / "latin1.csv"
+        files[kind].write_bytes(content)
+        code = main(["rank", "--portfolios", str(files["portfolios"]),
+                     "--factors", str(facts), "--models", str(files["models"]),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert f"latin1.csv:{line}: byte 0xe9 is not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_write_failure_keeps_previous_outputs(self, tmp_path, monkeypatch):
         ports, facts = _synth(tmp_path)
         models = _models(tmp_path)
@@ -150,17 +169,6 @@ class TestRank:
         assert first.startswith(f"# factordist {__version__}")
         assert "cmd=rank" in first
         assert "portfolios.csv:" in first and "factors.csv:" in first
-
-    def test_jobs_flag_identical_results(self, tmp_path):
-        ports, facts = _synth(tmp_path)
-        models = _models(tmp_path)
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        main(["rank", "--portfolios", str(ports), "--factors", str(facts),
-              "--models", str(models), "--out", str(serial)])
-        main(["rank", "--portfolios", str(ports), "--factors", str(facts),
-              "--models", str(models), "--out", str(parallel), "--jobs", "4"])
-        assert ((serial / "report.csv").read_bytes()
-                == (parallel / "report.csv").read_bytes())
 
     def test_multiple_portfolio_files_concatenate(self, tmp_path):
         ports, facts = _synth(tmp_path)
@@ -317,6 +325,17 @@ class TestSynthCommand:
     def test_usage_error_exit_1(self, capsys):
         assert main(["rank"]) == 1
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("command, extra", [
+        ("rank", []), ("sweep", []), ("equiv", ["--benchmark", "ONE"]),
+    ], ids=["rank", "sweep", "equiv"])
+    def test_jobs_flag_is_usage_error(self, tmp_path, capsys, command, extra):
+        ports, facts = _synth(tmp_path)
+        code = main([command, "--portfolios", str(ports), "--factors",
+                     str(facts), "--models", str(_models(tmp_path)),
+                     "--out", str(tmp_path / "out"), "--jobs", "2", *extra])
+        assert code == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_internal_numerical_failure_exit_2(self, tmp_path, monkeypatch,
                                                capsys):

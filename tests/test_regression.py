@@ -66,6 +66,14 @@ class TestFitOls:
                 fit.alpha_hat, fit.asset_mean - fit.beta_hat @ fit.factor_mean,
                 atol=1e-10)
 
+    def test_covariances_exactly_symmetric(self, rng):
+        # fit_ols does not symmetrize: numpy's A'A product must already be.
+        for T, n, k in ((37, 11, 1), (120, 4, 3), (450, 200, 3)):
+            dataset, model = random_fit_inputs(rng, T=T, n=n, k=k)
+            fit = fit_ols(dataset, model)
+            np.testing.assert_array_equal(fit.sigma_mle, fit.sigma_mle.T)
+            np.testing.assert_array_equal(fit.factor_cov_mle, fit.factor_cov_mle.T)
+
     def test_residuals_mean_zero(self, base_dataset):
         dataset, model = base_dataset
         fit = fit_ols(dataset, model)
