@@ -17,7 +17,9 @@ has a closed form: with u0 = [(X'X)^{-1}]_00 = (1 + Sh^2) / T,
 c = 1 / (1 + lam u0) and A = s^2 I + T Sigma_mle (PSD by construction), the
 posterior is N(c alpha_hat, u0 c / (T + 1) (A + lam c alpha_hat alpha_hat')),
 and c = 1 is the skeptic. Its distance from the skeptic costs one ``eigh(A)``
-per model and one n x n ``eigvalsh`` per sigma_alpha (grid point or bisection).
+per model; after that, each sigma_alpha (grid point or bisection) costs
+O(q n) for the transport trace, a quadrature over q of a few hundred nodes
+(``linalg.sqrt_trace_rank_one``).
 
 ``sigma_alpha`` is quoted in annualized percent everywhere a user supplies
 it; annual-to-monthly conversion divides by 12 (an annualized mean scales
@@ -33,7 +35,8 @@ import numpy as np
 
 from .dataio import Dataset, ModelSpec
 from .errors import NotPSDError
-from .linalg import PSD_CLAMP_REL, TRACE_SNAP_REL, chol_solve, symmetrize
+from .linalg import (PSD_CLAMP_REL, TRACE_SNAP_REL, chol_solve, sqrt_trace_rank_one,
+                     symmetrize)
 from .regression import RegressionFit, fit_ols, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
@@ -42,7 +45,7 @@ MONTHS_PER_YEAR = 12.0
 def sigma_annual_to_monthly(sigma_alpha_annual: float) -> float:
     """Convert an annualized prior mispricing std (percent) to monthly."""
     s = float(sigma_alpha_annual)
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError(f"sigma_alpha must be non-negative, got {s}")
     return s / MONTHS_PER_YEAR
 
@@ -116,8 +119,9 @@ class PosteriorFamily:
                               f"beyond clamp tolerance")
         d = np.clip(d, 0.0, None)
         self._d_sq = d * d
-        # A^{1/2} alpha_hat in the eigenbasis of A.
-        self._gamma = np.sqrt(d) * (q.T @ fit.alpha_hat)
+        self._trace_d = float(d.sum())
+        # Squares of gamma = A^{1/2} alpha_hat in the eigenbasis of A.
+        self._gamma_sq = d * (q.T @ fit.alpha_hat) ** 2
         self._trace_a = float(np.trace(scale))
         self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
 
@@ -146,8 +150,10 @@ class PosteriorFamily:
 
         With A = Q D Q', gamma = D^{1/2} Q' alpha_hat, b = u0 / (T + 1) and
         g = lam c: mean term (1 - c)^2 |alpha_hat|^2, trace term b [(1 + c) tr A
-        + c g |alpha_hat|^2 - 2 sqrt(c) sum sqrt(eigvalsh(D^2 + g gamma gamma'))],
-        snapped to zero below TRACE_SNAP_REL of the total trace.
+        + c g |alpha_hat|^2 - 2 sqrt(c) tr sqrt(D^2 + g gamma gamma')], snapped
+        to zero below TRACE_SNAP_REL of the total trace. The square-root trace
+        is tr D + ``sqrt_trace_rank_one(d^2, gamma^2, g)``, O(q n) per call for
+        a quadrature of q (a few hundred) nodes, with no n x n matrix formed.
         """
         lam, c = self._shrinkage(sigma_alpha_annual)
         if lam == 0.0:
@@ -158,9 +164,7 @@ class PosteriorFamily:
         g = lam * c
         # 1 - c computed as lam u0 c, which does not cancel at large sigma.
         mean_sq = (lam * self._u0 * c) ** 2 * self._alpha_sq
-        eig = np.linalg.eigvalsh(np.diag(self._d_sq)
-                                 + g * np.outer(self._gamma, self._gamma))
-        root_sum = float(np.sqrt(np.clip(eig, 0.0, None)).sum())
+        root_sum = self._trace_d + sqrt_trace_rank_one(self._d_sq, self._gamma_sq, g)
         total_trace = b * ((1.0 + c) * self._trace_a + c * g * self._alpha_sq)
         trace_term = total_trace - 2.0 * b * math.sqrt(c) * root_sum
         if trace_term <= TRACE_SNAP_REL * total_trace:
@@ -236,6 +240,7 @@ def _closed_form(fit: RegressionFit, lam: float) -> GaussianDist:
     _, u0, cov = _skeptic_parts(fit)
     c = 1.0 / (1.0 + lam * u0)
     alpha = fit.alpha_hat
-    cov += lam * c * np.outer(alpha, alpha)
+    if lam != 0.0:
+        cov += lam * c * np.outer(alpha, alpha)
     cov *= u0 * c / (fit.T + 1)
     return GaussianDist(c * alpha, cov)

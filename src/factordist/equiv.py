@@ -76,15 +76,15 @@ def sweep(dataset: Dataset, model: ModelSpec,
     Raises
     ------
     BadConfigError
-        Empty, negative, or unsorted grid.
+        Empty, negative, NaN or unsorted grid (``inf`` is the skeptic row).
     NumericalError
         If the average distance fails to be non-increasing along the grid.
     """
     grid = [float(g) for g in grid]
     if not grid:
         raise BadConfigError("sigma grid is empty")
-    if any(g < 0.0 for g in grid):
-        raise BadConfigError("sigma grid values must be non-negative")
+    if not all(g >= 0.0 for g in grid):
+        raise BadConfigError("sigma grid values must be non-negative numbers")
     if sorted(grid) != grid:
         raise BadConfigError("sigma grid must be sorted ascending")
     family = PosteriorFamily(dataset, model)
@@ -109,12 +109,16 @@ def solve_equiv(dataset: Dataset, alt: ModelSpec, benchmark_ad: float,
 
     Raises
     ------
+    BadConfigError
+        ``bracket_hi`` is not finite and positive.
     NotBracketedError
         Target above the dogmatic AD or below the AD at ``bracket_hi``.
     NoConvergenceError
         Iteration cap reached (the map would have to be pathologically
         steep).
     """
+    if not 0.0 < bracket_hi < math.inf:
+        raise BadConfigError(f"bracket_hi must be finite and positive, got {bracket_hi}")
     target = float(benchmark_ad)
     family = PosteriorFamily(dataset, alt)
 

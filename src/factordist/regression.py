@@ -22,7 +22,7 @@ from .errors import (
     SingularResidualCovError,
     UnknownFactorError,
 )
-from .linalg import chol_solve, cholesky_spd, f_cdf_upper
+from .linalg import chol_solve, cholesky_spd, f_cdf_upper, solve_lower
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
@@ -165,6 +165,6 @@ def grs_test(fit: RegressionFit) -> tuple[float, float]:
             f"residual covariance singular (n={fit.n}, T={fit.T}): {exc}"
         ) from None
     # a' Sigma^{-1} a = |L^{-1} a|^2 with Sigma = L L'.
-    w = np.linalg.solve(lower, fit.alpha_hat)
+    w = solve_lower(lower, fit.alpha_hat)
     stat = dof2 / fit.n * float(w @ w) / (1.0 + sharpe_sq(fit))
     return stat, f_cdf_upper(stat, fit.n, dof2)

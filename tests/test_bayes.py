@@ -65,6 +65,10 @@ class TestSigmaConversion:
         with pytest.raises(ValueError):
             sigma_annual_to_monthly(-1.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            sigma_annual_to_monthly(math.nan)
+
 
 class TestDogmatic:
     def test_three_assets(self):

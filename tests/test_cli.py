@@ -222,6 +222,28 @@ class TestSweep:
         assert code == 1
 
 
+    @pytest.mark.parametrize("grid", ["nan", "0,nan"])
+    def test_nan_grid_exit_1(self, tmp_path, capsys, grid):
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path)
+        code = main(["sweep", "--portfolios", str(ports), "--factors",
+                     str(facts), "--models", str(models),
+                     "--out", str(tmp_path / "out"), "--grid", grid])
+        assert code == 1
+        assert "error: sigma grid" in capsys.readouterr().err
+
+    def test_inf_grid_is_skeptic_row(self, tmp_path):
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path, "BOTH = F1,F2\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--portfolios", str(ports), "--factors",
+                     str(facts), "--models", str(models), "--out", str(out),
+                     "--grid", "0,inf"]) == 0
+        _, rows = _read_rows(out / "sweep.csv")
+        assert rows[1]["sigma_alpha_annual"] == "inf"
+        assert rows[1]["AD"] == "0"
+
+
 class TestGolden:
     """rank, sweep and equiv outputs pinned byte for byte below the metadata
     line.
@@ -298,6 +320,19 @@ class TestEquiv:
                      str(facts), "--models", str(models),
                      "--out", str(tmp_path / "out"), "--benchmark", "NOPE"])
         assert code == 1
+
+
+    @pytest.mark.parametrize("hi", ["nan", "-5", "inf", "0"])
+    def test_bad_bracket_hi_exit_1(self, tmp_path, capsys, hi):
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path)
+        code = main(["equiv", "--portfolios", str(ports), "--factors",
+                     str(facts), "--models", str(models),
+                     "--out", str(tmp_path / "out"), "--benchmark", "BOTH",
+                     "--bracket-hi", hi])
+        assert code == 1
+        assert "error: bracket_hi must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSynthCommand:

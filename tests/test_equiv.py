@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,8 @@ class TestSweep:
         rows = sweep(dataset, model, [0.0, 1e4])
         assert rows[1].ad <= 1e-3 * rows[0].ad
 
-    @pytest.mark.parametrize("grid", [[], [-1.0, 2.0], [4.0, 2.0]])
+    @pytest.mark.parametrize("grid", [[], [-1.0, 2.0], [4.0, 2.0], [math.nan],
+                                      [0.0, math.nan], [math.nan, 2.0]])
     def test_bad_grids_rejected(self, grid, base_dataset):
         dataset, model = base_dataset
         with pytest.raises(BadConfigError):
@@ -75,6 +78,13 @@ class TestSolveEquiv:
         rows = sweep(dataset, model, grid)
         res = solve_equiv(dataset, model, rows[2].ad)
         assert abs(res.sigma_star_annual - 4.0) <= 1e-4
+
+    @pytest.mark.parametrize("hi", [math.nan, math.inf, -5.0, 0.0])
+    def test_bad_bracket_hi_rejected(self, hi, base_dataset):
+        dataset, model = base_dataset
+        target = sweep(dataset, model, [2.0])[0].ad
+        with pytest.raises(BadConfigError):
+            solve_equiv(dataset, model, target, bracket_hi=hi)
 
     def test_target_above_dogmatic_not_bracketed(self, base_dataset):
         dataset, model = base_dataset

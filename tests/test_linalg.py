@@ -19,7 +19,9 @@ from factordist.linalg import (
     chol_solve,
     cholesky_spd,
     f_cdf_upper,
+    solve_lower,
     spd_sqrt,
+    sqrt_trace_rank_one,
     symmetrize,
 )
 from factordist.regression import RANK_PIVOT_REL
@@ -176,6 +178,98 @@ class TestCholeskyOracle:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         else:
             assert got == want
+
+
+class TestSolveLower:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
+    def test_matches_dense_solve(self, seed, n):
+        lower = cholesky_spd(_wishart(seed, n))
+        b = np.random.default_rng(seed).normal(size=n)
+        want = np.linalg.solve(lower, b)
+        assert np.linalg.norm(solve_lower(lower, b) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def reference_root_sum(d_sq, gamma_sq, g):
+    """tr sqrt(D^2 + g gamma gamma') from a dense ``eigvalsh``, the per-sigma
+    formula of ``PosteriorFamily.wd2_to_skeptic`` before the quadrature.
+    Oracle for :func:`sqrt_trace_rank_one`."""
+    gamma = np.sqrt(gamma_sq)
+    eig = np.linalg.eigvalsh(np.diag(d_sq) + g * np.outer(gamma, gamma))
+    return float(np.sqrt(np.clip(eig, 0.0, None)).sum())
+
+
+def _two_by_two_delta(d1, d2, w1, w2):
+    """Exact Delta for n = 2 with weights w_i = g gamma_i^2, from
+    sqrt(l1) + sqrt(l2) = sqrt(tr + 2 sqrt(det)), rearranged so nothing cancels."""
+    det = (d1 * d2) ** 2 + w1 * d2 * d2 + w2 * d1 * d1
+    root = math.sqrt(det)
+    num = w1 + w2 + 2.0 * (w1 * d2 * d2 + w2 * d1 * d1) / (root + d1 * d2)
+    return num / (math.sqrt(d1 * d1 + d2 * d2 + w1 + w2 + 2.0 * root) + d1 + d2)
+
+
+D_SPAN = np.logspace(-6, 6, 13)
+G_SPAN = np.logspace(-12, 12, 25)
+
+
+class TestSqrtTraceRankOne:
+    """Delta = tr sqrt(D^2 + g gamma gamma') - tr D by quadrature."""
+
+    def test_one_hot_exact(self):
+        # Only eigenvalue j moves, to d_j^2 + g gamma_j^2.
+        for d in D_SPAN:
+            for g in G_SPAN:
+                want = g * 3.0 / (math.sqrt(d * d + g * 3.0) + d)
+                got = sqrt_trace_rank_one(np.array([0.25, d * d, 9.0]),
+                                          np.array([0.0, 3.0, 0.0]), g)
+                assert abs(got - want) <= 1e-13 * want, (d, g)
+
+    def test_two_by_two_exact(self):
+        for d1 in D_SPAN:
+            for d2 in D_SPAN[::2]:
+                for g in G_SPAN:
+                    want = _two_by_two_delta(d1, d2, g * 0.7, g * 2.5)
+                    got = sqrt_trace_rank_one(np.array([d1 * d1, d2 * d2]),
+                                              np.array([0.7, 2.5]), g)
+                    assert abs(got - want) <= 1e-13 * want, (d1, d2, g)
+
+    @pytest.mark.parametrize("factor", [1e150, 1e-150])
+    def test_scale_invariance(self, rng, factor):
+        # Scaling d and gamma by f scales the matrix by f^2 and Delta by f.
+        d = rng.uniform(0.1, 3.0, 50)
+        gamma_sq = rng.uniform(0.0, 2.0, 50)
+        base = sqrt_trace_rank_one(d * d, gamma_sq, 0.7)
+        scaled = sqrt_trace_rank_one((factor * d) ** 2, factor**2 * gamma_sq, 0.7)
+        assert scaled / factor == pytest.approx(base, rel=1e-14)
+
+    def test_zero_update(self):
+        d_sq = np.array([1.0, 0.0, 4.0])
+        assert sqrt_trace_rank_one(d_sq, np.array([2.0, 0.0, 1.0]), 0.0) == 0.0
+        assert sqrt_trace_rank_one(d_sq, np.zeros(3), 5.0) == 0.0
+        # A zero d_i with zero gamma_i drops out.
+        assert sqrt_trace_rank_one(d_sq, np.array([0.0, 0.0, 5.0]), 1.0) == \
+            pytest.approx(3.0 - 2.0, rel=1e-14)
+
+    def test_zero_d_with_weight_rejected(self):
+        with pytest.raises(ValueError):
+            sqrt_trace_rank_one(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           d_decades=st.floats(0.0, 6.0), log_g=st.floats(-12.0, 12.0),
+           zero_share=st.sampled_from([0.0, 0.5]))
+    def test_matches_dense_eigvalsh(self, seed, n, d_decades, log_g, zero_share):
+        rng = np.random.default_rng(seed)
+        d = 10.0 ** rng.uniform(-d_decades / 2, d_decades / 2, n)
+        gamma_sq = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) >= zero_share)
+        g = 10.0**log_g
+        got = d.sum() + sqrt_trace_rank_one(d * d, gamma_sq, g)
+        # eigvalsh moves each eigenvalue by about n eps ||M|| at most, and
+        # eigenvalue i is at least the i-th smallest d^2, so its square root
+        # moves by at most that over d_(i).
+        norm = float((d * d).max() + g * gamma_sq.sum())
+        tol = 4.0 * n * np.finfo(float).eps * norm * float((1.0 / d).sum())
+        assert abs(got - reference_root_sum(d * d, gamma_sq, g)) <= tol
 
 
 class TestSymmetrize:
