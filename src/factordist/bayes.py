@@ -17,9 +17,10 @@ has a closed form: with u0 = [(X'X)^{-1}]_00 = (1 + Sh^2) / T,
 c = 1 / (1 + lam u0) and A = s^2 I + T Sigma_mle (PSD by construction), the
 posterior is N(c alpha_hat, u0 c / (T + 1) (A + lam c alpha_hat alpha_hat')),
 and c = 1 is the skeptic. Its distance from the skeptic costs one ``eigh(A)``
-per model; after that, each sigma_alpha (grid point or bisection) costs
-O(q n) for the transport trace, a quadrature over q of a few hundred nodes
-(``linalg.sqrt_trace_rank_one``).
+and one O(q n) quadrature table per model (``linalg.RankOneQuadrature``, q a
+few hundred nodes); after that, each sigma_alpha (grid point or bisection)
+costs O(q) for the transport trace, which is taken in a form without
+cancellation.
 
 ``sigma_alpha`` is quoted in annualized percent everywhere a user supplies
 it; annual-to-monthly conversion divides by 12 (an annualized mean scales
@@ -35,8 +36,7 @@ import numpy as np
 
 from .dataio import Dataset, ModelSpec
 from .errors import NotPSDError
-from .linalg import (PSD_CLAMP_REL, TRACE_SNAP_REL, chol_solve, sqrt_trace_rank_one,
-                     symmetrize)
+from .linalg import PSD_CLAMP_REL, RankOneQuadrature, chol_solve, symmetrize
 from .regression import RegressionFit, fit_ols, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
@@ -105,9 +105,9 @@ class PosteriorFamily:
     """All posteriors of one (dataset, model) pair, indexed by sigma_alpha.
 
     Fits the regression once and caches the one ``eigh(A)`` of the closed
-    form in the module docstring (NotPSDError if A is materially indefinite);
-    the engine behind :func:`posterior_alpha` and the sweep/equivalence
-    machinery.
+    form in the module docstring (NotPSDError if A is materially indefinite)
+    and the transport trace quadrature table built from it; the engine
+    behind :func:`posterior_alpha` and the sweep/equivalence machinery.
     """
 
     def __init__(self, dataset: Dataset, model: ModelSpec):
@@ -118,10 +118,10 @@ class PosteriorFamily:
             raise NotPSDError(f"posterior scale matrix eigenvalue {d.min():.3e} "
                               f"beyond clamp tolerance")
         d = np.clip(d, 0.0, None)
-        self._d_sq = d * d
-        self._trace_d = float(d.sum())
-        # Squares of gamma = A^{1/2} alpha_hat in the eigenbasis of A.
-        self._gamma_sq = d * (q.T @ fit.alpha_hat) ** 2
+        # Squares of gamma = A^{1/2} alpha_hat in the eigenbasis of A; every
+        # sigma > 0 has g = lam c < 1 / u0.
+        self._quad = RankOneQuadrature(d * d, d * (q.T @ fit.alpha_hat) ** 2,
+                                       1.0 / self._u0)
         self._trace_a = float(np.trace(scale))
         self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
 
@@ -150,10 +150,13 @@ class PosteriorFamily:
 
         With A = Q D Q', gamma = D^{1/2} Q' alpha_hat, b = u0 / (T + 1) and
         g = lam c: mean term (1 - c)^2 |alpha_hat|^2, trace term b [(1 + c) tr A
-        + c g |alpha_hat|^2 - 2 sqrt(c) tr sqrt(D^2 + g gamma gamma')], snapped
-        to zero below TRACE_SNAP_REL of the total trace. The square-root trace
-        is tr D + ``sqrt_trace_rank_one(d^2, gamma^2, g)``, O(q n) per call for
-        a quadrature of q (a few hundred) nodes, with no n x n matrix formed.
+        + c g |alpha_hat|^2 - 2 sqrt(c) tr sqrt(D^2 + g gamma gamma')]. Both
+        traces are O(1) while their difference is O(lam^2), so the trace term
+        is evaluated as b [e^2 tr A - sqrt(c) e g |alpha_hat|^2 + 2 sqrt(c) R]
+        with e = 1 - sqrt(c) = lam u0 c / (1 + sqrt(c)) and
+        R = g |alpha_hat|^2 / 2 - (tr sqrt(D^2 + g gamma gamma') - tr D) >= 0
+        from the family's quadrature table: O(q) per call, every piece
+        O(lam^2) and none formed as a difference.
         """
         lam, c = self._shrinkage(sigma_alpha_annual)
         if lam == 0.0:
@@ -162,14 +165,16 @@ class PosteriorFamily:
         if math.isinf(lam):
             return self._alpha_sq, b * self._trace_a
         g = lam * c
+        root_c = math.sqrt(c)
         # 1 - c computed as lam u0 c, which does not cancel at large sigma.
-        mean_sq = (lam * self._u0 * c) ** 2 * self._alpha_sq
-        root_sum = self._trace_d + sqrt_trace_rank_one(self._d_sq, self._gamma_sq, g)
-        total_trace = b * ((1.0 + c) * self._trace_a + c * g * self._alpha_sq)
-        trace_term = total_trace - 2.0 * b * math.sqrt(c) * root_sum
-        if trace_term <= TRACE_SNAP_REL * total_trace:
-            trace_term = 0.0
-        return mean_sq, trace_term
+        one_minus_c = lam * self._u0 * c
+        mean_sq = one_minus_c**2 * self._alpha_sq
+        e = one_minus_c / (1.0 + root_c)
+        trace_term = b * (e * e * self._trace_a - root_c * e * g * self._alpha_sq
+                          + 2.0 * root_c * self._quad.remainder(g))
+        # The exact value is zero only for one asset at c |alpha_hat|^2 = u0 A;
+        # there rounding can leave the sum a few ulps of its pieces below zero.
+        return mean_sq, max(0.0, trace_term)
 
     def coefficients(self, sigma_alpha_annual: float) -> np.ndarray:
         """Posterior coefficient matrix ((k+1) x n); row 0 holds the alphas.

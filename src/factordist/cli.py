@@ -30,7 +30,7 @@ from .dataio import (
     load_models,
     load_panel,
 )
-from .equiv import solve_equiv, sweep
+from .equiv import check_bracket_hi, solve_equiv, sweep
 from .errors import FactorDistError, InputError, NotBracketedError
 from .metrics import build_report, rank_models
 from .regression import fit_ols, grs_test
@@ -181,6 +181,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    check_bracket_hi(args.bracket_hi)
     dataset = _load_dataset(args)
     models = load_models(args.models)
     by_name = {m.name: m for m in models}

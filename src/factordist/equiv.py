@@ -99,6 +99,12 @@ def sweep(dataset: Dataset, model: ModelSpec,
     return rows
 
 
+def check_bracket_hi(bracket_hi: float) -> None:
+    """Raise BadConfigError unless the bisection bracket is finite and positive."""
+    if not 0.0 < bracket_hi < math.inf:
+        raise BadConfigError(f"bracket_hi must be finite and positive, got {bracket_hi}")
+
+
 def solve_equiv(dataset: Dataset, alt: ModelSpec, benchmark_ad: float,
                 bracket_hi: float = DEFAULT_BRACKET_HI,
                 benchmark_name: str = "") -> EquivResult:
@@ -117,8 +123,7 @@ def solve_equiv(dataset: Dataset, alt: ModelSpec, benchmark_ad: float,
         Iteration cap reached (the map would have to be pathologically
         steep).
     """
-    if not 0.0 < bracket_hi < math.inf:
-        raise BadConfigError(f"bracket_hi must be finite and positive, got {bracket_hi}")
+    check_bracket_hi(bracket_hi)
     target = float(benchmark_ad)
     family = PosteriorFamily(dataset, alt)
 

@@ -3,7 +3,8 @@ F-distribution upper tail.
 
 Everything operates on plain float64 numpy arrays. Symmetric inputs are
 validated and re-symmetrized on entry so downstream factorizations see
-exactly symmetric data. All functions are pure.
+exactly symmetric data. All functions are pure, and a RankOneQuadrature
+table does not change once built.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 # Eigenvalues in [-PSD_CLAMP_REL * ||M||_2, 0) are treated as roundoff.
 PSD_CLAMP_REL = 1e-10
-# Transport trace residues below this fraction of the total trace are
-# cancellation noise; they must collapse to exactly zero or the square root
-# inflates them (sqrt(1e-15) is a visible 3e-8).
+# transport.wd2_components: trace residues below this fraction of the total
+# trace are cancellation noise; they must collapse to exactly zero or the
+# square root inflates them (sqrt(1e-15) is a visible 3e-8).
 TRACE_SNAP_REL = 1e-13
 # Cholesky pivots at or below CHOL_PIVOT_REL * trace(M) / dim reject the matrix.
 CHOL_PIVOT_REL = 1e-14
-# Trapezoidal step in u = log t for sqrt_trace_rank_one: the integrand is
+# Trapezoidal step in u = log t for RankOneQuadrature: the integrand is
 # analytic in the strip |Im u| < pi / 2, so the error is ~exp(-pi^2 / h) = 7e-18.
 QUAD_STEP = 0.25
 # Margins (in u) past the smallest and largest spectral scale: the integrand
@@ -123,15 +124,21 @@ def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w
 
 
-def sqrt_trace_rank_one(d_sq: np.ndarray, gamma_sq: np.ndarray, g: float) -> float:
-    """Delta = tr sqrt(D^2 + g gamma gamma') - tr D for D = diag(d) >= 0, g >= 0.
+class RankOneQuadrature:
+    """Delta(g) = tr sqrt(D^2 + g gamma gamma') - tr D for D = diag(d) >= 0 and
+    every g in [0, g_max], and its second-order remainder R(g), from one table.
 
     Only the squares d^2 and gamma^2 enter. Sherman-Morrison turns Delta into
     (2/pi) int_0^inf t^2 g S2(t) / (1 + g S1(t)) dt with
-    S_p(t) = sum_i gamma_i^2 / (d_i^2 + t^2)^p, evaluated by the trapezoidal
-    rule in u = log t (step QUAD_STEP) from log(min d) - QUAD_LO_MARGIN to
-    log(sqrt(max d^2 + g sum gamma^2)) + QUAD_HI_MARGIN: a few hundred nodes,
-    O(n) each, after scaling d^2 and g gamma^2 by max d^2. Terms with
+    S_p(t) = sum_i gamma_i^2 / (d_i^2 + t^2)^p. As (2/pi) int t^2 S2 dt =
+    sum gamma_i^2 / (2 d_i), the remainder R(g) = g sum(gamma_i^2 / d_i) / 2 -
+    Delta(g) is (2/pi) int t^2 g^2 S1 S2 / (1 + g S1) dt, a sum of positive
+    terms. Both integrals use the trapezoidal rule in u = log t (step
+    QUAD_STEP) from log(min d) - QUAD_LO_MARGIN to
+    log(sqrt(max d^2 + g_max sum gamma^2)) + QUAD_HI_MARGIN, after scaling d^2
+    and gamma^2 by max d^2. The poles of the integrand sit on |Im u| = pi / 2
+    for every g, so one grid serves all g <= g_max: building it costs O(q n)
+    for q (a few hundred) nodes, and each g then costs O(q). Terms with
     gamma_i = 0 contribute nothing and are dropped.
 
     Raises
@@ -139,25 +146,51 @@ def sqrt_trace_rank_one(d_sq: np.ndarray, gamma_sq: np.ndarray, g: float) -> flo
     ValueError
         If some d_i = 0 has gamma_i != 0.
     """
-    active = gamma_sq > 0.0
-    if g == 0.0 or not active.any():
-        return 0.0
-    d_sq = d_sq[active]
-    scale = float(d_sq.max())
-    if not float(d_sq.min()) > 0.0:
-        raise ValueError("d must be positive wherever gamma is non-zero")
-    d_sq = d_sq / scale
-    w = (g / scale) * gamma_sq[active]
-    lo = 0.5 * math.log(float(d_sq.min())) - QUAD_LO_MARGIN
-    hi = 0.5 * math.log1p(float(w.sum())) + QUAD_HI_MARGIN
-    t = np.exp(lo + QUAD_STEP * np.arange(math.ceil((hi - lo) / QUAD_STEP) + 1))
-    r = np.add.outer(t * t, d_sq)
-    np.reciprocal(r, out=r)
-    s1 = r @ w
-    r *= r
-    s2 = r @ w
-    integral = QUAD_STEP * float((t ** 3 * s2 / (1.0 + s1)).sum())
-    return math.sqrt(scale) * 2.0 / math.pi * integral
+
+    def __init__(self, d_sq: np.ndarray, gamma_sq: np.ndarray, g_max: float):
+        self._factor = 0.0
+        self._t3_s2 = self._s1 = np.zeros(0)
+        active = gamma_sq > 0.0
+        if g_max == 0.0 or not active.any():
+            return
+        d_sq = d_sq[active]
+        scale = float(d_sq.max())
+        if not float(d_sq.min()) > 0.0:
+            raise ValueError("d must be positive wherever gamma is non-zero")
+        d_sq = d_sq / scale
+        w = gamma_sq[active] / scale
+        lo = 0.5 * math.log(float(d_sq.min())) - QUAD_LO_MARGIN
+        hi = 0.5 * math.log1p(g_max * float(w.sum())) + QUAD_HI_MARGIN
+        t = np.exp(lo + QUAD_STEP * np.arange(math.ceil((hi - lo) / QUAD_STEP) + 1))
+        r = np.add.outer(t * t, d_sq)
+        np.reciprocal(r, out=r)
+        self._s1 = r @ w
+        r *= r
+        self._t3_s2 = t ** 3 * (r @ w)
+        self._factor = math.sqrt(scale) * 2.0 / math.pi * QUAD_STEP
+
+    def delta(self, g: float) -> float:
+        """tr sqrt(D^2 + g gamma gamma') - tr D, O(q)."""
+        return self._factor * g * float((self._t3_s2 / (1.0 + g * self._s1)).sum())
+
+    def remainder(self, g: float) -> float:
+        """g sum(gamma_i^2 / d_i) / 2 - Delta(g) >= 0, without cancellation, O(q)."""
+        gs1 = g * self._s1
+        return self._factor * g * float((self._t3_s2 * gs1 / (1.0 + gs1)).sum())
+
+
+def sqrt_trace_rank_one(d_sq: np.ndarray, gamma_sq: np.ndarray, g: float) -> float:
+    """Delta = tr sqrt(D^2 + g gamma gamma') - tr D for D = diag(d) >= 0, g >= 0.
+
+    The one-shot form of :class:`RankOneQuadrature`: build the table for
+    g_max = g and evaluate it once, O(q n).
+
+    Raises
+    ------
+    ValueError
+        If some d_i = 0 has gamma_i != 0.
+    """
+    return RankOneQuadrature(d_sq, gamma_sq, g).delta(g)
 
 
 def chol_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from factordist import (
     posterior_alpha_skeptic,
     sharpe_sq,
     sigma_annual_to_monthly,
+    sweep,
     wd2_components,
 )
 
@@ -250,6 +251,51 @@ class TestPosteriorFamily:
         # absolute in units of the total trace.
         total = float(np.trace(post.cov) + np.trace(skeptic.cov))
         assert abs(trace_term - trace_ref) <= 1e-11 * total
+
+    @pytest.mark.parametrize("sigma", [10.0, 100.0, 1000.0, 2000.0, 1e4])
+    @pytest.mark.parametrize("panel", [
+        {},  # moderate alphas: e^2 tr A dominates the trace term
+        {"alpha": 2.0, "resid_vol": 0.5},  # mispriced: the remainder R dominates
+    ], ids=["moderate", "mispriced"])
+    def test_trace_term_matches_mpmath(self, panel, sigma):
+        # tr S1 + tr S2 - 2 tr (S1^1/2 S2 S1^1/2)^1/2 at 60 digits, from the
+        # same float64 A, alpha_hat, s^2 and u0, where the O(lam^2) trace term
+        # is a difference of O(1) traces.
+        mp = pytest.importorskip("mpmath")
+        dataset, model = make_dataset(seed=11, T=240, n=6, k=3, **panel)
+        family = PosteriorFamily(dataset, model)
+        fit = family.fit
+        s2 = float(np.diag(fit.sigma_mle).mean())
+        scale = s2 * np.eye(fit.n) + fit.T * fit.sigma_mle
+        with mp.workdps(60):
+            u0 = mp.mpf((1.0 + sharpe_sq(fit)) / fit.T)
+            lam = mp.mpf(s2) / (mp.mpf(sigma) / 12) ** 2
+            c = 1 / (1 + lam * u0)
+            a = mp.matrix(scale.tolist())
+            alpha = mp.matrix(fit.alpha_hat.tolist())
+            d, q = mp.eigsy(a)
+            gamma = q * mp.diag([mp.sqrt(x) for x in d]) * q.T * alpha
+            roots = mp.eigsy(a * a + lam * c * gamma * gamma.T, eigvals_only=True)
+            trace_a = sum(d)
+            want = u0 / (fit.T + 1) * (
+                trace_a + c * (trace_a + lam * c * sum(x * x for x in alpha))
+                - 2 * mp.sqrt(c) * sum(mp.sqrt(x) for x in roots))
+            got = family.wd2_to_skeptic(sigma)[1]
+            assert float(abs(got - want) / want) <= 1e-13
+
+    def test_single_asset_trace_term_never_negative(self):
+        # With one asset the two covariances coincide at c alpha_hat^2 = u0 A,
+        # so the trace term is zero there; rounding must not take it below.
+        dataset, model = make_dataset(seed=0, T=240, n=1, k=1, alpha=2.0,
+                                      resid_vol=0.5)
+        family = PosteriorFamily(dataset, model)
+        fit = family.fit
+        s2 = float(fit.sigma_mle[0, 0])
+        u0 = (1.0 + sharpe_sq(fit)) / fit.T
+        c = u0 * (s2 + fit.T * s2) / float(fit.alpha_hat[0]) ** 2
+        sigma = 12.0 * math.sqrt(s2 * u0 / (1.0 / c - 1.0))
+        rows = sweep(dataset, model, [sigma * (1.0 + k * 1e-9) for k in range(-20, 21)])
+        assert all(0.0 <= r.rmse_sigma <= 1e-8 for r in rows)
 
     def test_continuity_at_skeptic_boundary(self, base_dataset):
         dataset, model = base_dataset

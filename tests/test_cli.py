@@ -325,14 +325,19 @@ class TestEquiv:
     @pytest.mark.parametrize("hi", ["nan", "-5", "inf", "0"])
     def test_bad_bracket_hi_exit_1(self, tmp_path, capsys, hi):
         ports, facts = _synth(tmp_path)
-        models = _models(tmp_path)
-        code = main(["equiv", "--portfolios", str(ports), "--factors",
-                     str(facts), "--models", str(models),
-                     "--out", str(tmp_path / "out"), "--benchmark", "BOTH",
-                     "--bracket-hi", hi])
-        assert code == 1
-        assert "error: bracket_hi must be finite and positive" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # The second file holds only the benchmark, so no alternative is
+        # ever solved: the option must be checked where it is parsed.
+        benchmark_only = tmp_path / "benchmark_only.txt"
+        benchmark_only.write_text("BOTH = F1,F2\n", encoding="utf-8")
+        for models in (_models(tmp_path), benchmark_only):
+            code = main(["equiv", "--portfolios", str(ports), "--factors",
+                         str(facts), "--models", str(models),
+                         "--out", str(tmp_path / "out"), "--benchmark", "BOTH",
+                         "--bracket-hi", hi])
+            assert code == 1, models.name
+            assert ("error: bracket_hi must be finite and positive"
+                    in capsys.readouterr().err), models.name
+            assert not (tmp_path / "out").exists(), models.name
 
 
 class TestSynthCommand:

@@ -16,6 +16,7 @@ from factordist.errors import (
 )
 from factordist.linalg import (
     CHOL_PIVOT_REL,
+    RankOneQuadrature,
     chol_solve,
     cholesky_spd,
     f_cdf_upper,
@@ -270,6 +271,37 @@ class TestSqrtTraceRankOne:
         norm = float((d * d).max() + g * gamma_sq.sum())
         tol = 4.0 * n * np.finfo(float).eps * norm * float((1.0 / d).sum())
         assert abs(got - reference_root_sum(d * d, gamma_sq, g)) <= tol
+
+
+class TestRankOneQuadrature:
+    """One table serves every g <= g_max, as PosteriorFamily uses it with
+    g_max = 1 / u0 for all sigma > 0."""
+
+    def test_remainder_one_hot_exact(self):
+        # g gamma^2 / (2 d) - Delta for one moving eigenvalue, without cancellation.
+        for d in D_SPAN:
+            quad = RankOneQuadrature(np.array([0.25, d * d, 9.0]),
+                                     np.array([0.0, 3.0, 0.0]), G_SPAN[-1])
+            for g in G_SPAN:
+                w = g * 3.0
+                want = w * w / (2.0 * d * (math.sqrt(d * d + w) + d) ** 2)
+                assert abs(quad.remainder(g) - want) <= 1e-13 * want, (d, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           d_decades=st.floats(0.0, 6.0), log_g_max=st.floats(-2.0, 6.0),
+           log_fraction=st.floats(-12.0, 0.0),
+           zero_share=st.sampled_from([0.0, 0.5]))
+    def test_table_matches_one_shot(self, seed, n, d_decades, log_g_max,
+                                    log_fraction, zero_share):
+        rng = np.random.default_rng(seed)
+        d = 10.0 ** rng.uniform(-d_decades / 2, d_decades / 2, n)
+        gamma_sq = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) >= zero_share)
+        g_max = 10.0**log_g_max
+        g = g_max * 10.0**log_fraction * (1.0 - 1e-12)
+        quad = RankOneQuadrature(d * d, gamma_sq, g_max)
+        want = sqrt_trace_rank_one(d * d, gamma_sq, g)
+        assert abs(quad.delta(g) - want) <= 1e-14 * want
 
 
 class TestSymmetrize:
