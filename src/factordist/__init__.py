@@ -13,11 +13,10 @@ __version__ = "0.1.0"
 from .bayes import (
     GaussianDist,
     PosteriorFamily,
-    PriorSpec,
-    posterior_alpha,
     posterior_alpha_dogmatic,
     posterior_alpha_skeptic,
     sigma_annual_to_monthly,
+    skeptic_moments,
 )
 from .dataio import (
     Dataset,
@@ -54,8 +53,8 @@ __all__ = [
     "ReturnsPanel", "ModelSpec", "Dataset",
     "load_panel", "load_models", "build_dataset", "concat_panels",
     "RegressionFit", "fit_ols", "sharpe_sq", "grs_test",
-    "GaussianDist", "PriorSpec", "PosteriorFamily",
-    "posterior_alpha", "posterior_alpha_dogmatic", "posterior_alpha_skeptic",
+    "GaussianDist", "PosteriorFamily",
+    "posterior_alpha_dogmatic", "posterior_alpha_skeptic", "skeptic_moments",
     "sigma_annual_to_monthly",
     "wd2_gaussian", "wd2_components", "transport_map",
     "DistanceBreakdown", "distance_breakdown", "wd2_between_posteriors",

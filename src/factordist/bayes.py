@@ -14,13 +14,17 @@ alpha is then Gaussian for every sigma_alpha in [0, inf]:
 
 At prior precision lam = s^2 / sigma_monthly^2 on the intercept the family
 has a closed form: with u0 = [(X'X)^{-1}]_00 = (1 + Sh^2) / T,
-c = 1 / (1 + lam u0) and A = s^2 I + T Sigma_mle (PSD by construction), the
+c = 1 / (1 + lam u0) and A = s^2 I + T Sigma_mle (A >= s^2 I), the
 posterior is N(c alpha_hat, u0 c / (T + 1) (A + lam c alpha_hat alpha_hat')),
-and c = 1 is the skeptic. Its distance from the skeptic costs one ``eigh(A)``
-and one O(q n) quadrature table per model (``linalg.RankOneQuadrature``, q a
-few hundred nodes); after that, each sigma_alpha (grid point or bisection)
-costs O(q) for the transport trace, which is taken in a form without
-cancellation.
+and c = 1 is the skeptic.
+
+The distance from dogmatic belief to the skeptic needs only alpha_hat and
+the skeptic variances u0 / (T + 1) diag A: :func:`skeptic_moments` returns
+them in O(n) and is the one source of that distance. The distance of an
+interior posterior from the skeptic costs one ``eigh(A)`` and one O(q n)
+quadrature table per model (``linalg.RankOneQuadrature``, q a few hundred
+nodes); after that, each sigma_alpha (grid point or bisection) costs O(q)
+for the transport trace, which is taken in a form without cancellation.
 
 ``sigma_alpha`` is quoted in annualized percent everywhere a user supplies
 it; annual-to-monthly conversion divides by 12 (an annualized mean scales
@@ -35,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset, ModelSpec
-from .errors import NotPSDError
-from .linalg import PSD_CLAMP_REL, RankOneQuadrature, chol_solve, symmetrize
+from .linalg import RankOneQuadrature, chol_solve, symmetrize
 from .regression import RegressionFit, fit_ols, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
@@ -78,52 +81,26 @@ class GaussianDist:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """Prior hyperparameters implied by one fit and a mispricing std.
-
-    ``s2`` is the average diagonal of the sample residual covariance of the
-    model being evaluated (the inverted-Wishart scale is s^2 I with n + 2
-    degrees of freedom). Build instances with :meth:`from_fit`.
-    """
-
-    sigma_alpha_annual: float
-    s2: float
-
-    def __post_init__(self):
-        if self.sigma_alpha_annual < 0.0:
-            raise ValueError("sigma_alpha_annual must be >= 0")
-        if not self.s2 > 0.0:
-            raise ValueError("s2 must be positive")
-
-    @classmethod
-    def from_fit(cls, fit: RegressionFit, sigma_alpha_annual: float) -> "PriorSpec":
-        return cls(sigma_alpha_annual=float(sigma_alpha_annual), s2=_s2(fit))
-
-
 class PosteriorFamily:
     """All posteriors of one (dataset, model) pair, indexed by sigma_alpha.
 
-    Fits the regression once and caches the one ``eigh(A)`` of the closed
-    form in the module docstring (NotPSDError if A is materially indefinite)
-    and the transport trace quadrature table built from it; the engine
-    behind :func:`posterior_alpha` and the sweep/equivalence machinery.
+    Fits the regression once and caches the skeptic variance sum, the one
+    ``eigh(A)`` of the closed form in the module docstring and the transport
+    trace quadrature table built from it; the engine behind the
+    sweep/equivalence machinery.
     """
 
     def __init__(self, dataset: Dataset, model: ModelSpec):
         self.fit = fit = fit_ols(dataset, model)
-        self.s2, self._u0, scale = _skeptic_parts(fit)
-        d, q = np.linalg.eigh(scale)
-        if float(d.min()) < -PSD_CLAMP_REL * float(np.abs(d).max()):
-            raise NotPSDError(f"posterior scale matrix eigenvalue {d.min():.3e} "
-                              f"beyond clamp tolerance")
-        d = np.clip(d, 0.0, None)
+        self.s2, self._u0 = _skeptic_parts(fit)
+        self._var_sum = float(_skeptic_var(fit, self.s2, self._u0).sum())
+        self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
+        # A >= s^2 I, so every eigenvalue is positive.
+        d, q = np.linalg.eigh(_scale(fit, self.s2))
         # Squares of gamma = A^{1/2} alpha_hat in the eigenbasis of A; every
         # sigma > 0 has g = lam c < 1 / u0.
         self._quad = RankOneQuadrature(d * d, d * (q.T @ fit.alpha_hat) ** 2,
                                        1.0 / self._u0)
-        self._trace_a = float(np.trace(scale))
-        self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
 
     def _shrinkage(self, sigma_alpha_annual: float) -> tuple[float, float]:
         """Prior precision lam = s^2 / sigma_monthly^2 (inf at sigma = 0) and c."""
@@ -148,30 +125,32 @@ class PosteriorFamily:
     def wd2_to_skeptic(self, sigma_alpha_annual: float) -> tuple[float, float]:
         """Closed form of ``wd2_components(self.at(sigma), self.skeptic())``.
 
-        With A = Q D Q', gamma = D^{1/2} Q' alpha_hat, b = u0 / (T + 1) and
-        g = lam c: mean term (1 - c)^2 |alpha_hat|^2, trace term b [(1 + c) tr A
-        + c g |alpha_hat|^2 - 2 sqrt(c) tr sqrt(D^2 + g gamma gamma')]. Both
-        traces are O(1) while their difference is O(lam^2), so the trace term
-        is evaluated as b [e^2 tr A - sqrt(c) e g |alpha_hat|^2 + 2 sqrt(c) R]
-        with e = 1 - sqrt(c) = lam u0 c / (1 + sqrt(c)) and
+        With A = Q D Q', gamma = D^{1/2} Q' alpha_hat, b = u0 / (T + 1),
+        v = b tr A the skeptic variance sum and g = lam c: mean term
+        (1 - c)^2 |alpha_hat|^2, trace term (1 + c) v + b [c g |alpha_hat|^2
+        - 2 sqrt(c) tr sqrt(D^2 + g gamma gamma')]. Both traces are O(1)
+        while their difference is O(lam^2), so the trace term is evaluated as
+        e^2 v + b sqrt(c) [2 R - e g |alpha_hat|^2] with
+        e = 1 - sqrt(c) = lam u0 c / (1 + sqrt(c)) and
         R = g |alpha_hat|^2 / 2 - (tr sqrt(D^2 + g gamma gamma') - tr D) >= 0
         from the family's quadrature table: O(q) per call, every piece
-        O(lam^2) and none formed as a difference.
+        O(lam^2) and none formed as a difference. At sigma = 0 the terms are
+        |alpha_hat|^2 and v, the dogmatic distance of :func:`skeptic_moments`.
         """
         lam, c = self._shrinkage(sigma_alpha_annual)
         if lam == 0.0:
             return 0.0, 0.0
         b = self._u0 / (self.fit.T + 1)
         if math.isinf(lam):
-            return self._alpha_sq, b * self._trace_a
+            return self._alpha_sq, self._var_sum
         g = lam * c
         root_c = math.sqrt(c)
         # 1 - c computed as lam u0 c, which does not cancel at large sigma.
         one_minus_c = lam * self._u0 * c
         mean_sq = one_minus_c**2 * self._alpha_sq
         e = one_minus_c / (1.0 + root_c)
-        trace_term = b * (e * e * self._trace_a - root_c * e * g * self._alpha_sq
-                          + 2.0 * root_c * self._quad.remainder(g))
+        trace_term = e * e * self._var_sum + b * root_c * (
+            2.0 * self._quad.remainder(g) - e * g * self._alpha_sq)
         # The exact value is zero only for one asset at c |alpha_hat|^2 = u0 A;
         # there rounding can leave the sum a few ulps of its pieces below zero.
         return mean_sq, max(0.0, trace_term)
@@ -192,24 +171,6 @@ class PosteriorFamily:
                           fit.beta_hat.T + lam * c * np.outer(shift, fit.alpha_hat)])
 
 
-def posterior_alpha(dataset: Dataset, model: ModelSpec,
-                    prior: PriorSpec) -> GaussianDist:
-    """Posterior alpha distribution under the given prior.
-
-    The prior must have been built from the same model's fit (its ``s2``
-    must match the sample residual covariance diagonal average). The
-    endpoint sentinels ``sigma_alpha_annual = 0`` and ``inf`` map to
-    :func:`posterior_alpha_dogmatic` and :func:`posterior_alpha_skeptic`.
-    """
-    family = PosteriorFamily(dataset, model)
-    if not math.isclose(prior.s2, family.s2, rel_tol=1e-10):
-        raise ValueError(
-            f"prior s2={prior.s2:.6e} does not match this model's sample "
-            f"value {family.s2:.6e}; build the prior with PriorSpec.from_fit"
-        )
-    return family.at(prior.sigma_alpha_annual)
-
-
 def posterior_alpha_dogmatic(n: int) -> GaussianDist:
     """Point mass at zero: the posterior under a dogmatic (sigma = 0) prior."""
     if n < 1:
@@ -227,22 +188,38 @@ def posterior_alpha_skeptic(fit: RegressionFit) -> GaussianDist:
     return _closed_form(fit, 0.0)
 
 
-def _s2(fit: RegressionFit) -> float:
-    """Inverted-Wishart scale s^2: the average diagonal of Sigma_mle."""
-    return float(np.diag(fit.sigma_mle).mean())
+def skeptic_moments(fit: RegressionFit) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variances of the skeptic posterior: alpha_hat and
+    u0 / (T + 1) (s^2 + T diag Sigma_mle), in O(n).
+
+    Equal, bit for bit, to the mean and the covariance diagonal of
+    :func:`posterior_alpha_skeptic`; the distance from dogmatic belief needs
+    nothing else.
+    """
+    return fit.alpha_hat, _skeptic_var(fit, *_skeptic_parts(fit))
 
 
-def _skeptic_parts(fit: RegressionFit) -> tuple[float, float, np.ndarray]:
-    """s^2, u0 = (1 + Sh^2) / T and A = s^2 I + T Sigma_mle (module docstring)."""
-    s2 = _s2(fit)
-    return s2, (1.0 + sharpe_sq(fit)) / fit.T, s2 * np.eye(fit.n) + fit.T * fit.sigma_mle
+def _skeptic_parts(fit: RegressionFit) -> tuple[float, float]:
+    """s^2, the average diagonal of Sigma_mle, and u0 = (1 + Sh^2) / T."""
+    return float(np.diag(fit.sigma_mle).mean()), (1.0 + sharpe_sq(fit)) / fit.T
+
+
+def _skeptic_var(fit: RegressionFit, s2: float, u0: float) -> np.ndarray:
+    # Associated as in _closed_form at c = 1, so the diagonals agree exactly.
+    return (s2 + fit.T * np.diag(fit.sigma_mle)) * (u0 / (fit.T + 1))
+
+
+def _scale(fit: RegressionFit, s2: float) -> np.ndarray:
+    """A = s^2 I + T Sigma_mle (module docstring)."""
+    return s2 * np.eye(fit.n) + fit.T * fit.sigma_mle
 
 
 def _closed_form(fit: RegressionFit, lam: float) -> GaussianDist:
     """Posterior at finite prior precision lam: N(c alpha_hat, u0 c / (T + 1)
     (A + lam c alpha_hat alpha_hat')) with c = 1 / (1 + lam u0); lam = 0 is the skeptic.
     """
-    _, u0, cov = _skeptic_parts(fit)
+    s2, u0 = _skeptic_parts(fit)
+    cov = _scale(fit, s2)
     c = 1.0 / (1.0 + lam * u0)
     alpha = fit.alpha_hat
     if lam != 0.0:

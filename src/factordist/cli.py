@@ -4,7 +4,9 @@ Outputs are deterministic: identical inputs and flags produce byte-identical
 CSVs (floats at 6 significant digits, no timestamps). Every output CSV
 starts with a metadata comment line carrying the tool version, input file
 hashes, and parameter values. Exit codes: 0 success, 1 user or data error,
-2 internal numerical failure.
+2 internal numerical failure. Where the GRS test is undefined (T - n - k < 1
+or a singular residual covariance), ``rank`` still reports the distance,
+leaves the GRS cells empty and names the reason on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import posterior_alpha_skeptic
+from .bayes import skeptic_moments
 from .dataio import (
     DEFAULT_MISSING_CODES,
     Dataset,
@@ -30,8 +32,14 @@ from .dataio import (
     load_models,
     load_panel,
 )
-from .equiv import check_bracket_hi, solve_equiv, sweep
-from .errors import FactorDistError, InputError, NotBracketedError
+from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, solve_equiv, sweep
+from .errors import (
+    DegenerateDoFError,
+    FactorDistError,
+    InputError,
+    NotBracketedError,
+    SingularResidualCovError,
+)
 from .metrics import build_report, rank_models
 from .regression import fit_ols, grs_test
 from .synth import RNG_ALGORITHM, SynthConfig, generate
@@ -41,6 +49,8 @@ DEFAULT_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     v = float(value)
@@ -129,10 +139,16 @@ def cmd_rank(args) -> int:
     results = []
     for model in models:
         fit = fit_ols(dataset, model)
-        skeptic = posterior_alpha_skeptic(fit)
-        report = build_report(fit, skeptic, distance_breakdown(skeptic), grs_test(fit))
-        results.append((report, skeptic))
-    table = rank_models([r for r, _ in results])
+        alpha, var = skeptic_moments(fit)
+        try:
+            grs = grs_test(fit)
+        except (DegenerateDoFError, SingularResidualCovError) as exc:
+            print(f"warning: model {model.name!r}: GRS not reported: {exc}",
+                  file=sys.stderr)
+            grs = None
+        report = build_report(fit, distance_breakdown(alpha, var), grs)
+        results.append((report, alpha, var))
+    table = rank_models([r for r, _, _ in results])
     meta = _metadata(args, "rank")
     out = _OutputSet(Path(args.out))
 
@@ -149,12 +165,12 @@ def cmd_rank(args) -> int:
     out.add("report.csv", meta, header, rows)
 
     assets = dataset.portfolios.names
-    for (report, skeptic) in results:
-        sigma = np.sqrt(np.clip(np.diag(skeptic.cov), 0.0, None))
+    for report, alpha, var in results:
+        sigma = np.sqrt(var)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tstat = np.where(sigma > 0.0, skeptic.mean / sigma, np.inf)
+            tstat = np.where(sigma > 0.0, alpha / sigma, np.inf)
         lines = [
-            ",".join([assets[i], _fmt(skeptic.mean[i]), _fmt(sigma[i]),
+            ",".join([assets[i], _fmt(alpha[i]), _fmt(sigma[i]),
                       _fmt(tstat[i]), _fmt(report.marginal[i])])
             for i in range(len(assets))
         ]
@@ -193,7 +209,8 @@ def cmd_equiv(args) -> int:
         if name not in by_name:
             raise InputError(f"alternative model {name!r} not in model file")
 
-    benchmark_ad = sweep(dataset, by_name[args.benchmark], [0.0])[0].ad
+    benchmark_fit = fit_ols(dataset, by_name[args.benchmark])
+    benchmark_ad = distance_breakdown(*skeptic_moments(benchmark_fit)).ad
     rows = []
     for name in alternatives:
         try:
@@ -290,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--benchmark", required=True, help="benchmark model name")
     p_equiv.add_argument("--alternatives", nargs="*", default=None,
                          help="alternative model names (default: all others)")
-    p_equiv.add_argument("--bracket-hi", type=float, default=100.0,
+    p_equiv.add_argument("--bracket-hi", type=float, default=DEFAULT_BRACKET_HI,
                          help="upper bisection bracket, annual percent")
     p_equiv.set_defaults(func=cmd_equiv)
 

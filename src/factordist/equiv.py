@@ -62,7 +62,8 @@ def _row_at(family: PosteriorFamily, sigma_annual: float) -> SweepRow:
     n = family.fit.n
     return SweepRow(
         sigma_alpha_annual=sigma_annual,
-        ad=math.sqrt((mean_sq + trace_term) / n),
+        # As in transport.distance_breakdown, so sigma = 0 gives its AD exactly.
+        ad=math.sqrt(mean_sq + trace_term) / math.sqrt(n),
         rmse_alpha=math.sqrt(mean_sq / n),
         rmse_sigma=math.sqrt(trace_term / n),
         ratio_var=trace_term / mean_sq if mean_sq > 0.0 else math.inf,

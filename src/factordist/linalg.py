@@ -39,12 +39,15 @@ QUAD_STEP = 0.25
 # truncations are below e^{-39}.
 QUAD_LO_MARGIN = 13.0
 QUAD_HI_MARGIN = 39.0
+# Step cap and relative step tolerance of the incomplete-beta continued fraction.
+BETA_CF_MAX_ITER = 200
+BETA_CF_EPS = 1e-12
 
 
-def symmetrize(m: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def symmetrize(m: np.ndarray) -> np.ndarray:
     """Return (M + M') / 2 after checking M is square and symmetric.
 
-    The asymmetry tolerance is relative to max(1, max|entry|).
+    The asymmetry tolerance SYMMETRY_TOL is relative to max(1, max|entry|).
 
     Raises
     ------
@@ -58,9 +61,9 @@ def symmetrize(m: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
         raise NotSymmetricError("empty matrix")
     scale = max(1.0, float(np.abs(a).max()))
     gap = float(np.abs(a - a.T).max())
-    if gap > tol * scale:
+    if gap > SYMMETRY_TOL * scale:
         raise NotSymmetricError(
-            f"asymmetry {gap:.3e} exceeds tolerance {tol * scale:.3e}"
+            f"asymmetry {gap:.3e} exceeds tolerance {SYMMETRY_TOL * scale:.3e}"
         )
     return (a + a.T) / 2.0
 
@@ -262,8 +265,7 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 200,
-                    eps: float = 1e-12) -> float:
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz method)."""
     tiny = 1e-300
     qab = a + b
@@ -275,7 +277,7 @@ def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 200,
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, BETA_CF_MAX_ITER + 1):
         m2 = 2 * m
         num = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + num * d
@@ -296,8 +298,8 @@ def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 200,
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < BETA_CF_EPS:
             return h
     raise NoConvergenceError(
-        f"incomplete beta continued fraction: no convergence in {max_iter} steps"
+        f"incomplete beta continued fraction: no convergence in {BETA_CF_MAX_ITER} steps"
     )

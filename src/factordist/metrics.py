@@ -3,7 +3,8 @@
 A report is one table row per model on a fixed cross section: the distance
 metrics alongside the GRS statistic and the classic alpha-based statistics.
 Models are ranked by ascending average distance; GRS and mean absolute
-alpha are reported but never used for ordering.
+alpha are reported but never used for ordering. GRS is missing (``None``)
+where the joint test is undefined, while the distance is still reported.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import GaussianDist
 from .errors import InconsistentInputsError, MixedCrossSectionsError
 from .regression import RegressionFit
 from .transport import DistanceBreakdown
@@ -26,7 +26,8 @@ class MetricsReport:
     Distance fields are copied from the breakdown, never recomputed.
     ``mae_over_ar`` is the mean absolute alpha over the mean absolute
     deviation of asset means from their cross-sectional average (infinite
-    for a flat cross section).
+    for a flat cross section). ``grs`` and ``grs_pvalue`` are ``None`` where
+    the joint test is undefined.
     """
 
     model_name: str
@@ -38,8 +39,8 @@ class MetricsReport:
     rmse_alpha: float
     rmse_sigma: float
     ratio_var: float
-    grs: float
-    grs_pvalue: float
+    grs: float | None
+    grs_pvalue: float | None
     mae: float
     mae_over_ar: float
     mean_r2: float
@@ -63,48 +64,43 @@ class RankTable:
         return [self.rows[i] for i in self.order]
 
 
-def alpha_stats(fit: RegressionFit,
-                posterior: GaussianDist) -> tuple[float, float, float]:
-    """Mean absolute alpha, its share of unexplained returns, and mean R^2.
+def alpha_stats(fit: RegressionFit) -> tuple[float, float, float]:
+    """Mean absolute OLS alpha, its share of unexplained returns, and mean R^2.
 
     The share divides by the mean absolute deviation of asset mean returns
     from their cross-sectional average; a flat cross section yields an
     infinite share.
     """
-    if posterior.dim != fit.n:
-        raise InconsistentInputsError(
-            f"posterior dimension {posterior.dim} != fit n {fit.n}"
-        )
-    mae = float(np.abs(posterior.mean).mean())
+    mae = float(np.abs(fit.alpha_hat).mean())
     deviations = fit.asset_mean - fit.asset_mean.mean()
     denom = float(np.abs(deviations).mean())
     mae_over_ar = mae / denom if denom > 0.0 else math.inf
     return mae, mae_over_ar, float(fit.r2.mean())
 
 
-def build_report(fit: RegressionFit, posterior: GaussianDist,
-                 breakdown: DistanceBreakdown,
-                 grs: tuple[float, float]) -> MetricsReport:
-    """Assemble one model's report row from same-model pieces.
+def build_report(fit: RegressionFit, breakdown: DistanceBreakdown,
+                 grs: tuple[float, float] | None) -> MetricsReport:
+    """Assemble one model's report row from same-model pieces; ``grs`` is
+    the GRS statistic and p-value, or ``None`` where the test is undefined.
 
     Raises
     ------
     InconsistentInputsError
         Dimension mismatch between the inputs, or a breakdown that cannot
-        have come from the given posterior (mean absolute alpha exceeding
-        its root-mean-square).
+        have come from the given fit (mean absolute alpha exceeding its
+        root-mean-square).
     """
-    if breakdown.n != fit.n or posterior.dim != fit.n:
+    if breakdown.n != fit.n:
         raise InconsistentInputsError(
-            f"dimensions disagree: fit n={fit.n}, posterior {posterior.dim}, "
-            f"breakdown {breakdown.n}"
+            f"dimensions disagree: fit n={fit.n}, breakdown {breakdown.n}"
         )
-    mae, mae_over_ar, mean_r2 = alpha_stats(fit, posterior)
+    mae, mae_over_ar, mean_r2 = alpha_stats(fit)
     if mae > breakdown.rmse_alpha + 1e-12:
         raise InconsistentInputsError(
             f"MAE {mae:.6e} exceeds RMSE {breakdown.rmse_alpha:.6e}; "
-            "posterior and breakdown are not from the same model"
+            "fit and breakdown are not from the same model"
         )
+    grs_stat, grs_pvalue = (None, None) if grs is None else grs
     return MetricsReport(
         model_name=fit.model.name,
         n=fit.n,
@@ -115,8 +111,8 @@ def build_report(fit: RegressionFit, posterior: GaussianDist,
         rmse_alpha=breakdown.rmse_alpha,
         rmse_sigma=breakdown.rmse_sigma,
         ratio_var=breakdown.ratio_var,
-        grs=grs[0],
-        grs_pvalue=grs[1],
+        grs=grs_stat,
+        grs_pvalue=grs_pvalue,
         mae=mae,
         mae_over_ar=mae_over_ar,
         mean_r2=mean_r2,

@@ -13,7 +13,9 @@ which pushes V1 forward onto V2: T V1 T' = V2.
 Measuring from the point mass at zero to a posterior N(a, V), the trace term
 degenerates to Tr(V) and the distance splits asset by asset, giving the
 total distance sqrt(sum a_i^2 + sum v_ii), its per-asset average, and the
-marginal contribution sqrt(a_i^2 + v_ii) of each asset.
+marginal contribution sqrt(a_i^2 + v_ii) of each asset. That distance
+therefore takes only the mean a and the variances v_ii, which
+``bayes.skeptic_moments`` gives in O(n) for the skeptic posterior.
 """
 
 from __future__ import annotations
@@ -112,16 +114,14 @@ class DistanceBreakdown:
         return self.marginal.shape[0]
 
 
-def distance_breakdown(posterior: GaussianDist) -> DistanceBreakdown:
-    """Per-asset decomposition of the distance from dogmatic belief.
+def distance_breakdown(alpha: np.ndarray, var: np.ndarray) -> DistanceBreakdown:
+    """Per-asset decomposition of the distance from dogmatic belief to a
+    posterior with mean ``alpha`` and non-negative variances ``var``.
 
-    Uses the posterior mean and covariance diagonal: the trace is
-    basis-free, so this coincides with the full-matrix distance from the
-    zero point mass.
+    The trace is basis-free, so the covariance diagonal is all this needs to
+    coincide with the full-matrix distance from the zero point mass.
     """
-    alpha = posterior.mean
-    var = np.clip(np.diag(posterior.cov), 0.0, None)
-    n = posterior.dim
+    n = alpha.shape[0]
     alpha_sq = float(alpha @ alpha)
     var_sum = float(var.sum())
     td = math.sqrt(alpha_sq + var_sum)

@@ -25,6 +25,7 @@ from factordist import (
     posterior_alpha_skeptic,
     power_scenario,
     sharpe_sq,
+    skeptic_moments,
     solve_equiv,
     sweep,
     transport_map,
@@ -97,9 +98,9 @@ def test_criterion_03_total_distance_equivalence():
                            + float(np.trace(valpha)))
         assert abs(full - direct) <= 1e-12 * max(1.0, direct)
         # Posterior moments through the per-asset decomposition.
-        skeptic = posterior_alpha_skeptic(fit)
-        bd = distance_breakdown(skeptic)
-        full_post = wd2_gaussian(posterior_alpha_dogmatic(fit.n), skeptic)
+        bd = distance_breakdown(*skeptic_moments(fit))
+        full_post = wd2_gaussian(posterior_alpha_dogmatic(fit.n),
+                                 posterior_alpha_skeptic(fit))
         assert abs(full_post - bd.td) <= 1e-12 * max(1.0, bd.td)
     _passed(3, "full transport distance equals the sum-of-squares form "
                "on 50 synthetic fits")
@@ -111,24 +112,22 @@ def test_criterion_04_distance_vs_alpha_statistics_chain():
         dataset, model = random_fit_inputs(rng, T=60, n=3,
                                            k=int(rng.integers(1, 3)))
         fit = fit_ols(dataset, model)
-        skeptic = posterior_alpha_skeptic(fit)
-        bd = distance_breakdown(skeptic)
-        mae, _, _ = alpha_stats(fit, skeptic)
+        bd = distance_breakdown(*skeptic_moments(fit))
+        mae, _, _ = alpha_stats(fit)
         assert bd.ad > bd.rmse_alpha
         assert bd.rmse_alpha >= mae - 1e-12
 
-    even = GaussianDist(np.array([0.15, 0.17]), np.zeros((2, 2)))
-    extreme = GaussianDist(np.array([0.05, 0.25]), np.zeros((2, 2)))
-    assert round(float(np.abs(even.mean).mean()), 4) == 0.16
-    assert round(float(np.abs(extreme.mean).mean()), 4) == 0.15
-    assert round(distance_breakdown(even).rmse_alpha, 4) == 0.1603
-    assert round(distance_breakdown(extreme).rmse_alpha, 4) == 0.1803
+    even = np.array([0.15, 0.17])
+    extreme = np.array([0.05, 0.25])
+    assert round(float(np.abs(even).mean()), 4) == 0.16
+    assert round(float(np.abs(extreme).mean()), 4) == 0.15
+    assert round(distance_breakdown(even, np.zeros(2)).rmse_alpha, 4) == 0.1603
+    assert round(distance_breakdown(extreme, np.zeros(2)).rmse_alpha, 4) == 0.1803
 
-    one_bad = GaussianDist(np.array([0.0, 0.0, 0.0, 0.0, 0.50]),
-                           np.zeros((5, 5)))
-    assert round(float(np.abs(one_bad.mean).mean()), 4) == 0.10
+    one_bad = np.array([0.0, 0.0, 0.0, 0.0, 0.50])
+    assert round(float(np.abs(one_bad).mean()), 4) == 0.10
     # 0.50 / sqrt(5) exactly; one extreme error dominates the quadratic mean.
-    assert round(distance_breakdown(one_bad).rmse_alpha, 4) == 0.2236
+    assert round(distance_breakdown(one_bad, np.zeros(5)).rmse_alpha, 4) == 0.2236
     _passed(4, "AD > RMSE >= MAE on 500 fits; two-asset and one-extreme-error "
                "examples reproduced to 4 decimals")
 
@@ -193,8 +192,7 @@ def test_criterion_07_power_problem():
     for _, dataset in power_scenario(base, [0.5, 1.0, 2.0, 4.0]):
         scenario_fit = fit_ols(dataset, model)
         grs_vals.append(grs_test(scenario_fit)[0])
-        td_vals.append(distance_breakdown(
-            posterior_alpha_skeptic(scenario_fit)).td)
+        td_vals.append(distance_breakdown(*skeptic_moments(scenario_fit)).td)
     assert all(a > b for a, b in zip(grs_vals, grs_vals[1:]))
     assert all(a < b for a, b in zip(td_vals, td_vals[1:]))
     _passed(7, "GRS falls and TD rises with the noise scale; exact 1/c "
@@ -234,9 +232,8 @@ def test_criterion_10_real_data_reproduction(kenfrench_25_size_bm,
     assert abs(mkt.std(ddof=1) - 4.53) <= 0.01
 
     fit = fit_ols(dataset, ModelSpec("FF3", ("MKT", "SMB", "HML")))
-    skeptic = posterior_alpha_skeptic(fit)
-    bd = distance_breakdown(skeptic)
-    report = build_report(fit, skeptic, bd, grs_test(fit))
+    report = build_report(fit, distance_breakdown(*skeptic_moments(fit)),
+                          grs_test(fit))
     assert abs(report.td - 0.822) <= 0.005
     assert abs(report.ad - 0.164) <= 0.005
     assert abs(report.rmse_alpha - 0.150) <= 0.005

@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,15 +12,18 @@ from factordist import (
     GaussianDist,
     ModelSpec,
     PosteriorFamily,
-    PriorSpec,
+    SynthConfig,
+    distance_breakdown,
     fit_ols,
-    posterior_alpha,
+    generate,
     posterior_alpha_dogmatic,
     posterior_alpha_skeptic,
     sharpe_sq,
     sigma_annual_to_monthly,
+    skeptic_moments,
     sweep,
     wd2_components,
+    wd2_gaussian,
 )
 
 from conftest import make_dataset, panel_from_columns, random_fit_inputs
@@ -88,24 +93,17 @@ class TestDogmatic:
 
 
 class TestPriorSpec:
+    """The prior's hyperparameters as a family derives them from its fit."""
+
     def test_from_fit_fields(self, base_dataset):
         dataset, model = base_dataset
-        fit = fit_ols(dataset, model)
-        prior = PriorSpec.from_fit(fit, 2.0)
-        assert prior.sigma_alpha_annual == 2.0
-        assert prior.s2 == pytest.approx(np.diag(fit.sigma_mle).mean())
+        family = PosteriorFamily(dataset, model)
+        assert family.s2 == pytest.approx(np.diag(family.fit.sigma_mle).mean())
 
     def test_negative_sigma_rejected(self, base_dataset):
-        dataset, model = base_dataset
-        fit = fit_ols(dataset, model)
+        family = PosteriorFamily(*base_dataset)
         with pytest.raises(ValueError):
-            PriorSpec.from_fit(fit, -0.5)
-
-    def test_mismatched_s2_rejected(self, base_dataset):
-        dataset, model = base_dataset
-        prior = PriorSpec(sigma_alpha_annual=2.0, s2=123.0)
-        with pytest.raises(ValueError, match="s2"):
-            posterior_alpha(dataset, model, prior)
+            family.at(-0.5)
 
 
 class TestPosteriorAlpha:
@@ -140,35 +138,30 @@ class TestPosteriorAlpha:
         v00 = a22 / det
         cov_expected = v00 * h_tilde / (T + 1)
 
-        prior = PriorSpec.from_fit(fit, sigma_alpha_annual=12.0)  # monthly 1.0
-        post = posterior_alpha(ds, model, prior)
+        post = PosteriorFamily(ds, model).at(12.0)  # monthly 1.0
         assert post.mean[0] == pytest.approx(alpha_tilde, abs=1e-12)
         assert post.cov[0, 0] == pytest.approx(cov_expected, rel=1e-10)
 
     def test_diffuse_limit_matches_skeptic(self, base_dataset):
-        dataset, model = base_dataset
-        fit = fit_ols(dataset, model)
-        prior = PriorSpec.from_fit(fit, 1e6)
-        post = posterior_alpha(dataset, model, prior)
-        skeptic = posterior_alpha_skeptic(fit)
-        np.testing.assert_allclose(post.mean, fit.alpha_hat, atol=1e-6)
+        family = PosteriorFamily(*base_dataset)
+        post = family.at(1e6)
+        skeptic = posterior_alpha_skeptic(family.fit)
+        np.testing.assert_allclose(post.mean, family.fit.alpha_hat, atol=1e-6)
         np.testing.assert_allclose(post.mean, skeptic.mean, atol=1e-6)
         np.testing.assert_allclose(post.cov, skeptic.cov, atol=1e-6)
 
     def test_dogmatic_limit_kills_alpha(self, base_dataset):
-        dataset, model = base_dataset
-        fit = fit_ols(dataset, model)
-        prior = PriorSpec.from_fit(fit, 1e-8)
-        post = posterior_alpha(dataset, model, prior)
-        assert np.linalg.norm(post.mean) <= 1e-6 * np.linalg.norm(fit.alpha_hat)
+        family = PosteriorFamily(*base_dataset)
+        post = family.at(1e-8)
+        assert np.linalg.norm(post.mean) <= 1e-6 * np.linalg.norm(family.fit.alpha_hat)
 
     def test_endpoint_sentinels_dispatch(self, base_dataset):
-        dataset, model = base_dataset
-        fit = fit_ols(dataset, model)
-        zero = posterior_alpha(dataset, model, PriorSpec.from_fit(fit, 0.0))
-        np.testing.assert_array_equal(zero.mean, np.zeros(fit.n))
-        inf = posterior_alpha(dataset, model, PriorSpec.from_fit(fit, math.inf))
-        np.testing.assert_array_equal(inf.mean, fit.alpha_hat)
+        family = PosteriorFamily(*base_dataset)
+        zero = family.at(0.0)
+        np.testing.assert_array_equal(zero.mean, np.zeros(family.fit.n))
+        np.testing.assert_array_equal(zero.cov, np.zeros((family.fit.n,) * 2))
+        inf = family.at(math.inf)
+        np.testing.assert_array_equal(inf.mean, family.fit.alpha_hat)
 
 
 class TestPosteriorFamily:
@@ -304,6 +297,77 @@ class TestPosteriorFamily:
         skeptic = family.skeptic()
         np.testing.assert_allclose(near.mean, skeptic.mean, atol=1e-6)
         np.testing.assert_allclose(near.cov, skeptic.cov, atol=1e-6)
+
+
+def _panel_with_spread_scales(seed, T, n, k):
+    """Random panel whose residual scales span four decades; T may be < n."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    corr = rng.normal(0.0, 1.0, (n, n))
+    corr = corr @ corr.T + 0.1 * np.eye(n)
+    config = SynthConfig(
+        T=T, n=n, k=k,
+        true_alpha=rng.normal(0.0, 0.2, n),
+        true_beta=rng.normal(1.0, 0.3, (n, k)),
+        factor_mean=rng.normal(0.4, 0.2, k),
+        factor_cov=np.diag(rng.uniform(2.0, 6.0, k)) ** 2,
+        resid_cov=corr * np.outer(scales, scales) / np.diag(corr).mean(),
+        seed=int(rng.integers(0, 2**63 - 1)),
+    )
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "T=.* below the recommended", UserWarning)
+        dataset = generate(config)
+    return dataset, ModelSpec("RND", tuple(f"F{j + 1}" for j in range(k)))
+
+
+panels = st.builds(
+    _panel_with_spread_scales,
+    seed=st.integers(0, 2**32 - 1), T=st.integers(8, 60),
+    n=st.integers(1, 40), k=st.integers(1, 3),
+)
+
+
+class TestSkepticMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(panel=panels)
+    def test_equal_posterior_mean_and_diagonal_bit_for_bit(self, panel):
+        fit = fit_ols(*panel)
+        alpha, var = skeptic_moments(fit)
+        skeptic = posterior_alpha_skeptic(fit)
+        np.testing.assert_array_equal(alpha, skeptic.mean)
+        np.testing.assert_array_equal(var, np.diag(skeptic.cov))
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=panels)
+    def test_breakdown_matches_full_transport_distance(self, panel):
+        fit = fit_ols(*panel)
+        td = distance_breakdown(*skeptic_moments(fit)).td
+        full = wd2_gaussian(posterior_alpha_dogmatic(fit.n),
+                            posterior_alpha_skeptic(fit))
+        assert abs(td - full) <= 1e-12 * full
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=panels)
+    def test_sweep_sigma_zero_is_the_dogmatic_distance(self, panel):
+        row = sweep(*panel, [0.0])[0]
+        assert row.ad == distance_breakdown(*skeptic_moments(fit_ols(*panel))).ad
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=panels)
+    def test_family_scale_matrix_is_above_prior_floor(self, panel):
+        # A = s^2 I + T Sigma_mle >= s^2 I, also when T < n leaves Sigma_mle
+        # singular, so the family's eigh(A) needs no PSD repair.
+        eigh = np.linalg.eigh
+        seen = []
+
+        def spy(a):
+            seen.append(eigh(a)[0])
+            return eigh(a)
+
+        with mock.patch.object(np.linalg, "eigh", spy):
+            family = PosteriorFamily(*panel)
+        assert len(seen) == 1
+        assert seen[0].min() >= family.s2 / 2
 
 
 class TestSkeptic:

@@ -186,6 +186,82 @@ class TestRank:
         assert rows[0]["n"] == "7"
 
 
+    @pytest.mark.filterwarnings("ignore:T=.* below the recommended:UserWarning")
+    def test_grs_undefined_still_reports_distance(self, tmp_path, capsys):
+        # T - n - k < 1: GRS cannot be computed, the distance still is.
+        ports, facts = _synth(tmp_path, T=60, n=80, k=2)
+        models = _models(tmp_path)
+        out = tmp_path / "out"
+        argv = ["--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(models), "--out", str(out)]
+        assert main(["rank", *argv]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for name, line in zip(("ONE", "BOTH"), err):
+            assert line.startswith(f"warning: model '{name}': GRS not reported: T - n - k")
+        _, rows = _read_rows(out / "report.csv")
+        assert all(r["GRS"] == "" and r["GRS_pvalue"] == "" for r in rows)
+        assert all(float(r["TD"]) > 0.0 for r in rows)
+        assert {p.name for p in out.iterdir()} == {
+            "report.csv", "marginal_ONE.csv", "marginal_BOTH.csv"}
+        assert main(["sweep", *argv, "--grid", "0"]) == 0
+        _, sweep_rows = _read_rows(out / "sweep.csv")
+        assert {r["model"]: r["AD"] for r in sweep_rows} == {
+            r["model"]: r["AD"] for r in rows}
+
+    def test_singular_residual_cov_still_reports_distance(self, tmp_path, capsys):
+        # Asset EXACT is priced without error, so Sigma_mle is singular.
+        _, facts = _synth(tmp_path)
+        f1 = np.loadtxt(facts, delimiter=",", skiprows=2, usecols=(0, 1))
+        noise = np.random.default_rng(3).standard_normal(len(f1))
+        ports = tmp_path / "exact.csv"
+        ports.write_text("date,EXACT,NOISY\n" + "".join(
+            f"{int(d)},{float(0.25 + 2.0 * f)!r},{float(f + e)!r}\n"
+            for (d, f), e in zip(f1, noise)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["rank", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(_models(tmp_path, "ONE = F1\n")),
+                     "--out", str(out)]) == 0
+        assert "GRS not reported: residual covariance singular" in capsys.readouterr().err
+        _, rows = _read_rows(out / "report.csv")
+        assert rows[0]["GRS"] == "" and rows[0]["GRS_pvalue"] == ""
+        assert float(rows[0]["AD"]) > 0.0
+
+    def test_dogmatic_distance_builds_no_posterior_matrix(self, tmp_path, monkeypatch):
+        # rank and the equiv target read only skeptic_moments: no n x n
+        # skeptic posterior and no PosteriorFamily. equiv builds one family
+        # per alternative.
+        import factordist.bayes as bayes
+        import factordist.cli as cli
+
+        calls = {"skeptic": 0, "family": 0}
+        real_skeptic = bayes.posterior_alpha_skeptic
+        real_init = bayes.PosteriorFamily.__init__
+
+        def counted_skeptic(fit):
+            calls["skeptic"] += 1
+            return real_skeptic(fit)
+
+        def counted_init(self, dataset, model):
+            calls["family"] += 1
+            real_init(self, dataset, model)
+
+        monkeypatch.setattr(bayes, "posterior_alpha_skeptic", counted_skeptic)
+        monkeypatch.setattr(cli, "posterior_alpha_skeptic", counted_skeptic,
+                            raising=False)
+        monkeypatch.setattr(bayes.PosteriorFamily, "__init__", counted_init)
+        ports, facts = _synth(tmp_path)
+        argv = ["--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(_models(tmp_path)), "--out", str(tmp_path / "out")]
+        assert main(["rank", *argv]) == 0
+        assert calls == {"skeptic": 0, "family": 0}
+        assert main(["equiv", *argv, "--benchmark", "BOTH"]) == 0
+        assert calls == {"skeptic": 0, "family": 1}
+        assert main(["equiv", *argv, "--benchmark", "BOTH",
+                     "--alternatives", "ONE", "BOTH"]) == 0
+        assert calls == {"skeptic": 0, "family": 3}
+
+
 class TestSweep:
     def test_grid_zero_matches_rank_ad(self, tmp_path):
         ports, facts = _synth(tmp_path)

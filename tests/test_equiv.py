@@ -6,7 +6,7 @@ import pytest
 from factordist import (
     distance_breakdown,
     fit_ols,
-    posterior_alpha_skeptic,
+    skeptic_moments,
     solve_equiv,
     sweep,
 )
@@ -19,11 +19,12 @@ class TestSweep:
     def test_zero_row_equals_dogmatic_breakdown(self, base_dataset):
         dataset, model = base_dataset
         row = sweep(dataset, model, [0.0])[0]
-        bd = distance_breakdown(posterior_alpha_skeptic(fit_ols(dataset, model)))
-        assert row.ad == pytest.approx(bd.ad, abs=1e-12)
-        assert row.rmse_alpha == pytest.approx(bd.rmse_alpha, abs=1e-12)
-        assert row.rmse_sigma == pytest.approx(bd.rmse_sigma, abs=1e-12)
-        assert row.ratio_var == pytest.approx(bd.ratio_var, rel=1e-10)
+        bd = distance_breakdown(*skeptic_moments(fit_ols(dataset, model)))
+        # One owner of the dogmatic distance: the fields agree exactly.
+        assert row.ad == bd.ad
+        assert row.rmse_alpha == bd.rmse_alpha
+        assert row.rmse_sigma == bd.rmse_sigma
+        assert row.ratio_var == bd.ratio_var
 
     def test_strictly_decreasing_on_default_grid(self, base_dataset):
         dataset, model = base_dataset

@@ -6,7 +6,6 @@ import pytest
 
 from factordist import (
     Dataset,
-    GaussianDist,
     ModelSpec,
     ReturnsPanel,
     alpha_stats,
@@ -15,74 +14,74 @@ from factordist import (
     distance_breakdown,
     fit_ols,
     grs_test,
-    posterior_alpha_skeptic,
     rank_models,
+    skeptic_moments,
 )
 from factordist.errors import InconsistentInputsError, MixedCrossSectionsError
 
 from conftest import fake_fit, make_dataset, random_fit_inputs
 
 
-def _posterior(alpha, var_diag=None):
+def _moments(alpha, var_diag=None):
+    """Mean and variances of a posterior, zero variances by default."""
     alpha = np.asarray(alpha, dtype=float)
-    n = alpha.shape[0]
-    cov = np.diag(var_diag) if var_diag is not None else np.zeros((n, n))
-    return GaussianDist(alpha, cov)
+    var = np.zeros_like(alpha) if var_diag is None else np.asarray(var_diag, float)
+    return alpha, var
 
 
 def _report_from(alpha, var_diag=None, model_name="M", T=600, k=1,
                  asset_mean=None):
     fit = fake_fit(np.asarray(alpha, float), T=T, k=k, asset_mean=asset_mean,
                    model_name=model_name)
-    posterior = _posterior(alpha, var_diag)
-    breakdown = distance_breakdown(posterior)
-    return build_report(fit, posterior, breakdown, grs_test(fit))
+    breakdown = distance_breakdown(*_moments(alpha, var_diag))
+    return build_report(fit, breakdown, grs_test(fit))
 
 
 class TestAlphaStats:
     def test_two_asset_examples(self):
         # Tighter-but-even errors vs smaller-but-extreme errors: the mean
         # absolute alphas order one way, the root mean squares the other.
-        even = _posterior([0.15, 0.17])
-        extreme = _posterior([0.05, 0.25])
-        mae_even, _, _ = alpha_stats(fake_fit(even.mean), even)
-        mae_extreme, _, _ = alpha_stats(fake_fit(extreme.mean), extreme)
+        even = [0.15, 0.17]
+        extreme = [0.05, 0.25]
+        mae_even, _, _ = alpha_stats(fake_fit(even))
+        mae_extreme, _, _ = alpha_stats(fake_fit(extreme))
         assert mae_even == pytest.approx(0.16, abs=1e-12)
         assert mae_extreme == pytest.approx(0.15, abs=1e-12)
-        assert round(distance_breakdown(even).rmse_alpha, 4) == 0.1603
-        assert round(distance_breakdown(extreme).rmse_alpha, 4) == 0.1803
+        assert round(distance_breakdown(*_moments(even)).rmse_alpha, 4) == 0.1603
+        assert round(distance_breakdown(*_moments(extreme)).rmse_alpha, 4) == 0.1803
 
     def test_one_extreme_error_dominates_rmse(self):
-        post = _posterior([0.0, 0.0, 0.0, 0.0, 0.50])
-        mae, _, _ = alpha_stats(fake_fit(post.mean), post)
+        alpha = [0.0, 0.0, 0.0, 0.0, 0.50]
+        mae, _, _ = alpha_stats(fake_fit(alpha))
         assert mae == pytest.approx(0.10, abs=1e-12)
         # 0.50 / sqrt(5) = 0.2236 to four decimals.
-        assert round(distance_breakdown(post).rmse_alpha, 4) == 0.2236
+        assert round(distance_breakdown(*_moments(alpha)).rmse_alpha, 4) == 0.2236
 
     def test_equal_alphas_collapse_mae_to_rmse(self):
-        post = _posterior([0.2, -0.2, 0.2, -0.2])
-        mae, _, _ = alpha_stats(fake_fit(post.mean), post)
+        alpha = [0.2, -0.2, 0.2, -0.2]
+        mae, _, _ = alpha_stats(fake_fit(alpha))
         assert mae == pytest.approx(0.2, abs=1e-14)
-        assert distance_breakdown(post).rmse_alpha == pytest.approx(0.2, abs=1e-14)
+        assert distance_breakdown(*_moments(alpha)).rmse_alpha == pytest.approx(
+            0.2, abs=1e-14)
 
     def test_rmse_exceeds_mae_iff_magnitudes_differ(self):
         # Equality holds exactly when all |alpha_i| agree, strictly otherwise.
-        unequal = _posterior([0.1, 0.3])
-        mae, _, _ = alpha_stats(fake_fit(unequal.mean), unequal)
-        assert distance_breakdown(unequal).rmse_alpha > mae
-        equal = _posterior([0.3, -0.3])
-        mae_eq, _, _ = alpha_stats(fake_fit(equal.mean), equal)
-        assert distance_breakdown(equal).rmse_alpha == pytest.approx(mae_eq,
-                                                                     abs=1e-15)
+        unequal = [0.1, 0.3]
+        mae, _, _ = alpha_stats(fake_fit(unequal))
+        assert distance_breakdown(*_moments(unequal)).rmse_alpha > mae
+        equal = [0.3, -0.3]
+        mae_eq, _, _ = alpha_stats(fake_fit(equal))
+        assert distance_breakdown(*_moments(equal)).rmse_alpha == pytest.approx(
+            mae_eq, abs=1e-15)
 
     def test_flat_cross_section_sentinel(self):
         fit = fake_fit(np.array([0.1, 0.1]), asset_mean=np.array([0.5, 0.5]))
-        _, mae_over_ar, _ = alpha_stats(fit, _posterior([0.1, 0.1]))
+        _, mae_over_ar, _ = alpha_stats(fit)
         assert math.isinf(mae_over_ar)
 
     def test_mean_r2(self):
         fit = fake_fit(np.array([0.1, 0.1]))
-        _, _, mean_r2 = alpha_stats(fit, _posterior([0.1, 0.1]))
+        _, _, mean_r2 = alpha_stats(fit)
         assert mean_r2 == pytest.approx(0.9)
 
     def test_chain_on_real_fits(self, rng):
@@ -91,15 +90,10 @@ class TestAlphaStats:
         for _ in range(25):
             dataset, model = random_fit_inputs(rng)
             fit = fit_ols(dataset, model)
-            skeptic = posterior_alpha_skeptic(fit)
-            bd = distance_breakdown(skeptic)
-            mae, _, _ = alpha_stats(fit, skeptic)
+            bd = distance_breakdown(*skeptic_moments(fit))
+            mae, _, _ = alpha_stats(fit)
             assert bd.ad > bd.rmse_alpha
             assert bd.rmse_alpha >= mae - 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InconsistentInputsError):
-            alpha_stats(fake_fit(np.zeros(3)), _posterior([0.1, 0.2]))
 
 
 class TestBuildReport:
@@ -114,7 +108,7 @@ class TestBuildReport:
         alpha = [0.2, -0.1, 0.05]
         var = [0.01, 0.02, 0.015]
         report = _report_from(alpha, var)
-        bd = distance_breakdown(_posterior(alpha, var))
+        bd = distance_breakdown(*_moments(alpha, var))
         assert report.td == bd.td and report.ad == bd.ad
         assert report.rmse_alpha == bd.rmse_alpha
         assert report.rmse_sigma == bd.rmse_sigma
@@ -129,9 +123,14 @@ class TestBuildReport:
 
     def test_mismatched_dimension_rejected(self):
         fit = fake_fit(np.zeros(3))
-        post = _posterior([0.1, 0.2])
         with pytest.raises(InconsistentInputsError):
-            build_report(fit, post, distance_breakdown(post), (0.0, 1.0))
+            build_report(fit, distance_breakdown(*_moments([0.1, 0.2])), (0.0, 1.0))
+
+    def test_undefined_grs_left_empty(self):
+        fit = fake_fit([0.1, 0.2])
+        report = build_report(fit, distance_breakdown(*_moments([0.1, 0.2])), None)
+        assert report.grs is None and report.grs_pvalue is None
+        assert report.td == pytest.approx(math.hypot(0.1, 0.2), rel=1e-15)
 
 
 class TestRankModels:
@@ -189,9 +188,8 @@ class TestRankModels:
             reports = []
             for m in models:
                 fit = fit_ols(ds, m)
-                post = posterior_alpha_skeptic(fit)
-                reports.append(build_report(fit, post,
-                                            distance_breakdown(post),
+                reports.append(build_report(fit,
+                                            distance_breakdown(*skeptic_moments(fit)),
                                             grs_test(fit)))
             return rank_models(reports).ranked()[0].model_name
 

@@ -9,8 +9,8 @@ from factordist import (
     fit_ols,
     generate,
     grs_test,
-    posterior_alpha_skeptic,
     power_scenario,
+    skeptic_moments,
 )
 from factordist.errors import BadConfigError
 
@@ -110,7 +110,7 @@ class TestPowerScenario:
         for _, dataset in power_scenario(base, [0.5, 1.0, 2.0, 4.0]):
             fit = fit_ols(dataset, model)
             grs_vals.append(grs_test(fit)[0])
-            td_vals.append(distance_breakdown(posterior_alpha_skeptic(fit)).td)
+            td_vals.append(distance_breakdown(*skeptic_moments(fit)).td)
         assert all(a > b for a, b in zip(grs_vals, grs_vals[1:]))
         assert all(a < b for a, b in zip(td_vals, td_vals[1:]))
 
@@ -120,7 +120,7 @@ class TestPowerScenario:
         ratios = {}
         for scale, dataset in power_scenario(base, [1.0, 4.0]):
             fit = fit_ols(dataset, model)
-            bd = distance_breakdown(posterior_alpha_skeptic(fit))
+            bd = distance_breakdown(*skeptic_moments(fit))
             ratios[scale] = bd.ratio_var
         factor = ratios[4.0] / ratios[1.0]
         assert 0.7 * 4.0 <= factor <= 1.3 * 4.0

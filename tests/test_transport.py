@@ -9,6 +9,7 @@ from factordist import (
     fit_ols,
     posterior_alpha_dogmatic,
     posterior_alpha_skeptic,
+    skeptic_moments,
     transport_map,
     wd2_between_posteriors,
     wd2_components,
@@ -117,22 +118,21 @@ class TestTransportMap:
 
 class TestDistanceBreakdown:
     def test_zero_posterior(self):
-        bd = distance_breakdown(posterior_alpha_dogmatic(4))
+        bd = distance_breakdown(np.zeros(4), np.zeros(4))
         assert bd.td == 0.0 and bd.ad == 0.0
         assert bd.rmse_alpha == 0.0 and bd.rmse_sigma == 0.0
         np.testing.assert_array_equal(bd.marginal, np.zeros(4))
         assert math.isinf(bd.ratio_var)
 
     def test_pythagorean_case(self):
-        post = GaussianDist(np.array([0.3, 0.4]), np.zeros((2, 2)))
-        bd = distance_breakdown(post)
+        bd = distance_breakdown(np.array([0.3, 0.4]), np.zeros(2))
         assert bd.td == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(bd.marginal, [0.3, 0.4], atol=1e-12)
         assert bd.ratio_var == 0.0
 
     def test_field_identities(self, rng):
         post = random_gaussian(rng, 5)
-        bd = distance_breakdown(post)
+        bd = distance_breakdown(post.mean, np.diag(post.cov))
         assert bd.td == pytest.approx(bd.ad * math.sqrt(5), abs=1e-10)
         assert bd.ad**2 == pytest.approx(bd.rmse_alpha**2 + bd.rmse_sigma**2,
                                          abs=1e-10)
@@ -146,9 +146,10 @@ class TestDistanceBreakdown:
         # basis-free.
         for _ in range(20):
             dataset, model = random_fit_inputs(rng)
-            skeptic = posterior_alpha_skeptic(fit_ols(dataset, model))
-            bd = distance_breakdown(skeptic)
-            full = wd2_gaussian(posterior_alpha_dogmatic(skeptic.dim), skeptic)
+            fit = fit_ols(dataset, model)
+            bd = distance_breakdown(*skeptic_moments(fit))
+            full = wd2_gaussian(posterior_alpha_dogmatic(fit.n),
+                                posterior_alpha_skeptic(fit))
             assert abs(bd.td - full) <= 1e-12 * max(1.0, bd.td)
 
     def test_table_aggregate_consistency(self):
@@ -164,7 +165,7 @@ class TestDistanceBreakdown:
         base_cov = np.diag([0.01, 0.02, 0.015])
         tds = []
         for scale in (0.5, 1.0, 2.0, 4.0):
-            bd = distance_breakdown(GaussianDist(alpha, scale * base_cov))
+            bd = distance_breakdown(alpha, np.diag(scale * base_cov))
             tds.append(bd.td)
             assert bd.ratio_var == pytest.approx(
                 scale * base_cov.trace() / float(alpha @ alpha), rel=1e-12)
@@ -180,8 +181,9 @@ class TestBetweenPosteriors:
 
     def test_dogmatic_vs_skeptic_equals_breakdown(self, base_dataset):
         dataset, model = base_dataset
-        skeptic = posterior_alpha_skeptic(fit_ols(dataset, model))
-        bd = distance_breakdown(skeptic)
+        fit = fit_ols(dataset, model)
+        skeptic = posterior_alpha_skeptic(fit)
+        bd = distance_breakdown(*skeptic_moments(fit))
         td, ad = wd2_between_posteriors(posterior_alpha_dogmatic(skeptic.dim),
                                         skeptic, skeptic.dim)
         assert td == pytest.approx(bd.td, abs=1e-12)
