@@ -21,10 +21,17 @@ and c = 1 is the skeptic.
 The distance from dogmatic belief to the skeptic needs only alpha_hat and
 the skeptic variances u0 / (T + 1) diag A: :func:`skeptic_moments` returns
 them in O(n) and is the one source of that distance. The distance of an
-interior posterior from the skeptic costs one ``eigh(A)`` and one O(q n)
-quadrature table per model (``linalg.RankOneQuadrature``, q a few hundred
-nodes); after that, each sigma_alpha (grid point or bisection) costs O(q)
-for the transport trace, which is taken in a form without cancellation.
+interior posterior from the skeptic needs A only through the spectral
+measure sum_i (Q'alpha_hat)_i^2 delta(d_i) of A = Q D Q'. Per model,
+``linalg.gauss_rule`` replaces that measure by the m-node Gauss rule that
+Lanczos on A from alpha_hat gives, at O(m n^2) (m is 32-64 on the benchmark
+panels), and one O(q m) quadrature table is built from the rule
+(``linalg.RankOneQuadrature``, q a few hundred nodes). Below
+``linalg.GAUSS_RULE_MIN_N`` assets, where one ``eigh(A)`` is cheaper, and
+where Lanczos hits its step cap, the rule is the measure itself, from
+``eigh(A)`` at O(n^3). After that, each sigma_alpha (grid point or
+bisection) costs O(q) for the transport trace, which is taken in a form
+without cancellation.
 
 ``sigma_alpha`` is quoted in annualized percent everywhere a user supplies
 it; annual-to-monthly conversion divides by 12 (an annualized mean scales
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset, ModelSpec
-from .linalg import RankOneQuadrature, chol_solve, symmetrize
+from .linalg import RankOneQuadrature, chol_solve, gauss_rule, symmetrize
 from .regression import RegressionFit, fit_ols, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
@@ -84,10 +91,12 @@ class GaussianDist:
 class PosteriorFamily:
     """All posteriors of one (dataset, model) pair, indexed by sigma_alpha.
 
-    Fits the regression once and caches the skeptic variance sum, the one
-    ``eigh(A)`` of the closed form in the module docstring and the transport
-    trace quadrature table built from it; the engine behind the
-    sweep/equivalence machinery.
+    Fits the regression once and caches the skeptic variance sum and the
+    transport trace quadrature table, built from the Gauss rule of A (the
+    closed form in the module docstring) for alpha_hat: Lanczos at
+    O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N`` on, one ``eigh(A)`` below
+    that or past the step cap. The engine behind the sweep/equivalence
+    machinery.
     """
 
     def __init__(self, dataset: Dataset, model: ModelSpec):
@@ -95,12 +104,12 @@ class PosteriorFamily:
         self.s2, self._u0 = _skeptic_parts(fit)
         self._var_sum = float(_skeptic_var(fit, self.s2, self._u0).sum())
         self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
-        # A >= s^2 I, so every eigenvalue is positive.
-        d, q = np.linalg.eigh(_scale(fit, self.s2))
-        # Squares of gamma = A^{1/2} alpha_hat in the eigenbasis of A; every
-        # sigma > 0 has g = lam c < 1 / u0.
-        self._quad = RankOneQuadrature(d * d, d * (q.T @ fit.alpha_hat) ** 2,
-                                       1.0 / self._u0)
+        # Every sigma > 0 has g = lam c < 1 / u0. A >= s^2 I, so every node is
+        # positive; node times weight stands in for the square of
+        # gamma = A^{1/2} alpha_hat in the eigenbasis of A.
+        g_max = 1.0 / self._u0
+        nodes, weights = gauss_rule(_scale(fit, self.s2), fit.alpha_hat, g_max)
+        self._quad = RankOneQuadrature(nodes * nodes, nodes * weights, g_max)
 
     def _shrinkage(self, sigma_alpha_annual: float) -> tuple[float, float]:
         """Prior precision lam = s^2 / sigma_monthly^2 (inf at sigma = 0) and c."""
@@ -117,10 +126,10 @@ class PosteriorFamily:
 
     def at(self, sigma_alpha_annual: float) -> GaussianDist:
         """Posterior at any annualized prior mispricing std in [0, inf]."""
-        lam, c = self._shrinkage(sigma_alpha_annual)
+        lam, _ = self._shrinkage(sigma_alpha_annual)
         if math.isinf(lam):
             return self.dogmatic()
-        return _closed_form(self.fit, lam)
+        return _closed_form(self.fit, lam, self.s2, self._u0)
 
     def wd2_to_skeptic(self, sigma_alpha_annual: float) -> tuple[float, float]:
         """Closed form of ``wd2_components(self.at(sigma), self.skeptic())``.
@@ -185,7 +194,7 @@ def posterior_alpha_skeptic(fit: RegressionFit) -> GaussianDist:
     ``(1 + Sh^2) / T * (s^2 I + S) / (T + 1)`` with S the residual
     cross-product matrix.
     """
-    return _closed_form(fit, 0.0)
+    return _closed_form(fit, 0.0, *_skeptic_parts(fit))
 
 
 def skeptic_moments(fit: RegressionFit) -> tuple[np.ndarray, np.ndarray]:
@@ -214,11 +223,11 @@ def _scale(fit: RegressionFit, s2: float) -> np.ndarray:
     return s2 * np.eye(fit.n) + fit.T * fit.sigma_mle
 
 
-def _closed_form(fit: RegressionFit, lam: float) -> GaussianDist:
+def _closed_form(fit: RegressionFit, lam: float, s2: float, u0: float) -> GaussianDist:
     """Posterior at finite prior precision lam: N(c alpha_hat, u0 c / (T + 1)
-    (A + lam c alpha_hat alpha_hat')) with c = 1 / (1 + lam u0); lam = 0 is the skeptic.
+    (A + lam c alpha_hat alpha_hat')) with c = 1 / (1 + lam u0); lam = 0 is the
+    skeptic. s2 and u0 are :func:`_skeptic_parts` of the fit.
     """
-    s2, u0 = _skeptic_parts(fit)
     cov = _scale(fit, s2)
     c = 1.0 / (1.0 + lam * u0)
     alpha = fit.alpha_hat

@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +248,12 @@ def cmd_synth(args) -> int:
         resid_cov=args.resid_vol**2 * np.eye(args.n),
         seed=args.seed,
     )
-    dataset = generate(config)
+    # generate warns about a short sample; say so in one plain line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dataset = generate(config)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     meta = " | ".join([
         f"factordist {__version__}", "cmd=synth",
         f"T={args.T}", f"n={args.n}", f"k={args.k}", f"seed={args.seed}",

@@ -25,6 +25,8 @@ from factordist import (
     wd2_components,
     wd2_gaussian,
 )
+from factordist import bayes, linalg
+from factordist.linalg import RankOneQuadrature, gauss_rule
 
 from conftest import make_dataset, panel_from_columns, random_fit_inputs
 
@@ -290,6 +292,16 @@ class TestPosteriorFamily:
         rows = sweep(dataset, model, [sigma * (1.0 + k * 1e-9) for k in range(-20, 21)])
         assert all(0.0 <= r.rmse_sigma <= 1e-8 for r in rows)
 
+    def test_at_reuses_the_cached_prior_scale(self, base_dataset):
+        # s^2 and u0 = (1 + Sh^2) / T are fixed per fit: at() must not solve
+        # for the squared Sharpe ratio again.
+        with mock.patch.object(bayes, "sharpe_sq", wraps=sharpe_sq) as spy:
+            family = PosteriorFamily(*base_dataset)
+            built = spy.call_count
+            for sigma in (0.0, 0.5, 5.0, math.inf):
+                family.at(sigma)
+        assert built == 1 and spy.call_count == built
+
     def test_continuity_at_skeptic_boundary(self, base_dataset):
         dataset, model = base_dataset
         family = PosteriorFamily(dataset, model)
@@ -368,6 +380,133 @@ class TestSkepticMoments:
             family = PosteriorFamily(*panel)
         assert len(seen) == 1
         assert seen[0].min() >= family.s2 / 2
+
+
+# Above linalg.GAUSS_RULE_MIN_N, so a family's Gauss rule comes from Lanczos.
+KRYLOV_N = 160
+# Relative agreement of R(g) and of the trace term between the Lanczos rule
+# and eigh(A). At cond(A) = 1.3e6 the eigh table itself moves R by up to
+# 5e-13 under an orthogonal change of basis of A and alpha_hat.
+KRYLOV_REL = 2e-12
+
+
+def _krylov_panel(spectrum, seed, n=KRYLOV_N, k=2):
+    """Panel whose A = s^2 I + T Sigma_mle has the named kind of spectrum.
+
+    hetero: diagonal residual variances over four decades plus one at 1e5,
+    T = 8000, so cond(A) >= 1e6; clustered: diagonal variances at 1, 1e2 and
+    1e4; short: a common residual factor plus noise at T = 100 < n; factor:
+    the same at T = 600, as on the benchmark panels; exhausted: T = 30, so the
+    Krylov space through alpha_hat is spanned within about T steps.
+    """
+    rng = np.random.default_rng(seed)
+    T = {"hetero": 8000, "clustered": 2000, "short": 100, "factor": 600,
+         "exhausted": 30}[spectrum]
+    if spectrum == "hetero":
+        resid_cov = np.diag(np.concatenate([[1e5], 10.0 ** rng.uniform(-3.0, 1.0, n - 1)]))
+    elif spectrum == "clustered":
+        resid_cov = np.diag(rng.choice([1.0, 1e2, 1e4], n))
+    else:
+        common = rng.normal(0.8, 0.3, n)
+        resid_cov = np.outer(common, common) + np.diag(rng.uniform(1.2, 2.5, n) ** 2)
+    config = SynthConfig(
+        T=T, n=n, k=k,
+        true_alpha=rng.normal(0.0, 0.2, n) * np.sqrt(np.diag(resid_cov)),
+        true_beta=rng.normal(1.0, 0.3, (n, k)),
+        factor_mean=rng.normal(0.4, 0.2, k),
+        factor_cov=np.diag(rng.uniform(2.0, 6.0, k)) ** 2,
+        resid_cov=resid_cov,
+        seed=seed,
+    )
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "T=.* below the recommended", UserWarning)
+        dataset = generate(config)
+    return dataset, ModelSpec("RND", tuple(f"F{j + 1}" for j in range(k)))
+
+
+def _family_with_spies(panel):
+    """The family, the Gauss rule it was built from and the number of n x n
+    ``np.linalg.eigh`` calls made while building it."""
+    eigh = np.linalg.eigh
+    shapes, rules = [], []
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    def record(a, v, g_max):
+        rules.append(gauss_rule(a, v, g_max))
+        return rules[-1]
+
+    with mock.patch.object(np.linalg, "eigh", spy), \
+            mock.patch.object(bayes, "gauss_rule", record):
+        family = PosteriorFamily(*panel)
+    n = family.fit.n
+    return family, rules[0], shapes.count((n, n))
+
+
+def _dense_family(panel):
+    with mock.patch.object(linalg, "GAUSS_RULE_MIN_N", math.inf):
+        return PosteriorFamily(*panel)
+
+
+def _scale_eigh(fit, s2):
+    return np.linalg.eigh(s2 * np.eye(fit.n) + fit.T * fit.sigma_mle)
+
+
+class TestKrylovFamily:
+    """Lanczos Gauss rule against eigh(A), above the crossover dimension."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("spectrum,steps_rel", [
+        # These need more than the default cap of n / 4 steps; without it
+        # only the stop rule or an exhausted Krylov space ends Lanczos.
+        ("hetero", 1.0), ("clustered", 1.0), ("short", 1.0),
+        ("factor", linalg.LANCZOS_MAX_STEPS_REL),
+        ("exhausted", linalg.LANCZOS_MAX_STEPS_REL),
+    ])
+    def test_rule_matches_eigh_over_twelve_decades(self, spectrum, steps_rel, seed):
+        panel = _krylov_panel(spectrum, seed)
+        with mock.patch.object(linalg, "LANCZOS_MAX_STEPS_REL", steps_rel):
+            family, (nodes, weights), dense_calls = _family_with_spies(panel)
+        fit = family.fit
+        s2 = family.s2
+        u0 = (1.0 + sharpe_sq(fit)) / fit.T
+        d, q = _scale_eigh(fit, s2)
+        if spectrum == "hetero":
+            assert d[-1] / d[0] >= 1e6
+        if spectrum in ("short", "exhausted"):
+            assert fit.T < fit.n
+        assert dense_calls == 0 and nodes.shape[0] < fit.n
+        # Ritz values lie in the spectrum of A >= s^2 I; with T < n its bottom
+        # is s^2 itself, which rounding may undercut by a few ulps of A.
+        assert nodes.min() >= s2 * (1.0 - 1e-12)
+        krylov = RankOneQuadrature(nodes * nodes, nodes * weights, 1.0 / u0)
+        dense = RankOneQuadrature(d * d, d * (q.T @ fit.alpha_hat) ** 2, 1.0 / u0)
+        reference = _dense_family(panel)
+        for gu0 in np.logspace(-12.0, 0.0, 25) * (1.0 - 1e-6):
+            g = gu0 / u0
+            want = dense.remainder(g)
+            assert abs(krylov.remainder(g) - want) <= KRYLOV_REL * want, gu0
+            # g = lam c with lam = s^2 / sigma_monthly^2 and c = 1 / (1 + lam u0).
+            sigma = 12.0 * math.sqrt(s2 * (1.0 - gu0) / g)
+            trace_want = reference.wd2_to_skeptic(sigma)[1]
+            trace_got = family.wd2_to_skeptic(sigma)[1]
+            assert abs(trace_got - trace_want) <= KRYLOV_REL * trace_want, gu0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("spectrum", ["hetero", "clustered", "short"])
+    def test_step_cap_falls_back_to_eigh(self, spectrum, seed):
+        panel = _krylov_panel(spectrum, seed)
+        family, (nodes, weights), dense_calls = _family_with_spies(panel)
+        fit = family.fit
+        d, q = _scale_eigh(fit, family.s2)
+        assert dense_calls == 1
+        np.testing.assert_array_equal(nodes, d)
+        np.testing.assert_array_equal(weights, (q.T @ fit.alpha_hat) ** 2)
+        reference = _dense_family(panel)
+        for sigma in (0.5, 5.0, 50.0, 5e3):
+            assert family.wd2_to_skeptic(sigma) == reference.wd2_to_skeptic(sigma)
 
 
 class TestSkeptic:

@@ -186,10 +186,10 @@ class TestRank:
         assert rows[0]["n"] == "7"
 
 
-    @pytest.mark.filterwarnings("ignore:T=.* below the recommended:UserWarning")
     def test_grs_undefined_still_reports_distance(self, tmp_path, capsys):
         # T - n - k < 1: GRS cannot be computed, the distance still is.
         ports, facts = _synth(tmp_path, T=60, n=80, k=2)
+        capsys.readouterr()
         models = _models(tmp_path)
         out = tmp_path / "out"
         argv = ["--portfolios", str(ports), "--factors", str(facts),
@@ -437,6 +437,12 @@ class TestSynthCommand:
         first = ports.read_text().splitlines()[0]
         assert "rng=numpy.random.Philox" in first
         assert "seed=11" in first
+
+    def test_short_sample_warns_in_one_plain_line(self, tmp_path, capsys):
+        capsys.readouterr()
+        _synth(tmp_path, T=60, n=80, k=2)
+        assert capsys.readouterr().err == (
+            "warning: T=60 below the recommended n + k + 2 = 84\n")
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["rank"]) == 1

@@ -16,10 +16,12 @@ from factordist.errors import (
 )
 from factordist.linalg import (
     CHOL_PIVOT_REL,
+    GAUSS_RULE_MIN_N,
     RankOneQuadrature,
     chol_solve,
     cholesky_spd,
     f_cdf_upper,
+    gauss_rule,
     solve_lower,
     spd_sqrt,
     sqrt_trace_rank_one,
@@ -304,6 +306,47 @@ class TestRankOneQuadrature:
         assert abs(quad.delta(g) - want) <= 1e-14 * want
 
 
+def _three_level_spd(rng, n, levels=(0.5, 3.0, 40.0)):
+    """Random rotation of a diagonal matrix with three distinct eigenvalues,
+    and the eigenvalue index of each column of the rotation."""
+    group = np.arange(n) % 3
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    a = (q * np.asarray(levels)[group]) @ q.T
+    return (a + a.T) / 2.0, q, group
+
+
+class TestGaussRule:
+    """gauss_rule on matrices built by hand; PosteriorFamily's panels are in
+    tests/test_bayes.py."""
+
+    def test_below_crossover_is_the_eigh_measure(self, rng):
+        # Lanczos would span this Krylov space in three steps.
+        n = GAUSS_RULE_MIN_N - 1
+        a, _, _ = _three_level_spd(rng, n)
+        v = rng.normal(size=n)
+        nodes, weights = gauss_rule(a, v, 1.0)
+        d, q = np.linalg.eigh(a)
+        np.testing.assert_array_equal(nodes, d)
+        np.testing.assert_array_equal(weights, (q.T @ v) ** 2)
+
+    def test_zero_vector_is_the_eigh_measure(self, rng):
+        a = random_spd(rng, GAUSS_RULE_MIN_N)
+        nodes, weights = gauss_rule(a, np.zeros(GAUSS_RULE_MIN_N), 1.0)
+        np.testing.assert_array_equal(nodes, np.linalg.eigh(a)[0])
+        assert not weights.any()
+
+    def test_exhausted_krylov_space_gives_the_exact_measure(self, rng):
+        # Three distinct eigenvalues: Lanczos spans the Krylov space in three
+        # steps and the three-node rule is the measure itself.
+        n = 2 * GAUSS_RULE_MIN_N
+        a, q, group = _three_level_spd(rng, n)
+        v = rng.normal(size=n)
+        nodes, weights = gauss_rule(a, v, 10.0)
+        np.testing.assert_allclose(nodes, [0.5, 3.0, 40.0], rtol=1e-12)
+        np.testing.assert_allclose(weights, np.bincount(group, weights=(q.T @ v) ** 2),
+                                   rtol=1e-11)
+
+
 class TestSymmetrize:
     def test_averages_roundoff(self):
         m = np.array([[1.0, 1.0 + 1e-14], [1.0, 2.0]])
@@ -339,6 +382,15 @@ class TestFCdfUpper:
             expected = scipy.stats.f.sf(x, d1, d2)
             assert f_cdf_upper(x, d1, d2) == pytest.approx(expected, rel=1e-8,
                                                            abs=1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d1=st.integers(1, 100_000), d2=st.integers(1, 100_000),
+           log10_x=st.floats(-3.0, 3.0))
+    def test_matches_scipy_over_wide_dof(self, d1, d2, log10_x):
+        x = 10.0**log10_x
+        expected = scipy.stats.f.sf(x, d1, d2)
+        assert f_cdf_upper(x, d1, d2) == pytest.approx(expected, rel=1e-8,
+                                                       abs=1e-300)
 
     def test_monotone_decreasing_and_bounded(self):
         xs = np.linspace(0.0, 20.0, 200)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factordist import (
     GaussianDist,
@@ -65,6 +67,22 @@ class TestWd2:
             assert dab >= 0.0
             assert abs(dab - dba) <= 1e-10 * max(1.0, dab)
             assert wd2_gaussian(a, c) <= wd2_gaussian(a, b) + wd2_gaussian(b, c) + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+           zero_cov=st.lists(st.booleans(), min_size=3, max_size=3),
+           log10_scale=st.floats(-3.0, 3.0))
+    def test_metric_axioms_random_gaussians(self, seed, dim, zero_cov, log10_scale):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log10_scale
+        a, b, c = (GaussianDist(scale * p.mean, scale**2 * p.cov) for p in
+                   (random_gaussian(rng, dim, z) for z in zero_cov))
+        # Trace residues of roundoff size snap to zero, so identity is exact.
+        assert wd2_gaussian(a, a) == 0.0
+        dab, dba = wd2_gaussian(a, b), wd2_gaussian(b, a)
+        assert dab > 0.0
+        assert abs(dab - dba) <= 1e-10 * dab
+        assert wd2_gaussian(a, c) <= (dab + wd2_gaussian(b, c)) * (1.0 + 1e-10)
 
     def test_zero_covariances_allowed(self, rng):
         a = random_gaussian(rng, 3, zero_cov=True)
