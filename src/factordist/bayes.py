@@ -210,12 +210,12 @@ def skeptic_moments(fit: RegressionFit) -> tuple[np.ndarray, np.ndarray]:
 
 def _skeptic_parts(fit: RegressionFit) -> tuple[float, float]:
     """s^2, the average diagonal of Sigma_mle, and u0 = (1 + Sh^2) / T."""
-    return float(np.diag(fit.sigma_mle).mean()), (1.0 + sharpe_sq(fit)) / fit.T
+    return float(fit.resid_var.mean()), (1.0 + sharpe_sq(fit)) / fit.T
 
 
 def _skeptic_var(fit: RegressionFit, s2: float, u0: float) -> np.ndarray:
     # Associated as in _closed_form at c = 1, so the diagonals agree exactly.
-    return (s2 + fit.T * np.diag(fit.sigma_mle)) * (u0 / (fit.T + 1))
+    return (s2 + fit.T * fit.resid_var) * (u0 / (fit.T + 1))
 
 
 def _scale(fit: RegressionFit, s2: float) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import re
 import sys
@@ -34,15 +33,9 @@ from .dataio import (
     load_panel,
 )
 from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, solve_equiv, sweep
-from .errors import (
-    DegenerateDoFError,
-    FactorDistError,
-    InputError,
-    NotBracketedError,
-    SingularResidualCovError,
-)
+from .errors import FactorDistError, InputError, NotBracketedError
 from .metrics import build_report, rank_models
-from .regression import fit_ols, grs_test
+from .regression import _fit_models, fit_ols
 from .synth import RNG_ALGORITHM, SynthConfig, generate
 from .transport import distance_breakdown
 
@@ -54,10 +47,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".6g")
+    return format(float(value), ".6g")
 
 
 def _sanitize(name: str) -> str:
@@ -138,13 +128,10 @@ def cmd_rank(args) -> int:
     dataset = _load_dataset(args)
     models = load_models(args.models)
     results = []
-    for model in models:
-        fit = fit_ols(dataset, model)
+    for fit, grs in _fit_models(dataset, models):
         alpha, var = skeptic_moments(fit)
-        try:
-            grs = grs_test(fit)
-        except (DegenerateDoFError, SingularResidualCovError) as exc:
-            print(f"warning: model {model.name!r}: GRS not reported: {exc}",
+        if isinstance(grs, FactorDistError):
+            print(f"warning: model {fit.model.name!r}: GRS not reported: {grs}",
                   file=sys.stderr)
             grs = None
         report = build_report(fit, distance_breakdown(alpha, var), grs)
@@ -170,11 +157,9 @@ def cmd_rank(args) -> int:
         sigma = np.sqrt(var)
         with np.errstate(divide="ignore", invalid="ignore"):
             tstat = np.where(sigma > 0.0, alpha / sigma, np.inf)
-        lines = [
-            ",".join([assets[i], _fmt(alpha[i]), _fmt(sigma[i]),
-                      _fmt(tstat[i]), _fmt(report.marginal[i])])
-            for i in range(len(assets))
-        ]
+        columns = [[_fmt(v) for v in column.tolist()]
+                   for column in (alpha, sigma, tstat, report.marginal)]
+        lines = [",".join(row) for row in zip(assets, *columns)]
         out.add(f"marginal_{_sanitize(report.model_name)}.csv", meta,
                 "asset,alpha,sigma_alpha,t_stat,marginal", lines)
     out.flush()

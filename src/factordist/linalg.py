@@ -142,11 +142,13 @@ def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L @ w = b for a lower-triangular L by forward substitution, O(n^2).
+    """Solve L @ w = b for a lower-triangular L by forward substitution,
+    O(n^2 p) for p right-hand sides.
 
-    ``b`` is a vector; no check is made that L is triangular or nonsingular.
+    ``b`` is an (n,) vector or an (n, p) matrix, and ``w`` has its shape; no
+    check is made that L is triangular or nonsingular.
     """
-    w = np.empty(lower.shape[0])
+    w = np.empty(np.shape(b))
     for i in range(w.shape[0]):
         w[i] = (b[i] - lower[i, :i] @ w[:i]) / lower[i, i]
     return w

@@ -3,11 +3,36 @@
 One fit per (dataset, model): OLS alphas and betas from the normal
 equations, residual covariance with the maximum-likelihood divisor T,
 factor moments, per-asset R-squared, and the finite-sample GRS joint test
-of zero alphas.
+of zero alphas (Gibbons, Ross & Shanken 1989).
+
+:func:`fit_ols` fits one model at O(n^2 T) for the residual cross product.
+``rank`` fits all its models with ``_fit_models`` instead, from one
+:func:`fit_ols` on the union U of their factors (K columns, in factor-panel
+order): one OLS on X_U = [1, F_U], one n x n residual cross product
+S_U = E_U'E_U and one Cholesky Sigma_U = S_U / T = L_U L_U'. With
+G = X_U'X_U and P = X_U'R, a model S takes its coefficients from
+G_ss^{-1} P_s. For the factors r of U that S drops, with union betas B_r and
+C_S = G_rr - G_rs G_ss^{-1} G_sr = F_r'M_S F_r, its residuals are
+E_S = E_U + M_S F_r B_r' with E_U orthogonal to X_U, so
+S_S = S_U + B_r C_S B_r' exactly: the residual sums of squares (and R^2 and
+the skeptic variances) cost O(n K^2) per model. The asset means come from the
+union fit, and the total sums of squares from T (diag Sigma_U +
+rowsum((B_U Omega_U) o B_U)), so neither takes a second pass over the returns.
+For GRS, y = L_U^{-1} alpha_S and W = L_U^{-1} B_r chol(C_S / T) come from
+one forward substitution over every model's alphas and B_U, and with W = QR,
+alpha' Sigma_S^{-1} alpha = |y - Q Q'y|^2 + (Q'y)'(I + R R')^{-1} Q'y,
+a sum of non-negative terms (the Woodbury form y'y - ... cancels). A model
+takes :func:`fit_ols` and :func:`grs_test` instead wherever the union cannot
+vouch for the same result: T < K + 2, a union Gram that fails the rank test,
+Sigma_U singular (n > T - K - 1, or its Cholesky fails), or a smallest pivot
+of L_U at or below the model's own threshold CHOL_PIVOT_REL tr Sigma_S / n.
+Sigma_S >= Sigma_U, so every Cholesky pivot of Sigma_S is at least that of
+Sigma_U, and the fast path accepts no Sigma_S that ``grs_test`` rejects.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +47,7 @@ from .errors import (
     SingularResidualCovError,
     UnknownFactorError,
 )
-from .linalg import chol_solve, cholesky_spd, f_cdf_upper, solve_lower
+from .linalg import CHOL_PIVOT_REL, chol_solve, cholesky_spd, f_cdf_upper, solve_lower
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
@@ -32,8 +57,10 @@ RANK_PIVOT_REL = 1e-10
 class RegressionFit:
     """OLS estimates for one model on one cross section.
 
-    ``sigma_mle`` and ``factor_cov_mle`` both use the divide-by-T
-    maximum-likelihood convention.
+    ``sigma_mle``, ``resid_var`` and ``factor_cov_mle`` use the divide-by-T
+    maximum-likelihood convention. ``resid_var`` is the diagonal of
+    ``sigma_mle``; the fits ``_fit_models`` derives from the union carry
+    only the diagonal and have ``sigma_mle = None``.
     """
 
     model: ModelSpec
@@ -42,7 +69,8 @@ class RegressionFit:
     k: int
     alpha_hat: np.ndarray       # (n,) percent per month
     beta_hat: np.ndarray        # (n, k)
-    sigma_mle: np.ndarray       # (n, n)
+    sigma_mle: np.ndarray | None  # (n, n)
+    resid_var: np.ndarray       # (n,)
     factor_mean: np.ndarray     # (k,)
     factor_cov_mle: np.ndarray  # (k, k)
     r2: np.ndarray              # (n,)
@@ -54,6 +82,11 @@ class RegressionFit:
     def fingerprint(self) -> tuple[int, int, int, int]:
         """Cross-section identity: (n, T, first date, last date)."""
         return (self.n, self.T, self.first_date, self.last_date)
+
+
+# What _fit_models reports for a model's GRS test: (statistic, p-value), or
+# the error grs_test raises where the test is undefined.
+GRSResult = tuple[float, float] | DegenerateDoFError | SingularResidualCovError
 
 
 def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
@@ -79,7 +112,7 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
     returns = dataset.portfolios.values
     factors = dataset.factors.select(model.factor_names)
     design = np.column_stack([np.ones(dataset.t_obs), factors])
-    t_obs, n = returns.shape
+    t_obs = returns.shape[0]
     k = factors.shape[1]
     if t_obs < k + 2:
         raise InsufficientSampleError(
@@ -92,36 +125,170 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         raise RankDeficientError(
             f"model {model.name!r}: collinear factor columns ({exc})"
         ) from None
-    coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ returns))
+    coef = _solve_normal(lower, design.T @ returns)
     resid = returns - design @ coef
     # numpy forms A'A with BLAS syrk: sigma_mle and factor_cov_mle are exactly symmetric.
     sigma_mle = resid.T @ resid / t_obs
-
-    factor_mean = factors.mean(axis=0)
-    centered = factors - factor_mean
-    factor_cov_mle = centered.T @ centered / t_obs
-
     asset_mean = returns.mean(axis=0)
     sst = ((returns - asset_mean) ** 2).sum(axis=0)
-    ssr = (resid ** 2).sum(axis=0)
+    return _assemble(dataset, model, coef, sigma_mle, np.diag(sigma_mle),
+                     (resid ** 2).sum(axis=0), sst, asset_mean)
+
+
+def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
+                ) -> Iterator[tuple[RegressionFit, GRSResult]]:
+    """Fit every model and its GRS test from one regression on the union of
+    their factors (module docstring): ``fit_ols`` and ``grs_test`` per model,
+    with one n x n residual cross product and one n x n Cholesky in all.
+    ``rank``'s own path, not a library entry point.
+
+    Yields ``(fit, grs)`` in model order; ``grs`` is ``(statistic,
+    p-value)``, or the DegenerateDoFError or SingularResidualCovError that
+    ``grs_test`` would raise. The errors of ``fit_ols`` and ``sharpe_sq``
+    are raised when the failing model's turn comes. Fits derived from the
+    union have ``sigma_mle = None``, so they are no input for ``grs_test``
+    or ``posterior_alpha_skeptic``.
+    """
+    derived = _union_fits(dataset, models)
+    for model, found in zip(models, derived):
+        if found is None:
+            fit = fit_ols(dataset, model)
+            try:
+                grs = grs_test(fit)
+            except (DegenerateDoFError, SingularResidualCovError) as exc:
+                grs = exc
+            yield fit, grs
+        elif isinstance(found[1], float):
+            fit, quad = found
+            yield fit, _grs(fit, _grs_dof(fit), quad)
+        else:
+            yield found
+
+
+def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
+              sigma_mle: np.ndarray | None, resid_var: np.ndarray,
+              ssr: np.ndarray, sst: np.ndarray, asset_mean: np.ndarray
+              ) -> RegressionFit:
+    """RegressionFit from coefficients ((k+1) x n), residual variances and
+    residual and total sums of squares."""
+    factors = dataset.factors.select(model.factor_names)
+    factor_mean = factors.mean(axis=0)
+    centered = factors - factor_mean
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(sst > 0.0, 1.0 - ssr / sst, 1.0)
-
     return RegressionFit(
         model=model,
-        T=t_obs,
-        n=n,
-        k=k,
+        T=dataset.t_obs,
+        n=coef.shape[1],
+        k=model.k,
         alpha_hat=coef[0].copy(),
         beta_hat=coef[1:].T.copy(),
         sigma_mle=sigma_mle,
+        resid_var=resid_var,
         factor_mean=factor_mean,
-        factor_cov_mle=factor_cov_mle,
+        factor_cov_mle=centered.T @ centered / dataset.t_obs,
         r2=r2,
         asset_mean=asset_mean,
         first_date=dataset.portfolios.dates[0],
         last_date=dataset.portfolios.dates[-1],
     )
+
+
+def _union_fits(dataset: Dataset, models: Sequence[ModelSpec]
+                ) -> list[tuple[RegressionFit, float | DegenerateDoFError] | None]:
+    """_fit_models' union path: per model its fit and a' Sigma^{-1} a (or the
+    DegenerateDoFError of grs_test), or None where only fit_ols and grs_test
+    can give their own result."""
+    derived: list = [None] * len(models)
+    returns = dataset.portfolios.values
+    t_obs, n = returns.shape
+    panel = set(dataset.factors.names)
+    known = [i for i, m in enumerate(models) if panel.issuperset(m.factor_names)]
+    used = {name for i in known for name in models[i].factor_names}
+    union = [name for name in dataset.factors.names if name in used]
+    width = len(union) + 1
+    if not known or t_obs < width + 1:
+        return derived
+    try:
+        union_fit = fit_ols(dataset, ModelSpec("union", tuple(union)))
+    except RankDeficientError:
+        return derived
+    # Sigma_U has rank at most T - K - 1. Past that its Cholesky can still
+    # pass on roundoff pivots, and L_U^{-1} would then cost GRS accuracy.
+    chol_u = None
+    if n <= t_obs - width:
+        try:
+            chol_u = cholesky_spd(union_fit.sigma_mle)
+        except NotPDError:
+            pass
+        else:
+            min_pivot = float((np.diag(chol_u) ** 2).min())
+    # Copied: resid_var is a view that would keep Sigma_U alive.
+    resid_var_u, betas = union_fit.resid_var.copy(), union_fit.beta_hat
+    asset_mean = union_fit.asset_mean
+    # R - 1 mean' = (F_U - 1 mu') B_U' + E_U with E_U orthogonal to X_U, so the
+    # total sums of squares are T (resid_var_U + rowsum((B_U Omega_U) o B_U)).
+    sst = t_obs * (resid_var_u + ((betas @ union_fit.factor_cov_mle) * betas).sum(axis=1))
+    del union_fit
+    design = np.column_stack([np.ones(t_obs), dataset.factors.select(union)])
+    gram, cross = design.T @ design, design.T @ returns
+    column = {name: j for j, name in enumerate(union, start=1)}
+    grs_parts = {}
+    for i in known:
+        model = models[i]
+        s = [0, *(column[name] for name in model.factor_names)]
+        r = [j for j in range(1, width) if j not in s]
+        try:
+            lower_s = cholesky_spd(gram[np.ix_(s, s)], pivot_tol_factor=RANK_PIVOT_REL)
+        except NotPDError:
+            continue
+        # C_S = F_r'M_S F_r, the Schur complement of G_ss in G.
+        v = np.linalg.solve(lower_s, gram[np.ix_(s, r)])
+        schur = gram[np.ix_(r, r)] - v.T @ v
+        b_r = betas[:, [j - 1 for j in r]]
+        resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=1) / t_obs
+        fit = _assemble(dataset, model, _solve_normal(lower_s, cross[s]), None,
+                        resid_var, resid_var * t_obs, sst, asset_mean)
+        try:
+            _grs_dof(fit)
+        except DegenerateDoFError as exc:
+            derived[i] = (fit, exc)
+            continue
+        # Each pivot of Sigma_S is at least min_pivot: above the model's own
+        # threshold, cholesky_spd accepts Sigma_S.
+        if chol_u is None or min_pivot <= CHOL_PIVOT_REL * float(resid_var.sum()) / n:
+            continue
+        try:
+            root = np.linalg.cholesky(schur / t_obs)
+        except np.linalg.LinAlgError:
+            continue
+        grs_parts[i] = (fit, r, root)
+    if grs_parts:
+        order = list(grs_parts)
+        solved = solve_lower(chol_u, np.column_stack(
+            [grs_parts[i][0].alpha_hat for i in order] + [betas]))
+        scaled_betas = solved[:, len(order):]
+        for y, i in zip(solved.T, order):
+            fit, r, root = grs_parts[i]
+            w = scaled_betas[:, [j - 1 for j in r]] @ root
+            derived[i] = (fit, _low_rank_quad(y, w))
+    return derived
+
+
+def _solve_normal(lower: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Coefficients (X'X)^{-1} X'R from the Cholesky factor of X'X and X'R."""
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, cross))
+
+
+def _low_rank_quad(y: np.ndarray, w: np.ndarray) -> float:
+    """y'(I + W W')^{-1} y as |y - Q Q'y|^2 + z'(I + R R')^{-1} z with W = QR
+    and z = Q'y: two non-negative terms, no cancellation."""
+    if w.shape[1] == 0:
+        return float(y @ y)
+    q, r = np.linalg.qr(w)
+    z = q.T @ y
+    perp = y - q @ z
+    return float(perp @ perp) + float(z @ np.linalg.solve(np.eye(len(z)) + r @ r.T, z))
 
 
 def sharpe_sq(fit: RegressionFit) -> float:
@@ -153,11 +320,7 @@ def grs_test(fit: RegressionFit) -> tuple[float, float]:
     SingularResidualCovError
         If the residual covariance cannot be inverted.
     """
-    dof2 = fit.T - fit.n - fit.k
-    if dof2 < 1:
-        raise DegenerateDoFError(
-            f"T - n - k = {fit.T} - {fit.n} - {fit.k} = {dof2} < 1"
-        )
+    dof2 = _grs_dof(fit)
     try:
         lower = cholesky_spd(fit.sigma_mle)
     except NotPDError as exc:
@@ -166,5 +329,20 @@ def grs_test(fit: RegressionFit) -> tuple[float, float]:
         ) from None
     # a' Sigma^{-1} a = |L^{-1} a|^2 with Sigma = L L'.
     w = solve_lower(lower, fit.alpha_hat)
-    stat = dof2 / fit.n * float(w @ w) / (1.0 + sharpe_sq(fit))
+    return _grs(fit, dof2, float(w @ w))
+
+
+def _grs_dof(fit: RegressionFit) -> int:
+    """The GRS denominator degrees of freedom T - n - k; DegenerateDoFError below 1."""
+    dof2 = fit.T - fit.n - fit.k
+    if dof2 < 1:
+        raise DegenerateDoFError(
+            f"T - n - k = {fit.T} - {fit.n} - {fit.k} = {dof2} < 1"
+        )
+    return dof2
+
+
+def _grs(fit: RegressionFit, dof2: int, quad: float) -> tuple[float, float]:
+    """GRS statistic and p-value from quad = a' Sigma^{-1} a."""
+    stat = dof2 / fit.n * quad / (1.0 + sharpe_sq(fit))
     return stat, f_cdf_upper(stat, fit.n, dof2)

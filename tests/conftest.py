@@ -18,10 +18,14 @@ from factordist import (
     ReturnsPanel,
     SynthConfig,
     build_dataset,
+    fit_ols,
     generate,
+    grs_test,
     load_panel,
+    skeptic_moments,
 )
 from factordist.dataio import month_range
+from factordist.errors import DegenerateDoFError, SingularResidualCovError
 
 
 def make_config(seed=42, T=600, n=5, k=1, alpha=0.15, beta=1.0,
@@ -92,6 +96,7 @@ def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
         alpha_hat=alpha,
         beta_hat=np.ones((n, k)),
         sigma_mle=sigma,
+        resid_var=sigma_diag,
         factor_mean=factor_mean,
         factor_cov_mle=factor_cov,
         r2=np.full(n, 0.9),
@@ -99,6 +104,19 @@ def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
         first_date=196701,
         last_date=201612,
     )
+
+
+def direct_fits(dataset, models):
+    """``_fit_models`` one model at a time: fit_ols, then the skeptic moments
+    and grs_test in the order ``rank`` used them before the union path."""
+    for model in models:
+        fit = fit_ols(dataset, model)
+        skeptic_moments(fit)
+        try:
+            grs = grs_test(fit)
+        except (DegenerateDoFError, SingularResidualCovError) as exc:
+            grs = exc
+        yield fit, grs
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from factordist import __version__
-from factordist.cli import main
+from factordist.cli import _fmt, main
+
+from conftest import direct_fits
 
 DATA = Path(__file__).parent / "data"
 
@@ -227,6 +230,53 @@ class TestRank:
         assert rows[0]["GRS"] == "" and rows[0]["GRS_pvalue"] == ""
         assert float(rows[0]["AD"]) > 0.0
 
+    @pytest.mark.parametrize("bad", ["unknown", "collinear", "singular_factor_cov"])
+    def test_later_failure_after_grs_warning_matches_direct_path(
+            self, tmp_path, capsys, monkeypatch, bad):
+        # ONE warns that GRS is undefined (T - n - k < 1), then BAD fails:
+        # the union path prints what fitting one model at a time printed,
+        # in the same order, and exits with the same code.
+        import factordist.bayes as bayes
+        import factordist.cli as cli
+        import factordist.regression as regression
+        from factordist.errors import SingularFactorCovError
+
+        ports, facts = _synth(tmp_path, T=60, n=80, k=2)
+        capsys.readouterr()
+        bad_factors = {"unknown": "NOPE", "collinear": "F1,F3",
+                       "singular_factor_cov": "F2"}[bad]
+        if bad == "collinear":
+            lines = facts.read_text(encoding="utf-8").splitlines()
+            rows = [lines[1] + ",F3"] + [
+                f"{line},{2.0 * float(line.split(',')[1])!r}" for line in lines[2:]]
+            facts = tmp_path / "collinear.csv"
+            facts.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        if bad == "singular_factor_cov":
+            real = regression.sharpe_sq
+
+            def sharpe_sq(fit):
+                if fit.model.name == "BAD":
+                    raise SingularFactorCovError("pivot 0 at column 0 is <= 1e-14")
+                return real(fit)
+
+            monkeypatch.setattr(regression, "sharpe_sq", sharpe_sq)
+            monkeypatch.setattr(bayes, "sharpe_sq", sharpe_sq)
+        models = _models(tmp_path, f"ONE = F1\nBAD = {bad_factors}\nBOTH = F1,F2\n")
+        argv = ["rank", "--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(models), "--out", str(tmp_path / "out")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_fit_models", direct_fits)
+            want_code = main(argv)
+            want_err = capsys.readouterr().err
+        assert (code, err) == (want_code, want_err)
+        assert code == (2 if bad == "singular_factor_cov" else 1)
+        first, second = err.splitlines()
+        assert first.startswith("warning: model 'ONE': GRS not reported: T - n - k")
+        assert "'BAD'" in second or "pivot 0" in second
+        assert not (tmp_path / "out").exists()
+
     def test_dogmatic_distance_builds_no_posterior_matrix(self, tmp_path, monkeypatch):
         # rank and the equiv target read only skeptic_moments: no n x n
         # skeptic posterior and no PosteriorFamily. equiv builds one family
@@ -260,6 +310,15 @@ class TestRank:
         assert main(["equiv", *argv, "--benchmark", "BOTH",
                      "--alternatives", "ONE", "BOTH"]) == 0
         assert calls == {"skeptic": 0, "family": 3}
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""), (7, "7"), (np.int64(-3), "-3"), (math.inf, "inf"),
+    (-math.inf, "-inf"), (np.float64(-np.inf), "-inf"), (math.nan, "nan"),
+    (-0.0, "-0"), (0.1 + 0.2, "0.3"), (np.float64(1234567.0), "1.23457e+06"),
+])
+def test_fmt(value, text):
+    assert _fmt(value) == text
 
 
 class TestSweep:
@@ -463,10 +522,10 @@ class TestSynthCommand:
                                                capsys):
         from factordist.errors import NumericalError
 
-        def boom(dataset, model):
+        def boom(dataset, models):
             raise NumericalError("synthetic breakage")
 
-        monkeypatch.setattr("factordist.cli.fit_ols", boom)
+        monkeypatch.setattr("factordist.cli._fit_models", boom)
         ports, facts = _synth(tmp_path)
         models = _models(tmp_path)
         code = main(["rank", "--portfolios", str(ports), "--factors",

@@ -192,6 +192,25 @@ class TestSolveLower:
         want = np.linalg.solve(lower, b)
         assert np.linalg.norm(solve_lower(lower, b) - want) <= 1e-12 * np.linalg.norm(want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
+           p=st.integers(0, 8), matrix=st.booleans())
+    def test_vector_and_matrix_rhs_match_scipy(self, seed, n, p, matrix):
+        lower = cholesky_spd(_wishart(seed, n))
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(n, p)) if matrix else rng.normal(size=n)
+        got = solve_lower(lower, b)
+        want = scipy.linalg.solve_triangular(lower, b, lower=True)
+        assert got.shape == b.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * max(np.abs(want).max(initial=0), 1e-300))
+        if matrix:
+            # Each column is the vector solve of its right-hand side.
+            for j in range(p):
+                column = solve_lower(lower, b[:, j])
+                np.testing.assert_allclose(got[:, j], column, rtol=0,
+                                           atol=1e-13 * np.abs(column).max())
+
 
 def reference_root_sum(d_sq, gamma_sq, g):
     """tr sqrt(D^2 + g gamma gamma') from a dense ``eigvalsh``, the per-sigma
