@@ -278,20 +278,6 @@ def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,
     return None
 
 
-def sqrt_trace_rank_one(d_sq: np.ndarray, gamma_sq: np.ndarray, g: float) -> float:
-    """Delta = tr sqrt(D^2 + g gamma gamma') - tr D for D = diag(d) >= 0, g >= 0.
-
-    The one-shot form of :class:`RankOneQuadrature`: build the table for
-    g_max = g and evaluate it once, O(q n).
-
-    Raises
-    ------
-    ValueError
-        If some d_i = 0 has gamma_i != 0.
-    """
-    return RankOneQuadrature(d_sq, gamma_sq, g).delta(g)
-
-
 def chol_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve M @ Z = B for symmetric positive-definite M via Cholesky.
 

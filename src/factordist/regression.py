@@ -8,26 +8,44 @@ of zero alphas (Gibbons, Ross & Shanken 1989).
 :func:`fit_ols` fits one model at O(n^2 T) for the residual cross product.
 ``rank`` fits all its models with ``_fit_models`` instead, from one
 :func:`fit_ols` on the union U of their factors (K columns, in factor-panel
-order): one OLS on X_U = [1, F_U], one n x n residual cross product
-S_U = E_U'E_U and one Cholesky Sigma_U = S_U / T = L_U L_U'. With
-G = X_U'X_U and P = X_U'R, a model S takes its coefficients from
-G_ss^{-1} P_s. For the factors r of U that S drops, with union betas B_r and
-C_S = G_rr - G_rs G_ss^{-1} G_sr = F_r'M_S F_r, its residuals are
-E_S = E_U + M_S F_r B_r' with E_U orthogonal to X_U, so
-S_S = S_U + B_r C_S B_r' exactly: the residual sums of squares (and R^2 and
-the skeptic variances) cost O(n K^2) per model. The asset means come from the
-union fit, and the total sums of squares from T (diag Sigma_U +
-rowsum((B_U Omega_U) o B_U)), so neither takes a second pass over the returns.
-For GRS, y = L_U^{-1} alpha_S and W = L_U^{-1} B_r chol(C_S / T) come from
-one forward substitution over every model's alphas and B_U, and with W = QR,
-alpha' Sigma_S^{-1} alpha = |y - Q Q'y|^2 + (Q'y)'(I + R R')^{-1} Q'y,
-a sum of non-negative terms (the Woodbury form y'y - ... cancels). A model
-takes :func:`fit_ols` and :func:`grs_test` instead wherever the union cannot
-vouch for the same result: T < K + 2, a union Gram that fails the rank test,
-Sigma_U singular (n > T - K - 1, or its Cholesky fails), or a smallest pivot
-of L_U at or below the model's own threshold CHOL_PIVOT_REL tr Sigma_S / n.
+order): coefficients Gamma_U = [alpha_U'; B_U'] (intercept in row 0) of one
+OLS on X_U = [1, F_U], one n x n residual cross product S_U = E_U'E_U and one
+Cholesky Sigma_U = S_U / T = L_U L_U'. Let G = X_U'X_U, s a model S's
+columns of X_U (the intercept among them) and r the factors of U it drops.
+With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
+- X_U'R = G Gamma_U, so Gamma_S = G_ss^{-1} X_s'R = Gamma_U[s] + h_S Gamma_U[r]
+  with h_S = G_ss^{-1} G_sr = L_s'^{-1} v (Frisch-Waugh-Lovell);
+- C_S = G_rr - v'v = F_r'M_S F_r, and E_S = E_U + M_S F_r B_r' with E_U
+  orthogonal to X_U, so S_S = S_U + B_r C_S B_r' exactly: the residual sums
+  of squares (and R^2 and the skeptic variances) cost O(n K^2) per model;
+- the asset means come from the union fit, and the total sums of squares
+  are T (diag Sigma_U + rowsum((B_U Omega_U) o B_U)), so nothing takes a
+  second pass over the returns;
+- alpha_S = alpha_U + B_r h_S[0]', so with [z, Z] = L_U^{-1} [alpha_U, B_U],
+  one forward substitution of K + 1 columns per dataset, GRS takes
+  y = L_U^{-1} alpha_S = z + Z_r h_S[0]' and W = Z_r chol(C_S / T). With
+  W = QR, alpha' Sigma_S^{-1} alpha = |y - Q Q'y|^2 + (Q'y)'(I + R R')^{-1} Q'y,
+  a sum of non-negative terms. (The Woodbury form y'y - ... cancels: with
+  dropped loadings 1000 times larger it lost up to 4e-8 relative, the
+  projection form 7e-12 against a 50-digit reference.)
+
+A model takes :func:`fit_ols` and :func:`grs_test` instead (``_direct``)
+wherever the union cannot vouch for the same result:
+- T < K + 2, or the union's Gram fails the rank test (factors collinear
+  across models, although each model's own are not);
+- a factor is not in the panel, or G_ss fails the rank test: the model's
+  own ``fit_ols`` decides;
+- Sigma_U is singular: n > T - K - 1, or its Cholesky fails. Past
+  n = T - K - 1 LAPACK can accept a singular Sigma_U on roundoff pivots,
+  and GRS through that L_U came out up to 370 times further from a
+  40-digit reference than ``grs_test``, so no Cholesky is tried;
+- the smallest pivot of L_U is at or below the model's own threshold
+  CHOL_PIVOT_REL tr Sigma_S / n, or C_S / T has no Cholesky factor.
 Sigma_S >= Sigma_U, so every Cholesky pivot of Sigma_S is at least that of
-Sigma_U, and the fast path accepts no Sigma_S that ``grs_test`` rejects.
+Sigma_U, and the union accepts no Sigma_S that ``grs_test`` rejects. A model
+with T - n - k < 1 keeps its union fit and the DegenerateDoFError of
+``grs_test``. ``rank`` thus prints the same warnings and errors, in the
+same order, with the same exit codes as per-model ``fit_ols`` + ``grs_test``.
 """
 
 from __future__ import annotations
@@ -125,7 +143,7 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         raise RankDeficientError(
             f"model {model.name!r}: collinear factor columns ({exc})"
         ) from None
-    coef = _solve_normal(lower, design.T @ returns)
+    coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ returns))
     resid = returns - design @ coef
     # numpy forms A'A with BLAS syrk: sigma_mle and factor_cov_mle are exactly symmetric.
     sigma_mle = resid.T @ resid / t_obs
@@ -139,30 +157,94 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
                 ) -> Iterator[tuple[RegressionFit, GRSResult]]:
     """Fit every model and its GRS test from one regression on the union of
     their factors (module docstring): ``fit_ols`` and ``grs_test`` per model,
-    with one n x n residual cross product and one n x n Cholesky in all.
-    ``rank``'s own path, not a library entry point.
+    with one n x n residual cross product, one n x n Cholesky and one
+    (K+1)-column forward substitution in all. ``rank``'s own path, not a
+    library entry point.
 
-    Yields ``(fit, grs)`` in model order; ``grs`` is ``(statistic,
-    p-value)``, or the DegenerateDoFError or SingularResidualCovError that
-    ``grs_test`` would raise. The errors of ``fit_ols`` and ``sharpe_sq``
-    are raised when the failing model's turn comes. Fits derived from the
-    union have ``sigma_mle = None``, so they are no input for ``grs_test``
-    or ``posterior_alpha_skeptic``.
+    Yields ``(fit, grs)`` in model order, each model derived in its turn;
+    ``grs`` is ``(statistic, p-value)``, or the DegenerateDoFError or
+    SingularResidualCovError that ``grs_test`` would raise. The errors of
+    ``fit_ols`` and ``sharpe_sq`` are raised when the failing model's turn
+    comes. Fits derived from the union have ``sigma_mle = None``, so they are
+    no input for ``grs_test`` or ``posterior_alpha_skeptic``.
     """
-    derived = _union_fits(dataset, models)
-    for model, found in zip(models, derived):
-        if found is None:
-            fit = fit_ols(dataset, model)
-            try:
-                grs = grs_test(fit)
-            except (DegenerateDoFError, SingularResidualCovError) as exc:
-                grs = exc
-            yield fit, grs
-        elif isinstance(found[1], float):
-            fit, quad = found
-            yield fit, _grs(fit, _grs_dof(fit), quad)
+    t_obs, n = dataset.portfolios.values.shape
+    panel = set(dataset.factors.names)
+    used = {name for m in models if panel.issuperset(m.factor_names)
+            for name in m.factor_names}
+    union = [name for name in dataset.factors.names if name in used]
+    width = len(union) + 1
+    union_fit = None
+    if used and t_obs >= width + 1:
+        try:
+            union_fit = fit_ols(dataset, ModelSpec("union", tuple(union)))
+        except RankDeficientError:
+            pass
+    if union_fit is None:
+        yield from (_direct(dataset, model) for model in models)
+        return
+    coef_u = np.vstack([union_fit.alpha_hat, union_fit.beta_hat.T])
+    # [z, Z] = L_U^{-1} [alpha_U, B_U]. Sigma_U has rank at most T - K - 1:
+    # past that its Cholesky can still pass on roundoff pivots, and L_U^{-1}
+    # would then cost GRS accuracy.
+    scaled = None
+    if n <= t_obs - width:
+        try:
+            chol_u = cholesky_spd(union_fit.sigma_mle)
+        except NotPDError:
+            pass
         else:
-            yield found
+            min_pivot = float((np.diag(chol_u) ** 2).min())
+            scaled = solve_lower(chol_u, coef_u.T)
+            del chol_u
+    # Copied: resid_var is a view that would keep Sigma_U alive.
+    resid_var_u, asset_mean = union_fit.resid_var.copy(), union_fit.asset_mean
+    betas = union_fit.beta_hat
+    # R - 1 mean' = (F_U - 1 mu') B_U' + E_U with E_U orthogonal to X_U, so the
+    # total sums of squares are T (resid_var_U + rowsum((B_U Omega_U) o B_U)).
+    sst = t_obs * (resid_var_u + ((betas @ union_fit.factor_cov_mle) * betas).sum(axis=1))
+    del union_fit
+    design = np.column_stack([np.ones(t_obs), dataset.factors.select(union)])
+    gram = design.T @ design
+    column = {name: j for j, name in enumerate(union, start=1)}
+    for model in models:
+        if not panel.issuperset(model.factor_names):
+            yield _direct(dataset, model)
+            continue
+        s = [0, *(column[name] for name in model.factor_names)]
+        r = [j for j in range(1, width) if j not in s]
+        try:
+            lower_s = cholesky_spd(gram[np.ix_(s, s)], pivot_tol_factor=RANK_PIVOT_REL)
+        except NotPDError:
+            yield _direct(dataset, model)
+            continue
+        # C_S = F_r'M_S F_r, the Schur complement of G_ss in G, and
+        # h_S = G_ss^{-1} G_sr from the same v.
+        v = np.linalg.solve(lower_s, gram[np.ix_(s, r)])
+        schur = gram[np.ix_(r, r)] - v.T @ v
+        h = np.linalg.solve(lower_s.T, v)
+        b_r = coef_u[r].T
+        resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=1) / t_obs
+        fit = _assemble(dataset, model, coef_u[s] + h @ coef_u[r], None,
+                        resid_var, resid_var * t_obs, sst, asset_mean)
+        try:
+            dof2 = _grs_dof(fit)
+        except DegenerateDoFError as exc:
+            yield fit, exc
+            continue
+        # Each pivot of Sigma_S is at least min_pivot: above the model's own
+        # threshold, cholesky_spd accepts Sigma_S.
+        if scaled is None or min_pivot <= CHOL_PIVOT_REL * float(resid_var.sum()) / n:
+            yield _direct(dataset, model)
+            continue
+        try:
+            root = np.linalg.cholesky(schur / t_obs)
+        except np.linalg.LinAlgError:
+            yield _direct(dataset, model)
+            continue
+        scaled_r = scaled[:, r]
+        quad = _low_rank_quad(scaled[:, 0] + scaled_r @ h[0], scaled_r @ root)
+        yield fit, _grs(fit, dof2, quad)
 
 
 def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
@@ -194,90 +276,13 @@ def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
     )
 
 
-def _union_fits(dataset: Dataset, models: Sequence[ModelSpec]
-                ) -> list[tuple[RegressionFit, float | DegenerateDoFError] | None]:
-    """_fit_models' union path: per model its fit and a' Sigma^{-1} a (or the
-    DegenerateDoFError of grs_test), or None where only fit_ols and grs_test
-    can give their own result."""
-    derived: list = [None] * len(models)
-    returns = dataset.portfolios.values
-    t_obs, n = returns.shape
-    panel = set(dataset.factors.names)
-    known = [i for i, m in enumerate(models) if panel.issuperset(m.factor_names)]
-    used = {name for i in known for name in models[i].factor_names}
-    union = [name for name in dataset.factors.names if name in used]
-    width = len(union) + 1
-    if not known or t_obs < width + 1:
-        return derived
+def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSResult]:
+    """One model's own ``fit_ols`` and ``grs_test``, the test's error in its place."""
+    fit = fit_ols(dataset, model)
     try:
-        union_fit = fit_ols(dataset, ModelSpec("union", tuple(union)))
-    except RankDeficientError:
-        return derived
-    # Sigma_U has rank at most T - K - 1. Past that its Cholesky can still
-    # pass on roundoff pivots, and L_U^{-1} would then cost GRS accuracy.
-    chol_u = None
-    if n <= t_obs - width:
-        try:
-            chol_u = cholesky_spd(union_fit.sigma_mle)
-        except NotPDError:
-            pass
-        else:
-            min_pivot = float((np.diag(chol_u) ** 2).min())
-    # Copied: resid_var is a view that would keep Sigma_U alive.
-    resid_var_u, betas = union_fit.resid_var.copy(), union_fit.beta_hat
-    asset_mean = union_fit.asset_mean
-    # R - 1 mean' = (F_U - 1 mu') B_U' + E_U with E_U orthogonal to X_U, so the
-    # total sums of squares are T (resid_var_U + rowsum((B_U Omega_U) o B_U)).
-    sst = t_obs * (resid_var_u + ((betas @ union_fit.factor_cov_mle) * betas).sum(axis=1))
-    del union_fit
-    design = np.column_stack([np.ones(t_obs), dataset.factors.select(union)])
-    gram, cross = design.T @ design, design.T @ returns
-    column = {name: j for j, name in enumerate(union, start=1)}
-    grs_parts = {}
-    for i in known:
-        model = models[i]
-        s = [0, *(column[name] for name in model.factor_names)]
-        r = [j for j in range(1, width) if j not in s]
-        try:
-            lower_s = cholesky_spd(gram[np.ix_(s, s)], pivot_tol_factor=RANK_PIVOT_REL)
-        except NotPDError:
-            continue
-        # C_S = F_r'M_S F_r, the Schur complement of G_ss in G.
-        v = np.linalg.solve(lower_s, gram[np.ix_(s, r)])
-        schur = gram[np.ix_(r, r)] - v.T @ v
-        b_r = betas[:, [j - 1 for j in r]]
-        resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=1) / t_obs
-        fit = _assemble(dataset, model, _solve_normal(lower_s, cross[s]), None,
-                        resid_var, resid_var * t_obs, sst, asset_mean)
-        try:
-            _grs_dof(fit)
-        except DegenerateDoFError as exc:
-            derived[i] = (fit, exc)
-            continue
-        # Each pivot of Sigma_S is at least min_pivot: above the model's own
-        # threshold, cholesky_spd accepts Sigma_S.
-        if chol_u is None or min_pivot <= CHOL_PIVOT_REL * float(resid_var.sum()) / n:
-            continue
-        try:
-            root = np.linalg.cholesky(schur / t_obs)
-        except np.linalg.LinAlgError:
-            continue
-        grs_parts[i] = (fit, r, root)
-    if grs_parts:
-        order = list(grs_parts)
-        solved = solve_lower(chol_u, np.column_stack(
-            [grs_parts[i][0].alpha_hat for i in order] + [betas]))
-        scaled_betas = solved[:, len(order):]
-        for y, i in zip(solved.T, order):
-            fit, r, root = grs_parts[i]
-            w = scaled_betas[:, [j - 1 for j in r]] @ root
-            derived[i] = (fit, _low_rank_quad(y, w))
-    return derived
-
-
-def _solve_normal(lower: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Coefficients (X'X)^{-1} X'R from the Cholesky factor of X'X and X'R."""
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, cross))
+        return fit, grs_test(fit)
+    except (DegenerateDoFError, SingularResidualCovError) as exc:
+        return fit, exc
 
 
 def _low_rank_quad(y: np.ndarray, w: np.ndarray) -> float:

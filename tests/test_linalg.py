@@ -24,7 +24,6 @@ from factordist.linalg import (
     gauss_rule,
     solve_lower,
     spd_sqrt,
-    sqrt_trace_rank_one,
     symmetrize,
 )
 from factordist.regression import RANK_PIVOT_REL
@@ -210,6 +209,13 @@ class TestSolveLower:
                 column = solve_lower(lower, b[:, j])
                 np.testing.assert_allclose(got[:, j], column, rtol=0,
                                            atol=1e-13 * np.abs(column).max())
+
+
+def sqrt_trace_rank_one(d_sq, gamma_sq, g):
+    """Delta = tr sqrt(D^2 + g gamma gamma') - tr D for D = diag(d) >= 0,
+    g >= 0: a :class:`RankOneQuadrature` table built for g_max = g and
+    evaluated once."""
+    return RankOneQuadrature(d_sq, gamma_sq, g).delta(g)
 
 
 def reference_root_sum(d_sq, gamma_sq, g):

@@ -368,13 +368,14 @@ def _mp_grs_stat(mpmath, dataset, model):
 @pytest.fixture
 def spies(monkeypatch):
     """Record the model of every fit_ols call, count grs_test calls and
-    record the size of every Cholesky factorization made through
-    factordist.regression."""
+    record the size of every Cholesky factorization and the shape of every
+    solve_lower call made through factordist.regression."""
     import factordist.regression as regression
 
-    calls = {"fit_ols": [], "grs_test": 0, "chol_sizes": []}
-    real_fit, real_grs, real_chol = (regression.fit_ols, regression.grs_test,
-                                     regression.cholesky_spd)
+    calls = {"fit_ols": [], "grs_test": 0, "chol_sizes": [], "solve_lower": []}
+    real_fit, real_grs, real_chol, real_solve = (
+        regression.fit_ols, regression.grs_test, regression.cholesky_spd,
+        regression.solve_lower)
 
     def fit_spy(dataset, model):
         calls["fit_ols"].append(model.name)
@@ -388,9 +389,14 @@ def spies(monkeypatch):
         calls["chol_sizes"].append(np.shape(m)[0])
         return real_chol(m, *args, **kwargs)
 
+    def solve_spy(lower, b):
+        calls["solve_lower"].append(np.shape(b))
+        return real_solve(lower, b)
+
     monkeypatch.setattr(regression, "fit_ols", fit_spy)
     monkeypatch.setattr(regression, "grs_test", grs_spy)
     monkeypatch.setattr(regression, "cholesky_spd", chol_spy)
+    monkeypatch.setattr(regression, "solve_lower", solve_spy)
     return calls
 
 
@@ -405,14 +411,16 @@ def _with_columns(dataset, **columns):
 class TestFitModelsFallback:
     def test_nested_models_share_one_residual_covariance(self, spies):
         # Six nested models: one fit_ols (the union's, so one residual cross
-        # product), no grs_test, and the only n x n Cholesky is the union's.
-        n = 30
-        dataset = _factor_panel_dataset(3, T=200, n=n, k=6, extra=False)
+        # product), no grs_test, the only n x n Cholesky is the union's, and
+        # one forward substitution of [alpha_U, B_U] serves every GRS.
+        n, k = 30, 6
+        dataset = _factor_panel_dataset(3, T=200, n=n, k=k, extra=False)
         models = [ModelSpec(f"M{j}", tuple(f"F{i + 1}" for i in range(j)))
-                  for j in range(1, 7)]
+                  for j in range(1, k + 1)]
         got = _outcomes(_fit_models(dataset, models))
         assert spies["fit_ols"] == ["union"] and spies["grs_test"] == 0
         assert spies["chol_sizes"].count(n) == 1
+        assert spies["solve_lower"] == [(n, k + 1)]
         assert all(isinstance(grs, tuple) for _, grs in got)
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 
