@@ -31,7 +31,6 @@ from .equiv import EquivResult, SweepRow, solve_equiv, sweep
 from .linalg import chol_solve, f_cdf_upper, spd_sqrt, symmetrize
 from .metrics import (
     MetricsReport,
-    RankTable,
     alpha_stats,
     annual_savings,
     build_report,
@@ -58,7 +57,7 @@ __all__ = [
     "sigma_annual_to_monthly",
     "wd2_gaussian", "wd2_components", "transport_map",
     "DistanceBreakdown", "distance_breakdown", "wd2_between_posteriors",
-    "MetricsReport", "RankTable", "alpha_stats", "build_report",
+    "MetricsReport", "alpha_stats", "build_report",
     "rank_models", "annual_savings",
     "SweepRow", "EquivResult", "sweep", "solve_equiv",
     "SynthConfig", "generate", "power_scenario", "RNG_ALGORITHM",

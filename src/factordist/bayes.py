@@ -26,7 +26,7 @@ measure sum_i (Q'alpha_hat)_i^2 delta(d_i) of A = Q D Q'. Per model,
 ``linalg.gauss_rule`` replaces that measure by the m-node Gauss rule that
 Lanczos on A from alpha_hat gives, at O(m n^2) (m is 32-64 on the benchmark
 panels), and one O(q m) quadrature table is built from the rule
-(``linalg.RankOneQuadrature``, q a few hundred nodes). Below
+(``linalg.RankOneQuadrature.from_rule``, q a few hundred nodes). Below
 ``linalg.GAUSS_RULE_MIN_N`` assets, where one ``eigh(A)`` is cheaper, and
 where Lanczos hits its step cap, the rule is the measure itself, from
 ``eigh(A)`` at O(n^3). After that, each sigma_alpha (grid point or
@@ -104,12 +104,11 @@ class PosteriorFamily:
         self.s2, self._u0 = _skeptic_parts(fit)
         self._var_sum = float(_skeptic_var(fit, self.s2, self._u0).sum())
         self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
-        # Every sigma > 0 has g = lam c < 1 / u0. A >= s^2 I, so every node is
-        # positive; node times weight stands in for the square of
-        # gamma = A^{1/2} alpha_hat in the eigenbasis of A.
+        # Every sigma > 0 has g = lam c < 1 / u0, and A >= s^2 I is positive
+        # definite.
         g_max = 1.0 / self._u0
-        nodes, weights = gauss_rule(_scale(fit, self.s2), fit.alpha_hat, g_max)
-        self._quad = RankOneQuadrature(nodes * nodes, nodes * weights, g_max)
+        self._quad = RankOneQuadrature.from_rule(
+            *gauss_rule(_scale(fit, self.s2), fit.alpha_hat, g_max), g_max)
 
     def _shrinkage(self, sigma_alpha_annual: float) -> tuple[float, float]:
         """Prior precision lam = s^2 / sigma_monthly^2 (inf at sigma = 0) and c."""

@@ -45,8 +45,6 @@ DEFAULT_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return format(float(value), ".6g")
 
 
@@ -75,21 +73,27 @@ def _parse_floats(text: str) -> list[float]:
 
 class _OutputSet:
     """Buffered CSV outputs, staged in temporary files and renamed into place
-    together, so a failure leaves no partial or truncated output behind."""
+    together. A repeated name or a target that is a directory is rejected
+    before any output is replaced, and a failure while staging leaves no
+    partial output; a rename that fails otherwise is not rolled back."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self._files: list[tuple[Path, str]] = []
+        self._files: dict[Path, str] = {}
 
     def add(self, name: str, metadata: str, header: str, rows: list[str]) -> None:
-        body = "\n".join([f"# {metadata}", header, *rows]) + "\n"
-        self._files.append((self.out_dir / name, body))
+        path = self.out_dir / name
+        if path in self._files:
+            raise InputError(f"two outputs would be written to {path}")
+        self._files[path] = "\n".join([f"# {metadata}", header, *rows]) + "\n"
 
     def flush(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         staged: list[tuple[Path, Path]] = []
         try:
-            for path, body in self._files:
+            for path, body in self._files.items():
+                if path.is_dir():
+                    raise IsADirectoryError(f"output path {path} is a directory")
                 tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
                 staged.append((tmp, path))
                 tmp.write_text(body, encoding="utf-8")
@@ -136,14 +140,14 @@ def cmd_rank(args) -> int:
             grs = None
         report = build_report(fit, distance_breakdown(alpha, var), grs)
         results.append((report, alpha, var))
-    table = rank_models([r for r, _, _ in results])
+    ranked = rank_models([r for r, _, _ in results])
     meta = _metadata(args, "rank")
     out = _OutputSet(Path(args.out))
 
     header = ("model,n,T,k,TD,AD,RMSE_alpha,RMSE_sigma,ratio_var,"
               "GRS,GRS_pvalue,MAE,MAE_over_Ar,mean_R2")
     rows = []
-    for r in table.ranked():
+    for r in ranked:
         rows.append(",".join([
             r.model_name, str(r.n), str(r.T), str(r.k),
             _fmt(r.td), _fmt(r.ad), _fmt(r.rmse_alpha), _fmt(r.rmse_sigma),
@@ -252,13 +256,10 @@ def cmd_synth(args) -> int:
         np.hstack([factors.values, np.zeros((factors.t_obs, 1))]),
     )
     out = _OutputSet(Path(args.out))
-    ports = dataset.portfolios
-    out.add("portfolios.csv", meta, "date," + ",".join(ports.names),
-            [str(d) + "," + ",".join(_fmt(v) for v in row)
-             for d, row in zip(ports.dates, ports.values)])
-    out.add("factors.csv", meta, "date," + ",".join(with_rf.names),
-            [str(d) + "," + ",".join(_fmt(v) for v in row)
-             for d, row in zip(with_rf.dates, with_rf.values)])
+    for name, panel in (("portfolios.csv", dataset.portfolios), ("factors.csv", with_rf)):
+        out.add(name, meta, "date," + ",".join(panel.names),
+                [str(d) + "," + ",".join(_fmt(v) for v in row)
+                 for d, row in zip(panel.dates, panel.values)])
     out.flush()
     return 0
 

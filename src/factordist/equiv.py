@@ -17,6 +17,7 @@ from typing import Sequence
 from .bayes import PosteriorFamily
 from .dataio import Dataset, ModelSpec
 from .errors import BadConfigError, NoConvergenceError, NotBracketedError, NumericalError
+from .transport import distance_metrics
 
 AD_TOL = 1e-6
 # The bracket must also collapse before convergence is declared; on flat
@@ -58,16 +59,9 @@ class EquivResult:
 
 
 def _row_at(family: PosteriorFamily, sigma_annual: float) -> SweepRow:
-    mean_sq, trace_term = family.wd2_to_skeptic(sigma_annual)
-    n = family.fit.n
-    return SweepRow(
-        sigma_alpha_annual=sigma_annual,
-        # As in transport.distance_breakdown, so sigma = 0 gives its AD exactly.
-        ad=math.sqrt(mean_sq + trace_term) / math.sqrt(n),
-        rmse_alpha=math.sqrt(mean_sq / n),
-        rmse_sigma=math.sqrt(trace_term / n),
-        ratio_var=trace_term / mean_sq if mean_sq > 0.0 else math.inf,
-    )
+    _, ad, rmse_alpha, rmse_sigma, ratio_var = distance_metrics(
+        *family.wd2_to_skeptic(sigma_annual), family.fit.n)
+    return SweepRow(sigma_annual, ad, rmse_alpha, rmse_sigma, ratio_var)
 
 
 def sweep(dataset: Dataset, model: ModelSpec,

@@ -29,7 +29,7 @@ PSD_CLAMP_REL = 1e-10
 # trace are cancellation noise; they must collapse to exactly zero or the
 # square root inflates them (sqrt(1e-15) is a visible 3e-8).
 TRACE_SNAP_REL = 1e-13
-# Cholesky pivots at or below CHOL_PIVOT_REL * trace(M) / dim reject the matrix.
+# Default rel of chol_pivot_floor.
 CHOL_PIVOT_REL = 1e-14
 # Trapezoidal step in u = log t for RankOneQuadrature: the integrand is
 # analytic in the strip |Im u| < pi / 2, so the error is ~exp(-pi^2 / h) = 7e-18.
@@ -120,16 +120,22 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
+def chol_pivot_floor(trace: float, dim: int, rel: float = CHOL_PIVOT_REL) -> float:
+    """The pivot floor rel * max(trace, 0) / dim of :func:`cholesky_spd`."""
+    return rel * max(trace, 0.0) / dim
+
+
 def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.ndarray:
     """Lower-triangular Cholesky factor with an explicit pivot threshold.
 
     The factor is LAPACK's (``np.linalg.cholesky``). A matrix LAPACK rejects,
-    or a pivot (squared diagonal entry) at or below ``pivot_tol_factor *
-    trace(M) / dim``, raises NotPDError, which callers use both to reject
-    singular covariance matrices and to detect rank deficiency.
+    or a pivot (squared diagonal entry) at or below
+    ``chol_pivot_floor(trace(M), dim, pivot_tol_factor)``, raises NotPDError,
+    which callers use both to reject singular covariance matrices and to
+    detect rank deficiency.
     """
     a = symmetrize(m)
-    tol = pivot_tol_factor * max(float(np.trace(a)), 0.0) / a.shape[0]
+    tol = chol_pivot_floor(float(np.trace(a)), a.shape[0], pivot_tol_factor)
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -199,6 +205,14 @@ class RankOneQuadrature:
         self._t3_s2 = t ** 3 * (r @ w)
         self._factor = math.sqrt(scale) * 2.0 / math.pi * QUAD_STEP
 
+    @classmethod
+    def from_rule(cls, theta: np.ndarray, w: np.ndarray,
+                  g_max: float) -> RankOneQuadrature:
+        """Table of the Gauss rule (theta, w) of :func:`gauss_rule`: d^2 = theta^2
+        and gamma^2 = theta w, node times weight standing in for the square of
+        gamma = D^{1/2} Q'v (a positive-definite A has every node positive)."""
+        return cls(theta * theta, theta * w, g_max)
+
     def delta(self, g: float) -> float:
         """tr sqrt(D^2 + g gamma gamma') - tr D, O(q)."""
         return self._factor * g * float((self._t3_s2 / (1.0 + g * self._s1)).sum())
@@ -214,7 +228,7 @@ def gauss_rule(a: np.ndarray, v: np.ndarray,
     """Nodes theta and weights w of a quadrature rule for the spectral measure
     sum_i (Q'v)_i^2 delta(d_i) of a symmetric positive-definite A = Q D Q'.
 
-    ``RankOneQuadrature(theta**2, theta * w, g_max)`` then stands in for the
+    ``RankOneQuadrature.from_rule(theta, w, g_max)`` then stands in for the
     table of D and gamma = D^{1/2} Q'v. From n = GAUSS_RULE_MIN_N on, Lanczos
     on A from v, with two-pass full reorthogonalisation, gives the m-node
     Gauss rule (Golub & Welsch 1969): the eigenvalues of the m x m Lanczos
@@ -269,7 +283,7 @@ def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,
             rule = theta, norm_sq * s[0] ** 2
             if exhausted:
                 return rule
-            quad = RankOneQuadrature(theta * theta, theta * rule[1], g_max)
+            quad = RankOneQuadrature.from_rule(*rule, g_max)
             r = np.array([quad.remainder(g) for g in probes])
             if last is not None and np.all(np.abs(r - last) <= LANCZOS_STOP_REL * r):
                 return rule

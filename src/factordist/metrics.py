@@ -53,17 +53,6 @@ class MetricsReport:
         return (self.n, self.T, self.first_date, self.last_date)
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Reports in input order plus the ranking permutation (ascending AD)."""
-
-    rows: tuple[MetricsReport, ...]
-    order: tuple[int, ...]
-
-    def ranked(self) -> list[MetricsReport]:
-        return [self.rows[i] for i in self.order]
-
-
 def alpha_stats(fit: RegressionFit) -> tuple[float, float, float]:
     """Mean absolute OLS alpha, its share of unexplained returns, and mean R^2.
 
@@ -122,7 +111,7 @@ def build_report(fit: RegressionFit, breakdown: DistanceBreakdown,
     )
 
 
-def _check_same_cross_section(reports: list[MetricsReport] | tuple[MetricsReport, ...]) -> None:
+def _check_same_cross_section(reports: list[MetricsReport]) -> None:
     first = reports[0].fingerprint
     for r in reports[1:]:
         if r.fingerprint != first:
@@ -132,8 +121,9 @@ def _check_same_cross_section(reports: list[MetricsReport] | tuple[MetricsReport
             )
 
 
-def rank_models(reports: list[MetricsReport]) -> RankTable:
-    """Rank by ascending average distance; ties broken by TD, then name.
+def rank_models(reports: list[MetricsReport]) -> list[MetricsReport]:
+    """The reports ranked by ascending average distance; ties broken by TD,
+    then name.
 
     Raises
     ------
@@ -143,10 +133,7 @@ def rank_models(reports: list[MetricsReport]) -> RankTable:
     if not reports:
         raise ValueError("no reports to rank")
     _check_same_cross_section(reports)
-    order = sorted(range(len(reports)),
-                   key=lambda i: (reports[i].ad, reports[i].td,
-                                  reports[i].model_name))
-    return RankTable(rows=tuple(reports), order=tuple(order))
+    return sorted(reports, key=lambda r: (r.ad, r.td, r.model_name))
 
 
 def annual_savings(report_a: MetricsReport, report_b: MetricsReport) -> float:

@@ -31,16 +31,16 @@ With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
 
 A model takes :func:`fit_ols` and :func:`grs_test` instead (``_direct``)
 wherever the union cannot vouch for the same result:
-- T < K + 2, or the union's Gram fails the rank test (factors collinear
-  across models, although each model's own are not);
+- the union ``fit_ols`` fails: T < K + 2, or its Gram fails the rank test
+  (factors collinear across models, although each model's own are not);
 - a factor is not in the panel, or G_ss fails the rank test: the model's
   own ``fit_ols`` decides;
 - Sigma_U is singular: n > T - K - 1, or its Cholesky fails. Past
   n = T - K - 1 LAPACK can accept a singular Sigma_U on roundoff pivots,
   and GRS through that L_U came out up to 370 times further from a
   40-digit reference than ``grs_test``, so no Cholesky is tried;
-- the smallest pivot of L_U is at or below the model's own threshold
-  CHOL_PIVOT_REL tr Sigma_S / n, or C_S / T has no Cholesky factor.
+- the smallest pivot of L_U is at or below ``linalg.chol_pivot_floor`` of
+  Sigma_S, or C_S / T has no Cholesky factor.
 Sigma_S >= Sigma_U, so every Cholesky pivot of Sigma_S is at least that of
 Sigma_U, and the union accepts no Sigma_S that ``grs_test`` rejects. A model
 with T - n - k < 1 keeps its union fit and the DegenerateDoFError of
@@ -65,7 +65,7 @@ from .errors import (
     SingularResidualCovError,
     UnknownFactorError,
 )
-from .linalg import CHOL_PIVOT_REL, chol_solve, cholesky_spd, f_cdf_upper, solve_lower
+from .linalg import chol_pivot_floor, chol_solve, cholesky_spd, f_cdf_upper, solve_lower
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
@@ -111,7 +111,8 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
     """Fit the time-series regression of excess returns on model factors.
 
     Solves the normal equations through a Cholesky factorization of X'X;
-    a pivot below 1e-10 * trace(X'X) / (k+1) signals collinear factors.
+    a pivot at or below ``linalg.chol_pivot_floor`` at RANK_PIVOT_REL
+    signals collinear factors.
 
     Raises
     ------
@@ -175,10 +176,10 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     union = [name for name in dataset.factors.names if name in used]
     width = len(union) + 1
     union_fit = None
-    if used and t_obs >= width + 1:
+    if used:
         try:
             union_fit = fit_ols(dataset, ModelSpec("union", tuple(union)))
-        except RankDeficientError:
+        except (InsufficientSampleError, RankDeficientError):
             pass
     if union_fit is None:
         yield from (_direct(dataset, model) for model in models)
@@ -232,9 +233,9 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
         except DegenerateDoFError as exc:
             yield fit, exc
             continue
-        # Each pivot of Sigma_S is at least min_pivot: above the model's own
-        # threshold, cholesky_spd accepts Sigma_S.
-        if scaled is None or min_pivot <= CHOL_PIVOT_REL * float(resid_var.sum()) / n:
+        # Each pivot of Sigma_S is at least min_pivot: above the floor of
+        # Sigma_S, cholesky_spd accepts it.
+        if scaled is None or min_pivot <= chol_pivot_floor(float(resid_var.sum()), n):
             yield _direct(dataset, model)
             continue
         try:

@@ -114,6 +114,16 @@ class DistanceBreakdown:
         return self.marginal.shape[0]
 
 
+def distance_metrics(mean_sq: float, trace_term: float,
+                     n: int) -> tuple[float, float, float, float, float]:
+    """TD, AD, RMSE_alpha, RMSE_sigma and ratio_var on n assets from the
+    squared mean shift and the trace term: the one formula behind
+    :func:`distance_breakdown` and every sweep row."""
+    td = math.sqrt(mean_sq + trace_term)
+    return (td, td / math.sqrt(n), math.sqrt(mean_sq / n), math.sqrt(trace_term / n),
+            trace_term / mean_sq if mean_sq > 0.0 else math.inf)
+
+
 def distance_breakdown(alpha: np.ndarray, var: np.ndarray) -> DistanceBreakdown:
     """Per-asset decomposition of the distance from dogmatic belief to a
     posterior with mean ``alpha`` and non-negative variances ``var``.
@@ -121,19 +131,10 @@ def distance_breakdown(alpha: np.ndarray, var: np.ndarray) -> DistanceBreakdown:
     The trace is basis-free, so the covariance diagonal is all this needs to
     coincide with the full-matrix distance from the zero point mass.
     """
-    n = alpha.shape[0]
-    alpha_sq = float(alpha @ alpha)
-    var_sum = float(var.sum())
-    td = math.sqrt(alpha_sq + var_sum)
-    ratio = var_sum / alpha_sq if alpha_sq > 0.0 else math.inf
-    return DistanceBreakdown(
-        td=td,
-        ad=td / math.sqrt(n),
-        rmse_alpha=math.sqrt(alpha_sq / n),
-        rmse_sigma=math.sqrt(var_sum / n),
-        marginal=np.sqrt(alpha**2 + var),
-        ratio_var=ratio,
-    )
+    td, ad, rmse_alpha, rmse_sigma, ratio_var = distance_metrics(
+        float(alpha @ alpha), float(var.sum()), alpha.shape[0])
+    return DistanceBreakdown(td, ad, rmse_alpha, rmse_sigma,
+                             np.sqrt(alpha**2 + var), ratio_var)
 
 
 def wd2_between_posteriors(pa: GaussianDist, pb: GaussianDist,
@@ -143,5 +144,5 @@ def wd2_between_posteriors(pa: GaussianDist, pb: GaussianDist,
         raise DimMismatchError(
             f"expected dimension {n}, got {pa.dim} and {pb.dim}"
         )
-    td = wd2_gaussian(pa, pb)
-    return td, td / math.sqrt(n)
+    td, ad, *_ = distance_metrics(*wd2_components(pa, pb), n)
+    return td, ad

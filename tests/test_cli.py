@@ -151,6 +151,36 @@ class TestRank:
         assert len(calls) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_directory_at_output_path_keeps_previous_outputs(self, tmp_path, capsys):
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path)
+        out = tmp_path / "out"
+        argv = ["rank", "--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(models), "--out", str(out)]
+        assert main(argv) == 0
+        (out / "report.csv").write_bytes(b"previous run\n")
+        (out / "marginal_ONE.csv").unlink()
+        (out / "marginal_ONE.csv").mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "marginal_ONE.csv" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, "marginal_ONE.csv"])
+
+    def test_model_names_sharing_a_file_exit_1_before_writing(self, tmp_path, capsys):
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path, "M 1 = F1\nM_1 = F1,F2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["rank", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(models), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "marginal_M_1.csv" in err
+        assert list(out.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         ports, facts = _synth(tmp_path)
         models = _models(tmp_path)

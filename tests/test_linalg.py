@@ -18,6 +18,7 @@ from factordist.linalg import (
     CHOL_PIVOT_REL,
     GAUSS_RULE_MIN_N,
     RankOneQuadrature,
+    chol_pivot_floor,
     chol_solve,
     cholesky_spd,
     f_cdf_upper,
@@ -150,6 +151,24 @@ class TestCholSolve:
         # unit pivot must be rejected rather than propagated.
         with pytest.raises(NotPDError, match="at column 1 "):
             cholesky_spd(np.diag([1.0, 1e-20]))
+
+    @pytest.mark.parametrize("rel", [CHOL_PIVOT_REL, RANK_PIVOT_REL])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_pivot_floor_is_rel_trace_over_dim(self, rel, dim):
+        # Unit pivots and one last pivot 1% below or above rel * trace / dim.
+        floor = rel * (dim - 1) / dim
+        for scale in (0.99, 1.01):
+            m = np.diag([1.0] * (dim - 1) + [scale * floor])
+            assert chol_pivot_floor(float(np.trace(m)), dim, rel) == pytest.approx(
+                floor, rel=1e-12)
+            if scale < 1.0:
+                with pytest.raises(NotPDError, match=f"at column {dim - 1} "):
+                    cholesky_spd(m, pivot_tol_factor=rel)
+            else:
+                assert cholesky_spd(m, pivot_tol_factor=rel)[-1, -1] > 0.0
+
+    def test_pivot_floor_of_negative_trace_is_zero(self):
+        assert chol_pivot_floor(-2.0, 3) == 0.0
 
 
 class TestCholeskyOracle:

@@ -142,31 +142,27 @@ class TestRankModels:
         ]
         # ADs are 0.165, 0.145, 0.149 (zero variance, equal alphas).
         assert [r.ad for r in reports] == pytest.approx([0.165, 0.145, 0.149])
-        table = rank_models(reports)
-        assert [r.model_name for r in table.ranked()] == ["FF6", "FF6-HML",
-                                                          "q-factor"]
+        assert [r.model_name for r in rank_models(reports)] == ["FF6", "FF6-HML",
+                                                                "q-factor"]
 
     def test_single_report(self):
         report = _report_from([0.1, 0.2])
-        table = rank_models([report])
-        assert table.ranked() == [report]
+        assert rank_models([report]) == [report]
 
     def test_tie_broken_by_td_then_name(self):
         a = _report_from([0.3, 0.4], model_name="B")
         b = dataclasses.replace(a, model_name="A")
-        table = rank_models([a, b])
-        assert [r.model_name for r in table.ranked()] == ["A", "B"]
+        assert [r.model_name for r in rank_models([a, b])] == ["A", "B"]
         # Same AD, different TD: construct by hand.
         lo_td = dataclasses.replace(a, model_name="C", td=a.td - 0.01)
-        table = rank_models([a, lo_td])
-        assert table.ranked()[0].model_name == "C"
+        assert rank_models([a, lo_td])[0].model_name == "C"
 
     def test_stable_under_permutation(self):
         reports = [_report_from([0.1 * (i + 1), 0.05], model_name=f"M{i}")
                    for i in range(4)]
-        names = [r.model_name for r in rank_models(reports).ranked()]
+        names = [r.model_name for r in rank_models(reports)]
         shuffled = [reports[2], reports[0], reports[3], reports[1]]
-        assert [r.model_name for r in rank_models(shuffled).ranked()] == names
+        assert [r.model_name for r in rank_models(shuffled)] == names
 
     def test_mixed_cross_sections_rejected(self):
         a = _report_from([0.1, 0.2])
@@ -191,7 +187,7 @@ class TestRankModels:
                 reports.append(build_report(fit,
                                             distance_breakdown(*skeptic_moments(fit)),
                                             grs_test(fit)))
-            return rank_models(reports).ranked()[0].model_name
+            return rank_models(reports)[0].model_name
 
         scaled = Dataset(
             portfolios=ReturnsPanel(dataset.portfolios.dates,

@@ -19,6 +19,7 @@ from factordist import (
 )
 from factordist.bayes import PosteriorFamily
 from factordist.errors import DimMismatchError, SingularSourceError
+from factordist.transport import distance_metrics
 
 from conftest import random_fit_inputs, random_spd
 
@@ -188,6 +189,28 @@ class TestDistanceBreakdown:
             assert bd.ratio_var == pytest.approx(
                 scale * base_cov.trace() / float(alpha @ alpha), rel=1e-12)
         assert all(a < b for a, b in zip(tds, tds[1:]))
+
+
+class TestDistanceMetrics:
+    def test_zero_mean_shift_has_infinite_ratio(self):
+        assert distance_metrics(0.0, 36.0, 4) == (6.0, 3.0, 0.0, 3.0, math.inf)
+
+    def test_zero_trace(self):
+        assert distance_metrics(36.0, 0.0, 4) == (6.0, 3.0, 3.0, 0.0, 0.0)
+
+    def test_zero_distance(self):
+        assert distance_metrics(0.0, 0.0, 3) == (0.0, 0.0, 0.0, 0.0, math.inf)
+
+    def test_one_asset(self):
+        assert distance_metrics(9.0, 16.0, 1) == (5.0, 5.0, 3.0, 4.0, 16.0 / 9.0)
+
+    def test_breakdown_returns_its_values(self, rng):
+        for n in (1, 4, 25):
+            alpha = rng.normal(0.0, 0.3, n)
+            var = rng.uniform(0.0, 0.1, n)
+            b = distance_breakdown(alpha, var)
+            assert (b.td, b.ad, b.rmse_alpha, b.rmse_sigma, b.ratio_var) == \
+                distance_metrics(float(alpha @ alpha), float(var.sum()), n)
 
 
 class TestBetweenPosteriors:
