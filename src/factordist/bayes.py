@@ -45,9 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, ModelSpec
 from .linalg import RankOneQuadrature, chol_solve, gauss_rule, symmetrize
-from .regression import RegressionFit, fit_ols, sharpe_sq
+from .regression import RegressionFit, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
 
@@ -89,18 +88,18 @@ class GaussianDist:
 
 
 class PosteriorFamily:
-    """All posteriors of one (dataset, model) pair, indexed by sigma_alpha.
+    """All posteriors of one fitted model, indexed by sigma_alpha.
 
-    Fits the regression once and caches the skeptic variance sum and the
-    transport trace quadrature table, built from the Gauss rule of A (the
-    closed form in the module docstring) for alpha_hat: Lanczos at
-    O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N`` on, one ``eigh(A)`` below
-    that or past the step cap. The engine behind the sweep/equivalence
-    machinery.
+    Takes its fit as given, from ``fit_ols`` or the commands' union path.
+    Caches the skeptic variance sum and the transport trace quadrature table,
+    built from the Gauss rule of A (the closed form in the module docstring)
+    for alpha_hat: Lanczos at O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N``
+    on, one ``eigh(A)`` below that or past the step cap. The engine behind the
+    sweep/equivalence machinery.
     """
 
-    def __init__(self, dataset: Dataset, model: ModelSpec):
-        self.fit = fit = fit_ols(dataset, model)
+    def __init__(self, fit: RegressionFit):
+        self.fit = fit
         self.s2, self._u0 = _skeptic_parts(fit)
         self._var_sum = float(_skeptic_var(fit, self.s2, self._u0).sum())
         self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
@@ -116,22 +115,15 @@ class PosteriorFamily:
         lam = math.inf if sigma == 0.0 else self.s2 / sigma**2
         return lam, 1.0 / (1.0 + lam * self._u0)
 
-    def dogmatic(self) -> GaussianDist:
-        return posterior_alpha_dogmatic(self.fit.n)
-
-    def skeptic(self) -> GaussianDist:
-        """Data-based posterior at sigma_alpha = inf (closed form)."""
-        return posterior_alpha_skeptic(self.fit)
-
     def at(self, sigma_alpha_annual: float) -> GaussianDist:
         """Posterior at any annualized prior mispricing std in [0, inf]."""
         lam, _ = self._shrinkage(sigma_alpha_annual)
         if math.isinf(lam):
-            return self.dogmatic()
+            return posterior_alpha_dogmatic(self.fit.n)
         return _closed_form(self.fit, lam, self.s2, self._u0)
 
     def wd2_to_skeptic(self, sigma_alpha_annual: float) -> tuple[float, float]:
-        """Closed form of ``wd2_components(self.at(sigma), self.skeptic())``.
+        """Closed form of ``wd2_components(self.at(sigma), self.at(inf))``.
 
         With A = Q D Q', gamma = D^{1/2} Q' alpha_hat, b = u0 / (T + 1),
         v = b tr A the skeptic variance sum and g = lam c: mean term

@@ -32,10 +32,10 @@ from .dataio import (
     load_models,
     load_panel,
 )
-from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, solve_equiv, sweep
+from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, check_grid, solve_equiv, sweep
 from .errors import FactorDistError, InputError, NotBracketedError
 from .metrics import build_report, rank_models
-from .regression import _fit_models, fit_ols
+from .regression import GRS_UNDEFINED, _fit_models
 from .synth import RNG_ALGORITHM, SynthConfig, generate
 from .transport import distance_breakdown
 
@@ -132,10 +132,12 @@ def cmd_rank(args) -> int:
     dataset = _load_dataset(args)
     models = load_models(args.models)
     results = []
-    for fit, grs in _fit_models(dataset, models):
+    for fit, deferred_grs in _fit_models(dataset, models):
         alpha, var = skeptic_moments(fit)
-        if isinstance(grs, FactorDistError):
-            print(f"warning: model {fit.model.name!r}: GRS not reported: {grs}",
+        try:
+            grs = deferred_grs()
+        except GRS_UNDEFINED as exc:
+            print(f"warning: model {fit.model.name!r}: GRS not reported: {exc}",
                   file=sys.stderr)
             grs = None
         report = build_report(fit, distance_breakdown(alpha, var), grs)
@@ -174,10 +176,11 @@ def cmd_sweep(args) -> int:
     grid = _parse_floats(args.grid)
     dataset = _load_dataset(args)
     models = load_models(args.models)
+    check_grid(grid)  # before any model's fit can fail
     rows = [
-        ",".join([model.name, _fmt(r.sigma_alpha_annual), _fmt(r.ad),
+        ",".join([fit.model.name, _fmt(r.sigma_alpha_annual), _fmt(r.ad),
                   _fmt(r.rmse_alpha), _fmt(r.rmse_sigma), _fmt(r.ratio_var)])
-        for model in models for r in sweep(dataset, model, grid)
+        for fit, _ in _fit_models(dataset, models) for r in sweep(fit, grid)
     ]
     out = _OutputSet(Path(args.out))
     out.add("sweep.csv", _metadata(args, "sweep", f"grid={args.grid}"),
@@ -199,13 +202,13 @@ def cmd_equiv(args) -> int:
         if name not in by_name:
             raise InputError(f"alternative model {name!r} not in model file")
 
-    benchmark_fit = fit_ols(dataset, by_name[args.benchmark])
+    fits = _fit_models(dataset, [by_name[n] for n in (args.benchmark, *alternatives)])
+    benchmark_fit, _ = next(fits)
     benchmark_ad = distance_breakdown(*skeptic_moments(benchmark_fit)).ad
     rows = []
-    for name in alternatives:
+    for fit, _ in fits:
         try:
-            res = solve_equiv(dataset, by_name[name], benchmark_ad,
-                              bracket_hi=args.bracket_hi,
+            res = solve_equiv(fit, benchmark_ad, bracket_hi=args.bracket_hi,
                               benchmark_name=args.benchmark)
             rows.append(",".join([
                 res.alt_model, res.benchmark_model, _fmt(res.sigma_star_annual),
@@ -213,7 +216,7 @@ def cmd_equiv(args) -> int:
                 str(res.converged).lower(), "ok",
             ]))
         except NotBracketedError:
-            rows.append(",".join([name, args.benchmark, "", "", "0",
+            rows.append(",".join([fit.model.name, args.benchmark, "", "", "0",
                                   "false", "not_bracketed"]))
     out = _OutputSet(Path(args.out))
     out.add("equiv.csv",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bayes import PosteriorFamily
-from .dataio import Dataset, ModelSpec
 from .errors import BadConfigError, NoConvergenceError, NotBracketedError, NumericalError
+from .regression import RegressionFit
 from .transport import distance_metrics
 
 AD_TOL = 1e-6
@@ -64,17 +64,9 @@ def _row_at(family: PosteriorFamily, sigma_annual: float) -> SweepRow:
     return SweepRow(sigma_annual, ad, rmse_alpha, rmse_sigma, ratio_var)
 
 
-def sweep(dataset: Dataset, model: ModelSpec,
-          grid: Sequence[float]) -> list[SweepRow]:
-    """Evaluate the distance metrics over a sorted grid of sigma values.
-
-    Raises
-    ------
-    BadConfigError
-        Empty, negative, NaN or unsorted grid (``inf`` is the skeptic row).
-    NumericalError
-        If the average distance fails to be non-increasing along the grid.
-    """
+def check_grid(grid: Sequence[float]) -> list[float]:
+    """The grid as floats; BadConfigError unless it is non-empty, free of
+    negative and NaN values and sorted (``inf`` is the skeptic row)."""
     grid = [float(g) for g in grid]
     if not grid:
         raise BadConfigError("sigma grid is empty")
@@ -82,7 +74,21 @@ def sweep(dataset: Dataset, model: ModelSpec,
         raise BadConfigError("sigma grid values must be non-negative numbers")
     if sorted(grid) != grid:
         raise BadConfigError("sigma grid must be sorted ascending")
-    family = PosteriorFamily(dataset, model)
+    return grid
+
+
+def sweep(fit: RegressionFit, grid: Sequence[float]) -> list[SweepRow]:
+    """Evaluate a fitted model's distance metrics over a sorted sigma grid.
+
+    Raises
+    ------
+    BadConfigError
+        A grid that :func:`check_grid` rejects.
+    NumericalError
+        If the average distance fails to be non-increasing along the grid.
+    """
+    grid = check_grid(grid)
+    family = PosteriorFamily(fit)
     rows = [_row_at(family, g) for g in grid]
     for prev, cur in zip(rows, rows[1:]):
         if cur.ad > prev.ad + MONOTONE_SLACK * max(1.0, prev.ad):
@@ -100,10 +106,10 @@ def check_bracket_hi(bracket_hi: float) -> None:
         raise BadConfigError(f"bracket_hi must be finite and positive, got {bracket_hi}")
 
 
-def solve_equiv(dataset: Dataset, alt: ModelSpec, benchmark_ad: float,
+def solve_equiv(fit: RegressionFit, benchmark_ad: float,
                 bracket_hi: float = DEFAULT_BRACKET_HI,
                 benchmark_name: str = "") -> EquivResult:
-    """Find sigma such that the alternative model's AD equals the target.
+    """Find sigma such that the fitted alternative model's AD equals the target.
 
     Bisects the monotone-decreasing map sigma -> AD on [0, bracket_hi]
     until the distance matches within 1e-6.
@@ -120,18 +126,18 @@ def solve_equiv(dataset: Dataset, alt: ModelSpec, benchmark_ad: float,
     """
     check_bracket_hi(bracket_hi)
     target = float(benchmark_ad)
-    family = PosteriorFamily(dataset, alt)
+    family = PosteriorFamily(fit)
 
     def ad_at(sigma: float) -> float:
         return _row_at(family, sigma).ad
 
     ad_lo = ad_at(0.0)
     if abs(ad_lo - target) <= AD_TOL:
-        return EquivResult(alt.name, benchmark_name, 0.0, ad_lo, 0, True)
+        return EquivResult(fit.model.name, benchmark_name, 0.0, ad_lo, 0, True)
     if target > ad_lo:
         raise NotBracketedError(
             f"target AD {target:.6g} exceeds the dogmatic AD {ad_lo:.6g} "
-            f"of model {alt.name!r}"
+            f"of model {fit.model.name!r}"
         )
     ad_hi = ad_at(bracket_hi)
     if target < ad_hi:
@@ -148,7 +154,7 @@ def solve_equiv(dataset: Dataset, alt: ModelSpec, benchmark_ad: float,
         else:
             hi = mid
         if abs(ad_mid - target) <= AD_TOL and hi - lo <= SIGMA_TOL:
-            return EquivResult(alt.name, benchmark_name, mid, ad_mid,
+            return EquivResult(fit.model.name, benchmark_name, mid, ad_mid,
                                iteration, True)
     raise NoConvergenceError(
         f"bisection did not reach |AD - target| <= {AD_TOL} in "

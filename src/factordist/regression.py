@@ -6,18 +6,19 @@ factor moments, per-asset R-squared, and the finite-sample GRS joint test
 of zero alphas (Gibbons, Ross & Shanken 1989).
 
 :func:`fit_ols` fits one model at O(n^2 T) for the residual cross product.
-``rank`` fits all its models with ``_fit_models`` instead, from one
-:func:`fit_ols` on the union U of their factors (K columns, in factor-panel
-order): coefficients Gamma_U = [alpha_U'; B_U'] (intercept in row 0) of one
-OLS on X_U = [1, F_U], one n x n residual cross product S_U = E_U'E_U and one
-Cholesky Sigma_U = S_U / T = L_U L_U'. Let G = X_U'X_U, s a model S's
-columns of X_U (the intercept among them) and r the factors of U it drops.
-With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
+``rank``, ``sweep`` and ``equiv`` fit all their models with ``_fit_models``
+instead, from one :func:`fit_ols` on the union U of their factors (K columns,
+in factor-panel order): coefficients Gamma_U = [alpha_U'; B_U'] (intercept in
+row 0) of one OLS on X_U = [1, F_U], one n x n residual cross product
+S_U = E_U'E_U and one Cholesky Sigma_U = S_U / T = L_U L_U'. Let G = X_U'X_U,
+s a model S's columns of X_U (the intercept among them) and r the factors of
+U it drops. With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
 - X_U'R = G Gamma_U, so Gamma_S = G_ss^{-1} X_s'R = Gamma_U[s] + h_S Gamma_U[r]
   with h_S = G_ss^{-1} G_sr = L_s'^{-1} v (Frisch-Waugh-Lovell);
 - C_S = G_rr - v'v = F_r'M_S F_r, and E_S = E_U + M_S F_r B_r' with E_U
-  orthogonal to X_U, so S_S = S_U + B_r C_S B_r' exactly: the residual sums
-  of squares (and R^2 and the skeptic variances) cost O(n K^2) per model;
+  orthogonal to X_U, so S_S = S_U + B_r C_S B_r' exactly: a fit holds the
+  shared Sigma_U and B_r (C_S / T) B_r', and its residual sums of squares
+  (and R^2 and the skeptic variances) cost O(n K^2);
 - the asset means come from the union fit, and the total sums of squares
   are T (diag Sigma_U + rowsum((B_U Omega_U) o B_U)), so nothing takes a
   second pass over the returns;
@@ -29,8 +30,8 @@ With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
   dropped loadings 1000 times larger it lost up to 4e-8 relative, the
   projection form 7e-12 against a 50-digit reference.)
 
-A model takes :func:`fit_ols` and :func:`grs_test` instead (``_direct``)
-wherever the union cannot vouch for the same result:
+A model takes its own :func:`fit_ols` and :func:`grs_test` instead
+(``_direct``) wherever the union cannot vouch for the same GRS result:
 - the union ``fit_ols`` fails: T < K + 2, or its Gram fails the rank test
   (factors collinear across models, although each model's own are not);
 - a factor is not in the panel, or G_ss fails the rank test: the model's
@@ -50,8 +51,9 @@ same order, with the same exit codes as per-model ``fit_ols`` + ``grs_test``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,10 +77,11 @@ RANK_PIVOT_REL = 1e-10
 class RegressionFit:
     """OLS estimates for one model on one cross section.
 
-    ``sigma_mle``, ``resid_var`` and ``factor_cov_mle`` use the divide-by-T
-    maximum-likelihood convention. ``resid_var`` is the diagonal of
-    ``sigma_mle``; the fits ``_fit_models`` derives from the union carry
-    only the diagonal and have ``sigma_mle = None``.
+    ``sigma_mle`` = ``sigma_base + L C L'`` (L = ``sigma_loadings``, C =
+    ``sigma_core``): the model's own and an empty term from :func:`fit_ols`,
+    the shared Sigma_U and B_r (C_S / T) B_r' from the union (module
+    docstring). It, ``resid_var`` (its diagonal) and ``factor_cov_mle`` divide
+    by T, the maximum-likelihood convention.
     """
 
     model: ModelSpec
@@ -87,7 +90,9 @@ class RegressionFit:
     k: int
     alpha_hat: np.ndarray       # (n,) percent per month
     beta_hat: np.ndarray        # (n, k)
-    sigma_mle: np.ndarray | None  # (n, n)
+    sigma_base: np.ndarray      # (n, n)
+    sigma_loadings: np.ndarray  # (n, r)
+    sigma_core: np.ndarray      # (r, r)
     resid_var: np.ndarray       # (n,)
     factor_mean: np.ndarray     # (k,)
     factor_cov_mle: np.ndarray  # (k, k)
@@ -97,14 +102,17 @@ class RegressionFit:
     last_date: int
 
     @property
-    def fingerprint(self) -> tuple[int, int, int, int]:
-        """Cross-section identity: (n, T, first date, last date)."""
-        return (self.n, self.T, self.first_date, self.last_date)
+    def sigma_mle(self) -> np.ndarray:
+        """The (n, n) residual covariance, formed when read; exactly symmetric."""
+        if self.sigma_loadings.shape[1] == 0:
+            return self.sigma_base
+        term = self.sigma_loadings @ self.sigma_core @ self.sigma_loadings.T
+        return self.sigma_base + (term + term.T) / 2.0
 
 
-# What _fit_models reports for a model's GRS test: (statistic, p-value), or
-# the error grs_test raises where the test is undefined.
-GRSResult = tuple[float, float] | DegenerateDoFError | SingularResidualCovError
+# A deferred GRS test, and what grs_test raises where the test is undefined.
+GRSTest = Callable[[], tuple[float, float]]
+GRS_UNDEFINED = (DegenerateDoFError, SingularResidualCovError)
 
 
 def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
@@ -131,7 +139,7 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
     returns = dataset.portfolios.values
     factors = dataset.factors.select(model.factor_names)
     design = np.column_stack([np.ones(dataset.t_obs), factors])
-    t_obs = returns.shape[0]
+    t_obs, n = returns.shape
     k = factors.shape[1]
     if t_obs < k + 2:
         raise InsufficientSampleError(
@@ -150,24 +158,22 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
     sigma_mle = resid.T @ resid / t_obs
     asset_mean = returns.mean(axis=0)
     sst = ((returns - asset_mean) ** 2).sum(axis=0)
-    return _assemble(dataset, model, coef, sigma_mle, np.diag(sigma_mle),
-                     (resid ** 2).sum(axis=0), sst, asset_mean)
+    return _assemble(dataset, model, coef, sigma_mle, np.empty((n, 0)), np.empty((0, 0)),
+                     np.diag(sigma_mle), (resid ** 2).sum(axis=0), sst, asset_mean)
 
 
 def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
-                ) -> Iterator[tuple[RegressionFit, GRSResult]]:
-    """Fit every model and its GRS test from one regression on the union of
-    their factors (module docstring): ``fit_ols`` and ``grs_test`` per model,
-    with one n x n residual cross product, one n x n Cholesky and one
-    (K+1)-column forward substitution in all. ``rank``'s own path, not a
-    library entry point.
+                ) -> Iterator[tuple[RegressionFit, GRSTest]]:
+    """Fit every model from one regression on the union of their factors
+    (module docstring): ``fit_ols`` per model, with one n x n residual cross
+    product, one n x n Cholesky and one (K+1)-column forward substitution in
+    all. The one fitting path of the ``rank``, ``sweep`` and ``equiv``
+    commands, not a library entry point.
 
     Yields ``(fit, grs)`` in model order, each model derived in its turn;
-    ``grs`` is ``(statistic, p-value)``, or the DegenerateDoFError or
-    SingularResidualCovError that ``grs_test`` would raise. The errors of
-    ``fit_ols`` and ``sharpe_sq`` are raised when the failing model's turn
-    comes. Fits derived from the union have ``sigma_mle = None``, so they are
-    no input for ``grs_test`` or ``posterior_alpha_skeptic``.
+    ``grs()`` does the model's GRS work and returns or raises what
+    ``grs_test(fit)`` would, to rounding. The errors of ``fit_ols`` are
+    raised when the failing model's turn comes.
     """
     t_obs, n = dataset.portfolios.values.shape
     panel = set(dataset.factors.names)
@@ -184,6 +190,7 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     if union_fit is None:
         yield from (_direct(dataset, model) for model in models)
         return
+    sigma_u, resid_var_u = union_fit.sigma_base, union_fit.resid_var
     coef_u = np.vstack([union_fit.alpha_hat, union_fit.beta_hat.T])
     # [z, Z] = L_U^{-1} [alpha_U, B_U]. Sigma_U has rank at most T - K - 1:
     # past that its Cholesky can still pass on roundoff pivots, and L_U^{-1}
@@ -191,20 +198,17 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     scaled = None
     if n <= t_obs - width:
         try:
-            chol_u = cholesky_spd(union_fit.sigma_mle)
+            chol_u = cholesky_spd(sigma_u)
         except NotPDError:
             pass
         else:
             min_pivot = float((np.diag(chol_u) ** 2).min())
             scaled = solve_lower(chol_u, coef_u.T)
             del chol_u
-    # Copied: resid_var is a view that would keep Sigma_U alive.
-    resid_var_u, asset_mean = union_fit.resid_var.copy(), union_fit.asset_mean
-    betas = union_fit.beta_hat
+    asset_mean, betas = union_fit.asset_mean, union_fit.beta_hat
     # R - 1 mean' = (F_U - 1 mu') B_U' + E_U with E_U orthogonal to X_U, so the
     # total sums of squares are T (resid_var_U + rowsum((B_U Omega_U) o B_U)).
     sst = t_obs * (resid_var_u + ((betas @ union_fit.factor_cov_mle) * betas).sum(axis=1))
-    del union_fit
     design = np.column_stack([np.ones(t_obs), dataset.factors.select(union)])
     gram = design.T @ design
     column = {name: j for j, name in enumerate(union, start=1)}
@@ -226,12 +230,12 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
         h = np.linalg.solve(lower_s.T, v)
         b_r = coef_u[r].T
         resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=1) / t_obs
-        fit = _assemble(dataset, model, coef_u[s] + h @ coef_u[r], None,
-                        resid_var, resid_var * t_obs, sst, asset_mean)
+        fit = _assemble(dataset, model, coef_u[s] + h @ coef_u[r], sigma_u, b_r,
+                        schur / t_obs, resid_var, resid_var * t_obs, sst, asset_mean)
         try:
             dof2 = _grs_dof(fit)
-        except DegenerateDoFError as exc:
-            yield fit, exc
+        except DegenerateDoFError:
+            yield fit, partial(_grs_dof, fit)   # raises it again when called
             continue
         # Each pivot of Sigma_S is at least min_pivot: above the floor of
         # Sigma_S, cholesky_spd accepts it.
@@ -239,21 +243,22 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
             yield _direct(dataset, model)
             continue
         try:
-            root = np.linalg.cholesky(schur / t_obs)
+            root = np.linalg.cholesky(fit.sigma_core)
         except np.linalg.LinAlgError:
             yield _direct(dataset, model)
             continue
         scaled_r = scaled[:, r]
-        quad = _low_rank_quad(scaled[:, 0] + scaled_r @ h[0], scaled_r @ root)
-        yield fit, _grs(fit, dof2, quad)
+        yield fit, partial(_grs, fit, dof2, scaled[:, 0] + scaled_r @ h[0],
+                           scaled_r @ root)
 
 
 def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
-              sigma_mle: np.ndarray | None, resid_var: np.ndarray,
+              sigma_base: np.ndarray, sigma_loadings: np.ndarray,
+              sigma_core: np.ndarray, resid_var: np.ndarray,
               ssr: np.ndarray, sst: np.ndarray, asset_mean: np.ndarray
               ) -> RegressionFit:
-    """RegressionFit from coefficients ((k+1) x n), residual variances and
-    residual and total sums of squares."""
+    """RegressionFit from coefficients ((k+1) x n), the parts of the residual
+    covariance, residual variances and residual and total sums of squares."""
     factors = dataset.factors.select(model.factor_names)
     factor_mean = factors.mean(axis=0)
     centered = factors - factor_mean
@@ -266,7 +271,9 @@ def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
         k=model.k,
         alpha_hat=coef[0].copy(),
         beta_hat=coef[1:].T.copy(),
-        sigma_mle=sigma_mle,
+        sigma_base=sigma_base,
+        sigma_loadings=sigma_loadings,
+        sigma_core=sigma_core,
         resid_var=resid_var,
         factor_mean=factor_mean,
         factor_cov_mle=centered.T @ centered / dataset.t_obs,
@@ -277,24 +284,10 @@ def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
     )
 
 
-def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSResult]:
-    """One model's own ``fit_ols`` and ``grs_test``, the test's error in its place."""
+def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]:
+    """One model's own ``fit_ols``, and its ``grs_test`` deferred."""
     fit = fit_ols(dataset, model)
-    try:
-        return fit, grs_test(fit)
-    except (DegenerateDoFError, SingularResidualCovError) as exc:
-        return fit, exc
-
-
-def _low_rank_quad(y: np.ndarray, w: np.ndarray) -> float:
-    """y'(I + W W')^{-1} y as |y - Q Q'y|^2 + z'(I + R R')^{-1} z with W = QR
-    and z = Q'y: two non-negative terms, no cancellation."""
-    if w.shape[1] == 0:
-        return float(y @ y)
-    q, r = np.linalg.qr(w)
-    z = q.T @ y
-    perp = y - q @ z
-    return float(perp @ perp) + float(z @ np.linalg.solve(np.eye(len(z)) + r @ r.T, z))
+    return fit, partial(grs_test, fit)
 
 
 def sharpe_sq(fit: RegressionFit) -> float:
@@ -334,8 +327,7 @@ def grs_test(fit: RegressionFit) -> tuple[float, float]:
             f"residual covariance singular (n={fit.n}, T={fit.T}): {exc}"
         ) from None
     # a' Sigma^{-1} a = |L^{-1} a|^2 with Sigma = L L'.
-    w = solve_lower(lower, fit.alpha_hat)
-    return _grs(fit, dof2, float(w @ w))
+    return _grs(fit, dof2, solve_lower(lower, fit.alpha_hat), np.empty((fit.n, 0)))
 
 
 def _grs_dof(fit: RegressionFit) -> int:
@@ -348,7 +340,14 @@ def _grs_dof(fit: RegressionFit) -> int:
     return dof2
 
 
-def _grs(fit: RegressionFit, dof2: int, quad: float) -> tuple[float, float]:
-    """GRS statistic and p-value from quad = a' Sigma^{-1} a."""
+def _grs(fit: RegressionFit, dof2: int, y: np.ndarray,
+         w: np.ndarray) -> tuple[float, float]:
+    """GRS statistic and p-value from a' Sigma^{-1} a = y'(I + W W')^{-1} y,
+    taken as |y - Q Q'y|^2 + z'(I + R R')^{-1} z with W = QR and z = Q'y: two
+    non-negative terms, no cancellation (|y|^2 for an empty W)."""
+    q, r = np.linalg.qr(w)
+    z = q.T @ y
+    perp = y - q @ z
+    quad = float(perp @ perp) + float(z @ np.linalg.solve(np.eye(len(z)) + r @ r.T, z))
     stat = dof2 / fit.n * quad / (1.0 + sharpe_sq(fit))
     return stat, f_cdf_upper(stat, fit.n, dof2)

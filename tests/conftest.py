@@ -5,6 +5,7 @@ with ``factors.csv`` (ten factor columns plus RF) and ``size_bm_25.csv``
 in the package CSV convention, covering 1967:01-2016:12.
 """
 
+import functools
 import os
 from pathlib import Path
 
@@ -22,10 +23,8 @@ from factordist import (
     generate,
     grs_test,
     load_panel,
-    skeptic_moments,
 )
 from factordist.dataio import month_range
-from factordist.errors import DegenerateDoFError, SingularResidualCovError
 
 
 def make_config(seed=42, T=600, n=5, k=1, alpha=0.15, beta=1.0,
@@ -95,7 +94,9 @@ def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
         T=T, n=n, k=k,
         alpha_hat=alpha,
         beta_hat=np.ones((n, k)),
-        sigma_mle=sigma,
+        sigma_base=sigma,
+        sigma_loadings=np.empty((n, 0)),
+        sigma_core=np.empty((0, 0)),
         resid_var=sigma_diag,
         factor_mean=factor_mean,
         factor_cov_mle=factor_cov,
@@ -107,16 +108,11 @@ def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
 
 
 def direct_fits(dataset, models):
-    """``_fit_models`` one model at a time: fit_ols, then the skeptic moments
-    and grs_test in the order ``rank`` used them before the union path."""
+    """``_fit_models`` one model at a time: each model's own fit_ols, and its
+    grs_test when the GRS is asked for."""
     for model in models:
         fit = fit_ols(dataset, model)
-        skeptic_moments(fit)
-        try:
-            grs = grs_test(fit)
-        except (DegenerateDoFError, SingularResidualCovError) as exc:
-            grs = exc
-        yield fit, grs
+        yield fit, functools.partial(grs_test, fit)
 
 
 @pytest.fixture

@@ -134,7 +134,7 @@ def test_criterion_04_distance_vs_alpha_statistics_chain():
 
 def test_criterion_05_shrinkage_endpoints_and_monotone_distance():
     dataset, model = make_dataset(seed=42)
-    family = PosteriorFamily(dataset, model)
+    family = PosteriorFamily(fit_ols(dataset, model))
     alpha_ols = family.fit.alpha_hat
 
     tight = family.at(1e-8)
@@ -145,7 +145,7 @@ def test_criterion_05_shrinkage_endpoints_and_monotone_distance():
     assert rel <= 1e-6
 
     grid = list(np.linspace(0.0, 12.0, 20))
-    ads = [row.ad for row in sweep(dataset, model, grid)]
+    ads = [row.ad for row in sweep(fit_ols(dataset, model), grid)]
     assert all(a > b for a, b in zip(ads, ads[1:]))
     _passed(5, "posterior endpoints match OLS/zero and AD strictly decreases "
                "over a 20-point grid")
@@ -181,7 +181,7 @@ def test_criterion_07_power_problem():
     fit = fake_fit(np.array([0.2, -0.1, 0.3]), sigma_diag=[4.0, 5.0, 6.0])
     base_stat, _ = grs_test(fit)
     for c in (0.5, 2.0, 4.0):
-        stat, _ = grs_test(dataclasses.replace(fit, sigma_mle=c * fit.sigma_mle))
+        stat, _ = grs_test(dataclasses.replace(fit, sigma_base=c * fit.sigma_base))
         assert abs(stat - base_stat / c) <= 1e-10 * base_stat
 
     # Fixed-seed resampled scenario: ratio statistic falls as noise grows,
@@ -203,8 +203,8 @@ def test_criterion_08_equivalence_round_trip():
     dataset, model = make_dataset(seed=42)
     worst = 0.0
     for planted in (1.0, 3.0, 7.0):
-        target = sweep(dataset, model, [planted])[0].ad
-        result = solve_equiv(dataset, model, target)
+        target = sweep(fit_ols(dataset, model), [planted])[0].ad
+        result = solve_equiv(fit_ols(dataset, model), target)
         assert result.converged
         worst = max(worst, abs(result.sigma_star_annual - planted))
     assert worst <= 1e-4

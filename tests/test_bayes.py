@@ -99,11 +99,11 @@ class TestPriorSpec:
 
     def test_from_fit_fields(self, base_dataset):
         dataset, model = base_dataset
-        family = PosteriorFamily(dataset, model)
+        family = PosteriorFamily(fit_ols(dataset, model))
         assert family.s2 == pytest.approx(np.diag(family.fit.sigma_mle).mean())
 
     def test_negative_sigma_rejected(self, base_dataset):
-        family = PosteriorFamily(*base_dataset)
+        family = PosteriorFamily(fit_ols(*base_dataset))
         with pytest.raises(ValueError):
             family.at(-0.5)
 
@@ -140,12 +140,12 @@ class TestPosteriorAlpha:
         v00 = a22 / det
         cov_expected = v00 * h_tilde / (T + 1)
 
-        post = PosteriorFamily(ds, model).at(12.0)  # monthly 1.0
+        post = PosteriorFamily(fit_ols(ds, model)).at(12.0)  # monthly 1.0
         assert post.mean[0] == pytest.approx(alpha_tilde, abs=1e-12)
         assert post.cov[0, 0] == pytest.approx(cov_expected, rel=1e-10)
 
     def test_diffuse_limit_matches_skeptic(self, base_dataset):
-        family = PosteriorFamily(*base_dataset)
+        family = PosteriorFamily(fit_ols(*base_dataset))
         post = family.at(1e6)
         skeptic = posterior_alpha_skeptic(family.fit)
         np.testing.assert_allclose(post.mean, family.fit.alpha_hat, atol=1e-6)
@@ -153,12 +153,12 @@ class TestPosteriorAlpha:
         np.testing.assert_allclose(post.cov, skeptic.cov, atol=1e-6)
 
     def test_dogmatic_limit_kills_alpha(self, base_dataset):
-        family = PosteriorFamily(*base_dataset)
+        family = PosteriorFamily(fit_ols(*base_dataset))
         post = family.at(1e-8)
         assert np.linalg.norm(post.mean) <= 1e-6 * np.linalg.norm(family.fit.alpha_hat)
 
     def test_endpoint_sentinels_dispatch(self, base_dataset):
-        family = PosteriorFamily(*base_dataset)
+        family = PosteriorFamily(fit_ols(*base_dataset))
         zero = family.at(0.0)
         np.testing.assert_array_equal(zero.mean, np.zeros(family.fit.n))
         np.testing.assert_array_equal(zero.cov, np.zeros((family.fit.n,) * 2))
@@ -172,7 +172,7 @@ class TestPosteriorFamily:
         # w * OLS alphas with w = 1 / (1 + lam * [(X'X)^{-1}]_{00}); check
         # against an independently computed inverse.
         dataset, model = base_dataset
-        family = PosteriorFamily(dataset, model)
+        family = PosteriorFamily(fit_ols(dataset, model))
         fit = family.fit
         design = np.column_stack([np.ones(fit.T),
                                   dataset.factors.select(model.factor_names)])
@@ -185,7 +185,7 @@ class TestPosteriorFamily:
 
     def test_shrinkage_interpolation_monotone(self, base_dataset):
         dataset, model = base_dataset
-        family = PosteriorFamily(dataset, model)
+        family = PosteriorFamily(fit_ols(dataset, model))
         alpha_ols = family.fit.alpha_hat
         norms = []
         for sigma in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
@@ -199,14 +199,14 @@ class TestPosteriorFamily:
 
     def test_betas_unshrunk_at_infinite_sigma(self, base_dataset):
         dataset, model = base_dataset
-        family = PosteriorFamily(dataset, model)
+        family = PosteriorFamily(fit_ols(dataset, model))
         coef = family.coefficients(math.inf)
         np.testing.assert_allclose(coef[1:], family.fit.beta_hat.T, atol=1e-10)
         np.testing.assert_allclose(coef[0], family.fit.alpha_hat, atol=1e-10)
 
     def test_posterior_cov_psd_across_grid(self, base_dataset):
         dataset, model = base_dataset
-        family = PosteriorFamily(dataset, model)
+        family = PosteriorFamily(fit_ols(dataset, model))
         for sigma in (1e-4, 0.1, 1.0, 5.0, 50.0, 1e4):
             cov = family.at(sigma).cov
             assert np.linalg.eigvalsh(cov).min() >= -1e-12
@@ -220,7 +220,7 @@ class TestPosteriorFamily:
         dataset, model = random_fit_inputs(np.random.default_rng(seed),
                                            T=T, n=n, k=k)
         sigma = 10.0**log10_sigma
-        family = PosteriorFamily(dataset, model)
+        family = PosteriorFamily(fit_ols(dataset, model))
         post = family.at(sigma)
         mean_ref, cov_ref = matrix_posterior(dataset, model, sigma)
         assert (np.linalg.norm(post.mean - mean_ref)
@@ -228,7 +228,7 @@ class TestPosteriorFamily:
         assert (np.linalg.norm(post.cov - cov_ref)
                 <= 1e-10 * np.linalg.norm(cov_ref))
 
-        skeptic = family.skeptic()
+        skeptic = posterior_alpha_skeptic(family.fit)
         # Zero prior precision is the same closed form with c = 1, bit for bit.
         at_inf = family.at(math.inf)
         np.testing.assert_array_equal(at_inf.mean, skeptic.mean)
@@ -258,7 +258,7 @@ class TestPosteriorFamily:
         # is a difference of O(1) traces.
         mp = pytest.importorskip("mpmath")
         dataset, model = make_dataset(seed=11, T=240, n=6, k=3, **panel)
-        family = PosteriorFamily(dataset, model)
+        family = PosteriorFamily(fit_ols(dataset, model))
         fit = family.fit
         s2 = float(np.diag(fit.sigma_mle).mean())
         scale = s2 * np.eye(fit.n) + fit.T * fit.sigma_mle
@@ -283,20 +283,20 @@ class TestPosteriorFamily:
         # so the trace term is zero there; rounding must not take it below.
         dataset, model = make_dataset(seed=0, T=240, n=1, k=1, alpha=2.0,
                                       resid_vol=0.5)
-        family = PosteriorFamily(dataset, model)
+        family = PosteriorFamily(fit_ols(dataset, model))
         fit = family.fit
         s2 = float(fit.sigma_mle[0, 0])
         u0 = (1.0 + sharpe_sq(fit)) / fit.T
         c = u0 * (s2 + fit.T * s2) / float(fit.alpha_hat[0]) ** 2
         sigma = 12.0 * math.sqrt(s2 * u0 / (1.0 / c - 1.0))
-        rows = sweep(dataset, model, [sigma * (1.0 + k * 1e-9) for k in range(-20, 21)])
+        rows = sweep(fit, [sigma * (1.0 + k * 1e-9) for k in range(-20, 21)])
         assert all(0.0 <= r.rmse_sigma <= 1e-8 for r in rows)
 
     def test_at_reuses_the_cached_prior_scale(self, base_dataset):
         # s^2 and u0 = (1 + Sh^2) / T are fixed per fit: at() must not solve
         # for the squared Sharpe ratio again.
         with mock.patch.object(bayes, "sharpe_sq", wraps=sharpe_sq) as spy:
-            family = PosteriorFamily(*base_dataset)
+            family = PosteriorFamily(fit_ols(*base_dataset))
             built = spy.call_count
             for sigma in (0.0, 0.5, 5.0, math.inf):
                 family.at(sigma)
@@ -304,9 +304,9 @@ class TestPosteriorFamily:
 
     def test_continuity_at_skeptic_boundary(self, base_dataset):
         dataset, model = base_dataset
-        family = PosteriorFamily(dataset, model)
+        family = PosteriorFamily(fit_ols(dataset, model))
         near = family.at(1e6)
-        skeptic = family.skeptic()
+        skeptic = posterior_alpha_skeptic(family.fit)
         np.testing.assert_allclose(near.mean, skeptic.mean, atol=1e-6)
         np.testing.assert_allclose(near.cov, skeptic.cov, atol=1e-6)
 
@@ -361,8 +361,9 @@ class TestSkepticMoments:
     @settings(max_examples=60, deadline=None)
     @given(panel=panels)
     def test_sweep_sigma_zero_is_the_dogmatic_distance(self, panel):
-        row = sweep(*panel, [0.0])[0]
-        assert row.ad == distance_breakdown(*skeptic_moments(fit_ols(*panel))).ad
+        fit = fit_ols(*panel)
+        row = sweep(fit, [0.0])[0]
+        assert row.ad == distance_breakdown(*skeptic_moments(fit)).ad
 
     @settings(max_examples=60, deadline=None)
     @given(panel=panels)
@@ -376,8 +377,9 @@ class TestSkepticMoments:
             seen.append(eigh(a)[0])
             return eigh(a)
 
+        fit = fit_ols(*panel)
         with mock.patch.object(np.linalg, "eigh", spy):
-            family = PosteriorFamily(*panel)
+            family = PosteriorFamily(fit)
         assert len(seen) == 1
         assert seen[0].min() >= family.s2 / 2
 
@@ -438,16 +440,17 @@ def _family_with_spies(panel):
         rules.append(gauss_rule(a, v, g_max))
         return rules[-1]
 
+    fit = fit_ols(*panel)
     with mock.patch.object(np.linalg, "eigh", spy), \
             mock.patch.object(bayes, "gauss_rule", record):
-        family = PosteriorFamily(*panel)
+        family = PosteriorFamily(fit)
     n = family.fit.n
     return family, rules[0], shapes.count((n, n))
 
 
 def _dense_family(panel):
     with mock.patch.object(linalg, "GAUSS_RULE_MIN_N", math.inf):
-        return PosteriorFamily(*panel)
+        return PosteriorFamily(fit_ols(*panel))
 
 
 def _scale_eigh(fit, s2):

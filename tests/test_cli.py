@@ -29,6 +29,16 @@ def _models(tmp_path, text="ONE = F1\nBOTH = F1,F2\n"):
     return path
 
 
+def _with_doubled_f1(tmp_path, facts):
+    """A copy of the factor file with a column F3 = 2 F1."""
+    lines = facts.read_text(encoding="utf-8").splitlines()
+    rows = [lines[1] + ",F3"] + [
+        f"{line},{2.0 * float(line.split(',')[1])!r}" for line in lines[2:]]
+    path = tmp_path / "collinear.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
 def _read_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# factordist")
@@ -276,11 +286,7 @@ class TestRank:
         bad_factors = {"unknown": "NOPE", "collinear": "F1,F3",
                        "singular_factor_cov": "F2"}[bad]
         if bad == "collinear":
-            lines = facts.read_text(encoding="utf-8").splitlines()
-            rows = [lines[1] + ",F3"] + [
-                f"{line},{2.0 * float(line.split(',')[1])!r}" for line in lines[2:]]
-            facts = tmp_path / "collinear.csv"
-            facts.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            facts = _with_doubled_f1(tmp_path, facts)
         if bad == "singular_factor_cov":
             real = regression.sharpe_sq
 
@@ -322,9 +328,9 @@ class TestRank:
             calls["skeptic"] += 1
             return real_skeptic(fit)
 
-        def counted_init(self, dataset, model):
+        def counted_init(self, fit):
             calls["family"] += 1
-            real_init(self, dataset, model)
+            real_init(self, fit)
 
         monkeypatch.setattr(bayes, "posterior_alpha_skeptic", counted_skeptic)
         monkeypatch.setattr(cli, "posterior_alpha_skeptic", counted_skeptic,
@@ -503,6 +509,114 @@ class TestEquiv:
             assert ("error: bracket_hi must be finite and positive"
                     in capsys.readouterr().err), models.name
             assert not (tmp_path / "out").exists(), models.name
+
+
+class TestOneFittingPath:
+    """rank, sweep and equiv take every fit from ``cli._fit_models``."""
+
+    def test_printed_values_agree_bit_for_bit(self, tmp_path, monkeypatch):
+        # Printed in full, rank's AD is the AD of sweep's sigma = 0 row for
+        # every model, and equiv's target is rank's AD of the benchmark.
+        import factordist.cli as cli
+
+        ports, facts = _synth(tmp_path)
+        targets = []
+        real_solve = cli.solve_equiv
+
+        def solve_spy(*args, **kwargs):
+            targets.append(args[-1])
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_fmt", lambda v: "" if v is None else repr(float(v)))
+        monkeypatch.setattr(cli, "solve_equiv", solve_spy)
+        out = tmp_path / "out"
+        argv = ["--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(_models(tmp_path)), "--out", str(out)]
+        assert main(["rank", *argv]) == 0
+        assert main(["sweep", *argv, "--grid", "0"]) == 0
+        assert main(["equiv", *argv, "--benchmark", "ONE"]) == 0
+        _, rank_rows = _read_rows(out / "report.csv")
+        _, sweep_rows = _read_rows(out / "sweep.csv")
+        rank_ad = {r["model"]: r["AD"] for r in rank_rows}
+        assert {r["model"]: r["AD"] for r in sweep_rows} == rank_ad
+        assert [repr(t) for t in targets] == [rank_ad["ONE"]]
+
+    @pytest.mark.parametrize("case", ["unknown", "collinear", "short", "grid",
+                                      "alternatives"])
+    def test_sweep_and_equiv_match_direct_path(self, tmp_path, capsys,
+                                               monkeypatch, case):
+        # Fitting one model at a time prints the same errors and exits with
+        # the same codes; the files agree too.
+        import factordist.cli as cli
+
+        ports, facts = _synth(tmp_path, **({"T": 30, "n": 40} if case == "short" else {}))
+        text = {"unknown": "ONE = F1\nBAD = NOPE\nBOTH = F1,F2\n",
+                "collinear": "ONE = F1\nTWO = F3\nBOTH = F1,F2\n"}.get(
+                    case, "ONE = F1\nBOTH = F1,F2\n")
+        if case == "collinear":
+            facts = _with_doubled_f1(tmp_path, facts)
+        data = ["--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(_models(tmp_path, text))]
+        runs = [["sweep", *data], ["equiv", *data, "--benchmark", "BOTH"]]
+        if case == "grid":
+            runs = [["sweep", *data, "--grid", grid] for grid in ("2,1", "", "0,nan")]
+        if case == "alternatives":
+            runs = [["equiv", *data, "--benchmark", "BOTH", "--alternatives", *alts]
+                    for alts in (["BOTH", "ONE"], ["ONE", "ONE"], ["ONE", "BOTH", "ONE"])]
+        for i, argv in enumerate(runs):
+            capsys.readouterr()
+            got, want = tmp_path / f"got{i}", tmp_path / f"want{i}"
+            code = main([*argv, "--out", str(got)])
+            err = capsys.readouterr().err
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_fit_models", direct_fits)
+                assert (code, err) == (main([*argv, "--out", str(want)]),
+                                       capsys.readouterr().err), argv
+            assert code == (1 if case in ("unknown", "grid") else 0), argv
+            files = sorted(p.name for p in got.glob("*")) if got.exists() else []
+            assert files == (sorted(p.name for p in want.glob("*")) if want.exists() else [])
+            for name in files:
+                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_bad_grid_reported_before_a_model_error(self, tmp_path, capsys):
+        ports, facts = _synth(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main(["sweep", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(_models(tmp_path, "BAD = NOPE\nONE = F1\n")),
+                     "--out", str(out), "--grid", "2,1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sigma grid must be sorted ascending\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, calls", [
+        ("sweep", ["fit_ols"]),
+        ("equiv", ["fit_ols"]),
+        ("rank", ["fit_ols", *["_grs", "f_cdf_upper"] * 4]),
+    ])
+    def test_one_residual_cross_product_and_grs_only_for_rank(
+            self, tmp_path, monkeypatch, command, calls):
+        # The union vouches for every model: one fit_ols, the union's, and
+        # the GRS work only where rank asks for it.
+        import factordist.regression as regression
+
+        seen = []
+
+        def spy(name, real):
+            def wrapper(*args):
+                seen.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("fit_ols", "_grs", "f_cdf_upper"):
+            monkeypatch.setattr(regression, name, spy(name, getattr(regression, name)))
+        ports, facts = _synth(tmp_path, n=6, k=3)
+        models = _models(tmp_path, "M1 = F1\nM2 = F1,F2\nM3 = F1,F2,F3\nM4 = F2,F3\n")
+        extra = ["--benchmark", "M3"] if command == "equiv" else []
+        assert main([command, "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(models), "--out", str(tmp_path / "out"),
+                     *extra]) == 0
+        assert seen == calls
 
 
 class TestSynthCommand:

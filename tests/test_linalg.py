@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factordist.errors import (
@@ -402,6 +402,21 @@ class TestSymmetrize:
             symmetrize(np.ones((2, 3)))
 
 
+def _mp_f_cdf_upper(x, d1, d2):
+    """P(F_{d1,d2} > x) = I_z(d2/2, d1/2) at z = d2 / (d2 + d1 x), to 60 digits.
+
+    The series of ``mpmath.betainc(a, b, 0, z, regularized=True)``,
+    z^a 2F1(a, 1 - b; a + 1; z) / (a B(a, b)), with its term and precision
+    caps raised: at the defaults it gives up from d of a few thousand on.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2
+        z = d2 / (d2 + d1 * mpmath.mpf(x))
+        series = mpmath.hyp2f1(a, 1 - b, a + 1, z, maxterms=10**7, maxprec=10**5)
+        return float(z**a * series / (a * mpmath.beta(a, b)))
+
+
 class TestFCdfUpper:
     def test_at_zero(self):
         assert f_cdf_upper(0.0, 3, 7) == 1.0
@@ -430,11 +445,17 @@ class TestFCdfUpper:
     @settings(max_examples=300, deadline=None)
     @given(d1=st.integers(1, 100_000), d2=st.integers(1, 100_000),
            log10_x=st.floats(-3.0, 3.0))
+    # scipy is 1.0e-8 from a 60-digit reference here, f_cdf_upper 2.5e-12.
+    @example(d1=76, d2=2756, log10_x=1.375)
     def test_matches_scipy_over_wide_dof(self, d1, d2, log10_x):
+        # scipy is the oracle; where it and f_cdf_upper disagree beyond the
+        # bound, a 60-digit incomplete beta function decides.
         x = 10.0**log10_x
         expected = scipy.stats.f.sf(x, d1, d2)
-        assert f_cdf_upper(x, d1, d2) == pytest.approx(expected, rel=1e-8,
-                                                       abs=1e-300)
+        got = f_cdf_upper(x, d1, d2)
+        if got != pytest.approx(expected, rel=1e-8, abs=1e-300):
+            expected = _mp_f_cdf_upper(x, d1, d2)
+        assert got == pytest.approx(expected, rel=1e-8, abs=1e-300)
 
     def test_monotone_decreasing_and_bounded(self):
         xs = np.linspace(0.0, 20.0, 200)

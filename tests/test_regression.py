@@ -8,22 +8,27 @@ from hypothesis import strategies as st
 from factordist import (
     Dataset,
     ModelSpec,
+    PosteriorFamily,
     ReturnsPanel,
+    SweepRow,
     f_cdf_upper,
     fit_ols,
     grs_test,
     sharpe_sq,
     skeptic_moments,
+    sweep,
 )
 from factordist.errors import (
     DegenerateDoFError,
     FactorDistError,
     InsufficientSampleError,
     RankDeficientError,
+    SingularFactorCovError,
     SingularResidualCovError,
     UnknownFactorError,
 )
-from factordist.regression import _fit_models
+from factordist.linalg import LANCZOS_PROBES
+from factordist.regression import GRS_UNDEFINED, _fit_models
 
 from conftest import direct_fits, fake_fit, panel_from_columns, random_fit_inputs
 
@@ -154,7 +159,7 @@ class TestGrs:
         fit = fake_fit(np.array([0.2, -0.1, 0.3]), sigma_diag=[4.0, 5.0, 6.0])
         base, _ = grs_test(fit)
         for c in (0.5, 2.0, 4.0):
-            scaled = dataclasses.replace(fit, sigma_mle=c * fit.sigma_mle)
+            scaled = dataclasses.replace(fit, sigma_base=c * fit.sigma_base)
             stat, _ = grs_test(scaled)
             assert stat == pytest.approx(base / c, rel=1e-10)
 
@@ -222,11 +227,16 @@ def _factor_panel_dataset(seed, T, n, k, loading_scale=1.0, extra=True):
 
 
 def _outcomes(results):
-    """Every (fit, grs) of a _fit_models-style iterator, then its error if any."""
+    """Every (fit, GRS result or the error it raised) of a _fit_models-style
+    iterator, each GRS taken in its model's turn, then the first other error
+    if any."""
     out = []
     try:
-        for item in results:
-            out.append(item)
+        for fit, grs in results:
+            try:
+                out.append((fit, grs()))
+            except GRS_UNDEFINED as exc:
+                out.append((fit, exc))
     except FactorDistError as exc:
         out.append(exc)
     return out
@@ -250,6 +260,8 @@ def _assert_same_outcomes(got, want):
         _assert_close(fit.alpha_hat, ref.alpha_hat)
         _assert_close(fit.beta_hat, ref.beta_hat)
         _assert_close(fit.resid_var, np.diag(ref.sigma_mle))
+        _assert_close(fit.sigma_mle, ref.sigma_mle)
+        np.testing.assert_array_equal(fit.sigma_mle, fit.sigma_mle.T)
         np.testing.assert_allclose(fit.r2, ref.r2, rtol=1e-10, atol=1e-10)
         np.testing.assert_array_equal(fit.asset_mean, ref.asset_mean)
         _assert_close(skeptic_moments(fit)[1], skeptic_moments(ref)[1])
@@ -269,6 +281,56 @@ def _assert_same_outcomes(got, want):
             if ref_grs[1] > 0.0:
                 rtol += abs(shifted / ref_grs[1] - 1.0)
             assert grs[1] == pytest.approx(ref_grs[1], rel=rtol, abs=1e-300)
+
+
+SWEEP_GRID = [0.0, 1.0, 2.0, 4.0, 10.0, 100.0]
+
+
+def _union_cond(dataset, models):
+    """cond(X_U'X_U) for the union U of the models' factors."""
+    union = sorted({name for m in models for name in m.factor_names})
+    design = np.column_stack([np.ones(dataset.t_obs), dataset.factors.select(union)])
+    return np.linalg.cond(design.T @ design)
+
+
+def _assert_same_family(fit, ref, cond):
+    """A family of a _fit_models fit against one of the model's own fit_ols.
+
+    Sigma within eps cond(X_U'X_U) of its largest entry. R at the Lanczos
+    stop rule's probes within rel, and in every SweepRow each distance within
+    rel of the row's AD and ratio_var to match: rel is 1e-12, or 100 eps kappa
+    where alpha_hat is ill-determined, with kappa = cond(X_U'X_U)
+    max|coefficient| / max|alpha_hat| bounding alpha_hat's relative rounding.
+    (On hypothesis's panels, T down to 4 and one asset, R came within 6 eps
+    kappa.)
+    """
+    eps = np.finfo(float).eps
+    sigma, want = fit.sigma_mle, ref.sigma_mle
+    assert np.abs(sigma - want).max() <= 10.0 * eps * cond * float(np.abs(want).max())
+    alpha = float(np.abs(ref.alpha_hat).max())
+    kappa = cond * max(alpha, float(np.abs(ref.beta_hat).max())) / alpha
+    rel = max(1e-12, 100.0 * eps * kappa)
+    try:
+        ref_family = PosteriorFamily(ref)
+    except SingularFactorCovError:
+        with pytest.raises(SingularFactorCovError):
+            PosteriorFamily(fit)
+        return
+    family = PosteriorFamily(fit)
+    for g in LANCZOS_PROBES / ref_family._u0:
+        assert family._quad.remainder(g) == pytest.approx(
+            ref_family._quad.remainder(g), rel=rel, abs=1e-300)
+    for row, ref_row in zip(sweep(fit, SWEEP_GRID), sweep(ref, SWEEP_GRID), strict=True):
+        # A distance near zero (one asset's trace term crosses zero) is only
+        # as accurate as the row's AD; ratio_var = (RMSE_sigma / RMSE_alpha)^2.
+        scale = rel * ref_row.ad
+        assert [f.name for f in dataclasses.fields(SweepRow)] == [
+            "sigma_alpha_annual", "ad", "rmse_alpha", "rmse_sigma", "ratio_var"]
+        assert row.sigma_alpha_annual == ref_row.sigma_alpha_annual
+        for name in ("ad", "rmse_alpha", "rmse_sigma"):
+            assert getattr(row, name) == pytest.approx(getattr(ref_row, name), abs=scale), name
+        assert row.ratio_var == pytest.approx(
+            ref_row.ratio_var, rel=rel, abs=4 * scale * ref_row.ad**2 / ref_row.rmse_alpha**3)
 
 
 @st.composite
@@ -297,12 +359,18 @@ class TestFitModels:
         _assert_same_outcomes(_outcomes(_fit_models(dataset, models)),
                               _outcomes(direct_fits(dataset, models)))
 
-    def test_one_model_and_union_use_no_n_by_n_fit(self):
+    def test_one_model_and_union_use_no_n_by_n_fit(self, spies):
+        # Every fit holds the union's Sigma_U and a term of the factors it drops.
         dataset = _factor_panel_dataset(5, T=120, n=10, k=3)
         for models in ([ModelSpec("ONE", ("F2",))],
                        [ModelSpec("U", ("F3", "F1", "F2")), ModelSpec("S", ("F1",))]):
+            spies["fit_ols"].clear()
             got = _outcomes(_fit_models(dataset, models))
-            assert all(fit.sigma_mle is None for fit, _ in got)
+            assert spies["fit_ols"] == ["union"]
+            width = len({f for m in models for f in m.factor_names})
+            assert all(fit.sigma_base is got[0][0].sigma_base
+                       and fit.sigma_loadings.shape == (10, width - fit.k)
+                       for fit, _ in got)
             _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -327,6 +395,29 @@ class TestFitModels:
         (fit, _), = _fit_models(dataset, [ModelSpec("S", ("F1", "F3"))])
         _assert_close(fit.resid_var * 90, np.diag(want), rtol=1e-11)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=_panels_and_models())
+    def test_families_match_one_model_at_a_time(self, case):
+        dataset, models = case
+        got = _outcomes(_fit_models(dataset, models))
+        if got and isinstance(got[-1], Exception):
+            got.pop()
+        cond = _union_cond(dataset, models)
+        for fit, _ in got:
+            _assert_same_family(fit, fit_ols(dataset, fit.model), cond)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lanczos_families_match_one_model_at_a_time(self, seed):
+        # n = 160 takes the Lanczos rule.
+        dataset = _factor_panel_dataset(seed, T=400, n=160, k=4)
+        models = [ModelSpec(f"M{j}", tuple(f"F{i + 1}" for i in range(j)))
+                  for j in range(1, 5)]
+        fits = [fit for fit, _ in _fit_models(dataset, models)]
+        for fit in fits:
+            _assert_same_family(fit, fit_ols(dataset, fit.model), _union_cond(dataset, models))
+        # The union model's own fit comes out of the union bit for bit.
+        assert sweep(fits[-1], SWEEP_GRID) == sweep(fit_ols(dataset, models[-1]), SWEEP_GRID)
+
     def test_grs_no_less_accurate_than_direct_at_large_loadings(self):
         # Loadings on the factors a small model drops are 1000x: against a
         # 50-digit reference the union's projection form keeps the GRS
@@ -338,8 +429,9 @@ class TestFitModels:
             for seed in range(3):
                 dataset = _factor_panel_dataset(seed, T=80, n=10, k=4,
                                                 loading_scale=1000.0, extra=False)
-                for (fit, grs), model in zip(_fit_models(dataset, models), models):
-                    assert fit.sigma_mle is None
+                got = _outcomes(_fit_models(dataset, models))
+                for (fit, grs), model in zip(got, models):
+                    assert fit.sigma_base is got[0][0].sigma_base
                     want = _mp_grs_stat(mpmath, dataset, model)
                     direct, _ = grs_test(fit_ols(dataset, model))
                     fast_err = abs(mpmath.mpf(grs[0]) / want - 1)
@@ -432,7 +524,7 @@ class TestFitModelsFallback:
         got = _outcomes(_fit_models(dataset, models))
         assert spies["fit_ols"] == ["union", "ONE", "TWO"]
         assert spies["grs_test"] == 2
-        assert all(fit.sigma_mle is not None for fit, _ in got)
+        assert got[0][0].sigma_base is not got[1][0].sigma_base
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 
     def test_singular_union_covariance_still_reports_small_model_grs(self, spies):
@@ -445,8 +537,9 @@ class TestFitModelsFallback:
         models = [ModelSpec("SMALL", ("F1",)), ModelSpec("BIG", ("F1", "F2"))]
         got = _outcomes(_fit_models(dataset, models))
         (small, small_grs), (big, big_grs) = got
-        assert isinstance(small_grs, tuple) and small.sigma_mle is not None
-        assert isinstance(big_grs, DegenerateDoFError) and big.sigma_mle is None
+        # SMALL holds its own Sigma, BIG the union's.
+        assert isinstance(small_grs, tuple) and small.sigma_loadings.shape == (n, 0)
+        assert isinstance(big_grs, DegenerateDoFError)
         assert spies["fit_ols"] == ["union", "SMALL"] and spies["grs_test"] == 1
         assert spies["chol_sizes"].count(n) == 1   # the small model's own
         assert small_grs == grs_test(fit_ols(dataset, models[0]))
@@ -488,7 +581,8 @@ class TestFitModelsFallback:
         assert CHOL_PIVOT_REL * np.trace(sigma_u) / n < pivot <= CHOL_PIVOT_REL * trace_s / n
         spies.update(fit_ols=[], chol_sizes=[])
         got = _outcomes(_fit_models(dataset, models))
-        assert got[0][0].sigma_mle is None and got[1][0].sigma_mle is not None
+        # ONE holds its own Sigma, not Sigma_U and a term for F2.
+        assert got[1][0].sigma_loadings.shape == (n, 0)
         assert spies["fit_ols"] == ["union", "ONE"] and spies["grs_test"] == 1
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 

@@ -232,8 +232,8 @@ class TestBetweenPosteriors:
 
     def test_interior_point_is_closer(self, base_dataset):
         dataset, model = base_dataset
-        family = PosteriorFamily(dataset, model)
-        skeptic = family.skeptic()
+        family = PosteriorFamily(fit_ols(dataset, model))
+        skeptic = posterior_alpha_skeptic(family.fit)
         n = family.fit.n
         dogmatic_td, _ = wd2_between_posteriors(family.at(0.0), skeptic, n)
         interior_td, _ = wd2_between_posteriors(family.at(2.0), skeptic, n)
