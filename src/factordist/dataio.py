@@ -11,13 +11,16 @@ carry a metadata comment line) re-ingest cleanly.
 
 Model file: one model per line, ``NAME = F1,F2,...``; ``#`` starts a comment.
 
-Both are UTF-8 text (a BOM is skipped); a byte that is not UTF-8 is a
-``ParseError`` naming its line.
+Both are UTF-8 text (a BOM is skipped). A series or model name holding ``,``
+or ``"`` (it would break the CSV rows it is written to) and a byte that is
+not UTF-8 are each a ``ParseError`` naming its line. Each line is checked as
+it is read, so of several malformed lines the earliest is reported.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -30,10 +33,13 @@ from .errors import (
     EmptyPanelError,
     MissingRiskfreeError,
     NoOverlapError,
+    NonFiniteError,
     ParseError,
 )
 
 DEFAULT_MISSING_CODES = (-99.99, -999.0)
+# A byte that is not UTF-8, as the surrogateescape error handler decodes it.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -121,10 +127,6 @@ class Dataset:
     def t_obs(self) -> int:
         return self.portfolios.t_obs
 
-    @property
-    def n_assets(self) -> int:
-        return len(self.portfolios.names)
-
 
 def load_panel(path: str | Path,
                missing_codes: Sequence[float] = DEFAULT_MISSING_CODES) -> ReturnsPanel:
@@ -133,12 +135,13 @@ def load_panel(path: str | Path,
     Rows containing any value in ``missing_codes`` are excluded entirely;
     remaining rows keep their original order. Lines are checked as they
     stream in and all values parsed by one ``np.loadtxt``; of several
-    malformed lines, the first is reported.
+    malformed lines, the earliest is reported, at any file size.
 
     Raises
     ------
     ParseError
-        Malformed header, date, or value, a non-finite value in a kept row,
+        Malformed header, date, or value, a series name holding ``,`` or
+        ``"``, a byte that is not UTF-8, a non-finite value in a kept row,
         or kept dates out of order (message carries the line number).
     DuplicateDateError
         The same YYYYMM appears twice.
@@ -153,7 +156,7 @@ def load_panel(path: str | Path,
     seen: set[int] = set()
     failure: ParseError | DuplicateDateError | None = None
     try:
-        for lineno, line in enumerate(_lines(path), start=1):
+        for lineno, line in _lines(path):
             if not line.strip(" \t\n\r\f\v,") or line.lstrip().startswith("#"):
                 continue
             if names is None:
@@ -161,7 +164,7 @@ def load_panel(path: str | Path,
                 if len(header) < 2:
                     raise ParseError(f"{path}:{lineno}: header needs a date column "
                                      "and at least one series")
-                names = tuple(c.strip() for c in header[1:])
+                names = tuple(_check_name(path, lineno, c.strip()) for c in header[1:])
                 continue
             if line.count(",") != len(names):
                 raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} "
@@ -218,21 +221,22 @@ def _parse_values(path: Path, lines: list[str], linenos: list[int],
         raise
 
 
-def _lines(path: Path) -> Iterator[str]:
-    """Lines of a UTF-8 text file; ParseError names the line of a non-UTF-8 byte."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield from fh
-    except UnicodeDecodeError:
-        raw = path.read_bytes()  # the stream decodes in blocks: find the line
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = raw[:exc.start]
-            lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise ParseError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} "
-                             "is not UTF-8") from None
-        raise ParseError(f"{path}: not UTF-8") from None  # changed while read
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a UTF-8 text file, read once; a line holding a byte
+    that is not UTF-8 is a ParseError when it is reached."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
+                raise ParseError(f"{path}:{lineno}: byte 0x{ord(bad[0]) - 0xdc00:02x} "
+                                 "is not UTF-8")
+            yield lineno, line
+
+
+def _check_name(path: Path, lineno: int, name: str) -> str:
+    """``name``, unless it holds ',' or '"' and so would break a CSV row."""
+    if "," in name or '"' in name:
+        raise ParseError(f"{path}:{lineno}: name {name!r} holds ',' or '\"'")
+    return name
 
 
 def load_models(path: str | Path) -> list[ModelSpec]:
@@ -241,21 +245,22 @@ def load_models(path: str | Path) -> list[ModelSpec]:
     Raises
     ------
     ParseError
-        Malformed line (missing ``=``, empty factor list, repeated factor).
+        Malformed line (missing ``=``, empty factor list, repeated factor,
+        a name holding ``,`` or ``"``, a byte that is not UTF-8).
     DuplicateModelNameError
         Two entries share a model name.
     """
     path = Path(path)
     specs: list[ModelSpec] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(_lines(path), start=1):
+    for lineno, raw in _lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected 'NAME = F1,F2,...'")
         name, _, factors = line.partition("=")
-        name = name.strip()
+        name = _check_name(path, lineno, name.strip())
         factor_names = tuple(f.strip() for f in factors.split(",") if f.strip())
         if not name:
             raise ParseError(f"{path}:{lineno}: empty model name")
@@ -285,22 +290,31 @@ def build_dataset(portfolios: ReturnsPanel, factors: ReturnsPanel,
         ``riskfree_name`` is not a factor-panel column.
     NoOverlapError
         The panels share no dates.
+    NonFiniteError
+        An excess return overflows.
     """
     if riskfree_name not in factors.names:
         raise MissingRiskfreeError(
             f"risk-free column {riskfree_name!r} not in factor panel "
             f"(columns: {', '.join(factors.names)})"
         )
-    common = sorted(set(portfolios.dates) & set(factors.dates))
-    if not common:
-        raise NoOverlapError("portfolio and factor panels share no dates")
-    ports = portfolios.restrict(common)
-    facts = factors.restrict(common)
-    rf = facts.column(riskfree_name)
-    excess = ReturnsPanel(ports.dates, ports.names, ports.values - rf[:, None])
+    ports, facts = _on_common_dates([portfolios, factors], "portfolio and factor panels")
+    with np.errstate(over="ignore"):
+        excess = ports.values - facts.column(riskfree_name)[:, None]
+    bad = np.flatnonzero(~np.isfinite(excess).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"excess return overflows at {ports.dates[bad[0]]}")
     keep = [n for n in facts.names if n != riskfree_name]
-    factors_only = ReturnsPanel(facts.dates, tuple(keep), facts.select(keep))
-    return Dataset(portfolios=excess, factors=factors_only)
+    return Dataset(portfolios=ReturnsPanel(ports.dates, ports.names, excess),
+                   factors=ReturnsPanel(facts.dates, tuple(keep), facts.select(keep)))
+
+
+def _on_common_dates(panels: Sequence[ReturnsPanel], what: str) -> list[ReturnsPanel]:
+    """The panels restricted to the dates they all hold; NoOverlapError if none."""
+    common = sorted(set(panels[0].dates).intersection(*(p.dates for p in panels[1:])))
+    if not common:
+        raise NoOverlapError(f"{what} share no dates")
+    return [p.restrict(common) for p in panels]
 
 
 def concat_panels(panels: Sequence[ReturnsPanel]) -> ReturnsPanel:
@@ -313,50 +327,22 @@ def concat_panels(panels: Sequence[ReturnsPanel]) -> ReturnsPanel:
         raise ValueError("no panels to concatenate")
     if len(panels) == 1:
         return panels[0]
-    common: set[int] = set(panels[0].dates)
-    for p in panels[1:]:
-        common &= set(p.dates)
-    if not common:
-        raise NoOverlapError("panels share no dates")
-    dates = sorted(common)
-    aligned = [p.restrict(dates) for p in panels]
+    aligned = _on_common_dates(panels, "panels")
     names: list[str] = []
     used: set[str] = set()
-    for p in aligned:
-        for n in p.names:
-            candidate = n
-            suffix = 2
-            while candidate in used:
-                candidate = f"{n}_{suffix}"
-                suffix += 1
-            used.add(candidate)
-            names.append(candidate)
+    for name in (n for p in aligned for n in p.names):
+        candidate, suffix = name, 2
+        while candidate in used:
+            candidate, suffix = f"{name}_{suffix}", suffix + 1
+        used.add(candidate)
+        names.append(candidate)
     values = np.hstack([p.values for p in aligned])
-    return ReturnsPanel(tuple(dates), tuple(names), values)
+    return ReturnsPanel(aligned[0].dates, tuple(names), values)
 
 
 def month_range(start: int, count: int) -> tuple[int, ...]:
     """``count`` consecutive YYYYMM months starting at ``start``."""
-    year, month = divmod(start, 100)
-    if not 1 <= month <= 12:
+    if not 1 <= start % 100 <= 12:
         raise ValueError(f"{start} is not a valid YYYYMM")
-    out = []
-    for _ in range(count):
-        out.append(year * 100 + month)
-        month += 1
-        if month > 12:
-            month = 1
-            year += 1
-    return tuple(out)
-
-
-def write_panel(panel: ReturnsPanel, path: str | Path,
-                header_comment: str | None = None) -> None:
-    """Write a panel in the returns-CSV convention (6 significant digits)."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("date," + ",".join(panel.names) + "\n")
-        for date, row in zip(panel.dates, panel.values):
-            fh.write(str(date) + "," + ",".join(format(v, ".6g") for v in row) + "\n")
+    first = start // 100 * 12 + start % 100 - 1  # months since January of year 0
+    return tuple(m // 12 * 100 + m % 12 + 1 for m in range(first, first + count))

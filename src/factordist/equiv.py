@@ -51,11 +51,9 @@ class EquivResult:
     """Solved prior mispricing std making two models distance equivalent."""
 
     alt_model: str
-    benchmark_model: str
     sigma_star_annual: float
     ad_at_star: float
     iterations: int
-    converged: bool
 
 
 def _row_at(family: PosteriorFamily, sigma_annual: float) -> SweepRow:
@@ -107,8 +105,7 @@ def check_bracket_hi(bracket_hi: float) -> None:
 
 
 def solve_equiv(fit: RegressionFit, benchmark_ad: float,
-                bracket_hi: float = DEFAULT_BRACKET_HI,
-                benchmark_name: str = "") -> EquivResult:
+                bracket_hi: float = DEFAULT_BRACKET_HI) -> EquivResult:
     """Find sigma such that the fitted alternative model's AD equals the target.
 
     Bisects the monotone-decreasing map sigma -> AD on [0, bracket_hi]
@@ -133,7 +130,7 @@ def solve_equiv(fit: RegressionFit, benchmark_ad: float,
 
     ad_lo = ad_at(0.0)
     if abs(ad_lo - target) <= AD_TOL:
-        return EquivResult(fit.model.name, benchmark_name, 0.0, ad_lo, 0, True)
+        return EquivResult(fit.model.name, 0.0, ad_lo, 0)
     if target > ad_lo:
         raise NotBracketedError(
             f"target AD {target:.6g} exceeds the dogmatic AD {ad_lo:.6g} "
@@ -154,8 +151,7 @@ def solve_equiv(fit: RegressionFit, benchmark_ad: float,
         else:
             hi = mid
         if abs(ad_mid - target) <= AD_TOL and hi - lo <= SIGMA_TOL:
-            return EquivResult(fit.model.name, benchmark_name, mid, ad_mid,
-                               iteration, True)
+            return EquivResult(fit.model.name, mid, ad_mid, iteration)
     raise NoConvergenceError(
         f"bisection did not reach |AD - target| <= {AD_TOL} in "
         f"{MAX_BISECTIONS} iterations"

@@ -58,6 +58,10 @@ class NoOverlapError(InputError):
     """Panels share no common dates."""
 
 
+class NonFiniteError(InputError):
+    """Returns so large that excess returns or regression moments overflow."""
+
+
 class MissingRiskfreeError(InputError):
     """Named risk-free column absent from the factor panel."""
 

@@ -32,8 +32,9 @@ U it drops. With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
 
 A model takes its own :func:`fit_ols` and :func:`grs_test` instead
 (``_direct``) wherever the union cannot vouch for the same GRS result:
-- the union ``fit_ols`` fails: T < K + 2, or its Gram fails the rank test
-  (factors collinear across models, although each model's own are not);
+- the union ``fit_ols`` fails: T < K + 2, its Gram fails the rank test
+  (factors collinear across models, although each model's own are not),
+  or its cross products or sums of squares overflow;
 - a factor is not in the panel, or G_ss fails the rank test: the model's
   own ``fit_ols`` decides;
 - Sigma_U is singular: n > T - K - 1, or its Cholesky fails. Past
@@ -61,6 +62,7 @@ from .dataio import Dataset, ModelSpec
 from .errors import (
     DegenerateDoFError,
     InsufficientSampleError,
+    NonFiniteError,
     NotPDError,
     RankDeficientError,
     SingularFactorCovError,
@@ -130,6 +132,8 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         Fewer than k + 2 observations.
     RankDeficientError
         Collinear design columns.
+    NonFiniteError
+        Returns so large that a cross product or sum of squares overflows.
     """
     for name in model.factor_names:
         if name not in dataset.factors.names:
@@ -145,19 +149,27 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         raise InsufficientSampleError(
             f"T={t_obs} observations cannot identify k={k} factors plus intercept"
         )
-    gram = design.T @ design
+    with np.errstate(over="ignore"):
+        gram = design.T @ design
+    if not np.isfinite(gram).all():
+        raise NonFiniteError(f"model {model.name!r}: factor returns too large: "
+                             "their cross products overflow")
     try:
         lower = cholesky_spd(gram, pivot_tol_factor=RANK_PIVOT_REL)
     except NotPDError as exc:
         raise RankDeficientError(
             f"model {model.name!r}: collinear factor columns ({exc})"
         ) from None
-    coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ returns))
-    resid = returns - design @ coef
-    # numpy forms A'A with BLAS syrk: sigma_mle and factor_cov_mle are exactly symmetric.
-    sigma_mle = resid.T @ resid / t_obs
-    asset_mean = returns.mean(axis=0)
-    sst = ((returns - asset_mean) ** 2).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ returns))
+        resid = returns - design @ coef
+        # numpy forms A'A with BLAS syrk: sigma_mle and factor_cov_mle are exactly symmetric.
+        sigma_mle = resid.T @ resid / t_obs
+        asset_mean = returns.mean(axis=0)
+        sst = ((returns - asset_mean) ** 2).sum(axis=0)
+    if not (np.isfinite(sigma_mle).all() and np.isfinite(sst).all()):
+        raise NonFiniteError(f"model {model.name!r}: returns too large: "
+                             "residual or total sums of squares overflow")
     return _assemble(dataset, model, coef, sigma_mle, np.empty((n, 0)), np.empty((0, 0)),
                      np.diag(sigma_mle), (resid ** 2).sum(axis=0), sst, asset_mean)
 
@@ -185,7 +197,7 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     if used:
         try:
             union_fit = fit_ols(dataset, ModelSpec("union", tuple(union)))
-        except (InsufficientSampleError, RankDeficientError):
+        except (InsufficientSampleError, RankDeficientError, NonFiniteError):
             pass
     if union_fit is None:
         yield from (_direct(dataset, model) for model in models)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,63 @@ class TestRank:
         assert err.startswith("error: ")
         assert f"latin1.csv:{line}: byte 0xe9 is not UTF-8" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("rank", []), ("sweep", []), ("equiv", ["--benchmark", "ONE"]),
+    ], ids=["rank", "sweep", "equiv"])
+    @pytest.mark.parametrize("kind", ["model", "series"])
+    def test_name_breaking_a_csv_row_exit_1(self, tmp_path, capsys, command,
+                                            extra, kind):
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path, "ONE = F1\nONE,X = F1\n" if kind == "model"
+                         else "ONE = F1\n")
+        if kind == "model":
+            where = "models.txt:2: name 'ONE,X'"
+        else:
+            lines = ports.read_text(encoding="utf-8").splitlines()
+            lines[1] = lines[1].replace("A1", '"A1,x"')
+            ports.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            where = "portfolios.csv:2: name 'A1,x'"
+        out = tmp_path / "out"
+        code = main([command, "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(models), "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and where in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("rank", []), ("sweep", []), ("equiv", ["--benchmark", "BOTH"]),
+    ], ids=["rank", "sweep", "equiv"])
+    @pytest.mark.parametrize("value, rf", [("1e200", None), ("1.7e308", "-1.7e308")],
+                             ids=["moments", "excess"])
+    def test_overflowing_returns_exit_1(self, tmp_path, capsys, command, extra,
+                                        value, rf):
+        # 1e200 overflows the residual sums of squares; 1.7e308 less an RF
+        # of -1.7e308 overflows the excess return itself.
+        ports, facts = _synth(tmp_path)
+
+        def spoil(path, column, text):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            fields = lines[3].split(",")
+            fields[column] = text
+            lines[3] = ",".join(fields)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        spoil(ports, 2, value)
+        if rf is not None:
+            spoil(facts, 3, rf)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--portfolios", str(ports), "--factors",
+                         str(facts), "--models", str(_models(tmp_path)),
+                         "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err
+        assert not out.exists()
 
     def test_write_failure_keeps_previous_outputs(self, tmp_path, monkeypatch):
         ports, facts = _synth(tmp_path)
@@ -627,7 +685,7 @@ class TestSynthCommand:
         assert dataset.t_obs == 240
         assert dataset.factors.names == ("F1", "F2")
         # RF column is zero, so ingested returns are already excess.
-        assert dataset.n_assets == 4
+        assert dataset.portfolios.names == ("A1", "A2", "A3", "A4")
 
     def test_deterministic_given_seed(self, tmp_path):
         p1, f1 = _synth(tmp_path / "a")

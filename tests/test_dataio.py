@@ -1,4 +1,6 @@
+import builtins
 import csv
+import io
 import re
 
 import numpy as np
@@ -14,13 +16,13 @@ from factordist.dataio import (
     load_models,
     load_panel,
     month_range,
-    write_panel,
 )
 from factordist.errors import (
     DuplicateDateError,
     DuplicateModelNameError,
     EmptyPanelError,
     MissingRiskfreeError,
+    NonFiniteError,
     NoOverlapError,
     ParseError,
 )
@@ -141,7 +143,7 @@ def _panel_file(draw, malformed):
     for line in lines:
         out.extend(draw(st.lists(_SKIPPED, max_size=2)))
         out.append(line)
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     bom = "\ufeff" if draw(st.booleans()) else ""
     return bom + eol.join(out) + (eol if draw(st.booleans()) else "")
 
@@ -251,12 +253,57 @@ class TestLoadPanel:
         assert p1.dates == p2.dates and p1.names == p2.names
         assert p1.values.tobytes() == p2.values.tobytes()
 
-    def test_roundtrip_through_writer(self, tmp_path):
-        panel = panel_from_columns({"A": [1.25, -0.5], "B": [0.0, 3.5]})
-        write_panel(panel, tmp_path / "p.csv", header_comment="meta")
-        back = load_panel(tmp_path / "p.csv")
-        assert back.dates == panel.dates and back.names == panel.names
-        np.testing.assert_allclose(back.values, panel.values)
+    @pytest.mark.parametrize("name", ['"A,x"', '"A""x"', 'A"x'])
+    def test_name_breaking_a_csv_row_rejected(self, tmp_path, name):
+        path = _write(tmp_path, "f.csv", f"# meta\ndate,B,{name}\n200001,1,2\n")
+        with pytest.raises(ParseError, match=r"f\.csv:2: name .* holds"):
+            load_panel(path)
+
+    @pytest.mark.parametrize("rows", [8, 800], ids=["under_8KB", "over_8KB"])
+    def test_earliest_fault_reported_before_a_later_bad_byte(self, tmp_path, rows):
+        # Line 3 is ragged and a later line holds a byte that is not UTF-8:
+        # line 3 is reported whatever the size of the file.
+        good = [f"{200001 + i % 12 + 100 * (i // 12)},1.0,2.0\n" for i in range(rows)]
+        text = "date,A,B\n200001,1.0,2.0\n200002,1.0\n" + "".join(good[2:])
+        raw = text.encode() + b"209901,1.0,2\xe9\n"
+        assert (len(raw) < 8192) == (rows == 8)
+        path = tmp_path / "f.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=r"f\.csv:3: expected 3 fields"):
+            load_panel(path)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_bad_byte_names_its_line(self, tmp_path, eol):
+        # A BOM, then a comment line and a later data line that are not UTF-8.
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + eol.encode().join(
+            [b"date,A", b"# caf\xe9", b"200001,1", b"200002,2\x80", b""]))
+        with pytest.raises(ParseError, match=r"f\.csv:2: byte 0xe9 is not UTF-8"):
+            load_panel(path)
+
+    @pytest.mark.parametrize("panel, models", [
+        (b"date,A\n200001,1.0\n", b"M = F1\n"),
+        (b"date,A\n200001,1.0\n200002,2\xe9\n", b"M = F1\nN = F\xe9\n"),
+    ], ids=["utf8", "bad_byte"])
+    def test_each_file_opened_once(self, tmp_path, monkeypatch, panel, models):
+        panel_path, models_path = tmp_path / "p.csv", tmp_path / "m.txt"
+        panel_path.write_bytes(panel)
+        models_path.write_bytes(models)
+        opened = []
+        real_open = io.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        monkeypatch.setattr(io, "open", spy)
+        for loader, path in ((load_panel, panel_path), (load_models, models_path)):
+            try:
+                loader(path)
+            except ParseError:
+                pass
+            assert opened.count(str(path)) == 1, loader.__name__
 
 
 class TestLoadPanelOracle:
@@ -304,7 +351,14 @@ class TestBuildDataset:
     def test_no_overlap(self):
         ports = panel_from_columns({"P": [1.0]}, start=196701)
         facts = panel_from_columns({"MKT": [0.9], "RF": [0.1]}, start=200001)
-        with pytest.raises(NoOverlapError):
+        with pytest.raises(NoOverlapError,
+                           match="^portfolio and factor panels share no dates$"):
+            build_dataset(ports, facts, "RF")
+
+    def test_overflowing_excess_return(self):
+        ports = panel_from_columns({"P": [1.0, 1.7e308]})
+        facts = panel_from_columns({"MKT": [0.9, 0.8], "RF": [0.1, -1.7e308]})
+        with pytest.raises(NonFiniteError, match="overflows at 200002"):
             build_dataset(ports, facts, "RF")
 
     def test_equal_row_counts(self):
@@ -346,6 +400,12 @@ class TestLoadModels:
         path = _write(tmp_path, "m.txt", "CAPM = MKT  # one factor\n")
         assert load_models(path)[0].factor_names == ("MKT",)
 
+    @pytest.mark.parametrize("name", ["ONE,X", 'ONE"X', '"ONE"'])
+    def test_name_breaking_a_csv_row_rejected(self, tmp_path, name):
+        path = _write(tmp_path, "m.txt", f"CAPM = MKT\n{name} = MKT\n")
+        with pytest.raises(ParseError, match=r"m\.txt:2: name .* holds"):
+            load_models(path)
+
 
 class TestConcatPanels:
     def test_aligns_and_concatenates(self):
@@ -368,6 +428,12 @@ class TestConcatPanels:
         a = panel_from_columns({"P": [1.0]})
         assert concat_panels([a]) is a
 
+    def test_no_overlap(self):
+        a = panel_from_columns({"P1": [1.0]}, start=196701)
+        b = panel_from_columns({"P2": [1.0, 2.0]}, start=196702)
+        with pytest.raises(NoOverlapError, match="^panels share no dates$"):
+            concat_panels([a, b, a])
+
 
 class TestMonthRange:
     def test_year_wrap(self):
@@ -377,3 +443,7 @@ class TestMonthRange:
         dates = month_range(196701, 600)
         assert len(dates) == 600
         assert dates[-1] == 201612
+
+    def test_invalid_start(self):
+        with pytest.raises(ValueError):
+            month_range(196713, 2)

@@ -22,6 +22,7 @@ from factordist.errors import (
     DegenerateDoFError,
     FactorDistError,
     InsufficientSampleError,
+    NonFiniteError,
     RankDeficientError,
     SingularFactorCovError,
     SingularResidualCovError,
@@ -113,6 +114,16 @@ class TestFitOls:
         dataset, _ = base_dataset
         with pytest.raises(UnknownFactorError, match="NOPE"):
             fit_ols(dataset, ModelSpec("M", ("NOPE",)))
+
+    @pytest.mark.parametrize("where", ["returns", "factor"])
+    def test_overflowing_moments_raise(self, where):
+        # Finite values whose squares overflow; no RuntimeWarning escapes.
+        values = [0.1, 1e200, -0.3, 0.2] if where == "factor" else [0.1, 0.4, -0.3, 0.2]
+        returns = [0.3, 0.5, 1e200, 0.1] if where == "returns" else [0.3, 0.5, 0.2, 0.1]
+        ds = _tiny_dataset(values, returns)
+        match = "residual or total" if where == "returns" else "cross products"
+        with pytest.raises(NonFiniteError, match=match):
+            fit_ols(ds, ModelSpec("M", ("F",)))
 
 
 class TestSharpeSq:
@@ -599,7 +610,7 @@ class TestFitModelsFallback:
         assert n not in spies["chol_sizes"]
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 
-    @pytest.mark.parametrize("bad", ["unknown", "collinear", "short"])
+    @pytest.mark.parametrize("bad", ["unknown", "collinear", "short", "overflow"])
     def test_failing_model_raises_in_its_turn(self, bad):
         # Earlier models are yielded before a later model's fit_ols error.
         dataset = _factor_panel_dataset(10, T=40, n=45, k=2)
@@ -608,6 +619,9 @@ class TestFitModelsFallback:
             failing = ModelSpec("BAD", ("F1", "F3"))
         elif bad == "unknown":
             failing = ModelSpec("BAD", ("NOPE",))
+        elif bad == "overflow":
+            dataset = _with_columns(dataset, G=1e200 * dataset.factors.column("F2"))
+            failing = ModelSpec("BAD", ("F1", "G"))
         else:
             dataset = Dataset(dataset.portfolios.restrict(dataset.portfolios.dates[:4]),
                               dataset.factors.restrict(dataset.factors.dates[:4]))
