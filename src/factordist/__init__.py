@@ -42,7 +42,6 @@ from .transport import (
     DistanceBreakdown,
     distance_breakdown,
     transport_map,
-    wd2_between_posteriors,
     wd2_components,
     wd2_gaussian,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "posterior_alpha_dogmatic", "posterior_alpha_skeptic", "skeptic_moments",
     "sigma_annual_to_monthly",
     "wd2_gaussian", "wd2_components", "transport_map",
-    "DistanceBreakdown", "distance_breakdown", "wd2_between_posteriors",
+    "DistanceBreakdown", "distance_breakdown",
     "MetricsReport", "alpha_stats", "build_report",
     "rank_models", "annual_savings",
     "SweepRow", "EquivResult", "sweep", "solve_equiv",

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankOneQuadrature, chol_solve, gauss_rule, symmetrize
+from .errors import NonFiniteError
+from .linalg import RankOneQuadrature, gauss_rule, symmetrize
 from .regression import RegressionFit, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
@@ -95,7 +96,8 @@ class PosteriorFamily:
     built from the Gauss rule of A (the closed form in the module docstring)
     for alpha_hat: Lanczos at O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N``
     on, one ``eigh(A)`` below that or past the step cap. The engine behind the
-    sweep/equivalence machinery.
+    sweep/equivalence machinery. Raises NonFiniteError where returns are so
+    large that the rule or the table would overflow.
     """
 
     def __init__(self, fit: RegressionFit):
@@ -103,6 +105,13 @@ class PosteriorFamily:
         self.s2, self._u0 = _skeptic_parts(fit)
         self._var_sum = float(_skeptic_var(fit, self.s2, self._u0).sum())
         self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
+        # The Gauss nodes of A lie in (0, tr A] and their weights sum to
+        # |alpha_hat|^2: Lanczos and the table (squared nodes, node times
+        # weight) stay finite where these bounds do.
+        trace_a = fit.n * self.s2 * (fit.T + 1)
+        if not math.isfinite(trace_a * max(trace_a, self._alpha_sq)):
+            raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
+                                 "the posterior's quadrature overflows")
         # Every sigma > 0 has g = lam c < 1 / u0, and A >= s^2 I is positive
         # definite.
         g_max = 1.0 / self._u0
@@ -154,21 +163,6 @@ class PosteriorFamily:
         # The exact value is zero only for one asset at c |alpha_hat|^2 = u0 A;
         # there rounding can leave the sum a few ulps of its pieces below zero.
         return mean_sq, max(0.0, trace_term)
-
-    def coefficients(self, sigma_alpha_annual: float) -> np.ndarray:
-        """Posterior coefficient matrix ((k+1) x n); row 0 holds the alphas.
-
-        The alphas shrink by c and the betas move by
-        lam c (Omega^{-1} mu / T) alpha_hat'. ``inf`` maps to zero prior
-        precision, reproducing the OLS estimates.
-        """
-        if not float(sigma_alpha_annual) > 0.0:
-            raise ValueError("coefficients need sigma_alpha > 0")
-        fit = self.fit
-        lam, c = self._shrinkage(sigma_alpha_annual)
-        shift = chol_solve(fit.factor_cov_mle, fit.factor_mean) / fit.T
-        return np.vstack([c * fit.alpha_hat,
-                          fit.beta_hat.T + lam * c * np.outer(shift, fit.alpha_hat)])
 
 
 def posterior_alpha_dogmatic(n: int) -> GaussianDist:

@@ -10,9 +10,9 @@ of zero alphas (Gibbons, Ross & Shanken 1989).
 instead, from one :func:`fit_ols` on the union U of their factors (K columns,
 in factor-panel order): coefficients Gamma_U = [alpha_U'; B_U'] (intercept in
 row 0) of one OLS on X_U = [1, F_U], one n x n residual cross product
-S_U = E_U'E_U and one Cholesky Sigma_U = S_U / T = L_U L_U'. Let G = X_U'X_U,
-s a model S's columns of X_U (the intercept among them) and r the factors of
-U it drops. With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
+S_U = E_U'E_U and, for the GRS, one Cholesky Sigma_U = S_U / T = L_U L_U'.
+Let G = X_U'X_U, s a model S's columns of X_U (the intercept among them) and
+r the factors of U it drops. With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
 - X_U'R = G Gamma_U, so Gamma_S = G_ss^{-1} X_s'R = Gamma_U[s] + h_S Gamma_U[r]
   with h_S = G_ss^{-1} G_sr = L_s'^{-1} v (Frisch-Waugh-Lovell);
 - C_S = G_rr - v'v = F_r'M_S F_r, and E_S = E_U + M_S F_r B_r' with E_U
@@ -30,31 +30,35 @@ U it drops. With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
   dropped loadings 1000 times larger it lost up to 4e-8 relative, the
   projection form 7e-12 against a 50-digit reference.)
 
-A model takes its own :func:`fit_ols` and :func:`grs_test` instead
-(``_direct``) wherever the union cannot vouch for the same GRS result:
+A model takes its own :func:`fit_ols` (``_direct``) wherever the union
+cannot vouch for its fit:
 - the union ``fit_ols`` fails: T < K + 2, its Gram fails the rank test
   (factors collinear across models, although each model's own are not),
   or its cross products or sums of squares overflow;
 - a factor is not in the panel, or G_ss fails the rank test: the model's
-  own ``fit_ols`` decides;
+  own ``fit_ols`` decides.
+A model's deferred GRS raises the DegenerateDoFError of ``grs_test`` where
+T - n - k < 1, and is ``grs_test`` of the model's own ``fit_ols`` wherever
+the union cannot vouch for the same GRS result:
 - Sigma_U is singular: n > T - K - 1, or its Cholesky fails. Past
   n = T - K - 1 LAPACK can accept a singular Sigma_U on roundoff pivots,
   and GRS through that L_U came out up to 370 times further from a
   40-digit reference than ``grs_test``, so no Cholesky is tried;
 - the smallest pivot of L_U is at or below ``linalg.chol_pivot_floor`` of
-  Sigma_S, or C_S / T has no Cholesky factor.
+  Sigma_S;
+- C_S / T has no Cholesky factor.
 Sigma_S >= Sigma_U, so every Cholesky pivot of Sigma_S is at least that of
-Sigma_U, and the union accepts no Sigma_S that ``grs_test`` rejects. A model
-with T - n - k < 1 keeps its union fit and the DegenerateDoFError of
-``grs_test``. ``rank`` thus prints the same warnings and errors, in the
-same order, with the same exit codes as per-model ``fit_ols`` + ``grs_test``.
+Sigma_U, and the union accepts no Sigma_S that ``grs_test`` rejects. ``rank``
+thus prints the same GRS cells, warnings and errors, in the same order, with
+the same exit codes as per-model ``fit_ols`` + ``grs_test``. The first GRS
+asked for builds L_U and [z, Z], so ``sweep`` and ``equiv`` do no GRS work.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -177,15 +181,15 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
 def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
                 ) -> Iterator[tuple[RegressionFit, GRSTest]]:
     """Fit every model from one regression on the union of their factors
-    (module docstring): ``fit_ols`` per model, with one n x n residual cross
-    product, one n x n Cholesky and one (K+1)-column forward substitution in
-    all. The one fitting path of the ``rank``, ``sweep`` and ``equiv``
-    commands, not a library entry point.
+    (module docstring): one ``fit_ols``, so one n x n residual cross product,
+    for every model the union vouches for. The one fitting path of the
+    ``rank``, ``sweep`` and ``equiv`` commands, not a library entry point.
 
     Yields ``(fit, grs)`` in model order, each model derived in its turn;
     ``grs()`` does the model's GRS work and returns or raises what
-    ``grs_test(fit)`` would, to rounding. The errors of ``fit_ols`` are
-    raised when the failing model's turn comes.
+    ``grs_test(fit)`` would, to rounding; the first call makes the n x n
+    Cholesky and the (K+1)-column forward substitution that later calls
+    share. The errors of ``fit_ols`` are raised in the failing model's turn.
     """
     t_obs, n = dataset.portfolios.values.shape
     panel = set(dataset.factors.names)
@@ -204,19 +208,32 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
         return
     sigma_u, resid_var_u = union_fit.sigma_base, union_fit.resid_var
     coef_u = np.vstack([union_fit.alpha_hat, union_fit.beta_hat.T])
-    # [z, Z] = L_U^{-1} [alpha_U, B_U]. Sigma_U has rank at most T - K - 1:
-    # past that its Cholesky can still pass on roundoff pivots, and L_U^{-1}
-    # would then cost GRS accuracy.
-    scaled = None
-    if n <= t_obs - width:
+    @cache
+    def basis() -> tuple[float, np.ndarray | None]:
+        """L_U's smallest pivot and [z, Z] = L_U^{-1} [alpha_U, B_U]; a zero
+        pivot, below every floor, where Sigma_U is singular (module docstring)."""
+        if n > t_obs - width:
+            return 0.0, None
         try:
             chol_u = cholesky_spd(sigma_u)
         except NotPDError:
-            pass
-        else:
-            min_pivot = float((np.diag(chol_u) ** 2).min())
-            scaled = solve_lower(chol_u, coef_u.T)
-            del chol_u
+            return 0.0, None
+        return float((np.diag(chol_u) ** 2).min()), solve_lower(chol_u, coef_u.T)
+
+    def grs(fit: RegressionFit, r: list[int], h0: np.ndarray) -> tuple[float, float]:
+        dof2 = _grs_dof(fit)
+        min_pivot, scaled = basis()
+        # Sigma_S >= Sigma_U, so no pivot of Sigma_S is below min_pivot.
+        if min_pivot > chol_pivot_floor(float(fit.resid_var.sum()), n):
+            try:
+                root = np.linalg.cholesky(fit.sigma_core)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                scaled_r = scaled[:, r]
+                return _grs(fit, dof2, scaled[:, 0] + scaled_r @ h0, scaled_r @ root)
+        return grs_test(fit_ols(dataset, fit.model))
+
     asset_mean, betas = union_fit.asset_mean, union_fit.beta_hat
     # R - 1 mean' = (F_U - 1 mu') B_U' + E_U with E_U orthogonal to X_U, so the
     # total sums of squares are T (resid_var_U + rowsum((B_U Omega_U) o B_U)).
@@ -244,24 +261,7 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
         resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=1) / t_obs
         fit = _assemble(dataset, model, coef_u[s] + h @ coef_u[r], sigma_u, b_r,
                         schur / t_obs, resid_var, resid_var * t_obs, sst, asset_mean)
-        try:
-            dof2 = _grs_dof(fit)
-        except DegenerateDoFError:
-            yield fit, partial(_grs_dof, fit)   # raises it again when called
-            continue
-        # Each pivot of Sigma_S is at least min_pivot: above the floor of
-        # Sigma_S, cholesky_spd accepts it.
-        if scaled is None or min_pivot <= chol_pivot_floor(float(resid_var.sum()), n):
-            yield _direct(dataset, model)
-            continue
-        try:
-            root = np.linalg.cholesky(fit.sigma_core)
-        except np.linalg.LinAlgError:
-            yield _direct(dataset, model)
-            continue
-        scaled_r = scaled[:, r]
-        yield fit, partial(_grs, fit, dof2, scaled[:, 0] + scaled_r @ h[0],
-                           scaled_r @ root)
+        yield fit, partial(grs, fit, r, h[0])
 
 
 def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,

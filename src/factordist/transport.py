@@ -135,14 +135,3 @@ def distance_breakdown(alpha: np.ndarray, var: np.ndarray) -> DistanceBreakdown:
         float(alpha @ alpha), float(var.sum()), alpha.shape[0])
     return DistanceBreakdown(td, ad, rmse_alpha, rmse_sigma,
                              np.sqrt(alpha**2 + var), ratio_var)
-
-
-def wd2_between_posteriors(pa: GaussianDist, pb: GaussianDist,
-                           n: int) -> tuple[float, float]:
-    """Total and average distance between two posteriors on n assets."""
-    if pa.dim != n or pb.dim != n:
-        raise DimMismatchError(
-            f"expected dimension {n}, got {pa.dim} and {pb.dim}"
-        )
-    td, ad, *_ = distance_metrics(*wd2_components(pa, pb), n)
-    return td, ad

@@ -40,6 +40,15 @@ def _with_doubled_f1(tmp_path, facts):
     return path
 
 
+def _spoil(path, column, text):
+    """Overwrite one field of the second data row of a CSV file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[3].split(",")
+    fields[column] = text
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _read_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# factordist")
@@ -171,17 +180,9 @@ class TestRank:
         # 1e200 overflows the residual sums of squares; 1.7e308 less an RF
         # of -1.7e308 overflows the excess return itself.
         ports, facts = _synth(tmp_path)
-
-        def spoil(path, column, text):
-            lines = path.read_text(encoding="utf-8").splitlines()
-            fields = lines[3].split(",")
-            fields[column] = text
-            lines[3] = ",".join(fields)
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-        spoil(ports, 2, value)
+        _spoil(ports, 2, value)
         if rf is not None:
-            spoil(facts, 3, rf)
+            _spoil(facts, 3, rf)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -460,6 +461,28 @@ class TestSweep:
                      "--out", str(tmp_path / "out"), "--grid", grid])
         assert code == 1
         assert "error: sigma grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("sweep", []), ("equiv", ["--benchmark", "BOTH"]),
+    ], ids=["sweep", "equiv"])
+    @pytest.mark.parametrize("column", ["portfolio", "rf"])
+    @pytest.mark.parametrize("value", ["1.7e100", "1.7e153"])
+    def test_huge_returns_exit_1(self, tmp_path, capsys, command, extra, column, value):
+        # Below the overflow of any sum of squares, but the squared Gauss
+        # nodes of the posterior's scale A ~ T Sigma overflow.
+        ports, facts = _synth(tmp_path, T=120, n=5)
+        _spoil(*((ports, 2) if column == "portfolio" else (facts, 3)), value)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--portfolios", str(ports), "--factors",
+                         str(facts), "--models", str(_models(tmp_path)),
+                         "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "returns too large" in err
+        assert not out.exists()
 
     def test_inf_grid_is_skeptic_row(self, tmp_path):
         ports, facts = _synth(tmp_path)

@@ -527,6 +527,19 @@ class TestFitModelsFallback:
         assert all(isinstance(grs, tuple) for _, grs in got)
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 
+    @pytest.mark.parametrize("T, n, k", [(200, 30, 6), (14, 12, 2)], ids=["nested", "band"])
+    def test_fits_alone_do_no_grs_work(self, spies, T, n, k):
+        # Taking only the fits, as sweep and equiv do: the union's fit_ols,
+        # no n x n Cholesky and no forward substitution, on nested models
+        # and in the band T - K - 1 < n <= T - k - 1 alike.
+        dataset = _factor_panel_dataset(11, T=T, n=n, k=k, extra=False)
+        models = [ModelSpec(f"M{j}", tuple(f"F{i + 1}" for i in range(j)))
+                  for j in range(1, k + 1)]
+        pairs = list(_fit_models(dataset, models))
+        assert spies["fit_ols"] == ["union"] and n not in spies["chol_sizes"]
+        assert spies["solve_lower"] == [] and spies["grs_test"] == 0
+        _assert_same_outcomes(_outcomes(pairs), _outcomes(direct_fits(dataset, models)))
+
     def test_collinear_across_models_takes_the_direct_path(self, spies):
         # F1 and 2 F1 each fit alone; their union is rank deficient.
         dataset = _factor_panel_dataset(4, T=100, n=6, k=1, extra=False)
@@ -546,11 +559,14 @@ class TestFitModelsFallback:
         T, n = 14, 12
         dataset = _factor_panel_dataset(5, T=T, n=n, k=2, extra=False)
         models = [ModelSpec("SMALL", ("F1",)), ModelSpec("BIG", ("F1", "F2"))]
-        got = _outcomes(_fit_models(dataset, models))
+        pairs = list(_fit_models(dataset, models))
+        assert spies["fit_ols"] == ["union"]
+        got = _outcomes(pairs)
         (small, small_grs), (big, big_grs) = got
-        # SMALL holds its own Sigma, BIG the union's.
-        assert isinstance(small_grs, tuple) and small.sigma_loadings.shape == (n, 0)
-        assert isinstance(big_grs, DegenerateDoFError)
+        # Both hold the union's Sigma_U and a term of the factors they drop;
+        # SMALL's own fit_ols runs only for its GRS.
+        assert small.sigma_base is big.sigma_base and small.sigma_loadings.shape == (n, 1)
+        assert isinstance(small_grs, tuple) and isinstance(big_grs, DegenerateDoFError)
         assert spies["fit_ols"] == ["union", "SMALL"] and spies["grs_test"] == 1
         assert spies["chol_sizes"].count(n) == 1   # the small model's own
         assert small_grs == grs_test(fit_ols(dataset, models[0]))
@@ -591,9 +607,13 @@ class TestFitModelsFallback:
         trace_s = float(np.trace(fit_ols(dataset, models[1]).sigma_mle))
         assert CHOL_PIVOT_REL * np.trace(sigma_u) / n < pivot <= CHOL_PIVOT_REL * trace_s / n
         spies.update(fit_ols=[], chol_sizes=[])
-        got = _outcomes(_fit_models(dataset, models))
-        # ONE holds its own Sigma, not Sigma_U and a term for F2.
-        assert got[1][0].sigma_loadings.shape == (n, 0)
+        pairs = list(_fit_models(dataset, models))
+        assert spies["fit_ols"] == ["union"]
+        got = _outcomes(pairs)
+        # ONE holds Sigma_U and a term for F2; its own fit_ols runs only for
+        # its GRS.
+        assert got[1][0].sigma_base is got[0][0].sigma_base
+        assert got[1][0].sigma_loadings.shape == (n, 1)
         assert spies["fit_ols"] == ["union", "ONE"] and spies["grs_test"] == 1
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 

@@ -13,11 +13,9 @@ from factordist import (
     posterior_alpha_skeptic,
     skeptic_moments,
     transport_map,
-    wd2_between_posteriors,
     wd2_components,
     wd2_gaussian,
 )
-from factordist.bayes import PosteriorFamily
 from factordist.errors import DimMismatchError, SingularSourceError
 from factordist.transport import distance_metrics
 
@@ -211,35 +209,3 @@ class TestDistanceMetrics:
             b = distance_breakdown(alpha, var)
             assert (b.td, b.ad, b.rmse_alpha, b.rmse_sigma, b.ratio_var) == \
                 distance_metrics(float(alpha @ alpha), float(var.sum()), n)
-
-
-class TestBetweenPosteriors:
-    def test_identical(self, rng):
-        p = random_gaussian(rng, 4)
-        td, ad = wd2_between_posteriors(p, p, 4)
-        assert td == pytest.approx(0.0, abs=1e-9)
-        assert ad == pytest.approx(0.0, abs=1e-9)
-
-    def test_dogmatic_vs_skeptic_equals_breakdown(self, base_dataset):
-        dataset, model = base_dataset
-        fit = fit_ols(dataset, model)
-        skeptic = posterior_alpha_skeptic(fit)
-        bd = distance_breakdown(*skeptic_moments(fit))
-        td, ad = wd2_between_posteriors(posterior_alpha_dogmatic(skeptic.dim),
-                                        skeptic, skeptic.dim)
-        assert td == pytest.approx(bd.td, abs=1e-12)
-        assert ad == pytest.approx(bd.ad, abs=1e-12)
-
-    def test_interior_point_is_closer(self, base_dataset):
-        dataset, model = base_dataset
-        family = PosteriorFamily(fit_ols(dataset, model))
-        skeptic = posterior_alpha_skeptic(family.fit)
-        n = family.fit.n
-        dogmatic_td, _ = wd2_between_posteriors(family.at(0.0), skeptic, n)
-        interior_td, _ = wd2_between_posteriors(family.at(2.0), skeptic, n)
-        assert interior_td < dogmatic_td
-
-    def test_dim_mismatch(self, rng):
-        with pytest.raises(DimMismatchError):
-            wd2_between_posteriors(random_gaussian(rng, 3),
-                                   random_gaussian(rng, 3), 4)
