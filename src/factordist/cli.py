@@ -40,12 +40,14 @@ from .synth import RNG_ALGORITHM, SynthConfig, generate
 from .transport import distance_breakdown
 
 DEFAULT_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
+# How every output float is written.
+_FLOAT = "%.6g"
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    return format(float(value), ".6g")
+    return _FLOAT % float(value)
 
 
 def _sanitize(name: str) -> str:
@@ -53,8 +55,11 @@ def _sanitize(name: str) -> str:
 
 
 def _file_tag(path: str | Path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
-    return f"{Path(path).name}:{digest}"
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return f"{Path(path).name}:{digest.hexdigest()[:12]}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,13 +164,14 @@ def cmd_rank(args) -> int:
     out.add("report.csv", meta, header, rows)
 
     assets = dataset.portfolios.names
+    row_format = ",".join(["%s"] + 4 * [_FLOAT])
     for report, alpha, var in results:
         sigma = np.sqrt(var)
         with np.errstate(divide="ignore", invalid="ignore"):
             tstat = np.where(sigma > 0.0, alpha / sigma, np.inf)
-        columns = [[_fmt(v) for v in column.tolist()]
-                   for column in (alpha, sigma, tstat, report.marginal)]
-        lines = [",".join(row) for row in zip(assets, *columns)]
+        lines = [row_format % row for row in zip(
+            assets, alpha.tolist(), sigma.tolist(), tstat.tolist(),
+            report.marginal.tolist())]
         out.add(f"marginal_{_sanitize(report.model_name)}.csv", meta,
                 "asset,alpha,sigma_alpha,t_stat,marginal", lines)
     out.flush()

@@ -4,8 +4,9 @@ File conventions
 ----------------
 Returns CSV: header row ``date,<name>,...``; dates as YYYYMM integers; values
 as decimal percent per month (``0.52`` means 0.52%), each an ASCII float such
-as ``-0.5`` or ``1.2e-3``, optionally space-padded or double-quoted (``1_000``,
-and ``nan`` or ``inf`` in a kept row, are rejected with their line number).
+as ``-0.5`` or ``1.2e-3``, optionally space-padded or double-quoted on one
+line (``1_000``, a quote left open at the line end, and ``nan`` or ``inf`` in
+a kept row, are rejected with their line number).
 Lines starting with ``#`` are ignored, so files written by this package (which
 carry a metadata comment line) re-ingest cleanly.
 
@@ -13,17 +14,20 @@ Model file: one model per line, ``NAME = F1,F2,...``; ``#`` starts a comment.
 
 Both are UTF-8 text (a BOM is skipped). A series or model name holding ``,``
 or ``"`` (it would break the CSV rows it is written to) and a byte that is
-not UTF-8 are each a ``ParseError`` naming its line. Each line is checked as
-it is read, so of several malformed lines the earliest is reported.
+not UTF-8 are each a ``ParseError`` naming its line. Of several faulty lines
+the earliest is reported, a non-finite value and kept dates out of order
+included: a file that fails the one-pass parse is scanned line by line, each
+line checked in full as it is read.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -40,6 +44,8 @@ from .errors import (
 DEFAULT_MISSING_CODES = (-99.99, -999.0)
 # A byte that is not UTF-8, as the surrogateescape error handler decodes it.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# How np.loadtxt reads the fields of data lines, in one pass or line by line.
+_VALUE_SYNTAX = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
 @dataclass(frozen=True)
@@ -133,15 +139,22 @@ def load_panel(path: str | Path,
     """Parse a returns CSV into a panel, dropping missing-coded rows.
 
     Rows containing any value in ``missing_codes`` are excluded entirely;
-    remaining rows keep their original order. Lines are checked as they
-    stream in and all values parsed by one ``np.loadtxt``; of several
-    malformed lines, the earliest is reported, at any file size.
+    remaining rows keep their original order. The file is opened once and
+    its data lines, skipped lines left out, parsed by one ``np.loadtxt``;
+    rising dates, missing codes and finiteness are checked as array
+    operations. A file that fails a check, or that holds anything unusual
+    (a byte that is not UTF-8, a dropped row out of date order), is read
+    again from the start of the same handle by a line scan, which alone
+    decides the outcome: it checks each line in full before the next, so of
+    several faults the one on the earliest line is reported, at any file
+    size.
 
     Raises
     ------
     ParseError
-        Malformed header, date, or value, a series name holding ``,`` or
-        ``"``, a byte that is not UTF-8, a non-finite value in a kept row,
+        Malformed header, date, or value, a quote not closed on its line, a
+        series name holding ``,`` or ``"``, a byte that is not UTF-8, a
+        non-finite value in a kept row,
         or kept dates out of order (message carries the line number).
     DuplicateDateError
         The same YYYYMM appears twice.
@@ -149,87 +162,147 @@ def load_panel(path: str | Path,
         No data rows survive.
     """
     path = Path(path)
-    names: tuple[str, ...] | None = None
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on a file without data
+                panel = _load_table(path, fh, missing_codes)
+        except (ValueError, OverflowError, ParseError, Warning):
+            panel = None
+        if panel is None:
+            fh.seek(0)
+            fh.reconfigure(errors="surrogateescape")
+            panel = _scan(path, fh, missing_codes)
+    return panel
+
+
+def _load_table(path: Path, fh: TextIO,
+                missing_codes: Sequence[float]) -> ReturnsPanel | None:
+    """The panel from one ``loadtxt`` over the data lines of ``fh``; ``None``,
+    or an exception, where the line scan has to decide."""
+    found = _header(path, enumerate(fh, start=1))
+    if found is None:
+        return None
+    lineno, names = found
     dates: list[int] = []
-    linenos: list[int] = []
-    lines: list[str] = []  # data lines, values unparsed
-    seen: set[int] = set()
-    failure: ParseError | DuplicateDateError | None = None
-    try:
-        for lineno, line in _lines(path):
-            if not line.strip(" \t\n\r\f\v,") or line.lstrip().startswith("#"):
-                continue
-            if names is None:
-                header = next(csv.reader([line]))
-                if len(header) < 2:
-                    raise ParseError(f"{path}:{lineno}: header needs a date column "
-                                     "and at least one series")
-                names = tuple(_check_name(path, lineno, c.strip()) for c in header[1:])
-                continue
-            if line.count(",") != len(names):
-                raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} "
-                                 f"fields, got {line.count(',') + 1}")
-            head = line[:line.index(",")]
-            try:
-                date = int(head.strip().strip('"'))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad date {head!r}") from None
-            if date < 101 or not 1 <= date % 100 <= 12:
-                raise ParseError(f"{path}:{lineno}: {date} is not a valid YYYYMM")
-            dates.append(date)
-            linenos.append(lineno)
-            lines.append(line)
-            if date in seen:
-                raise DuplicateDateError(f"{path}: duplicate date {date}")
-            seen.add(date)
-    except (ParseError, DuplicateDateError) as exc:
-        failure = exc  # raised once the values of earlier lines are checked
-    # loadtxt warns on empty input, so a header-only file skips it.
-    values = _parse_values(path, lines, linenos, len(names)) if lines else np.empty((0, 0))
-    if failure is not None:
-        raise failure
-    if names is None:
+    last = ""
+
+    def data_lines() -> Iterator[str]:
+        nonlocal last
+        for number, text in enumerate(fh, start=lineno + 1):
+            if not _skipped(text):
+                dates.append(_date(path, number, text[:text.index(",")]))
+                last = text
+                yield text
+
+    table = np.loadtxt(data_lines(), **_VALUE_SYNTAX)
+    # A quote left open at a line end joins two lines in one row, or, on the
+    # last line, runs to the end of the file.
+    if table.shape != (len(dates), len(names) + 1) or last.count('"') % 2:
+        return None
+    all_dates = np.array(dates)
+    # Rising dates have no duplicate; any other order is the scan's to judge.
+    if not (np.diff(all_dates) > 0).all():
+        return None
+    values = table[:, 1:]
+    coded = _coded(values, missing_codes)
+    if coded.all():
+        return None
+    if coded.any():
+        values, all_dates = values[~coded], all_dates[~coded]
+    # ReturnsPanel rejects a non-finite value.
+    return ReturnsPanel(tuple(all_dates.tolist()), names, values)
+
+
+def _scan(path: Path, fh: TextIO, missing_codes: Sequence[float]) -> ReturnsPanel:
+    """The panel from ``fh`` read line by line, each line checked in full
+    before the next is read."""
+    lines = _lines(path, fh)
+    found = _header(path, lines)
+    if found is None:
         raise ParseError(f"{path}: no header row found")
-    kept = np.flatnonzero(~np.isin(values, missing_codes).any(axis=1))
-    if not kept.size:
+    _, names = found
+    dates: list[int] = []
+    rows: list[np.ndarray] = []
+    seen: set[int] = set()
+    for lineno, line in lines:
+        if _skipped(line):
+            continue
+        if line.count(",") != len(names):
+            raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} "
+                             f"fields, got {line.count(',') + 1}")
+        date = _date(path, lineno, line[:line.index(",")])
+        try:
+            row = np.loadtxt([line], usecols=range(1, len(names) + 1),
+                             **_VALUE_SYNTAX)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric value in row") from None
+        if line.count('"') % 2:  # loadtxt ends a quoted field left open at the line end
+            raise ParseError(f"{path}:{lineno}: quote not closed")
+        if date in seen:
+            raise DuplicateDateError(f"{path}: duplicate date {date}")
+        seen.add(date)
+        if _coded(row, missing_codes)[0]:
+            continue
+        if not np.isfinite(row).all():
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+        if dates and date <= dates[-1]:
+            raise ParseError(f"{path}:{lineno}: dates not strictly increasing at "
+                             f"{dates[-1]} -> {date}")
+        dates.append(date)
+        rows.append(row)
+    if not rows:
         raise EmptyPanelError(f"{path}: no usable rows after dropping missing codes")
-    values, kept_dates = values[kept], np.asarray(dates)[kept]
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise ParseError(f"{path}:{linenos[kept[bad[0]]]}: non-finite value")
-    bad = np.flatnonzero(np.diff(kept_dates) <= 0) + 1
-    if bad.size:
-        raise ParseError(f"{path}:{linenos[kept[bad[0]]]}: dates not strictly "
-                         f"increasing at {kept_dates[bad[0] - 1]} -> {kept_dates[bad[0]]}")
-    return ReturnsPanel(tuple(kept_dates.tolist()), names, values)
+    return ReturnsPanel(tuple(dates), names, np.concatenate(rows))
 
 
-def _parse_values(path: Path, lines: list[str], linenos: list[int],
-                  width: int) -> np.ndarray:
-    """Fields 1..width of the data lines; ParseError names the first bad line."""
-    def parse(chunk: list[str]) -> np.ndarray:
-        return np.loadtxt(chunk, delimiter=",", quotechar='"', comments=None,
-                          ndmin=2, usecols=range(1, width + 1))
+def _skipped(line: str) -> bool:
+    """A blank, comma-only or ``#`` comment line, which ingest ignores."""
+    return not line.strip(" \t\n\r\f\v,") or line.lstrip().startswith("#")
+
+
+def _header(path: Path, lines: Iterator[tuple[int, str]]
+            ) -> tuple[int, tuple[str, ...]] | None:
+    """Line number and series names of the first line not skipped, read from
+    numbered ``lines``; ``None`` if every line is skipped."""
+    for lineno, line in lines:
+        if not _skipped(line):
+            header = next(csv.reader([line]))
+            if len(header) < 2:
+                raise ParseError(f"{path}:{lineno}: header needs a date column "
+                                 "and at least one series")
+            return lineno, tuple(_check_name(path, lineno, c.strip())
+                                 for c in header[1:])
+    return None
+
+
+def _date(path: Path, lineno: int, head: str) -> int:
+    """The YYYYMM date in a line's first field."""
     try:
-        return parse(lines)
+        date = int(head.strip().strip('"'))
     except ValueError:
-        for line, lineno in zip(lines, linenos):
-            try:
-                parse([line])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric value in row") from None
-        raise
+        raise ParseError(f"{path}:{lineno}: bad date {head!r}") from None
+    if date < 101 or not 1 <= date % 100 <= 12:
+        raise ParseError(f"{path}:{lineno}: {date} is not a valid YYYYMM")
+    return date
 
 
-def _lines(path: Path) -> Iterator[tuple[int, str]]:
-    """Numbered lines of a UTF-8 text file, read once; a line holding a byte
-    that is not UTF-8 is a ParseError when it is reached."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
-                raise ParseError(f"{path}:{lineno}: byte 0x{ord(bad[0]) - 0xdc00:02x} "
-                                 "is not UTF-8")
-            yield lineno, line
+def _coded(values: np.ndarray, missing_codes: Sequence[float]) -> np.ndarray:
+    """Mask of the rows of ``values`` that hold a missing-value code."""
+    coded = np.zeros(len(values), dtype=bool)
+    for code in missing_codes:
+        coded |= (values == code).any(axis=1)
+    return coded
+
+
+def _lines(path: Path, fh: TextIO) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a text file opened with ``errors="surrogateescape"``;
+    a line holding a byte that is not UTF-8 is a ParseError when reached."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
+            raise ParseError(f"{path}:{lineno}: byte 0x{ord(bad[0]) - 0xdc00:02x} "
+                             "is not UTF-8")
+        yield lineno, line
 
 
 def _check_name(path: Path, lineno: int, name: str) -> str:
@@ -253,25 +326,26 @@ def load_models(path: str | Path) -> list[ModelSpec]:
     path = Path(path)
     specs: list[ModelSpec] = []
     seen: set[str] = set()
-    for lineno, raw in _lines(path):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected 'NAME = F1,F2,...'")
-        name, _, factors = line.partition("=")
-        name = _check_name(path, lineno, name.strip())
-        factor_names = tuple(f.strip() for f in factors.split(",") if f.strip())
-        if not name:
-            raise ParseError(f"{path}:{lineno}: empty model name")
-        if name in seen:
-            raise DuplicateModelNameError(f"{path}:{lineno}: duplicate model "
-                                          f"name {name!r}")
-        seen.add(name)
-        try:
-            specs.append(ModelSpec(name, factor_names))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, raw in _lines(path, fh):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}:{lineno}: expected 'NAME = F1,F2,...'")
+            name, _, factors = line.partition("=")
+            name = _check_name(path, lineno, name.strip())
+            factor_names = tuple(f.strip() for f in factors.split(",") if f.strip())
+            if not name:
+                raise ParseError(f"{path}:{lineno}: empty model name")
+            if name in seen:
+                raise DuplicateModelNameError(f"{path}:{lineno}: duplicate model "
+                                              f"name {name!r}")
+            seen.add(name)
+            try:
+                specs.append(ModelSpec(name, factor_names))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
     if not specs:
         raise ParseError(f"{path}: no model definitions found")
     return specs
@@ -311,6 +385,8 @@ def build_dataset(portfolios: ReturnsPanel, factors: ReturnsPanel,
 
 def _on_common_dates(panels: Sequence[ReturnsPanel], what: str) -> list[ReturnsPanel]:
     """The panels restricted to the dates they all hold; NoOverlapError if none."""
+    if all(p.dates == panels[0].dates for p in panels[1:]):
+        return list(panels)
     common = sorted(set(panels[0].dates).intersection(*(p.dates for p in panels[1:])))
     if not common:
         raise NoOverlapError(f"{what} share no dates")

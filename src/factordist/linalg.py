@@ -67,12 +67,18 @@ LANCZOS_MAX_STEPS_REL = 0.25
 # Step cap and relative step tolerance of the incomplete-beta continued fraction.
 BETA_CF_MAX_ITER = 200
 BETA_CF_EPS = 1e-12
+# symmetrize: entries below this cannot overflow M + M'.
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return (M + M') / 2 after checking M is square and symmetric.
+def symmetrize(m: np.ndarray, copy: bool = True) -> np.ndarray:
+    """Return (M + M') / 2, a new array, after checking M is square and symmetric.
 
     The asymmetry tolerance SYMMETRY_TOL is relative to max(1, max|entry|).
+    With ``copy=False``, for callers that only read the result, an M that is
+    bitwise symmetric, finite and below half the largest float comes back as
+    it is (for a float64 array, the same object), which is (M + M') / 2 bit
+    for bit.
 
     Raises
     ------
@@ -84,7 +90,11 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:
         raise NotSymmetricError("empty matrix")
-    scale = max(1.0, float(np.abs(a).max()))
+    top = float(np.abs(a).max())
+    # There M + M' is 2M exactly; NaN fails the bound.
+    if top < _HALF_MAX and np.array_equal(a.view(np.int64), a.T.view(np.int64)):
+        return a.copy() if copy else a
+    scale = max(1.0, top)
     gap = float(np.abs(a - a.T).max())
     if gap > SYMMETRY_TOL * scale:
         raise NotSymmetricError(
@@ -108,7 +118,7 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
     NotPSDError
         If an eigenvalue lies below the clamping band.
     """
-    a = symmetrize(m)
+    a = symmetrize(m, copy=False)
     w, v = np.linalg.eigh(a)
     spectral = float(np.abs(w).max())
     if float(w.min()) < -PSD_CLAMP_REL * spectral:
@@ -134,7 +144,7 @@ def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.
     which callers use both to reject singular covariance matrices and to
     detect rank deficiency.
     """
-    a = symmetrize(m)
+    a = symmetrize(m, copy=False)
     tol = chol_pivot_floor(float(np.trace(a)), a.shape[0], pivot_tol_factor)
     try:
         lower = np.linalg.cholesky(a)

@@ -75,20 +75,13 @@ def build_report(fit: RegressionFit, breakdown: DistanceBreakdown,
     Raises
     ------
     InconsistentInputsError
-        Dimension mismatch between the inputs, or a breakdown that cannot
-        have come from the given fit (mean absolute alpha exceeding its
-        root-mean-square).
+        Dimension mismatch between the inputs.
     """
     if breakdown.n != fit.n:
         raise InconsistentInputsError(
             f"dimensions disagree: fit n={fit.n}, breakdown {breakdown.n}"
         )
     mae, mae_over_ar, mean_r2 = alpha_stats(fit)
-    if mae > breakdown.rmse_alpha + 1e-12:
-        raise InconsistentInputsError(
-            f"MAE {mae:.6e} exceeds RMSE {breakdown.rmse_alpha:.6e}; "
-            "fit and breakdown are not from the same model"
-        )
     grs_stat, grs_pvalue = (None, None) if grs is None else grs
     return MetricsReport(
         model_name=fit.model.name,

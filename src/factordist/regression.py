@@ -166,16 +166,21 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         ) from None
     with np.errstate(over="ignore", invalid="ignore"):
         coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ returns))
-        resid = returns - design @ coef
+        # One T x n buffer holds the residuals, then their squares, then the
+        # squared deviations from the asset means.
+        buf = design @ coef
+        resid = np.subtract(returns, buf, out=buf)
         # numpy forms A'A with BLAS syrk: sigma_mle and factor_cov_mle are exactly symmetric.
-        sigma_mle = resid.T @ resid / t_obs
+        sigma_mle = resid.T @ resid
+        sigma_mle /= t_obs
+        ssr = np.square(resid, out=buf).sum(axis=0)
         asset_mean = returns.mean(axis=0)
-        sst = ((returns - asset_mean) ** 2).sum(axis=0)
+        sst = np.square(np.subtract(returns, asset_mean, out=buf), out=buf).sum(axis=0)
     if not (np.isfinite(sigma_mle).all() and np.isfinite(sst).all()):
         raise NonFiniteError(f"model {model.name!r}: returns too large: "
                              "residual or total sums of squares overflow")
     return _assemble(dataset, model, coef, sigma_mle, np.empty((n, 0)), np.empty((0, 0)),
-                     np.diag(sigma_mle), (resid ** 2).sum(axis=0), sst, asset_mean)
+                     np.diag(sigma_mle), ssr, sst, asset_mean)
 
 
 def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]

@@ -594,3 +594,9 @@ class TestGaussianDist:
         d = GaussianDist(np.zeros(2), np.array([[1.0, 0.5 + 1e-14],
                                                 [0.5, 1.0]]))
         np.testing.assert_array_equal(d.cov, d.cov.T)
+
+    def test_cov_not_shared_with_caller(self):
+        cov = np.eye(2)
+        d = GaussianDist(np.zeros(2), cov)
+        cov[0, 0] = 5.0
+        assert d.cov[0, 0] == 1.0

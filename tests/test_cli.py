@@ -1,16 +1,21 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from factordist import __version__
-from factordist.cli import _fmt, main
+from factordist import __version__, dataio
+from factordist.cli import _file_tag, _fmt, main
 
-from conftest import direct_fits
+from conftest import direct_fits, scan_spy
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _synth(tmp_path, **overrides):
@@ -194,6 +199,43 @@ class TestRank:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow" in err
         assert not out.exists()
+
+    def test_huge_riskfree_rate_exit_0(self, tmp_path, capsys):
+        # MAE <= RMSE holds for every vector; rounding near 1e103 used to
+        # trip a check of it and exit 1 with "MAE ... exceeds RMSE ...".
+        ports, facts = _synth(tmp_path, T=120, n=5, k=2, seed=1, alpha=0)
+        _spoil(facts, 3, "1.7e105")
+        code = main(["rank", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(_models(tmp_path)), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "exceeds" not in err
+
+    def test_line_scan_gives_the_same_outputs(self, tmp_path, monkeypatch):
+        # A comment line after the header is skipped by the one-pass parse;
+        # the line scan, forced by a one-pass parse that always declines,
+        # must give the same outputs too.
+        ports, facts = _synth(tmp_path)
+        lines = ports.read_text(encoding="utf-8").splitlines(keepends=True)
+        noted = tmp_path / "noted.csv"
+        noted.write_text("".join([*lines[:5], "# note\n", *lines[5:]]), encoding="utf-8")
+
+        def outputs(path, name):
+            out = tmp_path / name
+            assert main(["rank", "--portfolios", str(path), "--factors", str(facts),
+                         "--models", str(_models(tmp_path)), "--out", str(out)]) == 0
+            # Below the metadata line, which names and hashes the inputs.
+            return {p.name: p.read_text(encoding="utf-8").split("\n", 1)[1]
+                    for p in out.iterdir()}
+
+        with scan_spy() as scanned:
+            plain, one_pass = outputs(ports, "plain"), outputs(noted, "one_pass")
+        assert scanned == []
+        monkeypatch.setattr(dataio, "_load_table", lambda *args: None)
+        with scan_spy() as scanned:
+            line_scan = outputs(noted, "line_scan")
+        assert scanned == [noted, facts]
+        assert plain == one_pass == line_scan
 
     def test_write_failure_keeps_previous_outputs(self, tmp_path, monkeypatch):
         ports, facts = _synth(tmp_path)
@@ -414,6 +456,32 @@ class TestRank:
 ])
 def test_fmt(value, text):
     assert _fmt(value) == text
+
+
+def test_file_tag_hashes_a_file_over_several_chunks(tmp_path):
+    data = bytes(range(256)) * 10_000  # 2.56 MB: three 1 MB reads
+    path = tmp_path / "big.csv"
+    path.write_bytes(data)
+    assert _file_tag(path) == f"big.csv:{hashlib.sha256(data).hexdigest()[:12]}"
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma takes 13-15 ms to import; np.unique, for one, imports it.
+    ports, facts = _synth(tmp_path)
+    data = ["--portfolios", str(ports), "--factors", str(facts),
+            "--models", str(_models(tmp_path)), "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from factordist.cli import main\n"
+        f"data = {data!r}\n"
+        "codes = [main(['rank', *data]), main(['sweep', *data]),\n"
+        "         main(['equiv', *data, '--benchmark', 'BOTH'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout.strip() == "[0, 0, 0] False", run.stderr
 
 
 class TestSweep:

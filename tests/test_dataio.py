@@ -27,7 +27,7 @@ from factordist.errors import (
     ParseError,
 )
 
-from conftest import panel_from_columns
+from conftest import panel_from_columns, scan_spy
 
 
 def _write(tmp_path, name, text):
@@ -281,10 +281,46 @@ class TestLoadPanel:
         with pytest.raises(ParseError, match=r"f\.csv:2: byte 0xe9 is not UTF-8"):
             load_panel(path)
 
+    @pytest.mark.parametrize("raw, fault", [
+        (b"date,A,B\n200001,1,2\n200002,1,nan\n200003,1,2\n200004,1\n",
+         r"f\.csv:3: non-finite value"),
+        (b"date,A,B\n200002,1,2\n200001,1,2\n200003,1\n",
+         r"f\.csv:3: dates not strictly increasing at 200002 -> 200001"),
+        (b"date,A\n200002,1\n200001,1\n200003,nan\n",
+         r"f\.csv:3: dates not strictly increasing at 200002 -> 200001"),
+        (b"date,A\n200001,nan\n200002,1\n200002,1\n", r"f\.csv:2: non-finite value"),
+        (b"date,A\n200001,nan\n200002,2\xe9\n", r"f\.csv:2: non-finite value"),
+    ], ids=["non_finite_then_ragged", "order_then_ragged", "order_then_non_finite",
+            "non_finite_then_duplicate", "non_finite_then_bad_byte"])
+    def test_kept_row_fault_reported_before_a_later_fault(self, tmp_path, raw, fault):
+        path = tmp_path / "f.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=fault):
+            load_panel(path)
+
+    @pytest.mark.parametrize("text, fault", [
+        ('date,A\n"2000"01,1\n', r"f\.csv:2: bad date '\"2000\"01'"),
+        # A quoted field that runs over a line end: one row to loadtxt.
+        ('date,A,B\n200001,"\n200002",2\n200003,-99.99,1\n',
+         r"f\.csv:2: expected 3 fields, got 2"),
+        # Read alone, the line's open quote is closed by loadtxt at its end.
+        ('date,A\n200001,"1\n200002,2\n', r"f\.csv:2: quote not closed"),
+        # Here csv.reader, and so reference_load_panel, reads the value 2.
+        ('date,A\n200001,1\n200002,"2\n', r"f\.csv:3: quote not closed"),
+    ], ids=["quote_inside_date", "quote_over_line_end", "quote_open_at_line_end",
+            "quote_open_at_file_end"])
+    def test_line_rules_hold_where_loadtxt_joins_quoted_text(self, tmp_path, text,
+                                                            fault):
+        path = _write(tmp_path, "f.csv", text)
+        with pytest.raises(ParseError, match=fault):
+            load_panel(path)
+
     @pytest.mark.parametrize("panel, models", [
         (b"date,A\n200001,1.0\n", b"M = F1\n"),
+        # A dropped row out of date order: the line scan decides.
+        (b"date,A\n200002,1.0\n200001,-99.99\n200003,2\n", b"M = F1\n"),
         (b"date,A\n200001,1.0\n200002,2\xe9\n", b"M = F1\nN = F\xe9\n"),
-    ], ids=["utf8", "bad_byte"])
+    ], ids=["utf8", "scanned", "bad_byte"])
     def test_each_file_opened_once(self, tmp_path, monkeypatch, panel, models):
         panel_path, models_path = tmp_path / "p.csv", tmp_path / "m.txt"
         panel_path.write_bytes(panel)
@@ -322,6 +358,36 @@ class TestLoadPanelOracle:
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(load_panel, path) == _outcome(reference_load_panel, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_panel_file(malformed=0))
+    def test_one_pass_parse_takes_well_formed_files(self, tmp_path_factory, text):
+        # Skipped lines anywhere included: the line scan is not needed.
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with scan_spy() as scanned:
+            outcome = _outcome(load_panel, path)
+        assert outcome == _outcome(reference_load_panel, path)
+        if outcome[0] is not EmptyPanelError:
+            assert scanned == []
+
+    @pytest.mark.parametrize("text", [
+        "date,A\n196301.0,1.5\n196302,2\n",
+        'date,A\n"  196301 ",1.5\n196302,2\n',
+        "\ufeffdate,A,B\r\n196301,1,2\r\n\r\n196302,3,4\r\n",
+        "date,A,B\r196301,1,2\r196302,3,4\r",
+        "date,A,B\n196301,nan,-99.99\n196302,3,4\n",
+        "date,A\n196301,1\n196302,2\n196301,-999\n",
+        'date,A\n196301,"1\n196302,2\n',
+    ], ids=["float_date", "padded_quoted_date", "bom_crlf", "cr", "nan_in_dropped_row",
+            "duplicate_in_dropped_row", "quote_open_at_line_end"])
+    def test_hazard_matches_reference(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with scan_spy() as scanned:
+            outcome = _outcome(load_panel, path)
+        assert outcome == _outcome(reference_load_panel, path)
+        assert (scanned == []) == (not isinstance(outcome[0], type))
 
 
 class TestBuildDataset:

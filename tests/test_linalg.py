@@ -401,6 +401,27 @@ class TestSymmetrize:
         with pytest.raises(NotSymmetricError):
             symmetrize(np.ones((2, 3)))
 
+    def test_exactly_symmetric_returned_as_is_only_without_copy(self, rng):
+        b = rng.standard_normal((40, 40))
+        m = b + b.T
+        assert symmetrize(m, copy=False) is m
+        out = symmetrize(m)
+        assert not np.shares_memory(out, m)
+        np.testing.assert_array_equal(out, (m + m.T) / 2.0)
+
+    @pytest.mark.parametrize("m", [
+        [[1.0, -0.0], [0.0, 1.0]],        # equal, but not bit for bit
+        [[1e308, 1.0], [1.0, 1.0]],       # M + M' overflows
+        [[np.nan, 1.0], [1.0, 1.0]],
+    ], ids=["signed_zero", "huge", "nan"])
+    def test_other_matrices_get_the_mean(self, m):
+        m = np.array(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = symmetrize(m)
+            expected = (m + m.T) / 2.0
+        assert not np.shares_memory(out, m)
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+
 
 def _mp_f_cdf_upper(x, d1, d2):
     """P(F_{d1,d2} > x) = I_z(d2/2, d1/2) at z = d2 / (d2 + d1 x), to 60 digits.

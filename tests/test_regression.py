@@ -87,6 +87,19 @@ class TestFitOls:
             np.testing.assert_array_equal(fit.sigma_mle, fit.sigma_mle.T)
             np.testing.assert_array_equal(fit.factor_cov_mle, fit.factor_cov_mle.T)
 
+    def test_sums_of_squares_match_the_plain_formulas(self, rng):
+        # fit_ols forms them in one reused buffer; the bits must not move.
+        for T, n, k in ((37, 11, 1), (240, 30, 3)):
+            dataset, model = random_fit_inputs(rng, T=T, n=n, k=k)
+            fit = fit_ols(dataset, model)
+            returns = dataset.portfolios.values
+            design = np.column_stack([np.ones(T),
+                                      dataset.factors.select(model.factor_names)])
+            resid = returns - design @ np.vstack([fit.alpha_hat, fit.beta_hat.T])
+            sst = ((returns - returns.mean(axis=0)) ** 2).sum(axis=0)
+            np.testing.assert_array_equal(fit.sigma_mle, resid.T @ resid / T)
+            np.testing.assert_array_equal(fit.r2, 1.0 - (resid ** 2).sum(axis=0) / sst)
+
     def test_residuals_mean_zero(self, base_dataset):
         dataset, model = base_dataset
         fit = fit_ols(dataset, model)
