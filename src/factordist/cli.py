@@ -7,17 +7,29 @@ hashes, and parameter values. Exit codes: 0 success, 1 user or data error,
 2 internal numerical failure. Where the GRS test is undefined (T - n - k < 1
 or a singular residual covariance), ``rank`` still reports the distance,
 leaves the GRS cells empty and names the reason on stderr.
+
+Two entries: ``run()`` is the process entry, behind both
+``python -m factordist.cli`` and the ``factordist`` console script, and
+``main(argv)`` is the in-process entry, which returns the exit code. Only
+``run()`` calls ``gc.freeze()``, after ``main`` has written and closed
+every output, so that the interpreter's shutdown collection skips the
+objects left from import and the run (about 20 ms per command on a 2-vCPU
+machine); atexit handlers and the flush of the standard streams still
+run. ``main`` never freezes: a caller that goes on running, such as a test
+session, keeps its normal collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import os
 import re
 import sys
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -343,5 +355,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Run ``main()`` on ``sys.argv`` and end the process with its exit code."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,7 +2,8 @@
 
 File conventions
 ----------------
-Returns CSV: header row ``date,<name>,...``; dates as YYYYMM integers; values
+Returns CSV: header row ``date,<name>,...``; dates as YYYYMM integers in
+ASCII digits (no sign or ``_``), padded or quoted like a value; values
 as decimal percent per month (``0.52`` means 0.52%), each an ASCII float such
 as ``-0.5`` or ``1.2e-3``, optionally space-padded or double-quoted on one
 line (``1_000``, a quote left open at the line end, and ``nan`` or ``inf`` in
@@ -277,12 +278,14 @@ def _header(path: Path, lines: Iterator[tuple[int, str]]
 
 
 def _date(path: Path, lineno: int, head: str) -> int:
-    """The YYYYMM date in a line's first field."""
-    try:
-        date = int(head.strip().strip('"'))
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: bad date {head!r}") from None
-    if date < 101 or not 1 <= date % 100 <= 12:
+    """The YYYYMM date in a line's first field: ASCII digits only, optionally
+    space-padded or double-quoted."""
+    digits = head.strip().strip('"').strip()
+    # int() alone would also take a sign, '_' separators and non-ASCII digits.
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{path}:{lineno}: bad date {head!r}")
+    date = int(digits)
+    if not 101 <= date <= 999912 or not 1 <= date % 100 <= 12:
         raise ParseError(f"{path}:{lineno}: {date} is not a valid YYYYMM")
     return date
 

@@ -171,16 +171,16 @@ def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class RankOneQuadrature:
-    """Delta(g) = tr sqrt(D^2 + g gamma gamma') - tr D for D = diag(d) >= 0 and
-    every g in [0, g_max], and its second-order remainder R(g), from one table.
+    """The second-order remainder R(g) = g sum(gamma_i^2 / d_i) / 2 - Delta(g)
+    of Delta(g) = tr sqrt(D^2 + g gamma gamma') - tr D, for D = diag(d) >= 0
+    and every g in [0, g_max], from one table.
 
     Only the squares d^2 and gamma^2 enter. Sherman-Morrison turns Delta into
     (2/pi) int_0^inf t^2 g S2(t) / (1 + g S1(t)) dt with
     S_p(t) = sum_i gamma_i^2 / (d_i^2 + t^2)^p. As (2/pi) int t^2 S2 dt =
-    sum gamma_i^2 / (2 d_i), the remainder R(g) = g sum(gamma_i^2 / d_i) / 2 -
-    Delta(g) is (2/pi) int t^2 g^2 S1 S2 / (1 + g S1) dt, a sum of positive
-    terms. Both integrals use the trapezoidal rule in u = log t (step
-    QUAD_STEP) from log(min d) - QUAD_LO_MARGIN to
+    sum gamma_i^2 / (2 d_i), R(g) is (2/pi) int t^2 g^2 S1 S2 / (1 + g S1) dt,
+    a sum of positive terms. The integral uses the trapezoidal rule in
+    u = log t (step QUAD_STEP) from log(min d) - QUAD_LO_MARGIN to
     log(sqrt(max d^2 + g_max sum gamma^2)) + QUAD_HI_MARGIN, after scaling d^2
     and gamma^2 by max d^2. The poles of the integrand sit on |Im u| = pi / 2
     for every g, so one grid serves all g <= g_max: building it costs O(q n)
@@ -222,10 +222,6 @@ class RankOneQuadrature:
         and gamma^2 = theta w, node times weight standing in for the square of
         gamma = D^{1/2} Q'v (a positive-definite A has every node positive)."""
         return cls(theta * theta, theta * w, g_max)
-
-    def delta(self, g: float) -> float:
-        """tr sqrt(D^2 + g gamma gamma') - tr D, O(q)."""
-        return self._factor * g * float((self._t3_s2 / (1.0 + g * self._s1)).sum())
 
     def remainder(self, g: float) -> float:
         """g sum(gamma_i^2 / d_i) / 2 - Delta(g) >= 0, without cancellation, O(q)."""

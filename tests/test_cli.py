@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import os
@@ -465,6 +466,13 @@ def test_file_tag_hashes_a_file_over_several_chunks(tmp_path):
     assert _file_tag(path) == f"big.csv:{hashlib.sha256(data).hexdigest()[:12]}"
 
 
+def _python(*args):
+    """A fresh interpreter that imports this checkout's package, run to its end."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_commands_do_not_import_numpy_ma(tmp_path):
     # numpy.ma takes 13-15 ms to import; np.unique, for one, imports it.
     ports, facts = _synth(tmp_path)
@@ -478,10 +486,80 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
         "         main(['equiv', *data, '--benchmark', 'BOTH'])]\n"
         "print(codes, 'numpy.ma' in sys.modules)\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         timeout=120, env={**os.environ, "PYTHONPATH": path})
+    run = _python("-c", script)
     assert run.stdout.strip() == "[0, 0, 0] False", run.stderr
+
+
+class TestProcessEntry:
+    """``python -m factordist.cli`` and the console script end through
+    ``cli.run()``; ``main`` is the in-process entry."""
+
+    @staticmethod
+    def _data(tmp_path):
+        ports, facts = _synth(tmp_path)
+        return ["--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(_models(tmp_path))]
+
+    def test_version_exit_0(self):
+        run = _python("-m", "factordist.cli", "--version")
+        assert (run.returncode, run.stdout, run.stderr) == (
+            0, f"factordist {__version__}\n", "")
+
+    def test_user_error_exit_1_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        run = _python("-m", "factordist.cli", "sweep", *self._data(tmp_path),
+                      "--grid", "2,1", "--out", str(out))
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: ")
+        assert not out.exists()
+
+    def test_numerical_failure_exit_2(self, tmp_path):
+        argv = ["factordist", "rank", *self._data(tmp_path), "--out", str(tmp_path / "out")]
+        script = (
+            "import sys\n"
+            "import factordist.cli as cli\n"
+            "from factordist.errors import NumericalError\n"
+            "def boom(dataset, models):\n"
+            "    raise NumericalError('synthetic breakage')\n"
+            "cli._fit_models = boom\n"
+            f"sys.argv = {argv!r}\n"
+            "cli.run()\n"
+        )
+        run = _python("-c", script)
+        assert (run.returncode, run.stderr) == (
+            2, "numerical failure: synthetic breakage\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("rank", []), ("sweep", []), ("equiv", ["--benchmark", "BOTH"]),
+    ], ids=["rank", "sweep", "equiv"])
+    def test_same_outputs_as_main(self, tmp_path, capsys, command, extra):
+        data = [command, *self._data(tmp_path), *extra]
+        child, here = tmp_path / "child", tmp_path / "here"
+        run = _python("-m", "factordist.cli", *data, "--out", str(child))
+        assert main([*data, "--out", str(here)]) == run.returncode == 0
+        assert capsys.readouterr().err == run.stderr
+        names = sorted(p.name for p in here.iterdir())
+        assert names == sorted(p.name for p in child.iterdir())
+        for name in names:
+            assert (child / name).read_bytes() == (here / name).read_bytes(), name
+
+    def test_only_run_freezes_the_collector(self, tmp_path):
+        data = ["sweep", *self._data(tmp_path)]
+        assert main([*data, "--out", str(tmp_path / "here")]) == 0
+        assert gc.get_freeze_count() == 0
+        # Shutdown still runs atexit handlers and flushes stdout.
+        script = (
+            "import atexit, gc, sys\n"
+            "from factordist.cli import run\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            f"sys.argv = {['factordist', *data, '--out', str(tmp_path / 'child')]!r}\n"
+            "run()\n"
+        )
+        run = _python("-c", script)
+        assert run.returncode == 0, run.stderr
+        label, count = run.stdout.split()
+        assert label == "frozen" and int(count) > 0
 
 
 class TestSweep:

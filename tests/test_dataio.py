@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factordist import dataio
 from factordist.dataio import (
     DEFAULT_MISSING_CODES,
     ReturnsPanel,
@@ -55,11 +56,11 @@ def reference_load_panel(path, missing_codes=DEFAULT_MISSING_CODES):
                 continue
             if len(row) != len(names) + 1:
                 raise ParseError(f"{path}:{lineno}: ragged")
-            try:
-                date = int(row[0].strip())
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad date") from None
-            if date < 101 or not 1 <= date % 100 <= 12:
+            digits = row[0].strip()
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(f"{path}:{lineno}: bad date")
+            date = int(digits)
+            if not 101 <= date <= 999912 or not 1 <= date % 100 <= 12:
                 raise ParseError(f"{path}:{lineno}: not a valid YYYYMM")
             try:
                 vals = [float(c) for c in row[1:]]
@@ -194,6 +195,41 @@ class TestLoadPanel:
         path = _write(tmp_path, "f.csv", "date,A\n200013,1.0\n")
         with pytest.raises(ParseError, match="YYYYMM"):
             load_panel(path)
+
+    @staticmethod
+    def _route(route, monkeypatch, path):
+        """``load_panel`` on ``path`` by one route: the one-pass parse alone,
+        or the line scan alone."""
+        if route == "one_pass":
+            with open(path, encoding="utf-8-sig") as fh:
+                return dataio._load_table(path, fh, DEFAULT_MISSING_CODES)
+        monkeypatch.setattr(dataio, "_load_table", lambda *args: None)
+        with scan_spy() as scanned:
+            try:
+                return load_panel(path)
+            finally:
+                assert scanned == [path]
+
+    @pytest.mark.parametrize("route", ["one_pass", "scan"])
+    @pytest.mark.parametrize("date, fault", [
+        ("1963_01", "bad date '1963_01'"),
+        ("+196301", r"bad date '\+196301'"),
+        ("\u0661\u0669\u0666\u0663\u0660\u0661", "bad date"),
+        ("100000000000000000001", "100000000000000000001 is not a valid YYYYMM"),
+    ], ids=["digit_separator", "sign", "arabic_indic_digits", "21_digits"])
+    def test_date_is_ascii_digits_up_to_999912(self, tmp_path, monkeypatch, route,
+                                              date, fault):
+        # Each of these is 196301 or a number to Python's int().
+        path = _write(tmp_path, "f.csv", f"date,A\n196212,1\n{date},1\n")
+        with pytest.raises(ParseError, match=rf"f\.csv:3: {fault}"):
+            self._route(route, monkeypatch, path)
+
+    @pytest.mark.parametrize("route", ["one_pass", "scan"])
+    def test_padded_and_quoted_dates_load(self, tmp_path, monkeypatch, route):
+        path = _write(tmp_path, "f.csv",
+                      'date,A\n 196301 ,1\n"196302",2\n" 196303 ",3\n999912,4\n')
+        panel = self._route(route, monkeypatch, path)
+        assert panel.dates == (196301, 196302, 196303, 999912)
 
     def test_ragged_row(self, tmp_path):
         path = _write(tmp_path, "f.csv", "date,A,B\n200001,1.0\n")
