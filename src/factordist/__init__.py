@@ -32,7 +32,6 @@ from .linalg import chol_solve, f_cdf_upper, spd_sqrt, symmetrize
 from .metrics import (
     MetricsReport,
     alpha_stats,
-    annual_savings,
     build_report,
     rank_models,
 )
@@ -56,8 +55,7 @@ __all__ = [
     "sigma_annual_to_monthly",
     "wd2_gaussian", "wd2_components", "transport_map",
     "DistanceBreakdown", "distance_breakdown",
-    "MetricsReport", "alpha_stats", "build_report",
-    "rank_models", "annual_savings",
+    "MetricsReport", "alpha_stats", "build_report", "rank_models",
     "SweepRow", "EquivResult", "sweep", "solve_equiv",
     "SynthConfig", "generate", "power_scenario", "RNG_ALGORITHM",
     "spd_sqrt", "chol_solve", "f_cdf_upper", "symmetrize",

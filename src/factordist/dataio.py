@@ -74,7 +74,7 @@ class ReturnsPanel:
         if not np.all(np.isfinite(vals)):
             raise ValueError("panel values must be finite")
         for d in self.dates:
-            if d < 101 or not 1 <= d % 100 <= 12:
+            if not _is_month(d):
                 raise ParseError(f"{d} is not a valid YYYYMM month")
         for prev, cur in zip(self.dates, self.dates[1:]):
             if cur <= prev:
@@ -277,6 +277,11 @@ def _header(path: Path, lines: Iterator[tuple[int, str]]
     return None
 
 
+def _is_month(date: int) -> bool:
+    """Whether ``date`` is a YYYYMM month, year 1 to 9999."""
+    return 101 <= date <= 999912 and 1 <= date % 100 <= 12
+
+
 def _date(path: Path, lineno: int, head: str) -> int:
     """The YYYYMM date in a line's first field: ASCII digits only, optionally
     space-padded or double-quoted."""
@@ -285,7 +290,7 @@ def _date(path: Path, lineno: int, head: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"{path}:{lineno}: bad date {head!r}")
     date = int(digits)
-    if not 101 <= date <= 999912 or not 1 <= date % 100 <= 12:
+    if not _is_month(date):
         raise ParseError(f"{path}:{lineno}: {date} is not a valid YYYYMM")
     return date
 
@@ -421,7 +426,7 @@ def concat_panels(panels: Sequence[ReturnsPanel]) -> ReturnsPanel:
 
 def month_range(start: int, count: int) -> tuple[int, ...]:
     """``count`` consecutive YYYYMM months starting at ``start``."""
-    if not 1 <= start % 100 <= 12:
+    if not _is_month(start):
         raise ValueError(f"{start} is not a valid YYYYMM")
     first = start // 100 * 12 + start % 100 - 1  # months since January of year 0
     return tuple(m // 12 * 100 + m % 12 + 1 for m in range(first, first + count))

@@ -99,22 +99,14 @@ class DegenerateDoFError(InputError):
 # -- transport ---------------------------------------------------------------
 
 class DimMismatchError(InputError):
-    """Distributions or reports with incompatible dimensions."""
+    """Distributions with incompatible dimensions."""
 
 
 class SingularSourceError(NumericalError):
     """Transport map requested from a distribution with singular covariance."""
 
 
-# -- reporting and solving ---------------------------------------------------
-
-class InconsistentInputsError(InputError):
-    """Report assembly received inputs from different fits."""
-
-
-class MixedCrossSectionsError(InputError):
-    """Operation across reports that were fit on different cross sections."""
-
+# -- solving and configuration -----------------------------------------------
 
 class NotBracketedError(InputError):
     """Equivalence target lies outside the reachable distance range."""

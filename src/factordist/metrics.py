@@ -1,4 +1,4 @@
-"""Per-model metric reports, alpha statistics, ranking, and annual savings.
+"""Per-model metric reports, alpha statistics, and ranking.
 
 A report is one table row per model on a fixed cross section: the distance
 metrics alongside the GRS statistic and the classic alpha-based statistics.
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentInputsError, MixedCrossSectionsError
 from .regression import RegressionFit
 from .transport import DistanceBreakdown
 
@@ -45,12 +44,6 @@ class MetricsReport:
     mae_over_ar: float
     mean_r2: float
     marginal: np.ndarray
-    first_date: int
-    last_date: int
-
-    @property
-    def fingerprint(self) -> tuple[int, int, int, int]:
-        return (self.n, self.T, self.first_date, self.last_date)
 
 
 def alpha_stats(fit: RegressionFit) -> tuple[float, float, float]:
@@ -70,17 +63,7 @@ def alpha_stats(fit: RegressionFit) -> tuple[float, float, float]:
 def build_report(fit: RegressionFit, breakdown: DistanceBreakdown,
                  grs: tuple[float, float] | None) -> MetricsReport:
     """Assemble one model's report row from same-model pieces; ``grs`` is
-    the GRS statistic and p-value, or ``None`` where the test is undefined.
-
-    Raises
-    ------
-    InconsistentInputsError
-        Dimension mismatch between the inputs.
-    """
-    if breakdown.n != fit.n:
-        raise InconsistentInputsError(
-            f"dimensions disagree: fit n={fit.n}, breakdown {breakdown.n}"
-        )
+    the GRS statistic and p-value, or ``None`` where the test is undefined."""
     mae, mae_over_ar, mean_r2 = alpha_stats(fit)
     grs_stat, grs_pvalue = (None, None) if grs is None else grs
     return MetricsReport(
@@ -99,41 +82,12 @@ def build_report(fit: RegressionFit, breakdown: DistanceBreakdown,
         mae_over_ar=mae_over_ar,
         mean_r2=mean_r2,
         marginal=breakdown.marginal,
-        first_date=fit.first_date,
-        last_date=fit.last_date,
     )
-
-
-def _check_same_cross_section(reports: list[MetricsReport]) -> None:
-    first = reports[0].fingerprint
-    for r in reports[1:]:
-        if r.fingerprint != first:
-            raise MixedCrossSectionsError(
-                f"{reports[0].model_name} on {first} vs "
-                f"{r.model_name} on {r.fingerprint}"
-            )
 
 
 def rank_models(reports: list[MetricsReport]) -> list[MetricsReport]:
     """The reports ranked by ascending average distance; ties broken by TD,
-    then name.
-
-    Raises
-    ------
-    MixedCrossSectionsError
-        Reports come from different cross sections.
-    """
+    then name."""
     if not reports:
         raise ValueError("no reports to rank")
-    _check_same_cross_section(reports)
     return sorted(reports, key=lambda r: (r.ad, r.td, r.model_name))
-
-
-def annual_savings(report_a: MetricsReport, report_b: MetricsReport) -> float:
-    """Annualized transport-cost saving of model B over model A.
-
-    ``(td_a - td_b) * 12`` in percent per annum; positive when B is the
-    cheaper model to believe dogmatically.
-    """
-    _check_same_cross_section([report_a, report_b])
-    return (report_a.td - report_b.td) * 12.0

@@ -104,8 +104,6 @@ class RegressionFit:
     factor_cov_mle: np.ndarray  # (k, k)
     r2: np.ndarray              # (n,)
     asset_mean: np.ndarray      # (n,)
-    first_date: int
-    last_date: int
 
     @property
     def sigma_mle(self) -> np.ndarray:
@@ -296,8 +294,6 @@ def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
         factor_cov_mle=centered.T @ centered / dataset.t_obs,
         r2=r2,
         asset_mean=asset_mean,
-        first_date=dataset.portfolios.dates[0],
-        last_date=dataset.portfolios.dates[-1],
     )
 
 

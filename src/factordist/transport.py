@@ -109,10 +109,6 @@ class DistanceBreakdown:
     marginal: np.ndarray
     ratio_var: float
 
-    @property
-    def n(self) -> int:
-        return self.marginal.shape[0]
-
 
 def distance_metrics(mean_sq: float, trace_term: float,
                      n: int) -> tuple[float, float, float, float, float]:

@@ -104,8 +104,6 @@ def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
         factor_cov_mle=factor_cov,
         r2=np.full(n, 0.9),
         asset_mean=np.asarray(asset_mean, dtype=float),
-        first_date=196701,
-        last_date=201612,
     )
 
 

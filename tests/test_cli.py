@@ -10,7 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from factordist import __version__, dataio
+from factordist import (
+    PosteriorFamily,
+    __version__,
+    build_dataset,
+    dataio,
+    fit_ols,
+    linalg,
+    load_models,
+    load_panel,
+    posterior_alpha_skeptic,
+    wd2_components,
+)
 from factordist.cli import _file_tag, _fmt, main
 
 from conftest import direct_fits, scan_spy
@@ -53,6 +64,15 @@ def _spoil(path, column, text):
     fields[column] = text
     lines[3] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_columns(path, dates, columns):
+    """A returns CSV of the given columns, every value written exactly."""
+    rows = [",".join(["date", *columns])]
+    rows += [",".join([str(d), *(repr(float(c[t])) for c in columns.values())])
+             for t, d in enumerate(dates)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
 
 
 def _read_rows(path):
@@ -629,6 +649,54 @@ class TestSweep:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "returns too large" in err
         assert not out.exists()
+
+    def test_lanczos_rows_match_dense_forms(self, tmp_path, monkeypatch):
+        # n = 160 is past linalg.GAUSS_RULE_MIN_N, so each family takes its
+        # Gauss rule from Lanczos; every printed row must still agree with the
+        # dense distance from the posterior to the skeptic posterior.
+        T, n, k = 400, 160, 4
+        rng = np.random.default_rng(0)
+        f = rng.normal(0.5, 4.0, (T, k))
+        betas = rng.normal(1.0, 0.5, (n, k))
+        noise = rng.normal(0.0, 2.0, (T, n)) @ (np.eye(n) + 0.3 * rng.normal(size=(n, n)))
+        returns = rng.normal(0.0, 0.3, n) + f @ betas.T + noise
+        dates = dataio.month_range(200001, T)
+        ports = _write_columns(tmp_path / "ports.csv", dates,
+                               {f"A{i}": returns[:, i] for i in range(n)})
+        facts = _write_columns(tmp_path / "facts.csv", dates,
+                               {**{f"F{j + 1}": f[:, j] for j in range(k)},
+                                "RF": np.zeros(T)})
+        models = _models(tmp_path, "".join(
+            f"M{m} = {','.join(f'F{j + 1}' for j in range(m))}\n" for m in range(1, k + 1)))
+        sizes = []
+        real = linalg._lanczos_rule
+
+        def spy(a, *args):
+            sizes.append(a.shape[0])
+            return real(a, *args)
+
+        out = tmp_path / "out"
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_lanczos_rule", spy)
+            assert main(["sweep", "--portfolios", str(ports), "--factors", str(facts),
+                         "--models", str(models), "--out", str(out),
+                         "--grid", "0,2,4,6,8,10,20,50"]) == 0
+        assert sizes == [n] * k
+        dataset = build_dataset(load_panel(ports), load_panel(facts))
+        dense = {}
+        for model in load_models(models):
+            fit = fit_ols(dataset, model)
+            dense[model.name] = PosteriorFamily(fit), posterior_alpha_skeptic(fit)
+        _, rows = _read_rows(out / "sweep.csv")
+        assert len(rows) == 8 * k
+        for row in rows:
+            family, skeptic = dense[row["model"]]
+            mean_sq, trace = wd2_components(
+                family.at(float(row["sigma_alpha_annual"])), skeptic)
+            want = [math.sqrt((mean_sq + trace) / n), math.sqrt(mean_sq / n),
+                    math.sqrt(trace / n)]
+            got = [float(row[c]) for c in ("AD", "RMSE_alpha", "RMSE_sigma")]
+            assert got == pytest.approx(want, rel=1e-5), row
 
     def test_inf_grid_is_skeptic_row(self, tmp_path):
         ports, facts = _synth(tmp_path)

@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import io
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factordist import dataio
+from factordist import dataio, generate
 from factordist.dataio import (
     DEFAULT_MISSING_CODES,
     ReturnsPanel,
@@ -28,7 +29,7 @@ from factordist.errors import (
     ParseError,
 )
 
-from conftest import panel_from_columns, scan_spy
+from conftest import make_config, panel_from_columns, scan_spy
 
 
 def _write(tmp_path, name, text):
@@ -535,6 +536,18 @@ class TestConcatPanels:
         b = panel_from_columns({"P2": [1.0, 2.0]}, start=196702)
         with pytest.raises(NoOverlapError, match="^panels share no dates$"):
             concat_panels([a, b, a])
+
+
+class TestReturnsPanel:
+    def test_month_past_999912_rejected(self):
+        # load_panel rejects such a month, so a panel built in code or by
+        # generate must too.
+        with pytest.raises(ParseError, match="1000001 is not a valid YYYYMM"):
+            ReturnsPanel((1000001,), ("A",), np.ones((1, 1)))
+        config = dataclasses.replace(make_config(T=3, n=1, k=1), start_date=999911)
+        with pytest.warns(UserWarning, match="recommended"), \
+                pytest.raises(ParseError, match="1000001 is not a valid YYYYMM"):
+            generate(config)
 
 
 class TestMonthRange:

@@ -1,7 +1,10 @@
+import ast
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import factordist
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +31,18 @@ def test_failing_hypothesis_test_reports_its_example(tmp_path):
     assert run.returncode == 1, output
     assert "Falsifying example" in output
     assert "INTERNALERROR" not in output
+
+
+def test_every_exported_name_is_read():
+    # A public name that nothing in the package reads, and that no acceptance
+    # criterion tests, is dead code and goes with its tests.
+    package = ROOT / "src" / "factordist"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    loaded = set()
+    for path in [*sources, ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(factordist.__all__) - loaded) == []
