@@ -17,8 +17,7 @@ Both are UTF-8 text (a BOM is skipped). A series or model name holding ``,``
 or ``"`` (it would break the CSV rows it is written to) and a byte that is
 not UTF-8 are each a ``ParseError`` naming its line. Of several faulty lines
 the earliest is reported, a non-finite value and kept dates out of order
-included: a file that fails the one-pass parse is scanned line by line, each
-line checked in full as it is read.
+included.
 """
 
 from __future__ import annotations
@@ -45,8 +44,11 @@ from .errors import (
 DEFAULT_MISSING_CODES = (-99.99, -999.0)
 # A byte that is not UTF-8, as the surrogateescape error handler decodes it.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-# How np.loadtxt reads the fields of data lines, in one pass or line by line.
+# How np.loadtxt reads the fields of data lines, in the one pass or alone.
 _VALUE_SYNTAX = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+# A line whose quotes each wrap a whole field without a comma: loadtxt splits
+# it at each comma and ends each row at its line end.
+_PLAIN_QUOTES = re.compile(r'(?:"[^",]*"|[^",]*)(?:,(?:"[^",]*"|[^",]*))*\n?')
 
 
 @dataclass(frozen=True)
@@ -140,15 +142,14 @@ def load_panel(path: str | Path,
     """Parse a returns CSV into a panel, dropping missing-coded rows.
 
     Rows containing any value in ``missing_codes`` are excluded entirely;
-    remaining rows keep their original order. The file is opened once and
-    its data lines, skipped lines left out, parsed by one ``np.loadtxt``;
-    rising dates, missing codes and finiteness are checked as array
-    operations. A file that fails a check, or that holds anything unusual
-    (a byte that is not UTF-8, a dropped row out of date order), is read
-    again from the start of the same handle by a line scan, which alone
-    decides the outcome: it checks each line in full before the next, so of
-    several faults the one on the earliest line is reported, at any file
-    size.
+    remaining rows keep their original order. The file is read in one pass
+    over one handle: its data lines feed one ``np.loadtxt``, each checked as
+    it is handed over, in the order fields, date, values, quote, duplicate
+    date. The rows before the first faulty line are then checked as arrays
+    for a kept row's rules, finiteness and date order, so the fault on the
+    earliest line is reported. ``loadtxt`` converts each row before it reads
+    the next line, so where it fails the fault is on the last line handed
+    over; only then are the rows before that line read again.
 
     Raises
     ------
@@ -163,98 +164,100 @@ def load_panel(path: str | Path,
         No data rows survive.
     """
     path = Path(path)
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on a file without data
-                panel = _load_table(path, fh, missing_codes)
-        except (ValueError, OverflowError, ParseError, Warning):
-            panel = None
-        if panel is None:
-            fh.seek(0)
-            fh.reconfigure(errors="surrogateescape")
-            panel = _scan(path, fh, missing_codes)
-    return panel
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        names, rows, values, fault = _read(path, fh)
+    coded = np.zeros(len(values), dtype=bool)
+    for code in missing_codes:
+        coded |= (values == code).any(axis=1)
+    kept = np.flatnonzero(~coded)
+    kept_dates = np.fromiter(rows, dtype=int, count=len(rows))[kept]
+    finite = np.isfinite(values).all(axis=1)
+    # A kept row's fault is on a line before the one the pass stopped at.
+    faulty = ~finite[kept]
+    faulty[1:] |= np.diff(kept_dates) <= 0
+    if faulty.any():
+        i = int(faulty.argmax())
+        what = ("non-finite value" if not finite[kept[i]] else "dates not strictly "
+                f"increasing at {kept_dates[i - 1]} -> {kept_dates[i]}")
+        raise ParseError(f"{path}:{list(rows.values())[kept[i]]}: {what}")
+    if fault is not None:
+        raise fault
+    if not kept.size:
+        raise EmptyPanelError(f"{path}: no usable rows after dropping missing codes")
+    if coded.any():
+        values = values[kept]
+    return ReturnsPanel(tuple(kept_dates.tolist()), names, values)
 
 
-def _load_table(path: Path, fh: TextIO,
-                missing_codes: Sequence[float]) -> ReturnsPanel | None:
-    """The panel from one ``loadtxt`` over the data lines of ``fh``; ``None``,
-    or an exception, where the line scan has to decide."""
-    found = _header(path, enumerate(fh, start=1))
-    if found is None:
-        return None
-    lineno, names = found
-    dates: list[int] = []
-    last = ""
+def _read(path: Path, fh: TextIO, end: int | None = None) -> tuple[
+        tuple[str, ...], dict[int, int], np.ndarray, Exception | None]:
+    """Series names, then the line number of each date and the values of the
+    data rows of ``fh``, in file order, before its first line that breaks a
+    line rule (or line ``end``), and that line's fault, ``None`` if none."""
+    lines = _lines(path, fh)
+    names = _header(path, lines)
+    width = len(names)
+    rows: dict[int, int] = {}
+    fault = last = None
 
     def data_lines() -> Iterator[str]:
-        nonlocal last
-        for number, text in enumerate(fh, start=lineno + 1):
-            if not _skipped(text):
-                dates.append(_date(path, number, text[:text.index(",")]))
-                last = text
-                yield text
-
-    table = np.loadtxt(data_lines(), **_VALUE_SYNTAX)
-    # A quote left open at a line end joins two lines in one row, or, on the
-    # last line, runs to the end of the file.
-    if table.shape != (len(dates), len(names) + 1) or last.count('"') % 2:
-        return None
-    all_dates = np.array(dates)
-    # Rising dates have no duplicate; any other order is the scan's to judge.
-    if not (np.diff(all_dates) > 0).all():
-        return None
-    values = table[:, 1:]
-    coded = _coded(values, missing_codes)
-    if coded.all():
-        return None
-    if coded.any():
-        values, all_dates = values[~coded], all_dates[~coded]
-    # ReturnsPanel rejects a non-finite value.
-    return ReturnsPanel(tuple(all_dates.tolist()), names, values)
-
-
-def _scan(path: Path, fh: TextIO, missing_codes: Sequence[float]) -> ReturnsPanel:
-    """The panel from ``fh`` read line by line, each line checked in full
-    before the next is read."""
-    lines = _lines(path, fh)
-    found = _header(path, lines)
-    if found is None:
-        raise ParseError(f"{path}: no header row found")
-    _, names = found
-    dates: list[int] = []
-    rows: list[np.ndarray] = []
-    seen: set[int] = set()
-    for lineno, line in lines:
-        if _skipped(line):
-            continue
-        if line.count(",") != len(names):
-            raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} "
-                             f"fields, got {line.count(',') + 1}")
-        date = _date(path, lineno, line[:line.index(",")])
+        nonlocal fault, last
         try:
-            row = np.loadtxt([line], usecols=range(1, len(names) + 1),
-                             **_VALUE_SYNTAX)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric value in row") from None
-        if line.count('"') % 2:  # loadtxt ends a quoted field left open at the line end
-            raise ParseError(f"{path}:{lineno}: quote not closed")
-        if date in seen:
-            raise DuplicateDateError(f"{path}: duplicate date {date}")
-        seen.add(date)
-        if _coded(row, missing_codes)[0]:
-            continue
-        if not np.isfinite(row).all():
-            raise ParseError(f"{path}:{lineno}: non-finite value")
-        if dates and date <= dates[-1]:
-            raise ParseError(f"{path}:{lineno}: dates not strictly increasing at "
-                             f"{dates[-1]} -> {date}")
-        dates.append(date)
-        rows.append(row)
-    if not rows:
-        raise EmptyPanelError(f"{path}: no usable rows after dropping missing codes")
-    return ReturnsPanel(tuple(dates), names, np.concatenate(rows))
+            for lineno, line in lines:
+                if lineno == end:
+                    return
+                if _skipped(line):
+                    continue
+                try:
+                    date = _date(path, lineno, line[:line.find(",")])
+                except ParseError:
+                    date = None
+                # Checked alone: a bad date, a quote not wrapping a whole field,
+                # and the first row's width, which loadtxt holds later rows to.
+                if (date is None or (last is None and line.count(",") != width)
+                        or ('"' in line and not _PLAIN_QUOTES.fullmatch(line))):
+                    line = _plain_line(path, lineno, line, width)
+                last = lineno, line
+                yield line
+                # Asked for the next line, loadtxt has read this one's values.
+                if date in rows:
+                    raise DuplicateDateError(f"{path}: duplicate date {date}")
+                rows[date] = lineno
+        except (ParseError, DuplicateDateError) as exc:
+            fault = exc
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file without data
+            table = np.loadtxt(data_lines(), **_VALUE_SYNTAX)
+    except ValueError:  # on the last line handed over; the rows before it are read again
+        try:
+            _plain_line(path, *last, width)
+        except ParseError as exc:
+            fault = exc
+        else:
+            raise
+        fh.seek(0)
+        _, rows, values, _ = _read(path, fh, end=last[0])
+        return names, rows, values, fault
+    # A duplicate date's line has a row in the table but no date.
+    return names, rows, table[:len(rows), 1:], fault
+
+
+def _plain_line(path: Path, lineno: int, line: str, width: int) -> str:
+    """Data ``line`` as loadtxt reads it alone, as plain ``date,value,...`` text;
+    a ParseError names its first fault, in the order fields, date, values, quote."""
+    if line.count(",") != width:
+        raise ParseError(f"{path}:{lineno}: expected {width + 1} "
+                         f"fields, got {line.count(',') + 1}")
+    date = _date(path, lineno, line[:line.index(",")])
+    try:
+        row = np.loadtxt([line], usecols=range(1, width + 1), **_VALUE_SYNTAX)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: non-numeric value in row") from None
+    if line.count('"') % 2:  # loadtxt ends a quoted field left open at the line end
+        raise ParseError(f"{path}:{lineno}: quote not closed")
+    return ",".join([str(date), *map(repr, row[0].tolist())]) + "\n"
 
 
 def _skipped(line: str) -> bool:
@@ -262,19 +265,16 @@ def _skipped(line: str) -> bool:
     return not line.strip(" \t\n\r\f\v,") or line.lstrip().startswith("#")
 
 
-def _header(path: Path, lines: Iterator[tuple[int, str]]
-            ) -> tuple[int, tuple[str, ...]] | None:
-    """Line number and series names of the first line not skipped, read from
-    numbered ``lines``; ``None`` if every line is skipped."""
+def _header(path: Path, lines: Iterator[tuple[int, str]]) -> tuple[str, ...]:
+    """Series names of the first line in numbered ``lines`` not skipped."""
     for lineno, line in lines:
         if not _skipped(line):
             header = next(csv.reader([line]))
             if len(header) < 2:
                 raise ParseError(f"{path}:{lineno}: header needs a date column "
                                  "and at least one series")
-            return lineno, tuple(_check_name(path, lineno, c.strip())
-                                 for c in header[1:])
-    return None
+            return tuple(_check_name(path, lineno, c.strip()) for c in header[1:])
+    raise ParseError(f"{path}: no header row found")
 
 
 def _is_month(date: int) -> bool:
@@ -293,14 +293,6 @@ def _date(path: Path, lineno: int, head: str) -> int:
     if not _is_month(date):
         raise ParseError(f"{path}:{lineno}: {date} is not a valid YYYYMM")
     return date
-
-
-def _coded(values: np.ndarray, missing_codes: Sequence[float]) -> np.ndarray:
-    """Mask of the rows of ``values`` that hold a missing-value code."""
-    coded = np.zeros(len(values), dtype=bool)
-    for code in missing_codes:
-        coded |= (values == code).any(axis=1)
-    return coded
 
 
 def _lines(path: Path, fh: TextIO) -> Iterator[tuple[int, str]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Dataset, ReturnsPanel, month_range
+from .dataio import Dataset, ReturnsPanel, _is_month, month_range
 from .errors import BadConfigError
 from .linalg import spd_sqrt, symmetrize
 
@@ -49,6 +49,10 @@ def _validated(config: SynthConfig) -> tuple[np.ndarray, ...]:
     if config.T < 1 or config.n < 1 or config.k < 1:
         raise BadConfigError(f"T={config.T}, n={config.n}, k={config.k} "
                              "must all be >= 1")
+    if not (_is_month(config.start_date)
+            and _is_month(month_range(config.start_date, config.T)[-1])):
+        raise BadConfigError(f"start_date={config.start_date} and T={config.T} must "
+                             "give YYYYMM months up to 999912")
     alpha = np.asarray(config.true_alpha, dtype=float).reshape(-1)
     beta = np.asarray(config.true_beta, dtype=float)
     mean = np.asarray(config.factor_mean, dtype=float).reshape(-1)

@@ -5,7 +5,6 @@ with ``factors.csv`` (ten factor columns plus RF) and ``size_bm_25.csv``
 in the package CSV convention, covering 1967:01-2016:12.
 """
 
-import contextlib
 import functools
 import os
 from pathlib import Path
@@ -25,7 +24,6 @@ from factordist import (
     grs_test,
     load_panel,
 )
-from factordist import dataio
 from factordist.dataio import month_range
 
 
@@ -113,21 +111,6 @@ def direct_fits(dataset, models):
     for model in models:
         fit = fit_ols(dataset, model)
         yield fit, functools.partial(grs_test, fit)
-
-
-@contextlib.contextmanager
-def scan_spy():
-    """The paths ``load_panel``'s line scan reads while the block runs."""
-    scanned = []
-    real = dataio._scan
-
-    def spy(path, *args):
-        scanned.append(path)
-        return real(path, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "_scan", spy)
-        yield scanned
 
 
 @pytest.fixture

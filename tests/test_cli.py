@@ -24,7 +24,7 @@ from factordist import (
 )
 from factordist.cli import _file_tag, _fmt, main
 
-from conftest import direct_fits, scan_spy
+from conftest import direct_fits
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -196,6 +196,31 @@ class TestRank:
         assert err.startswith("error: ") and where in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, spoiled, text, message", [
+        (["sweep", "--grid", "1,x"], None, None,
+         "expected comma-separated numbers, got '1,x'"),
+        (["equiv", "--benchmark", "ONE", "--alternatives", "NOPE"], None, None,
+         "alternative model 'NOPE' not in model file"),
+        (["rank"], "models", "TWO F1\n", "models.txt:1: expected 'NAME = F1,F2,...'"),
+        (["rank"], "models", "ONE = F1\n = F1\n", "models.txt:2: empty model name"),
+        (["rank"], "models", "# none\n", "models.txt: no model definitions found"),
+        (["rank"], "portfolios", "date\n200001\n",
+         "portfolios.csv:1: header needs a date column and at least one series"),
+    ], ids=["grid_value", "alternative", "model_without_equals", "empty_model_name",
+            "no_model", "one_column_header"])
+    def test_user_error_exit_1_names_it(self, tmp_path, capsys, argv, spoiled, text,
+                                        message):
+        ports, facts = _synth(tmp_path)
+        files = {"portfolios": ports, "factors": facts, "models": _models(tmp_path)}
+        if spoiled:
+            files[spoiled].write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([*argv, *(f"--{k}={v}" for k, v in files.items()), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"{message}\n")
+
     @pytest.mark.parametrize("command, extra", [
         ("rank", []), ("sweep", []), ("equiv", ["--benchmark", "BOTH"]),
     ], ids=["rank", "sweep", "equiv"])
@@ -232,10 +257,9 @@ class TestRank:
         assert code == 0, err
         assert "exceeds" not in err
 
-    def test_line_scan_gives_the_same_outputs(self, tmp_path, monkeypatch):
-        # A comment line after the header is skipped by the one-pass parse;
-        # the line scan, forced by a one-pass parse that always declines,
-        # must give the same outputs too.
+    def test_line_scan_gives_the_same_outputs(self, tmp_path):
+        # A comment line after the header is skipped: the outputs are those
+        # of the file without it.
         ports, facts = _synth(tmp_path)
         lines = ports.read_text(encoding="utf-8").splitlines(keepends=True)
         noted = tmp_path / "noted.csv"
@@ -249,14 +273,7 @@ class TestRank:
             return {p.name: p.read_text(encoding="utf-8").split("\n", 1)[1]
                     for p in out.iterdir()}
 
-        with scan_spy() as scanned:
-            plain, one_pass = outputs(ports, "plain"), outputs(noted, "one_pass")
-        assert scanned == []
-        monkeypatch.setattr(dataio, "_load_table", lambda *args: None)
-        with scan_spy() as scanned:
-            line_scan = outputs(noted, "line_scan")
-        assert scanned == [noted, facts]
-        assert plain == one_pass == line_scan
+        assert outputs(ports, "plain") == outputs(noted, "noted")
 
     def test_write_failure_keeps_previous_outputs(self, tmp_path, monkeypatch):
         ports, facts = _synth(tmp_path)

@@ -3,13 +3,14 @@ import csv
 import dataclasses
 import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factordist import dataio, generate
+from factordist import generate
 from factordist.dataio import (
     DEFAULT_MISSING_CODES,
     ReturnsPanel,
@@ -20,6 +21,7 @@ from factordist.dataio import (
     month_range,
 )
 from factordist.errors import (
+    BadConfigError,
     DuplicateDateError,
     DuplicateModelNameError,
     EmptyPanelError,
@@ -29,7 +31,7 @@ from factordist.errors import (
     ParseError,
 )
 
-from conftest import make_config, panel_from_columns, scan_spy
+from conftest import make_config, panel_from_columns
 
 
 def _write(tmp_path, name, text):
@@ -197,40 +199,27 @@ class TestLoadPanel:
         with pytest.raises(ParseError, match="YYYYMM"):
             load_panel(path)
 
-    @staticmethod
-    def _route(route, monkeypatch, path):
-        """``load_panel`` on ``path`` by one route: the one-pass parse alone,
-        or the line scan alone."""
-        if route == "one_pass":
-            with open(path, encoding="utf-8-sig") as fh:
-                return dataio._load_table(path, fh, DEFAULT_MISSING_CODES)
-        monkeypatch.setattr(dataio, "_load_table", lambda *args: None)
-        with scan_spy() as scanned:
-            try:
-                return load_panel(path)
-            finally:
-                assert scanned == [path]
-
-    @pytest.mark.parametrize("route", ["one_pass", "scan"])
     @pytest.mark.parametrize("date, fault", [
         ("1963_01", "bad date '1963_01'"),
         ("+196301", r"bad date '\+196301'"),
         ("\u0661\u0669\u0666\u0663\u0660\u0661", "bad date"),
         ("100000000000000000001", "100000000000000000001 is not a valid YYYYMM"),
     ], ids=["digit_separator", "sign", "arabic_indic_digits", "21_digits"])
-    def test_date_is_ascii_digits_up_to_999912(self, tmp_path, monkeypatch, route,
-                                              date, fault):
+    def test_date_is_ascii_digits_up_to_999912(self, tmp_path, date, fault):
         # Each of these is 196301 or a number to Python's int().
         path = _write(tmp_path, "f.csv", f"date,A\n196212,1\n{date},1\n")
         with pytest.raises(ParseError, match=rf"f\.csv:3: {fault}"):
-            self._route(route, monkeypatch, path)
+            load_panel(path)
 
-    @pytest.mark.parametrize("route", ["one_pass", "scan"])
-    def test_padded_and_quoted_dates_load(self, tmp_path, monkeypatch, route):
-        path = _write(tmp_path, "f.csv",
-                      'date,A\n 196301 ,1\n"196302",2\n" 196303 ",3\n999912,4\n')
-        panel = self._route(route, monkeypatch, path)
-        assert panel.dates == (196301, 196302, 196303, 999912)
+    def test_padded_and_quoted_dates_load(self, tmp_path):
+        # A stray quote after 196305 leaves the one before 5 unpaired, which
+        # loadtxt would run on into the next line: each line is read as
+        # loadtxt reads it alone, and so is "4"0, which is 40.
+        path = _write(tmp_path, "f.csv", 'date,A\n 196301 ,1\n"196302",2\n" 196303 ",3\n'
+                      '196304,"4"0\n196305","5\n999912,6\n')
+        panel = load_panel(path)
+        assert panel.dates == (196301, 196302, 196303, 196304, 196305, 999912)
+        np.testing.assert_array_equal(panel.values[:, 0], [1, 2, 3, 40, 5, 6])
 
     def test_ragged_row(self, tmp_path):
         path = _write(tmp_path, "f.csv", "date,A,B\n200001,1.0\n")
@@ -327,12 +316,38 @@ class TestLoadPanel:
          r"f\.csv:3: dates not strictly increasing at 200002 -> 200001"),
         (b"date,A\n200001,nan\n200002,1\n200002,1\n", r"f\.csv:2: non-finite value"),
         (b"date,A\n200001,nan\n200002,2\xe9\n", r"f\.csv:2: non-finite value"),
+        # loadtxt fails on line 4, so the rows before it are read again.
+        (b"date,A,B\n200001,1,2\n200002,1,nan\n200003,1,x\n",
+         r"f\.csv:3: non-finite value"),
     ], ids=["non_finite_then_ragged", "order_then_ragged", "order_then_non_finite",
-            "non_finite_then_duplicate", "non_finite_then_bad_byte"])
+            "non_finite_then_duplicate", "non_finite_then_bad_byte",
+            "non_finite_then_non_numeric"])
     def test_kept_row_fault_reported_before_a_later_fault(self, tmp_path, raw, fault):
         path = tmp_path / "f.csv"
         path.write_bytes(raw)
         with pytest.raises(ParseError, match=fault):
+            load_panel(path)
+
+    @pytest.mark.parametrize("text, fault", [
+        ("date,A,B\n200001,1,2\nx,1\n", r"f\.csv:3: expected 3 fields, got 2"),
+        ("date,A\n200001,1\n200001,x\n", r"f\.csv:3: non-numeric value"),
+        ('date,A\n200001,"x\n', r"f\.csv:2: non-numeric value"),
+        ('date,A\n200001,1\n200001,"1\n', r"f\.csv:3: quote not closed"),
+    ], ids=["fields_then_date", "values_then_duplicate", "values_then_quote",
+            "quote_then_duplicate"])
+    def test_line_faults_reported_in_rule_order(self, tmp_path, text, fault):
+        with pytest.raises(ParseError, match=fault):
+            load_panel(_write(tmp_path, "f.csv", text))
+
+    def test_late_non_numeric_value_in_a_large_file_names_its_line(self, tmp_path):
+        # loadtxt converts each row before it reads the next line, so the
+        # last line handed to it is the one it failed on, at any file size.
+        rows = [f"{100001 + i % 12 + 100 * (i // 12)}" + ",0.125" * 30
+                for i in range(6000)]
+        rows[5990] += "x"
+        path = _write(tmp_path, "f.csv", "date" + ",S" * 30 + "\n" + "\n".join(rows))
+        assert path.stat().st_size > 2**20
+        with pytest.raises(ParseError, match=r"f\.csv:5992: non-numeric value"):
             load_panel(path)
 
     @pytest.mark.parametrize("text, fault", [
@@ -354,10 +369,12 @@ class TestLoadPanel:
 
     @pytest.mark.parametrize("panel, models", [
         (b"date,A\n200001,1.0\n", b"M = F1\n"),
-        # A dropped row out of date order: the line scan decides.
+        # A dropped row out of date order.
         (b"date,A\n200002,1.0\n200001,-99.99\n200003,2\n", b"M = F1\n"),
         (b"date,A\n200001,1.0\n200002,2\xe9\n", b"M = F1\nN = F\xe9\n"),
-    ], ids=["utf8", "scanned", "bad_byte"])
+        # loadtxt fails on line 3, so line 2 is read again.
+        (b"date,A\n200001,nan\n200002,x\n", b"M = F1\n"),
+    ], ids=["utf8", "scanned", "bad_byte", "read_again"])
     def test_each_file_opened_once(self, tmp_path, monkeypatch, panel, models):
         panel_path, models_path = tmp_path / "p.csv", tmp_path / "m.txt"
         panel_path.write_bytes(panel)
@@ -399,14 +416,12 @@ class TestLoadPanelOracle:
     @settings(max_examples=200, deadline=None)
     @given(text=_panel_file(malformed=0))
     def test_one_pass_parse_takes_well_formed_files(self, tmp_path_factory, text):
-        # Skipped lines anywhere included: the line scan is not needed.
+        # Skipped lines anywhere included: one loadtxt reads every data line.
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        with scan_spy() as scanned:
-            outcome = _outcome(load_panel, path)
-        assert outcome == _outcome(reference_load_panel, path)
-        if outcome[0] is not EmptyPanelError:
-            assert scanned == []
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            assert _outcome(load_panel, path) == _outcome(reference_load_panel, path)
+        assert loadtxt.call_count == 1
 
     @pytest.mark.parametrize("text", [
         "date,A\n196301.0,1.5\n196302,2\n",
@@ -421,10 +436,10 @@ class TestLoadPanelOracle:
     def test_hazard_matches_reference(self, tmp_path, text):
         path = tmp_path / "f.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        with scan_spy() as scanned:
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             outcome = _outcome(load_panel, path)
         assert outcome == _outcome(reference_load_panel, path)
-        assert (scanned == []) == (not isinstance(outcome[0], type))
+        assert loadtxt.call_count == 1 or isinstance(outcome[0], type)
 
 
 class TestBuildDataset:
@@ -539,15 +554,18 @@ class TestConcatPanels:
 
 
 class TestReturnsPanel:
-    def test_month_past_999912_rejected(self):
-        # load_panel rejects such a month, so a panel built in code or by
-        # generate must too.
+    def test_month_past_999912_rejected(self, monkeypatch):
+        # load_panel rejects such a month, so a panel built in code must too;
+        # generate rejects a start date, or a T-th month past 999912, before
+        # it draws a number.
         with pytest.raises(ParseError, match="1000001 is not a valid YYYYMM"):
             ReturnsPanel((1000001,), ("A",), np.ones((1, 1)))
-        config = dataclasses.replace(make_config(T=3, n=1, k=1), start_date=999911)
-        with pytest.warns(UserWarning, match="recommended"), \
-                pytest.raises(ParseError, match="1000001 is not a valid YYYYMM"):
-            generate(config)
+        monkeypatch.setattr(np.random, "Philox", None)
+        for start in (999911, 196713):
+            config = dataclasses.replace(make_config(T=3, n=1, k=1), start_date=start)
+            with pytest.raises(BadConfigError, match=f"start_date={start} and T=3 must "
+                                                     "give YYYYMM months up to 999912"):
+                generate(config)
 
 
 class TestMonthRange:

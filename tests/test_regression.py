@@ -564,6 +564,27 @@ class TestFitModelsFallback:
         assert got[0][0].sigma_base is not got[1][0].sigma_base
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 
+    def test_model_rank_deficient_in_a_full_rank_union_takes_fit_ols_verdict(
+            self, spies):
+        # F2 = F1 + eps z (z orthogonal to 1 and F1) puts the last pivot of
+        # the model's Gram at T eps^2 = 0.9 of its floor 1e-10 tr(G_ss) / 3,
+        # tr(G_ss) = 3 T + T eps^2. The union's floor averages over one more
+        # column, F3 of scale 1e-4, so the union passes where G_ss fails.
+        T, rng = 200, np.random.default_rng(8)
+        f1, z, f3 = rng.normal(size=(3, T))
+        f1 = (f1 - f1.mean()) / f1.std()
+        basis = np.column_stack([np.ones(T), f1])
+        z -= basis @ np.linalg.lstsq(basis, z, rcond=None)[0]
+        eps = np.sqrt(0.9e-10 / (1.0 - 0.3e-10)) / z.std()
+        returns = _factor_panel_dataset(5, T=T, n=4, k=1, extra=False).portfolios
+        dataset = Dataset(returns, panel_from_columns(
+            {"F1": f1, "F2": f1 + eps * z, "F3": 1e-4 * f3}))
+        models = [ModelSpec("NEAR", ("F1", "F2")), ModelSpec("OTHER", ("F1", "F3"))]
+        got = _outcomes(_fit_models(dataset, models))
+        assert spies["fit_ols"] == ["union", "NEAR"]
+        assert len(got) == 1 and isinstance(got[0], RankDeficientError)
+        _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
+
     def test_singular_union_covariance_still_reports_small_model_grs(self, spies):
         # T - K - 1 < n <= T - k - 1: Sigma_U is singular, the small model's
         # own Sigma is not, and its GRS comes from the direct path. On these
