@@ -28,7 +28,7 @@ from .dataio import (
     load_panel,
 )
 from .equiv import EquivResult, SweepRow, solve_equiv, sweep
-from .linalg import chol_solve, f_cdf_upper, spd_sqrt, symmetrize
+from .linalg import f_cdf_upper, spd_sqrt, symmetrize
 from .metrics import (
     MetricsReport,
     alpha_stats,
@@ -58,5 +58,5 @@ __all__ = [
     "MetricsReport", "alpha_stats", "build_report", "rank_models",
     "SweepRow", "EquivResult", "sweep", "solve_equiv",
     "SynthConfig", "generate", "power_scenario", "RNG_ALGORITHM",
-    "spd_sqrt", "chol_solve", "f_cdf_upper", "symmetrize",
+    "spd_sqrt", "f_cdf_upper", "symmetrize",
 ]

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-from .linalg import RankOneQuadrature, gauss_rule, symmetrize
+from .linalg import RankOneQuadrature, gauss_rule, square, symmetrize
 from .regression import RegressionFit, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
@@ -119,9 +119,10 @@ class PosteriorFamily:
             *gauss_rule(_scale(fit, self.s2), fit.alpha_hat, g_max), g_max)
 
     def _shrinkage(self, sigma_alpha_annual: float) -> tuple[float, float]:
-        """Prior precision lam = s^2 / sigma_monthly^2 (inf at sigma = 0) and c."""
-        sigma = sigma_annual_to_monthly(sigma_alpha_annual)
-        lam = math.inf if sigma == 0.0 else self.s2 / sigma**2
+        """Prior precision lam = s^2 / sigma_monthly^2 and c; lam is inf (dogmatic)
+        where sigma^2 is 0 or underflows, and 0 (skeptic) where it overflows."""
+        var = square(sigma_annual_to_monthly(sigma_alpha_annual))
+        lam = math.inf if var == 0.0 else self.s2 / var
         return lam, 1.0 / (1.0 + lam * self._u0)
 
     def at(self, sigma_alpha_annual: float) -> GaussianDist:

@@ -46,6 +46,7 @@ from .dataio import (
 )
 from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, check_grid, solve_equiv, sweep
 from .errors import FactorDistError, InputError, NotBracketedError
+from .linalg import square
 from .metrics import build_report, rank_models
 from .regression import GRS_UNDEFINED, _fit_models
 from .synth import RNG_ALGORITHM, SynthConfig, generate
@@ -57,9 +58,7 @@ _FLOAT = "%.6g"
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return _FLOAT % float(value)
+    return "" if value is None else _FLOAT % float(value)
 
 
 def _sanitize(name: str) -> str:
@@ -165,14 +164,12 @@ def cmd_rank(args) -> int:
 
     header = ("model,n,T,k,TD,AD,RMSE_alpha,RMSE_sigma,ratio_var,"
               "GRS,GRS_pvalue,MAE,MAE_over_Ar,mean_R2")
-    rows = []
-    for r in ranked:
-        rows.append(",".join([
-            r.model_name, str(r.n), str(r.T), str(r.k),
-            _fmt(r.td), _fmt(r.ad), _fmt(r.rmse_alpha), _fmt(r.rmse_sigma),
-            _fmt(r.ratio_var), _fmt(r.grs), _fmt(r.grs_pvalue),
-            _fmt(r.mae), _fmt(r.mae_over_ar), _fmt(r.mean_r2),
-        ]))
+    rows = [",".join([
+        r.model_name, str(r.n), str(r.T), str(r.k),
+        _fmt(r.td), _fmt(r.ad), _fmt(r.rmse_alpha), _fmt(r.rmse_sigma),
+        _fmt(r.ratio_var), _fmt(r.grs), _fmt(r.grs_pvalue),
+        _fmt(r.mae), _fmt(r.mae_over_ar), _fmt(r.mean_r2),
+    ]) for r in ranked]
     out.add("report.csv", meta, header, rows)
 
     assets = dataset.portfolios.names
@@ -252,8 +249,9 @@ def cmd_synth(args) -> int:
         true_alpha=np.full(args.n, args.alpha),
         true_beta=np.ones((args.n, args.k)),
         factor_mean=np.full(args.k, args.factor_mean),
-        factor_cov=args.factor_vol**2 * np.eye(args.k),
-        resid_cov=args.resid_vol**2 * np.eye(args.n),
+        # A square that overflows is inf, which generate rejects.
+        factor_cov=np.diag(np.full(args.k, square(args.factor_vol))),
+        resid_cov=np.diag(np.full(args.n, square(args.resid_vol))),
         seed=args.seed,
     )
     # generate warns about a short sample; say so in one plain line.
@@ -319,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--alternatives", nargs="*", default=None,
                          help="alternative model names (default: all others)")
     p_equiv.add_argument("--bracket-hi", type=float, default=DEFAULT_BRACKET_HI,
-                         help="upper bisection bracket, annual percent")
+                         help="upper bisection bracket, annual percent; at most "
+                              "1e-6 * 2**200 (~1.6e54), which 200 halvings narrow to 1e-6")
     p_equiv.set_defaults(func=cmd_equiv)
 
     p_synth = sub.add_parser("synth", help="write synthetic returns CSVs")

@@ -10,7 +10,6 @@ alternative model matches a benchmark's distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,9 +98,11 @@ def sweep(fit: RegressionFit, grid: Sequence[float]) -> list[SweepRow]:
 
 
 def check_bracket_hi(bracket_hi: float) -> None:
-    """Raise BadConfigError unless the bisection bracket is finite and positive."""
-    if not 0.0 < bracket_hi < math.inf:
-        raise BadConfigError(f"bracket_hi must be finite and positive, got {bracket_hi}")
+    """Raise BadConfigError unless 0 < bracket_hi <= SIGMA_TOL * 2**MAX_BISECTIONS."""
+    top = SIGMA_TOL * 2**MAX_BISECTIONS
+    if not 0.0 < bracket_hi <= top:
+        raise BadConfigError(f"bracket_hi must be finite and positive, at most "
+                             f"{top:.6g}, got {bracket_hi}")
 
 
 def solve_equiv(fit: RegressionFit, benchmark_ad: float,
@@ -109,12 +110,13 @@ def solve_equiv(fit: RegressionFit, benchmark_ad: float,
     """Find sigma such that the fitted alternative model's AD equals the target.
 
     Bisects the monotone-decreasing map sigma -> AD on [0, bracket_hi]
-    until the distance matches within 1e-6.
+    until the distance matches within 1e-6 and the bracket is at most SIGMA_TOL wide.
 
     Raises
     ------
     BadConfigError
-        ``bracket_hi`` is not finite and positive.
+        ``bracket_hi`` is not positive or above SIGMA_TOL * 2**MAX_BISECTIONS
+        (about 1.6e54), past which MAX_BISECTIONS halvings leave it too wide.
     NotBracketedError
         Target above the dogmatic AD or below the AD at ``bracket_hi``.
     NoConvergenceError

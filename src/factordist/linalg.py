@@ -71,6 +71,14 @@ BETA_CF_EPS = 1e-12
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
+def square(x: float) -> float:
+    """x ** 2, and inf where Python's ``**`` raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def symmetrize(m: np.ndarray, copy: bool = True) -> np.ndarray:
     """Return (M + M') / 2, a new array, after checking M is square and symmetric.
 
@@ -296,25 +304,6 @@ def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,
             last = r
         np.divide(w, beta, out=basis[m])
     return None
-
-
-def chol_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M @ Z = B for symmetric positive-definite M via Cholesky.
-
-    Parameters
-    ----------
-    m : (d, d) symmetric positive-definite matrix
-    b : (d,) vector or (d, p) matrix of right-hand sides
-
-    Raises
-    ------
-    NotPDError
-        If a Cholesky pivot falls at or below the threshold.
-    """
-    lower = cholesky_spd(m)
-    b = np.asarray(b, dtype=float)
-    y = np.linalg.solve(lower, b)
-    return np.linalg.solve(lower.T, y)
 
 
 def f_cdf_upper(x: float, d1: int, d2: int) -> float:

@@ -66,23 +66,9 @@ def build_report(fit: RegressionFit, breakdown: DistanceBreakdown,
     the GRS statistic and p-value, or ``None`` where the test is undefined."""
     mae, mae_over_ar, mean_r2 = alpha_stats(fit)
     grs_stat, grs_pvalue = (None, None) if grs is None else grs
-    return MetricsReport(
-        model_name=fit.model.name,
-        n=fit.n,
-        T=fit.T,
-        k=fit.k,
-        td=breakdown.td,
-        ad=breakdown.ad,
-        rmse_alpha=breakdown.rmse_alpha,
-        rmse_sigma=breakdown.rmse_sigma,
-        ratio_var=breakdown.ratio_var,
-        grs=grs_stat,
-        grs_pvalue=grs_pvalue,
-        mae=mae,
-        mae_over_ar=mae_over_ar,
-        mean_r2=mean_r2,
-        marginal=breakdown.marginal,
-    )
+    return MetricsReport(model_name=fit.model.name, n=fit.n, T=fit.T, k=fit.k,
+                         grs=grs_stat, grs_pvalue=grs_pvalue, mae=mae,
+                         mae_over_ar=mae_over_ar, mean_r2=mean_r2, **vars(breakdown))
 
 
 def rank_models(reports: list[MetricsReport]) -> list[MetricsReport]:

@@ -19,9 +19,9 @@ r the factors of U it drops. With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
   orthogonal to X_U, so S_S = S_U + B_r C_S B_r' exactly: a fit holds the
   shared Sigma_U and B_r (C_S / T) B_r', and its residual sums of squares
   (and R^2 and the skeptic variances) cost O(n K^2);
-- the asset means come from the union fit, and the total sums of squares
-  are T (diag Sigma_U + rowsum((B_U Omega_U) o B_U)), so nothing takes a
-  second pass over the returns;
+- the asset means come from the union fit, and R^2 from ``_assemble``'s
+  one identity, so neither ``fit_ols`` nor a derived fit takes a second
+  pass over the returns;
 - alpha_S = alpha_U + B_r h_S[0]', so with [z, Z] = L_U^{-1} [alpha_U, B_U],
   one forward substitution of K + 1 columns per dataset, GRS takes
   y = L_U^{-1} alpha_S = z + Z_r h_S[0]' and W = Z_r chol(C_S / T). With
@@ -73,7 +73,7 @@ from .errors import (
     SingularResidualCovError,
     UnknownFactorError,
 )
-from .linalg import chol_pivot_floor, chol_solve, cholesky_spd, f_cdf_upper, solve_lower
+from .linalg import chol_pivot_floor, cholesky_spd, f_cdf_upper, solve_lower
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
@@ -164,21 +164,14 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         ) from None
     with np.errstate(over="ignore", invalid="ignore"):
         coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ returns))
-        # One T x n buffer holds the residuals, then their squares, then the
-        # squared deviations from the asset means.
-        buf = design @ coef
-        resid = np.subtract(returns, buf, out=buf)
+        # One T x n buffer holds the residuals.
+        resid = design @ coef
+        np.subtract(returns, resid, out=resid)
         # numpy forms A'A with BLAS syrk: sigma_mle and factor_cov_mle are exactly symmetric.
         sigma_mle = resid.T @ resid
         sigma_mle /= t_obs
-        ssr = np.square(resid, out=buf).sum(axis=0)
-        asset_mean = returns.mean(axis=0)
-        sst = np.square(np.subtract(returns, asset_mean, out=buf), out=buf).sum(axis=0)
-    if not (np.isfinite(sigma_mle).all() and np.isfinite(sst).all()):
-        raise NonFiniteError(f"model {model.name!r}: returns too large: "
-                             "residual or total sums of squares overflow")
     return _assemble(dataset, model, coef, sigma_mle, np.empty((n, 0)), np.empty((0, 0)),
-                     np.diag(sigma_mle), ssr, sst, asset_mean)
+                     np.diag(sigma_mle), returns.mean(axis=0))
 
 
 def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
@@ -237,10 +230,6 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
                 return _grs(fit, dof2, scaled[:, 0] + scaled_r @ h0, scaled_r @ root)
         return grs_test(fit_ols(dataset, fit.model))
 
-    asset_mean, betas = union_fit.asset_mean, union_fit.beta_hat
-    # R - 1 mean' = (F_U - 1 mu') B_U' + E_U with E_U orthogonal to X_U, so the
-    # total sums of squares are T (resid_var_U + rowsum((B_U Omega_U) o B_U)).
-    sst = t_obs * (resid_var_u + ((betas @ union_fit.factor_cov_mle) * betas).sum(axis=1))
     design = np.column_stack([np.ones(t_obs), dataset.factors.select(union)])
     gram = design.T @ design
     column = {name: j for j, name in enumerate(union, start=1)}
@@ -263,35 +252,42 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
         b_r = coef_u[r].T
         resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=1) / t_obs
         fit = _assemble(dataset, model, coef_u[s] + h @ coef_u[r], sigma_u, b_r,
-                        schur / t_obs, resid_var, resid_var * t_obs, sst, asset_mean)
+                        schur / t_obs, resid_var, union_fit.asset_mean)
         yield fit, partial(grs, fit, r, h[0])
 
 
 def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
               sigma_base: np.ndarray, sigma_loadings: np.ndarray,
-              sigma_core: np.ndarray, resid_var: np.ndarray,
-              ssr: np.ndarray, sst: np.ndarray, asset_mean: np.ndarray
+              sigma_core: np.ndarray, resid_var: np.ndarray, asset_mean: np.ndarray
               ) -> RegressionFit:
-    """RegressionFit from coefficients ((k+1) x n), the parts of the residual
-    covariance, residual variances and residual and total sums of squares."""
+    """RegressionFit from coefficients ((k+1) x n), residual covariance parts and
+    variances, and asset means. R - 1 mean' = (F - 1 mu')B' + E, E orthogonal to X,
+    so R^2 = explained / (explained + resid_var), explained = rowsum((B Omega) o B)."""
     factors = dataset.factors.select(model.factor_names)
     factor_mean = factors.mean(axis=0)
     centered = factors - factor_mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(sst > 0.0, 1.0 - ssr / sst, 1.0)
+    factor_cov = centered.T @ centered / dataset.t_obs
+    betas = coef[1:].T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        explained = ((betas @ factor_cov) * betas).sum(axis=1)
+        total = explained + resid_var
+        r2 = np.where(total > 0.0, explained / total, 1.0)  # 1 where both are 0
+    if not np.isfinite(total).all():
+        raise NonFiniteError(f"model {model.name!r}: returns too large: "
+                             "residual or total sums of squares overflow")
     return RegressionFit(
         model=model,
         T=dataset.t_obs,
         n=coef.shape[1],
         k=model.k,
         alpha_hat=coef[0].copy(),
-        beta_hat=coef[1:].T.copy(),
+        beta_hat=betas.copy(),
         sigma_base=sigma_base,
         sigma_loadings=sigma_loadings,
         sigma_core=sigma_core,
         resid_var=resid_var,
         factor_mean=factor_mean,
-        factor_cov_mle=centered.T @ centered / dataset.t_obs,
+        factor_cov_mle=factor_cov,
         r2=r2,
         asset_mean=asset_mean,
     )
@@ -304,7 +300,8 @@ def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]
 
 
 def sharpe_sq(fit: RegressionFit) -> float:
-    """Squared Sharpe ratio of the model factors, mu' Omega^{-1} mu.
+    """Squared Sharpe ratio of the model factors, mu' Omega^{-1} mu = |L^{-1} mu|^2
+    with Omega = L L', the form :func:`grs_test` takes for a' Sigma^{-1} a.
 
     Raises
     ------
@@ -312,10 +309,11 @@ def sharpe_sq(fit: RegressionFit) -> float:
         The MLE factor covariance is not positive definite.
     """
     try:
-        z = chol_solve(fit.factor_cov_mle, fit.factor_mean)
+        lower = cholesky_spd(fit.factor_cov_mle)
     except NotPDError as exc:
         raise SingularFactorCovError(str(exc)) from None
-    return float(fit.factor_mean @ z)
+    z = solve_lower(lower, fit.factor_mean)
+    return float(z @ z)
 
 
 def grs_test(fit: RegressionFit) -> tuple[float, float]:

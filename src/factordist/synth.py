@@ -62,6 +62,9 @@ def _validated(config: SynthConfig) -> tuple[np.ndarray, ...]:
         raise BadConfigError(f"true_beta must be {config.n} x {config.k}")
     if mean.shape != (config.k,):
         raise BadConfigError(f"factor_mean must have {config.k} entries")
+    for name in ("true_alpha", "true_beta", "factor_mean", "factor_cov", "resid_cov"):
+        if not np.isfinite(np.asarray(getattr(config, name), dtype=float)).all():
+            raise BadConfigError(f"{name} must be finite")
     try:
         fcov = symmetrize(config.factor_cov)
         rcov = symmetrize(config.resid_cov)
@@ -92,9 +95,11 @@ def generate(config: SynthConfig) -> Dataset:
     rng = np.random.Generator(np.random.Philox(config.seed))
     z_factors = rng.standard_normal((config.T, config.k))
     z_resid = rng.standard_normal((config.T, config.n))
-    factors = mean + z_factors @ _factor_root(fcov).T
-    resid = z_resid @ _factor_root(rcov).T
-    returns = alpha + factors @ beta.T + resid
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = mean + z_factors @ _factor_root(fcov).T
+        returns = alpha + factors @ beta.T + z_resid @ _factor_root(rcov).T
+    if not (np.isfinite(factors).all() and np.isfinite(returns).all()):
+        raise BadConfigError("the drawn factors or returns overflow")
 
     dates = month_range(config.start_date, config.T)
     asset_names = tuple(f"A{i + 1}" for i in range(config.n))

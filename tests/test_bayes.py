@@ -198,6 +198,18 @@ class TestPosteriorFamily:
         assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
         assert norms[-1] <= np.linalg.norm(alpha_ols) + 1e-15
 
+    def test_sigma_whose_square_leaves_the_float_range_is_a_limit(self, base_dataset):
+        # sigma^2 underflows to 0 at 1e-200 (dogmatic belief) and overflows at
+        # 1e300, where Python's ** raises (the skeptic); both rows are the
+        # limit's rows bit for bit.
+        family = PosteriorFamily(fit_ols(*base_dataset))
+        for sigma, limit in ((1e-200, 0.0), (1e300, math.inf)):
+            assert family.wd2_to_skeptic(sigma) == family.wd2_to_skeptic(limit)
+            got, want = family.at(sigma), family.at(limit)
+            np.testing.assert_array_equal(got.mean, want.mean)
+            np.testing.assert_array_equal(got.cov, want.cov)
+        assert family.wd2_to_skeptic(1e300) == (0.0, 0.0)
+
     def test_posterior_cov_psd_across_grid(self, base_dataset):
         dataset, model = base_dataset
         family = PosteriorFamily(fit_ols(dataset, model))

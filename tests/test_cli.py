@@ -645,6 +645,23 @@ class TestSweep:
         assert code == 1
         assert "error: sigma grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0,1e-200", "1e300,inf"])
+    def test_sigma_whose_square_leaves_the_float_range_is_a_limit_row(
+            self, tmp_path, capsys, grid):
+        # 1e-200 squared underflows to 0 (dogmatic belief); 1e300 squared
+        # overflows (the skeptic): each row equals its limit's row.
+        ports, facts = _synth(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(_models(tmp_path)), "--out", str(out),
+                     "--grid", grid]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _read_rows(out / "sweep.csv")
+        assert len(rows) == 4
+        for first, second in zip(rows[::2], rows[1::2]):
+            assert first.pop("sigma_alpha_annual") != second.pop("sigma_alpha_annual")
+            assert first == second
+
     @pytest.mark.parametrize("command, extra", [
         ("sweep", []), ("equiv", ["--benchmark", "BOTH"]),
     ], ids=["sweep", "equiv"])
@@ -805,7 +822,7 @@ class TestEquiv:
         assert code == 1
 
 
-    @pytest.mark.parametrize("hi", ["nan", "-5", "inf", "0"])
+    @pytest.mark.parametrize("hi", ["nan", "-5", "inf", "0", "1.7e54", "1e60", "1e300"])
     def test_bad_bracket_hi_exit_1(self, tmp_path, capsys, hi):
         ports, facts = _synth(tmp_path)
         # The second file holds only the benchmark, so no alternative is
@@ -958,6 +975,23 @@ class TestSynthCommand:
         _synth(tmp_path, T=60, n=80, k=2)
         assert capsys.readouterr().err == (
             "warning: T=60 below the recommended n + k + 2 = 84\n")
+
+    @pytest.mark.parametrize("options, message", [
+        (["--alpha", "inf"], "true_alpha must be finite"),
+        (["--factor-mean", "nan"], "factor_mean must be finite"),
+        (["--resid-vol", "nan"], "resid_cov must be finite"),
+        (["--factor-vol", "nan"], "factor_cov must be finite"),
+        (["--factor-vol", "1e200"], "factor_cov must be finite"),
+        (["--resid-vol", "1e200"], "resid_cov must be finite"),
+        (["--alpha", "1.7e308", "--factor-mean", "1.7e308"],
+         "the drawn factors or returns overflow"),
+    ])
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, options, message):
+        # A square that overflows is inf, so it fails as a non-finite value.
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), *options]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["rank"]) == 1

@@ -567,6 +567,22 @@ class TestReturnsPanel:
                                                      "give YYYYMM months up to 999912"):
                 generate(config)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="^panel values must be finite$"):
+            ReturnsPanel((196701, 196702), ("A",), np.array([[1.0], [bad]]))
+
+    @pytest.mark.parametrize("dates", [(196702, 196701), (196701, 196701)])
+    def test_dates_not_strictly_increasing_rejected(self, dates):
+        with pytest.raises(ParseError, match=f"^dates not strictly increasing at "
+                                             f"{dates[0]} -> {dates[1]}$"):
+            ReturnsPanel(dates, ("A",), np.ones((2, 1)))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^values shape \(2, 2\) does not match "
+                                             "2 dates x 1 names$"):
+            ReturnsPanel((196701, 196702), ("A",), np.ones((2, 2)))
+
 
 class TestMonthRange:
     def test_year_wrap(self):

@@ -10,6 +10,7 @@ from factordist import (
     solve_equiv,
     sweep,
 )
+from factordist.equiv import AD_TOL, MAX_BISECTIONS, SIGMA_TOL
 from factordist.errors import BadConfigError, NotBracketedError
 
 from conftest import make_dataset
@@ -74,11 +75,23 @@ class TestSolveEquiv:
         res = solve_equiv(fit, rows[2].ad)
         assert abs(res.sigma_star_annual - 4.0) <= 1e-4
 
-    @pytest.mark.parametrize("hi", [math.nan, math.inf, -5.0, 0.0])
+    @pytest.mark.parametrize("hi", [math.nan, math.inf, -5.0, 0.0, 1.7e54, 1e60, 1e300])
     def test_bad_bracket_hi_rejected(self, hi, fit):
         target = sweep(fit, [2.0])[0].ad
         with pytest.raises(BadConfigError):
             solve_equiv(fit, target, bracket_hi=hi)
+
+    @pytest.mark.parametrize("scale", [1.5e54 / (SIGMA_TOL * 2**MAX_BISECTIONS), 1 - 1e-6])
+    def test_bracket_just_inside_the_bound_converges(self, scale, fit):
+        # MAX_BISECTIONS halvings narrow SIGMA_TOL * 2**MAX_BISECTIONS to
+        # SIGMA_TOL, up to the rounding of each midpoint; a wider bracket is
+        # rejected above.
+        hi = scale * SIGMA_TOL * 2**MAX_BISECTIONS
+        target = sweep(fit, [2.0])[0].ad
+        res = solve_equiv(fit, target, bracket_hi=hi)
+        assert res.iterations <= MAX_BISECTIONS
+        assert abs(res.ad_at_star - target) <= AD_TOL
+        assert abs(res.sigma_star_annual - 2.0) <= 1e-4
 
     def test_target_above_dogmatic_not_bracketed(self, fit):
         dogmatic_ad = sweep(fit, [0.0])[0].ad

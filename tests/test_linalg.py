@@ -19,7 +19,6 @@ from factordist.linalg import (
     GAUSS_RULE_MIN_N,
     RankOneQuadrature,
     chol_pivot_floor,
-    chol_solve,
     cholesky_spd,
     f_cdf_upper,
     gauss_rule,
@@ -118,34 +117,6 @@ class TestSpdSqrt:
 
 
 class TestCholSolve:
-    def test_identity(self):
-        b = np.array([[3.0], [4.0]])
-        np.testing.assert_allclose(chol_solve(np.eye(2), b), b, atol=1e-14)
-
-    def test_diagonal(self):
-        z = chol_solve(np.diag([2.0, 4.0]), np.array([[2.0], [8.0]]))
-        np.testing.assert_allclose(z, np.array([[1.0], [2.0]]), atol=1e-14)
-
-    def test_random_residual(self, rng):
-        for _ in range(20):
-            m = random_spd(rng, 6)
-            b = rng.normal(size=(6, 3))
-            z = chol_solve(m, b)
-            resid = np.linalg.norm(m @ z - b) / np.linalg.norm(b)
-            assert resid <= 1e-9
-
-    def test_vector_rhs(self, rng):
-        m = random_spd(rng, 4)
-        b = rng.normal(size=4)
-        z = chol_solve(m, b)
-        np.testing.assert_allclose(m @ z, b, atol=1e-9)
-
-    def test_not_pd(self):
-        with pytest.raises(NotPDError):
-            chol_solve(np.diag([1.0, 0.0]), np.ones(2))
-        with pytest.raises(NotPDError):
-            chol_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
-
     def test_pivot_threshold_scales_with_trace(self):
         # Pivot threshold is 1e-14 * trace / dim; a 1e-20 pivot next to a
         # unit pivot must be rejected rather than propagated.

@@ -88,7 +88,8 @@ class TestFitOls:
             np.testing.assert_array_equal(fit.factor_cov_mle, fit.factor_cov_mle.T)
 
     def test_sums_of_squares_match_the_plain_formulas(self, rng):
-        # fit_ols forms them in one reused buffer; the bits must not move.
+        # sigma_mle keeps its bits; R^2, now the explained share, matches the
+        # textbook 1 - SSR/SST to 1e-12 absolute (R^2 lies in [0, 1]).
         for T, n, k in ((37, 11, 1), (240, 30, 3)):
             dataset, model = random_fit_inputs(rng, T=T, n=n, k=k)
             fit = fit_ols(dataset, model)
@@ -98,7 +99,8 @@ class TestFitOls:
             resid = returns - design @ np.vstack([fit.alpha_hat, fit.beta_hat.T])
             sst = ((returns - returns.mean(axis=0)) ** 2).sum(axis=0)
             np.testing.assert_array_equal(fit.sigma_mle, resid.T @ resid / T)
-            np.testing.assert_array_equal(fit.r2, 1.0 - (resid ** 2).sum(axis=0) / sst)
+            np.testing.assert_allclose(fit.r2, 1.0 - (resid ** 2).sum(axis=0) / sst,
+                                       rtol=0.0, atol=1e-12)
 
     def test_residuals_mean_zero(self, base_dataset):
         dataset, model = base_dataset
@@ -169,6 +171,25 @@ class TestSharpeSq:
         one = sharpe_sq(fit_ols(ds, ModelSpec("O1", ("F1",))))
         two = sharpe_sq(fit_ols(ds, ModelSpec("O2", ("F2",))))
         assert both == pytest.approx(one + two, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+           log10_cond=st.floats(0.0, 8.0), log10_scale=st.floats(-4.0, 4.0))
+    def test_matches_dense_solve(self, seed, k, log10_cond, log10_scale):
+        # Random SPD Omega = Q diag(lam) Q' with cond(Omega) = 10^log10_cond;
+        # mu' Omega^{-1} mu both ways agrees to a relative 100 k cond eps.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        lam = 10.0 ** (log10_scale + np.linspace(0.0, log10_cond, k))
+        omega = (q * lam) @ q.T
+        omega = (omega + omega.T) / 2.0
+        mu = rng.normal(size=k) * np.sqrt(lam.max())
+        fit = dataclasses.replace(fake_fit(np.zeros(2), k=k), factor_mean=mu,
+                                  factor_cov_mle=omega)
+        want = float(mu @ np.linalg.solve(omega, mu))
+        cond = 10.0 ** log10_cond
+        assert sharpe_sq(fit) == pytest.approx(
+            want, rel=100 * k * cond * np.finfo(float).eps)
 
 
 class TestGrs:
@@ -528,7 +549,8 @@ class TestFitModelsFallback:
     def test_nested_models_share_one_residual_covariance(self, spies):
         # Six nested models: one fit_ols (the union's, so one residual cross
         # product), no grs_test, the only n x n Cholesky is the union's, and
-        # one forward substitution of [alpha_U, B_U] serves every GRS.
+        # one forward substitution of [alpha_U, B_U] serves every GRS (the
+        # only solve with n rows; sharpe_sq's solves have k rows).
         n, k = 30, 6
         dataset = _factor_panel_dataset(3, T=200, n=n, k=k, extra=False)
         models = [ModelSpec(f"M{j}", tuple(f"F{i + 1}" for i in range(j)))
@@ -536,7 +558,7 @@ class TestFitModelsFallback:
         got = _outcomes(_fit_models(dataset, models))
         assert spies["fit_ols"] == ["union"] and spies["grs_test"] == 0
         assert spies["chol_sizes"].count(n) == 1
-        assert spies["solve_lower"] == [(n, k + 1)]
+        assert [shape for shape in spies["solve_lower"] if shape[0] == n] == [(n, k + 1)]
         assert all(isinstance(grs, tuple) for _, grs in got)
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 

@@ -76,6 +76,24 @@ class TestGenerate:
         with pytest.raises(BadConfigError):
             generate(config)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["true_alpha", "true_beta", "factor_mean",
+                                       "factor_cov", "resid_cov"])
+    def test_non_finite_ground_truth_rejected_before_any_draw(self, monkeypatch,
+                                                              field, bad):
+        config = make_config(seed=1, T=50, n=3, k=2)
+        value = np.array(getattr(config, field), dtype=float)
+        value.flat[0] = bad
+        monkeypatch.setattr(np.random, "Philox", None)
+        with pytest.raises(BadConfigError, match=f"^{field} must be finite$"):
+            generate(dataclasses.replace(config, **{field: value}))
+
+    def test_overflowing_draws_rejected(self):
+        # Finite ground truth whose returns overflow; no RuntimeWarning escapes.
+        config = make_config(seed=1, T=50, n=3, alpha=1.7e308, factor_mean=1.7e308)
+        with pytest.raises(BadConfigError, match="^the drawn factors or returns overflow$"):
+            generate(config)
+
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(BadConfigError):
             generate(dataclasses.replace(make_config(seed=1), T=0))
