@@ -26,7 +26,7 @@ measure sum_i (Q'alpha_hat)_i^2 delta(d_i) of A = Q D Q'. Per model,
 ``linalg.gauss_rule`` replaces that measure by the m-node Gauss rule that
 Lanczos on A from alpha_hat gives, at O(m n^2) (m is 32-64 on the benchmark
 panels), and one O(q m) quadrature table is built from the rule
-(``linalg.RankOneQuadrature.from_rule``, q a few hundred nodes). Below
+(``linalg.RankOneQuadrature(theta, w, g_max)``, q a few hundred nodes). Below
 ``linalg.GAUSS_RULE_MIN_N`` assets, where one ``eigh(A)`` is cheaper, and
 where Lanczos hits its step cap, the rule is the measure itself, from
 ``eigh(A)`` at O(n^3). After that, each sigma_alpha (grid point or
@@ -73,7 +73,7 @@ class GaussianDist:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = symmetrize(self.cov)
+        cov = symmetrize(np.array(self.cov, dtype=float))
         if cov.shape[0] != mean.shape[0]:
             raise ValueError(
                 f"mean has {mean.shape[0]} entries but cov is {cov.shape}"
@@ -97,14 +97,18 @@ class PosteriorFamily:
     for alpha_hat: Lanczos at O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N``
     on, one ``eigh(A)`` below that or past the step cap. The engine behind the
     sweep/equivalence machinery. Raises NonFiniteError where returns are so
-    large that the rule or the table would overflow.
+    large that the distance, the rule or the table would overflow.
     """
 
     def __init__(self, fit: RegressionFit):
         self.fit = fit
         self.s2, self._u0 = _skeptic_parts(fit)
-        self._var_sum = float(_skeptic_var(fit, self.s2, self._u0).sum())
-        self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
+        with np.errstate(over="ignore"):
+            self._var_sum = float(_skeptic_var(fit, self.s2, self._u0).sum())
+            self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
+        if not math.isfinite(self._alpha_sq + self._var_sum):
+            raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
+                                 "the distance overflows")
         # The Gauss nodes of A lie in (0, tr A] and their weights sum to
         # |alpha_hat|^2: Lanczos and the table (squared nodes, node times
         # weight) stay finite where these bounds do.
@@ -115,7 +119,7 @@ class PosteriorFamily:
         # Every sigma > 0 has g = lam c < 1 / u0, and A >= s^2 I is positive
         # definite.
         g_max = 1.0 / self._u0
-        self._quad = RankOneQuadrature.from_rule(
+        self._quad = RankOneQuadrature(
             *gauss_rule(_scale(fit, self.s2), fit.alpha_hat, g_max), g_max)
 
     def _shrinkage(self, sigma_alpha_annual: float) -> tuple[float, float]:

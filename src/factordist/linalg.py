@@ -79,14 +79,13 @@ def square(x: float) -> float:
         return math.inf
 
 
-def symmetrize(m: np.ndarray, copy: bool = True) -> np.ndarray:
-    """Return (M + M') / 2, a new array, after checking M is square and symmetric.
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """Return (M + M') / 2 after checking M is square and symmetric.
 
     The asymmetry tolerance SYMMETRY_TOL is relative to max(1, max|entry|).
-    With ``copy=False``, for callers that only read the result, an M that is
-    bitwise symmetric, finite and below half the largest float comes back as
-    it is (for a float64 array, the same object), which is (M + M') / 2 bit
-    for bit.
+    An M that is bitwise symmetric, finite and below half the largest float
+    comes back as it is (for a float64 array, the same object), which is
+    (M + M') / 2 bit for bit; a caller that keeps the result copies it.
 
     Raises
     ------
@@ -101,7 +100,7 @@ def symmetrize(m: np.ndarray, copy: bool = True) -> np.ndarray:
     top = float(np.abs(a).max())
     # There M + M' is 2M exactly; NaN fails the bound.
     if top < _HALF_MAX and np.array_equal(a.view(np.int64), a.T.view(np.int64)):
-        return a.copy() if copy else a
+        return a
     scale = max(1.0, top)
     gap = float(np.abs(a - a.T).max())
     if gap > SYMMETRY_TOL * scale:
@@ -126,7 +125,7 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
     NotPSDError
         If an eigenvalue lies below the clamping band.
     """
-    a = symmetrize(m, copy=False)
+    a = symmetrize(m)
     w, v = np.linalg.eigh(a)
     spectral = float(np.abs(w).max())
     if float(w.min()) < -PSD_CLAMP_REL * spectral:
@@ -152,7 +151,7 @@ def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.
     which callers use both to reject singular covariance matrices and to
     detect rank deficiency.
     """
-    a = symmetrize(m, copy=False)
+    a = symmetrize(m)
     tol = chol_pivot_floor(float(np.trace(a)), a.shape[0], pivot_tol_factor)
     try:
         lower = np.linalg.cholesky(a)
@@ -181,7 +180,9 @@ def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 class RankOneQuadrature:
     """The second-order remainder R(g) = g sum(gamma_i^2 / d_i) / 2 - Delta(g)
     of Delta(g) = tr sqrt(D^2 + g gamma gamma') - tr D, for D = diag(d) >= 0
-    and every g in [0, g_max], from one table.
+    and every g in [0, g_max], from one table built from the Gauss rule
+    (theta, w) of :func:`gauss_rule`: d^2 = theta^2 and gamma^2 = theta w,
+    node times weight standing in for the square of gamma = D^{1/2} Q'v.
 
     Only the squares d^2 and gamma^2 enter. Sherman-Morrison turns Delta into
     (2/pi) int_0^inf t^2 g S2(t) / (1 + g S1(t)) dt with
@@ -193,43 +194,29 @@ class RankOneQuadrature:
     and gamma^2 by max d^2. The poles of the integrand sit on |Im u| = pi / 2
     for every g, so one grid serves all g <= g_max: building it costs O(q n)
     for q (a few hundred) nodes, and each g then costs O(q). Terms with
-    gamma_i = 0 contribute nothing and are dropped.
-
-    Raises
-    ------
-    ValueError
-        If some d_i = 0 has gamma_i != 0.
+    gamma_i^2 <= 0, a zero node among them, contribute nothing and are dropped.
     """
 
-    def __init__(self, d_sq: np.ndarray, gamma_sq: np.ndarray, g_max: float):
+    def __init__(self, theta: np.ndarray, w: np.ndarray, g_max: float):
         self._factor = 0.0
         self._t3_s2 = self._s1 = np.zeros(0)
+        gamma_sq = theta * w
         active = gamma_sq > 0.0
         if g_max == 0.0 or not active.any():
             return
-        d_sq = d_sq[active]
+        d_sq = np.square(theta[active])
         scale = float(d_sq.max())
-        if not float(d_sq.min()) > 0.0:
-            raise ValueError("d must be positive wherever gamma is non-zero")
         d_sq = d_sq / scale
-        w = gamma_sq[active] / scale
+        gamma_sq = gamma_sq[active] / scale
         lo = 0.5 * math.log(float(d_sq.min())) - QUAD_LO_MARGIN
-        hi = 0.5 * math.log1p(g_max * float(w.sum())) + QUAD_HI_MARGIN
+        hi = 0.5 * math.log1p(g_max * float(gamma_sq.sum())) + QUAD_HI_MARGIN
         t = np.exp(lo + QUAD_STEP * np.arange(math.ceil((hi - lo) / QUAD_STEP) + 1))
         r = np.add.outer(t * t, d_sq)
         np.reciprocal(r, out=r)
-        self._s1 = r @ w
+        self._s1 = r @ gamma_sq
         r *= r
-        self._t3_s2 = t ** 3 * (r @ w)
+        self._t3_s2 = t ** 3 * (r @ gamma_sq)
         self._factor = math.sqrt(scale) * 2.0 / math.pi * QUAD_STEP
-
-    @classmethod
-    def from_rule(cls, theta: np.ndarray, w: np.ndarray,
-                  g_max: float) -> RankOneQuadrature:
-        """Table of the Gauss rule (theta, w) of :func:`gauss_rule`: d^2 = theta^2
-        and gamma^2 = theta w, node times weight standing in for the square of
-        gamma = D^{1/2} Q'v (a positive-definite A has every node positive)."""
-        return cls(theta * theta, theta * w, g_max)
 
     def remainder(self, g: float) -> float:
         """g sum(gamma_i^2 / d_i) / 2 - Delta(g) >= 0, without cancellation, O(q)."""
@@ -242,17 +229,17 @@ def gauss_rule(a: np.ndarray, v: np.ndarray,
     """Nodes theta and weights w of a quadrature rule for the spectral measure
     sum_i (Q'v)_i^2 delta(d_i) of a symmetric positive-definite A = Q D Q'.
 
-    ``RankOneQuadrature.from_rule(theta, w, g_max)`` then stands in for the
-    table of D and gamma = D^{1/2} Q'v. From n = GAUSS_RULE_MIN_N on, Lanczos
-    on A from v, with two-pass full reorthogonalisation, gives the m-node
-    Gauss rule (Golub & Welsch 1969): the eigenvalues of the m x m Lanczos
-    tridiagonal and |v|^2 times the squared first components of its
-    eigenvectors, at O(m n^2). Every LANCZOS_BLOCK steps the rule's table is
-    evaluated at g = g_max * LANCZOS_PROBES, and Lanczos stops once no value
-    moved by more than LANCZOS_STOP_REL, or at once when the Krylov space is
-    exhausted (the rule is then exact). Below that n, for v = 0, and past
-    LANCZOS_MAX_STEPS_REL * n steps the rule is the measure itself, from one
-    ``eigh(A)``: nodes d and weights (Q'v)^2.
+    ``RankOneQuadrature(theta, w, g_max)``, the table's one constructor, builds
+    from the rule a table that stands in for the one of D and gamma = D^{1/2}
+    Q'v. From n = GAUSS_RULE_MIN_N on, Lanczos on A from v, with two-pass full
+    reorthogonalisation, gives the m-node Gauss rule (Golub & Welsch 1969): the
+    eigenvalues of the m x m Lanczos tridiagonal and |v|^2 times the squared
+    first components of its eigenvectors, at O(m n^2). Every LANCZOS_BLOCK
+    steps the rule's table is evaluated at g = g_max * LANCZOS_PROBES, and
+    Lanczos stops once no value moved by more than LANCZOS_STOP_REL, or at once
+    when the Krylov space is exhausted (the rule is then exact). Below that n,
+    for v = 0, and past LANCZOS_MAX_STEPS_REL * n steps the rule is the measure
+    itself, from one ``eigh(A)``: nodes d and weights (Q'v)^2.
     """
     n = a.shape[0]
     if n >= GAUSS_RULE_MIN_N and v.any():
@@ -297,7 +284,7 @@ def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,
             rule = theta, norm_sq * s[0] ** 2
             if exhausted:
                 return rule
-            quad = RankOneQuadrature.from_rule(*rule, g_max)
+            quad = RankOneQuadrature(*rule, g_max)
             r = np.array([quad.remainder(g) for g in probes])
             if last is not None and np.all(np.abs(r - last) <= LANCZOS_STOP_REL * r):
                 return rule

@@ -57,6 +57,7 @@ asked for builds L_U and [z, Z], so ``sweep`` and ``equiv`` do no GRS work.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -234,16 +235,15 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     gram = design.T @ design
     column = {name: j for j, name in enumerate(union, start=1)}
     for model in models:
-        if not panel.issuperset(model.factor_names):
+        lower_s = None
+        if panel.issuperset(model.factor_names):
+            s = [0, *(column[name] for name in model.factor_names)]
+            with suppress(NotPDError):
+                lower_s = cholesky_spd(gram[np.ix_(s, s)], pivot_tol_factor=RANK_PIVOT_REL)
+        if lower_s is None:
             yield _direct(dataset, model)
             continue
-        s = [0, *(column[name] for name in model.factor_names)]
         r = [j for j in range(1, width) if j not in s]
-        try:
-            lower_s = cholesky_spd(gram[np.ix_(s, s)], pivot_tol_factor=RANK_PIVOT_REL)
-        except NotPDError:
-            yield _direct(dataset, model)
-            continue
         # C_S = F_r'M_S F_r, the Schur complement of G_ss in G, and
         # h_S = G_ss^{-1} G_sr from the same v.
         v = np.linalg.solve(lower_s, gram[np.ix_(s, r)])

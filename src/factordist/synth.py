@@ -16,12 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Dataset, ReturnsPanel, _is_month, month_range
+from .dataio import Dataset, ReturnsPanel, month_range
 from .errors import BadConfigError
 from .linalg import spd_sqrt, symmetrize
 
 RNG_ALGORITHM = f"numpy.random.Philox (numpy {np.__version__})"
-DEFAULT_START_DATE = 196701
+START_DATE = 196701
+MAX_T = 96_396  # months from START_DATE to 999912, the last YYYYMM month
 
 
 @dataclass(frozen=True)
@@ -42,17 +43,17 @@ class SynthConfig:
     factor_cov: np.ndarray
     resid_cov: np.ndarray
     seed: int
-    start_date: int = DEFAULT_START_DATE
 
 
 def _validated(config: SynthConfig) -> tuple[np.ndarray, ...]:
     if config.T < 1 or config.n < 1 or config.k < 1:
         raise BadConfigError(f"T={config.T}, n={config.n}, k={config.k} "
                              "must all be >= 1")
-    if not (_is_month(config.start_date)
-            and _is_month(month_range(config.start_date, config.T)[-1])):
-        raise BadConfigError(f"start_date={config.start_date} and T={config.T} must "
+    if config.T > MAX_T:
+        raise BadConfigError(f"start_date={START_DATE} and T={config.T} must "
                              "give YYYYMM months up to 999912")
+    if config.seed < 0:
+        raise BadConfigError(f"seed must be >= 0, got {config.seed}")
     alpha = np.asarray(config.true_alpha, dtype=float).reshape(-1)
     beta = np.asarray(config.true_beta, dtype=float)
     mean = np.asarray(config.factor_mean, dtype=float).reshape(-1)
@@ -101,7 +102,7 @@ def generate(config: SynthConfig) -> Dataset:
     if not (np.isfinite(factors).all() and np.isfinite(returns).all()):
         raise BadConfigError("the drawn factors or returns overflow")
 
-    dates = month_range(config.start_date, config.T)
+    dates = month_range(START_DATE, config.T)
     asset_names = tuple(f"A{i + 1}" for i in range(config.n))
     factor_names = tuple(f"F{j + 1}" for j in range(config.k))
     return Dataset(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import GaussianDist
-from .errors import DimMismatchError, SingularSourceError
+from .errors import DimMismatchError, NonFiniteError, SingularSourceError
 from .linalg import TRACE_SNAP_REL, spd_sqrt, symmetrize
 
 # Relative eigenvalue threshold below which a source covariance cannot be mapped.
@@ -44,7 +44,7 @@ def wd2_components(p1: GaussianDist, p2: GaussianDist) -> tuple[float, float]:
     shift = p2.mean - p1.mean
     mean_sq = float(shift @ shift)
     root1 = spd_sqrt(p1.cov)
-    cross = spd_sqrt(symmetrize(root1 @ p2.cov @ root1))
+    cross = spd_sqrt(root1 @ p2.cov @ root1)
     total_trace = float(np.trace(p1.cov) + np.trace(p2.cov))
     trace_term = total_trace - 2.0 * float(np.trace(cross))
     if trace_term <= TRACE_SNAP_REL * total_trace:
@@ -82,14 +82,14 @@ def transport_map(p1: GaussianDist, p2: GaussianDist) -> np.ndarray:
     """
     if p1.dim != p2.dim:
         raise DimMismatchError(f"dimensions differ: {p1.dim} vs {p2.dim}")
-    w, v = np.linalg.eigh(symmetrize(p1.cov))
+    w, v = np.linalg.eigh(p1.cov)
     if float(w.min()) <= SOURCE_RANK_REL * float(np.abs(w).max()):
         raise SingularSourceError(
             f"source covariance has eigenvalue {w.min():.3e}; map undefined"
         )
     root1 = (v * np.sqrt(w)) @ v.T
     root1_inv = (v / np.sqrt(w)) @ v.T
-    cross = spd_sqrt(symmetrize(root1 @ p2.cov @ root1))
+    cross = spd_sqrt(root1 @ p2.cov @ root1)
     return symmetrize(root1_inv @ cross @ root1_inv)
 
 
@@ -124,10 +124,14 @@ def distance_breakdown(alpha: np.ndarray, var: np.ndarray) -> DistanceBreakdown:
     """Per-asset decomposition of the distance from dogmatic belief to a
     posterior with mean ``alpha`` and non-negative variances ``var``.
 
-    The trace is basis-free, so the covariance diagonal is all this needs to
-    coincide with the full-matrix distance from the zero point mass.
+    The trace is basis-free, so the diagonal gives the full-matrix distance
+    from the zero point mass. Raises NonFiniteError where that overflows.
     """
+    with np.errstate(over="ignore"):
+        mean_sq, var_sum = float(alpha @ alpha), float(var.sum())
+    if not math.isfinite(mean_sq + var_sum):
+        raise NonFiniteError("returns too large: the distance overflows")
     td, ad, rmse_alpha, rmse_sigma, ratio_var = distance_metrics(
-        float(alpha @ alpha), float(var.sum()), alpha.shape[0])
+        mean_sq, var_sum, alpha.shape[0])
     return DistanceBreakdown(td, ad, rmse_alpha, rmse_sigma,
                              np.sqrt(alpha**2 + var), ratio_var)

@@ -513,8 +513,8 @@ class TestKrylovFamily:
         # Ritz values lie in the spectrum of A >= s^2 I; with T < n its bottom
         # is s^2 itself, which rounding may undercut by a few ulps of A.
         assert nodes.min() >= s2 * (1.0 - 1e-12)
-        krylov = RankOneQuadrature(nodes * nodes, nodes * weights, 1.0 / u0)
-        dense = RankOneQuadrature(d * d, d * (q.T @ fit.alpha_hat) ** 2, 1.0 / u0)
+        krylov = RankOneQuadrature(nodes, weights, 1.0 / u0)
+        dense = RankOneQuadrature(d, (q.T @ fit.alpha_hat) ** 2, 1.0 / u0)
         reference = _dense_family(panel)
         for gu0 in np.logspace(-12.0, 0.0, 25) * (1.0 - 1e-6):
             g = gu0 / u0
@@ -608,7 +608,18 @@ class TestGaussianDist:
         np.testing.assert_array_equal(d.cov, d.cov.T)
 
     def test_cov_not_shared_with_caller(self):
-        cov = np.eye(2)
-        d = GaussianDist(np.zeros(2), cov)
-        cov[0, 0] = 5.0
-        assert d.cov[0, 0] == 1.0
+        # An exactly symmetric cov, which symmetrize returns as is, and one
+        # that it averages.
+        for off in (0.5, 0.5 + 1e-14):
+            cov = np.array([[1.0, off], [0.5, 1.0]])
+            d = GaussianDist(np.zeros(2), cov)
+            cov[0, 0] = 5.0
+            assert d.cov[0, 0] == 1.0
+
+    @pytest.mark.parametrize("mean, cov", [
+        ([np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+    ], ids=["mean", "cov"])
+    def test_non_finite_moments_rejected(self, mean, cov):
+        with pytest.raises(ValueError, match="^distribution moments must be finite$"):
+            GaussianDist(np.array(mean), np.array(cov))

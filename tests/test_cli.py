@@ -206,8 +206,9 @@ class TestRank:
         (["rank"], "models", "# none\n", "models.txt: no model definitions found"),
         (["rank"], "portfolios", "date\n200001\n",
          "portfolios.csv:1: header needs a date column and at least one series"),
+        (["rank"], "portfolios", "# none\n\n,,\n", "portfolios.csv: no header row found"),
     ], ids=["grid_value", "alternative", "model_without_equals", "empty_model_name",
-            "no_model", "one_column_header"])
+            "no_model", "one_column_header", "no_header_row"])
     def test_user_error_exit_1_names_it(self, tmp_path, capsys, argv, spoiled, text,
                                         message):
         ports, facts = _synth(tmp_path)
@@ -244,6 +245,26 @@ class TestRank:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("rank", []), ("sweep", []), ("equiv", ["--benchmark", "M0"]),
+    ], ids=["rank", "sweep", "equiv"])
+    def test_overflowing_distance_exit_1(self, tmp_path, capsys, command, extra):
+        # Alphas near 5e153 on three months: every sum of squares of the fit
+        # is finite, but |alpha|^2 is not, so neither is the distance.
+        ports, facts = _synth(tmp_path, T=3, n=9, k=1, seed=1, alpha=5e153)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--portfolios", str(ports), "--factors", str(facts),
+                         "--models", str(_models(tmp_path, "M0 = F1\n")),
+                         "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.endswith("returns too large: the distance overflows\n")
+        assert err.count("error: ") == 1 and "Warning" not in err
         assert not out.exists()
 
     def test_huge_riskfree_rate_exit_0(self, tmp_path, capsys):
@@ -985,6 +1006,9 @@ class TestSynthCommand:
         (["--resid-vol", "1e200"], "resid_cov must be finite"),
         (["--alpha", "1.7e308", "--factor-mean", "1.7e308"],
          "the drawn factors or returns overflow"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--T", "1000000000"], "start_date=196701 and T=1000000000 must give "
+                                "YYYYMM months up to 999912"),
     ])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, options, message):
         # A square that overflows is inf, so it fails as a non-finite value.

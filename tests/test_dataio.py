@@ -1,6 +1,5 @@
 import builtins
 import csv
-import dataclasses
 import io
 import re
 from unittest import mock
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factordist import generate
 from factordist.dataio import (
     DEFAULT_MISSING_CODES,
     ReturnsPanel,
@@ -21,7 +19,6 @@ from factordist.dataio import (
     month_range,
 )
 from factordist.errors import (
-    BadConfigError,
     DuplicateDateError,
     DuplicateModelNameError,
     EmptyPanelError,
@@ -31,7 +28,7 @@ from factordist.errors import (
     ParseError,
 )
 
-from conftest import make_config, panel_from_columns
+from conftest import panel_from_columns
 
 
 def _write(tmp_path, name, text):
@@ -242,6 +239,11 @@ class TestLoadPanel:
     def test_header_only_is_empty_panel(self, tmp_path):
         path = _write(tmp_path, "f.csv", "# meta\ndate,A,B\n\n")
         with pytest.raises(EmptyPanelError):
+            load_panel(path)
+
+    def test_no_header_row(self, tmp_path):
+        path = _write(tmp_path, "f.csv", "# meta\n\n,,\n  \n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no header row found$"):
             load_panel(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
@@ -554,18 +556,12 @@ class TestConcatPanels:
 
 
 class TestReturnsPanel:
-    def test_month_past_999912_rejected(self, monkeypatch):
+    def test_month_past_999912_rejected(self):
         # load_panel rejects such a month, so a panel built in code must too;
-        # generate rejects a start date, or a T-th month past 999912, before
-        # it draws a number.
+        # generate rejects a T-th month past 999912 before it draws a number
+        # (tests/test_synth.py).
         with pytest.raises(ParseError, match="1000001 is not a valid YYYYMM"):
             ReturnsPanel((1000001,), ("A",), np.ones((1, 1)))
-        monkeypatch.setattr(np.random, "Philox", None)
-        for start in (999911, 196713):
-            config = dataclasses.replace(make_config(T=3, n=1, k=1), start_date=start)
-            with pytest.raises(BadConfigError, match=f"start_date={start} and T=3 must "
-                                                     "give YYYYMM months up to 999912"):
-                generate(config)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):

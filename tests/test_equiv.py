@@ -5,13 +5,14 @@ import pytest
 
 from factordist import (
     distance_breakdown,
+    equiv,
     fit_ols,
     skeptic_moments,
     solve_equiv,
     sweep,
 )
 from factordist.equiv import AD_TOL, MAX_BISECTIONS, SIGMA_TOL
-from factordist.errors import BadConfigError, NotBracketedError
+from factordist.errors import BadConfigError, NotBracketedError, NumericalError
 
 from conftest import make_dataset
 
@@ -47,6 +48,25 @@ class TestSweep:
     def test_distance_vanishes_at_extreme_skepticism(self, fit):
         rows = sweep(fit, [0.0, 1e4])
         assert rows[1].ad <= 1e-3 * rows[0].ad
+
+    @pytest.mark.parametrize("rise, fails", [(1e-6, True), (1e-12, False)])
+    def test_rising_distance_fails_past_the_slack(self, monkeypatch, fit, rise, fails):
+        # A family whose AD grows by the factor 1 + rise from one grid point
+        # to the next, all in the mean term: AD = (1 + rise)^sigma.
+        class Rising:
+            def __init__(self, fit):
+                self.fit = fit
+
+            def wd2_to_skeptic(self, sigma):
+                return self.fit.n * (1.0 + rise) ** (2.0 * sigma), 0.0
+
+        monkeypatch.setattr(equiv, "PosteriorFamily", Rising)
+        if fails:
+            with pytest.raises(NumericalError, match="increased along the grid"):
+                sweep(fit, [0.0, 1.0, 2.0])
+        else:
+            ads = [r.ad for r in sweep(fit, [0.0, 1.0, 2.0])]
+            assert ads[0] < ads[1] < ads[2]  # a rise within the slack
 
     @pytest.mark.parametrize("grid", [[], [-1.0, 2.0], [4.0, 2.0], [math.nan],
                                       [0.0, math.nan], [math.nan, 2.0]])

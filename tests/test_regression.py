@@ -605,6 +605,9 @@ class TestFitModelsFallback:
         got = _outcomes(_fit_models(dataset, models))
         assert spies["fit_ols"] == ["union", "NEAR"]
         assert len(got) == 1 and isinstance(got[0], RankDeficientError)
+        # Its context is fit_ols's own NotPDError, which the union path's
+        # failed sub-Gram Cholesky does not precede.
+        assert got[0].__context__.__context__ is None
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
 
     def test_singular_union_covariance_still_reports_small_model_grs(self, spies):

@@ -11,7 +11,9 @@ from factordist import (
     grs_test,
     power_scenario,
     skeptic_moments,
+    synth,
 )
+from factordist.dataio import month_range
 from factordist.errors import BadConfigError
 
 from conftest import make_config
@@ -97,6 +99,24 @@ class TestGenerate:
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(BadConfigError):
             generate(dataclasses.replace(make_config(seed=1), T=0))
+
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(np.random, "Philox", None)
+        with pytest.raises(BadConfigError, match="^seed must be >= 0, got -1$"):
+            generate(make_config(seed=-1))
+
+    @pytest.mark.parametrize("T", [96_397, 10**12])
+    def test_months_past_999912_rejected_without_building_them(self, monkeypatch, T):
+        assert month_range(synth.START_DATE, synth.MAX_T)[-1] == 999912
+
+        def no_months(*args):
+            raise AssertionError("month_range called")
+
+        monkeypatch.setattr(np.random, "Philox", None)
+        monkeypatch.setattr(synth, "month_range", no_months)
+        with pytest.raises(BadConfigError, match=f"^start_date=196701 and T={T} must "
+                                                 "give YYYYMM months up to 999912$"):
+            generate(make_config(T=T, n=1, k=1))
 
 
 class TestPowerScenario:

@@ -16,7 +16,7 @@ from factordist import (
     wd2_components,
     wd2_gaussian,
 )
-from factordist.errors import DimMismatchError, SingularSourceError
+from factordist.errors import DimMismatchError, NonFiniteError, SingularSourceError
 from factordist.transport import distance_metrics
 
 from conftest import random_fit_inputs, random_spd
@@ -146,6 +146,15 @@ class TestDistanceBreakdown:
         assert bd.td == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(bd.marginal, [0.3, 0.4], atol=1e-12)
         assert bd.ratio_var == 0.0
+
+    @pytest.mark.parametrize("alpha, var", [
+        ([1e155, 1e155], [0.0, 0.0]), ([1.0, 1.0], [1e308, 1e308]), ([1.3e154], [1e308]),
+    ], ids=["mean", "variance", "sum"])
+    def test_overflow_is_an_error(self, alpha, var):
+        # No RuntimeWarning: the suite turns every warning into an error.
+        with pytest.raises(NonFiniteError,
+                           match="^returns too large: the distance overflows$"):
+            distance_breakdown(np.array(alpha), np.array(var))
 
     def test_field_identities(self, rng):
         post = random_gaussian(rng, 5)
