@@ -10,53 +10,33 @@ uncertainty and a solver for distance-equivalent priors.
 
 __version__ = "0.1.0"
 
-from .bayes import (
-    GaussianDist,
-    PosteriorFamily,
-    posterior_alpha_dogmatic,
-    posterior_alpha_skeptic,
-    sigma_annual_to_monthly,
-    skeptic_moments,
-)
-from .dataio import (
-    Dataset,
-    ModelSpec,
-    ReturnsPanel,
-    build_dataset,
-    concat_panels,
-    load_models,
-    load_panel,
-)
-from .equiv import EquivResult, SweepRow, solve_equiv, sweep
-from .linalg import f_cdf_upper, spd_sqrt, symmetrize
-from .metrics import (
-    MetricsReport,
-    alpha_stats,
-    build_report,
-    rank_models,
-)
-from .regression import RegressionFit, fit_ols, grs_test, sharpe_sq
-from .synth import RNG_ALGORITHM, SynthConfig, generate, power_scenario
-from .transport import (
-    DistanceBreakdown,
-    distance_breakdown,
-    transport_map,
-    wd2_components,
-    wd2_gaussian,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "ReturnsPanel", "ModelSpec", "Dataset",
-    "load_panel", "load_models", "build_dataset", "concat_panels",
-    "RegressionFit", "fit_ols", "sharpe_sq", "grs_test",
-    "GaussianDist", "PosteriorFamily",
-    "posterior_alpha_dogmatic", "posterior_alpha_skeptic", "skeptic_moments",
-    "sigma_annual_to_monthly",
-    "wd2_gaussian", "wd2_components", "transport_map",
-    "DistanceBreakdown", "distance_breakdown",
-    "MetricsReport", "alpha_stats", "build_report", "rank_models",
-    "SweepRow", "EquivResult", "sweep", "solve_equiv",
-    "SynthConfig", "generate", "power_scenario", "RNG_ALGORITHM",
-    "spd_sqrt", "f_cdf_upper", "symmetrize",
-]
+# Each public name and the module that defines it. Names resolve on first
+# access (PEP 562), so a command imports only the modules it uses.
+_MODULE_OF = {
+    **dict.fromkeys(["GaussianDist", "PosteriorFamily", "posterior_alpha_dogmatic",
+                     "posterior_alpha_skeptic", "sigma_annual_to_monthly",
+                     "skeptic_moments"], "bayes"),
+    **dict.fromkeys(["Dataset", "ModelSpec", "ReturnsPanel", "build_dataset",
+                     "concat_panels", "load_models", "load_panel"], "dataio"),
+    **dict.fromkeys(["EquivResult", "SweepRow", "solve_equiv", "sweep"], "equiv"),
+    **dict.fromkeys(["f_cdf_upper", "spd_sqrt", "symmetrize"], "linalg"),
+    **dict.fromkeys(["MetricsReport", "alpha_stats", "build_report",
+                     "rank_models"], "metrics"),
+    **dict.fromkeys(["RegressionFit", "fit_ols", "grs_test", "sharpe_sq"],
+                    "regression"),
+    **dict.fromkeys(["RNG_ALGORITHM", "SynthConfig", "generate", "power_scenario"],
+                    "synth"),
+    **dict.fromkeys(["DistanceBreakdown", "distance_breakdown", "transport_map",
+                     "wd2_components", "wd2_gaussian"], "transport"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+__all__ = ["__version__", *_MODULE_OF]

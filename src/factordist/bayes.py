@@ -29,9 +29,12 @@ panels), and one O(q m) quadrature table is built from the rule
 (``linalg.RankOneQuadrature(theta, w, g_max)``, q a few hundred nodes). Below
 ``linalg.GAUSS_RULE_MIN_N`` assets, where one ``eigh(A)`` is cheaper, and
 where Lanczos hits its step cap, the rule is the measure itself, from
-``eigh(A)`` at O(n^3). After that, each sigma_alpha (grid point or
-bisection) costs O(q) for the transport trace, which is taken in a form
-without cancellation.
+``eigh(A)`` at O(n^3). After that, each sigma_alpha costs O(q) for the
+transport trace, which is taken in a form without cancellation, in one
+elementwise formula (:func:`_wd2_to_skeptic`): a family takes a whole sweep
+grid in one numpy pass, and a :class:`FamilyStack` takes one sigma for each
+of many families in one pass, as an equivalence bisection step does for
+every alternative still in the bisection.
 
 ``sigma_alpha`` is quoted in annualized percent everywhere a user supplies
 it; annual-to-monthly conversion divides by 12 (an annualized mean scales
@@ -42,11 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NonFiniteError
-from .linalg import RankOneQuadrature, gauss_rule, square, symmetrize
+from .linalg import QuadratureStack, RankOneQuadrature, gauss_rule, symmetrize
 from .regression import RegressionFit, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
@@ -121,53 +125,104 @@ class PosteriorFamily:
         g_max = 1.0 / self._u0
         self._quad = RankOneQuadrature(
             *gauss_rule(_scale(fit, self.s2), fit.alpha_hat, g_max), g_max)
-
-    def _shrinkage(self, sigma_alpha_annual: float) -> tuple[float, float]:
-        """Prior precision lam = s^2 / sigma_monthly^2 and c; lam is inf (dogmatic)
-        where sigma^2 is 0 or underflows, and 0 (skeptic) where it overflows."""
-        var = square(sigma_annual_to_monthly(sigma_alpha_annual))
-        lam = math.inf if var == 0.0 else self.s2 / var
-        return lam, 1.0 / (1.0 + lam * self._u0)
+        self._b = self._u0 / (fit.T + 1)
 
     def at(self, sigma_alpha_annual: float) -> GaussianDist:
         """Posterior at any annualized prior mispricing std in [0, inf]."""
-        lam, _ = self._shrinkage(sigma_alpha_annual)
+        lam = float(_precision(sigma_annual_to_monthly(sigma_alpha_annual), self.s2))
         if math.isinf(lam):
             return posterior_alpha_dogmatic(self.fit.n)
         return _closed_form(self.fit, lam, self.s2, self._u0)
 
-    def wd2_to_skeptic(self, sigma_alpha_annual: float) -> tuple[float, float]:
-        """Closed form of ``wd2_components(self.at(sigma), self.at(inf))``.
+    def wd2_to_skeptic(self, sigma_alpha_annual):
+        """Squared mean shift and trace term of the distance from the
+        posterior at sigma to the skeptic, elementwise over an array of sigma:
+        :func:`_wd2_to_skeptic` on this family's moments and table.
 
-        With A = Q D Q', gamma = D^{1/2} Q' alpha_hat, b = u0 / (T + 1),
-        v = b tr A the skeptic variance sum and g = lam c: mean term
-        (1 - c)^2 |alpha_hat|^2, trace term (1 + c) v + b [c g |alpha_hat|^2
-        - 2 sqrt(c) tr sqrt(D^2 + g gamma gamma')]. Both traces are O(1)
-        while their difference is O(lam^2), so the trace term is evaluated as
-        e^2 v + b sqrt(c) [2 R - e g |alpha_hat|^2] with
-        e = 1 - sqrt(c) = lam u0 c / (1 + sqrt(c)) and
-        R = g |alpha_hat|^2 / 2 - (tr sqrt(D^2 + g gamma gamma') - tr D) >= 0
-        from the family's quadrature table: O(q) per call, every piece
-        O(lam^2) and none formed as a difference. At sigma = 0 the terms are
-        |alpha_hat|^2 and v, the dogmatic distance of :func:`skeptic_moments`.
+        Raises
+        ------
+        ValueError
+            If a sigma is negative or NaN.
         """
-        lam, c = self._shrinkage(sigma_alpha_annual)
-        if lam == 0.0:
-            return 0.0, 0.0
-        b = self._u0 / (self.fit.T + 1)
-        if math.isinf(lam):
-            return self._alpha_sq, self._var_sum
+        sigma = np.asarray(sigma_alpha_annual, dtype=float)
+        if not np.all(sigma >= 0.0):
+            raise ValueError(f"sigma_alpha must be non-negative, got {sigma_alpha_annual}")
+        mean_sq, trace_term = _wd2_to_skeptic(
+            sigma, self.s2, self._u0, self._b, self._alpha_sq, self._var_sum,
+            self._quad.remainder)
+        return mean_sq[()], trace_term[()]
+
+
+class FamilyStack:
+    """Several posterior families evaluated together, each at its own sigma.
+
+    Gathers each family's s^2, u0, b = u0 / (T + 1), |alpha_hat|^2 and
+    skeptic variance sum into arrays, and their quadrature tables into one
+    ``linalg.QuadratureStack``, once; an evaluation of every family is then
+    one numpy pass of :func:`_wd2_to_skeptic`, bit for bit what each
+    family's own ``wd2_to_skeptic`` gives.
+    """
+
+    def __init__(self, families: Sequence[PosteriorFamily]):
+        self.n = np.array([f.fit.n for f in families])
+        self._moments = np.array([(f.s2, f._u0, f._b, f._alpha_sq, f._var_sum)
+                                  for f in families]).reshape(-1, 5).T
+        self._quad = QuadratureStack([f._quad for f in families])
+
+    def wd2_to_skeptic(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both distance terms of family j at ``sigma[j]``, for every j."""
+        return _wd2_to_skeptic(sigma, *self._moments, self._quad.remainder)
+
+
+def _precision(sigma_monthly, s2):
+    """Prior precision lam = s^2 / sigma_monthly^2, elementwise: inf (dogmatic)
+    where sigma^2 is 0 or underflows, and 0 (skeptic) where it overflows.
+
+    The square is libm's pow, as Python's float ``**`` takes it; numpy's
+    ``** 2`` multiplies, which differs in the last bit for about one value
+    in a thousand.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        var = np.float_power(sigma_monthly, 2.0)
+        return np.where(var == 0.0, np.inf, s2 / var)
+
+
+def _wd2_to_skeptic(sigma, s2, u0, b, alpha_sq, var_sum, remainder):
+    """Closed form of ``wd2_components(family.at(sigma), family.at(inf))``,
+    elementwise over sigma and the moments of its family; the one formula of
+    the distance along sigma, behind sweeps and the equivalence solver.
+
+    With A = Q D Q', gamma = D^{1/2} Q' alpha_hat, b = u0 / (T + 1),
+    v = b tr A the skeptic variance sum and g = lam c: mean term
+    (1 - c)^2 |alpha_hat|^2, trace term (1 + c) v + b [c g |alpha_hat|^2
+    - 2 sqrt(c) tr sqrt(D^2 + g gamma gamma')]. Both traces are O(1)
+    while their difference is O(lam^2), so the trace term is evaluated as
+    e^2 v + b sqrt(c) [2 R - e g |alpha_hat|^2] with
+    e = 1 - sqrt(c) = lam u0 c / (1 + sqrt(c)) and
+    R = g |alpha_hat|^2 / 2 - (tr sqrt(D^2 + g gamma gamma') - tr D) >= 0
+    from the family's quadrature table: O(q) per call, every piece
+    O(lam^2) and none formed as a difference. At sigma = 0 the terms are
+    |alpha_hat|^2 and v, the dogmatic distance of :func:`skeptic_moments`,
+    and at sigma = inf (lam = 0) both are zero. ``remainder`` gives R at an
+    array of g.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = _precision(sigma / MONTHS_PER_YEAR, s2)
+        c = 1.0 / (1.0 + lam * u0)
         g = lam * c
-        root_c = math.sqrt(c)
+        root_c = np.sqrt(c)
         # 1 - c computed as lam u0 c, which does not cancel at large sigma.
-        one_minus_c = lam * self._u0 * c
-        mean_sq = one_minus_c**2 * self._alpha_sq
+        one_minus_c = lam * u0 * c
+        mean_sq = np.float_power(one_minus_c, 2.0) * alpha_sq  # pow, as in _precision
         e = one_minus_c / (1.0 + root_c)
-        trace_term = e * e * self._var_sum + b * root_c * (
-            2.0 * self._quad.remainder(g) - e * g * self._alpha_sq)
-        # The exact value is zero only for one asset at c |alpha_hat|^2 = u0 A;
-        # there rounding can leave the sum a few ulps of its pieces below zero.
-        return mean_sq, max(0.0, trace_term)
+        trace_term = e * e * var_sum + b * root_c * (
+            2.0 * remainder(g) - e * g * alpha_sq)
+    # The exact value is zero only for one asset at c |alpha_hat|^2 = u0 A;
+    # there rounding can leave the sum a few ulps of its pieces below zero.
+    trace_term = np.where(trace_term > 0.0, trace_term, 0.0)
+    dogmatic, skeptic = np.isinf(lam), lam == 0.0
+    return (np.where(dogmatic, alpha_sq, np.where(skeptic, 0.0, mean_sq)),
+            np.where(dogmatic, var_sum, np.where(skeptic, 0.0, trace_term)))
 
 
 def posterior_alpha_dogmatic(n: int) -> GaussianDist:

@@ -34,7 +34,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .bayes import skeptic_moments
+from .bayes import PosteriorFamily, skeptic_moments
 from .dataio import (
     DEFAULT_MISSING_CODES,
     Dataset,
@@ -44,12 +44,10 @@ from .dataio import (
     load_models,
     load_panel,
 )
-from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, check_grid, solve_equiv, sweep
+from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, check_grid, solve_equivs, sweep
 from .errors import FactorDistError, InputError, NotBracketedError
 from .linalg import square
-from .metrics import build_report, rank_models
 from .regression import GRS_UNDEFINED, _fit_models
-from .synth import RNG_ALGORITHM, SynthConfig, generate
 from .transport import distance_breakdown
 
 DEFAULT_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
@@ -145,6 +143,8 @@ def _metadata(args, command: str, extra: str = "") -> str:
 
 
 def cmd_rank(args) -> int:
+    from .metrics import build_report, rank_models
+
     dataset = _load_dataset(args)
     models = load_models(args.models)
     results = []
@@ -220,17 +220,26 @@ def cmd_equiv(args) -> int:
     fits = _fit_models(dataset, [by_name[n] for n in (args.benchmark, *alternatives)])
     benchmark_fit, _ = next(fits)
     benchmark_ad = distance_breakdown(*skeptic_moments(benchmark_fit)).ad
+    families = []
+    try:
+        for fit, _ in fits:
+            families.append(PosteriorFamily(fit))
+    except FactorDistError:
+        # An alternative before the one that failed reports its own
+        # NoConvergenceError first, as one alternative at a time would.
+        solve_equivs(families, benchmark_ad, bracket_hi=args.bracket_hi)
+        raise
     rows = []
-    for fit, _ in fits:
-        try:
-            res = solve_equiv(fit, benchmark_ad, bracket_hi=args.bracket_hi)
+    results = solve_equivs(families, benchmark_ad, bracket_hi=args.bracket_hi)
+    for family, res in zip(families, results):
+        if isinstance(res, NotBracketedError):
+            rows.append(",".join([family.fit.model.name, args.benchmark, "", "",
+                                  "0", "false", "not_bracketed"]))
+        else:
             rows.append(",".join([
                 res.alt_model, args.benchmark, _fmt(res.sigma_star_annual),
                 _fmt(res.ad_at_star), str(res.iterations), "true", "ok",
             ]))
-        except NotBracketedError:
-            rows.append(",".join([fit.model.name, args.benchmark, "", "", "0",
-                                  "false", "not_bracketed"]))
     out = _OutputSet(Path(args.out))
     out.add("equiv.csv",
             _metadata(args, "equiv",
@@ -242,6 +251,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import RNG_ALGORITHM, SynthConfig, generate
+
     config = SynthConfig(
         T=args.T,
         n=args.n,

@@ -3,9 +3,13 @@
 A sweep evaluates one model's average distance to its own data-based
 posterior across a grid of prior mispricing stds; the distance is the full
 Gaussian transport distance divided by sqrt(n), so the sigma = 0 row equals
-the model's dogmatic average distance. The solver inverts the monotone map
-sigma -> AD by bisection to find the sigma at which a skeptical view of the
-alternative model matches a benchmark's distance.
+the model's dogmatic average distance, and the whole grid is one numpy pass.
+The solver inverts the monotone map sigma -> AD by bisection to find the
+sigma at which a skeptical view of the alternative model matches a
+benchmark's distance. It bisects all alternatives in lockstep: one step
+evaluates the AD of every alternative still in the bisection in one numpy
+pass, and each alternative leaves at the step where its own stop rule fires,
+with the result it would reach alone.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bayes import PosteriorFamily
+import numpy as np
+
+from .bayes import FamilyStack, PosteriorFamily
 from .errors import BadConfigError, NoConvergenceError, NotBracketedError, NumericalError
 from .regression import RegressionFit
 from .transport import distance_metrics
@@ -55,12 +61,6 @@ class EquivResult:
     iterations: int
 
 
-def _row_at(family: PosteriorFamily, sigma_annual: float) -> SweepRow:
-    _, ad, rmse_alpha, rmse_sigma, ratio_var = distance_metrics(
-        *family.wd2_to_skeptic(sigma_annual), family.fit.n)
-    return SweepRow(sigma_annual, ad, rmse_alpha, rmse_sigma, ratio_var)
-
-
 def check_grid(grid: Sequence[float]) -> list[float]:
     """The grid as floats; BadConfigError unless it is non-empty, free of
     negative and NaN values and sorted (``inf`` is the skeptic row)."""
@@ -86,7 +86,10 @@ def sweep(fit: RegressionFit, grid: Sequence[float]) -> list[SweepRow]:
     """
     grid = check_grid(grid)
     family = PosteriorFamily(fit)
-    rows = [_row_at(family, g) for g in grid]
+    _, ad, rmse_alpha, rmse_sigma, ratio_var = distance_metrics(
+        *family.wd2_to_skeptic(np.array(grid)), fit.n)
+    rows = [SweepRow(*row) for row in zip(grid, ad.tolist(), rmse_alpha.tolist(),
+                                          rmse_sigma.tolist(), ratio_var.tolist())]
     for prev, cur in zip(rows, rows[1:]):
         if cur.ad > prev.ad + MONOTONE_SLACK * max(1.0, prev.ad):
             raise NumericalError(
@@ -107,10 +110,13 @@ def check_bracket_hi(bracket_hi: float) -> None:
 
 def solve_equiv(fit: RegressionFit, benchmark_ad: float,
                 bracket_hi: float = DEFAULT_BRACKET_HI) -> EquivResult:
-    """Find sigma such that the fitted alternative model's AD equals the target.
+    """Find sigma such that the fitted alternative model's AD equals the target:
+    :func:`solve_equivs` for one family.
 
-    Bisects the monotone-decreasing map sigma -> AD on [0, bracket_hi]
-    until the distance matches within 1e-6 and the bracket is at most SIGMA_TOL wide.
+    ``AD_TOL`` and ``SIGMA_TOL`` are absolute values in the package's percent
+    units (AD in percent per month, sigma in annualized percent) and do not
+    scale with the returns: with returns scaled by 1e-4, sigma* scaled back
+    moves in its 4th significant digit.
 
     Raises
     ------
@@ -120,41 +126,98 @@ def solve_equiv(fit: RegressionFit, benchmark_ad: float,
     NotBracketedError
         Target above the dogmatic AD or below the AD at ``bracket_hi``.
     NoConvergenceError
-        Iteration cap reached (the map would have to be pathologically
-        steep).
+        Iteration cap reached, or the bracket can no longer be halved at
+        sigma's float spacing while the AD is still off the target.
+    """
+    check_bracket_hi(bracket_hi)
+    result = solve_equivs([PosteriorFamily(fit)], benchmark_ad, bracket_hi)[0]
+    if isinstance(result, NotBracketedError):
+        raise result
+    return result
+
+
+def solve_equivs(families: Sequence[PosteriorFamily], benchmark_ad: float,
+                 bracket_hi: float = DEFAULT_BRACKET_HI
+                 ) -> list[EquivResult | NotBracketedError]:
+    """Bisect every family's monotone-decreasing map sigma -> AD on
+    [0, bracket_hi] in lockstep, one :class:`FamilyStack` evaluation per step
+    for every family still in the bisection.
+
+    A family leaves with its result at sigma = 0 when its dogmatic AD is
+    within AD_TOL of the target, and with a NotBracketedError, returned in its
+    place, when the target lies above its dogmatic AD or below its AD at
+    ``bracket_hi``. The rest take bisection steps until the AD at the
+    midpoint is within AD_TOL of the target and the bracket is at most
+    SIGMA_TOL wide, or until the midpoint equals an end of the bracket, which
+    then cannot be halved: that midpoint is the result if its AD is within
+    AD_TOL, and a NoConvergenceError otherwise.
+
+    Raises
+    ------
+    BadConfigError
+        ``bracket_hi`` outside what :func:`check_bracket_hi` accepts.
+    NoConvergenceError
+        The first, in family order, that fails to converge.
     """
     check_bracket_hi(bracket_hi)
     target = float(benchmark_ad)
-    family = PosteriorFamily(fit)
+    names = [f.fit.model.name for f in families]
+    results: list = [None] * len(names)
 
-    def ad_at(sigma: float) -> float:
-        return _row_at(family, sigma).ad
+    def unsolved() -> tuple[np.ndarray, FamilyStack]:
+        live = [i for i, r in enumerate(results) if r is None]
+        return np.array(live, dtype=np.intp), FamilyStack([families[i] for i in live])
 
-    ad_lo = ad_at(0.0)
-    if abs(ad_lo - target) <= AD_TOL:
-        return EquivResult(fit.model.name, 0.0, ad_lo, 0)
-    if target > ad_lo:
-        raise NotBracketedError(
-            f"target AD {target:.6g} exceeds the dogmatic AD {ad_lo:.6g} "
-            f"of model {fit.model.name!r}"
-        )
-    ad_hi = ad_at(bracket_hi)
-    if target < ad_hi:
-        raise NotBracketedError(
-            f"target AD {target:.6g} below the AD {ad_hi:.6g} at "
-            f"sigma = {bracket_hi}%"
-        )
-    lo, hi = 0.0, float(bracket_hi)
+    def ad_at(stack: FamilyStack, sigma: np.ndarray) -> np.ndarray:
+        return distance_metrics(*stack.wd2_to_skeptic(sigma), stack.n)[1]
+
+    live, stack = unsolved()
+    for i, ad in zip(live.tolist(), ad_at(stack, np.zeros(live.shape)).tolist()):
+        if abs(ad - target) <= AD_TOL:
+            results[i] = EquivResult(names[i], 0.0, ad, 0)
+        elif target > ad:
+            results[i] = NotBracketedError(
+                f"target AD {target:.6g} exceeds the dogmatic AD {ad:.6g} "
+                f"of model {names[i]!r}")
+    live, stack = unsolved()
+    ad_hi = ad_at(stack, np.full(live.shape, float(bracket_hi)))
+    for i, ad in zip(live.tolist(), ad_hi.tolist()):
+        if target < ad:
+            results[i] = NotBracketedError(
+                f"target AD {target:.6g} below the AD {ad:.6g} at "
+                f"sigma = {bracket_hi}%")
+    live, stack = unsolved()
+    lo, hi = np.zeros(live.shape), np.full(live.shape, float(bracket_hi))
     for iteration in range(1, MAX_BISECTIONS + 1):
+        if not live.size:
+            break
         mid = 0.5 * (lo + hi)
-        ad_mid = ad_at(mid)
-        if ad_mid > target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(ad_mid - target) <= AD_TOL and hi - lo <= SIGMA_TOL:
-            return EquivResult(fit.model.name, mid, ad_mid, iteration)
-    raise NoConvergenceError(
-        f"bisection did not reach |AD - target| <= {AD_TOL} in "
-        f"{MAX_BISECTIONS} iterations"
-    )
+        ad = ad_at(stack, mid)
+        stuck = (mid == lo) | (mid == hi)
+        above = ad > target
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+        close = np.abs(ad - target) <= AD_TOL
+        done = close & ((hi - lo <= SIGMA_TOL) | stuck)
+        for i, sigma, ad_i in zip(live[done].tolist(), mid[done].tolist(),
+                                  ad[done].tolist()):
+            results[i] = EquivResult(names[i], sigma, ad_i, iteration)
+        failed = stuck & ~close
+        for i, sigma, ad_i in zip(live[failed].tolist(), mid[failed].tolist(),
+                                  ad[failed].tolist()):
+            results[i] = NoConvergenceError(
+                f"model {names[i]!r}: bisection stopped at sigma = {sigma:.6g}% with "
+                f"|AD - target| = {abs(ad_i - target):.3g} > {AD_TOL}: "
+                f"sigma's float spacing there leaves no midpoint inside the bracket")
+        keep = ~(done | stuck)
+        if not keep.all():
+            lo, hi = lo[keep], hi[keep]
+            live, stack = unsolved()
+    for i in live.tolist():
+        results[i] = NoConvergenceError(
+            f"model {names[i]!r}: bisection did not reach |AD - target| <= {AD_TOL} in "
+            f"{MAX_BISECTIONS} iterations")
+    for result in results:
+        if isinstance(result, NoConvergenceError):
+            raise result
+    return results

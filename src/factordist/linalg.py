@@ -9,7 +9,9 @@ table does not change once built.
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -218,10 +220,53 @@ class RankOneQuadrature:
         self._t3_s2 = t ** 3 * (r @ gamma_sq)
         self._factor = math.sqrt(scale) * 2.0 / math.pi * QUAD_STEP
 
-    def remainder(self, g: float) -> float:
-        """g sum(gamma_i^2 / d_i) / 2 - Delta(g) >= 0, without cancellation, O(q)."""
-        gs1 = g * self._s1
-        return self._factor * g * float((self._t3_s2 * gs1 / (1.0 + gs1)).sum())
+    def remainder(self, g):
+        """g sum(gamma_i^2 / d_i) / 2 - Delta(g) >= 0, without cancellation,
+        O(q) per g; elementwise over an array of g."""
+        g = np.asarray(g, dtype=float)
+        return QuadratureStack([self] * g.size).remainder(g.reshape(-1)).reshape(g.shape)[()]
+
+
+class QuadratureStack:
+    """Several :class:`RankOneQuadrature` tables evaluated together, each at
+    its own g, in one numpy pass: the one evaluation of the remainder.
+
+    The tables are laid end to end, shortest first. The terms of every table
+    are formed in one elementwise pass, and the tables of one length are then
+    summed as the rows of one 2-D view, which adds each row in the order its
+    own 1-D sum would. A row zero-padded to a common length, or a segmented
+    ``np.add.reduceat``, adds in another order and changes the last bits.
+    """
+
+    def __init__(self, tables: Sequence[RankOneQuadrature]):
+        lengths = np.array([t._s1.shape[0] for t in tables], dtype=np.intp)
+        self._order = np.argsort(lengths, kind="stable")
+        ordered = [tables[i] for i in self._order.tolist()]
+        self._lengths = lengths[self._order]
+        self._factor = np.array([t._factor for t in ordered])
+        self._s1 = np.concatenate([t._s1 for t in ordered] or [np.zeros(0)])
+        self._t3_s2 = np.concatenate([t._t3_s2 for t in ordered] or [np.zeros(0)])
+        # Runs of equal length: rows [first, last) of the sorted tables, whose
+        # terms start at entry ``start``.
+        self._runs = []
+        first = start = 0
+        for length, run in itertools.groupby(self._lengths.tolist()):
+            last = first + len(list(run))
+            self._runs.append((first, last, start, length))
+            first, start = last, start + (last - first) * length
+
+    def remainder(self, g: np.ndarray) -> np.ndarray:
+        """The remainder of table j at g[j], for every j."""
+        g = g[self._order]
+        gs1 = np.repeat(g, self._lengths) * self._s1
+        terms = self._t3_s2 * gs1 / (1.0 + gs1)
+        sums = np.empty(g.shape)
+        for first, last, start, length in self._runs:
+            block = terms[start:start + (last - first) * length]
+            sums[first:last] = block.reshape(last - first, length).sum(axis=1)
+        out = np.empty(g.shape)
+        out[self._order] = self._factor * g * sums
+        return out
 
 
 def gauss_rule(a: np.ndarray, v: np.ndarray,
@@ -285,7 +330,7 @@ def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,
             if exhausted:
                 return rule
             quad = RankOneQuadrature(*rule, g_max)
-            r = np.array([quad.remainder(g) for g in probes])
+            r = quad.remainder(probes)
             if last is not None and np.all(np.abs(r - last) <= LANCZOS_STOP_REL * r):
                 return rule
             last = r

@@ -110,14 +110,16 @@ class DistanceBreakdown:
     ratio_var: float
 
 
-def distance_metrics(mean_sq: float, trace_term: float,
-                     n: int) -> tuple[float, float, float, float, float]:
+def distance_metrics(mean_sq, trace_term, n):
     """TD, AD, RMSE_alpha, RMSE_sigma and ratio_var on n assets from the
-    squared mean shift and the trace term: the one formula behind
-    :func:`distance_breakdown` and every sweep row."""
-    td = math.sqrt(mean_sq + trace_term)
-    return (td, td / math.sqrt(n), math.sqrt(mean_sq / n), math.sqrt(trace_term / n),
-            trace_term / mean_sq if mean_sq > 0.0 else math.inf)
+    squared mean shift and the trace term, elementwise over arrays: the one
+    formula behind :func:`distance_breakdown`, every sweep row and every
+    equivalence bisection step."""
+    mean_sq = np.asarray(mean_sq, dtype=float)
+    td = np.sqrt(mean_sq + trace_term)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_var = np.where(mean_sq > 0.0, trace_term / mean_sq, np.inf)[()]
+    return td, td / np.sqrt(n), np.sqrt(mean_sq / n), np.sqrt(trace_term / n), ratio_var
 
 
 def distance_breakdown(alpha: np.ndarray, var: np.ndarray) -> DistanceBreakdown:
@@ -131,7 +133,7 @@ def distance_breakdown(alpha: np.ndarray, var: np.ndarray) -> DistanceBreakdown:
         mean_sq, var_sum = float(alpha @ alpha), float(var.sum())
     if not math.isfinite(mean_sq + var_sum):
         raise NonFiniteError("returns too large: the distance overflows")
-    td, ad, rmse_alpha, rmse_sigma, ratio_var = distance_metrics(
-        mean_sq, var_sum, alpha.shape[0])
+    td, ad, rmse_alpha, rmse_sigma, ratio_var = map(float, distance_metrics(
+        mean_sq, var_sum, alpha.shape[0]))
     return DistanceBreakdown(td, ad, rmse_alpha, rmse_sigma,
                              np.sqrt(alpha**2 + var), ratio_var)

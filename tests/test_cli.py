@@ -1,14 +1,19 @@
+import contextlib
 import gc
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factordist import (
     PosteriorFamily,
@@ -23,6 +28,7 @@ from factordist import (
     wd2_components,
 )
 from factordist.cli import _file_tag, _fmt, main
+from factordist.dataio import month_range
 
 from conftest import direct_fits
 
@@ -536,16 +542,38 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     ports, facts = _synth(tmp_path)
     data = ["--portfolios", str(ports), "--factors", str(facts),
             "--models", str(_models(tmp_path)), "--out", str(tmp_path / "out")]
+    # sweep and equiv load neither factordist.metrics nor factordist.synth,
+    # and rank does not load factordist.synth.
     script = (
         "import sys\n"
         "from factordist.cli import main\n"
         f"data = {data!r}\n"
-        "codes = [main(['rank', *data]), main(['sweep', *data]),\n"
-        "         main(['equiv', *data, '--benchmark', 'BOTH'])]\n"
-        "print(codes, 'numpy.ma' in sys.modules)\n"
+        "loaded = lambda: [m in sys.modules for m in "
+        "('factordist.metrics', 'factordist.synth')]\n"
+        "codes = [main(['sweep', *data]), main(['equiv', *data, '--benchmark', 'BOTH'])]\n"
+        "before_rank = loaded()\n"
+        "codes.append(main(['rank', *data]))\n"
+        "print(codes, 'numpy.ma' in sys.modules, before_rank, loaded())\n"
     )
     run = _python("-c", script)
-    assert run.stdout.strip() == "[0, 0, 0] False", run.stderr
+    assert run.stdout.strip() == "[0, 0, 0] False [False, False] [True, False]", run.stderr
+
+
+def test_every_public_name_imports():
+    # The package resolves its names on first access; each one must resolve,
+    # to the object its module defines.
+    script = (
+        "import importlib, sys\n"
+        "import factordist\n"
+        "assert 'factordist.synth' not in sys.modules\n"
+        "for name, module in factordist._MODULE_OF.items():\n"
+        "    module = importlib.import_module('factordist.' + module)\n"
+        "    assert getattr(factordist, name) is getattr(module, name), name\n"
+        "from factordist import *\n"
+        "print(len(factordist.__all__), hasattr(factordist, 'no_such_name'))\n"
+    )
+    run = _python("-c", script)
+    assert run.stdout.strip() == "38 False", run.stderr
 
 
 class TestProcessEntry:
@@ -843,6 +871,39 @@ class TestEquiv:
         assert code == 1
 
 
+    @pytest.mark.parametrize("order, code, message", [
+        (["ONE", "TWO"], 2, "numerical failure: model 'ONE': bisection"),
+        (["TWO", "ONE"], 1, "error: model 'TWO': returns too large"),
+    ])
+    def test_failures_reported_in_model_order(self, tmp_path, capsys, monkeypatch,
+                                              order, code, message):
+        # ONE cannot converge (no AD is within a negative tolerance) and TWO's
+        # family fails to build: the first in the order given is reported, as
+        # one alternative at a time would report it.
+        import factordist.cli as cli
+        from factordist import equiv
+        from factordist.errors import NonFiniteError
+
+        real_family = cli.PosteriorFamily
+
+        def family(fit):
+            if fit.model.name == "TWO":
+                raise NonFiniteError("model 'TWO': returns too large")
+            return real_family(fit)
+
+        monkeypatch.setattr(cli, "PosteriorFamily", family)
+        monkeypatch.setattr(equiv, "AD_TOL", -1.0)
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path, "BOTH = F1,F2\nONE = F1\nTWO = F2\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["equiv", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(models), "--out", str(out),
+                     "--benchmark", "BOTH", "--alternatives", *order]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("hi", ["nan", "-5", "inf", "0", "1.7e54", "1e60", "1e300"])
     def test_bad_bracket_hi_exit_1(self, tmp_path, capsys, hi):
         ports, facts = _synth(tmp_path)
@@ -871,14 +932,14 @@ class TestOneFittingPath:
 
         ports, facts = _synth(tmp_path)
         targets = []
-        real_solve = cli.solve_equiv
+        real_solve = cli.solve_equivs
 
         def solve_spy(*args, **kwargs):
             targets.append(args[-1])
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_fmt", lambda v: "" if v is None else repr(float(v)))
-        monkeypatch.setattr(cli, "solve_equiv", solve_spy)
+        monkeypatch.setattr(cli, "solve_equivs", solve_spy)
         out = tmp_path / "out"
         argv = ["--portfolios", str(ports), "--factors", str(facts),
                 "--models", str(_models(tmp_path)), "--out", str(out)]
@@ -1047,3 +1108,76 @@ class TestSynthCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "synthetic breakage" in capsys.readouterr().err
+
+
+# Output columns that hold a distance: finite in every file of a run that exits 0.
+_DISTANCE_COLUMNS = ("TD", "AD", "RMSE_alpha", "RMSE_sigma", "ad_at_star")
+
+
+def _contract_inputs(directory, seed, T, n, k, log10_scale, masks):
+    """A random panel with returns scaled by 10^log10_scale and a model file
+    whose model j holds factor F(i mod k + 1) for every bit i set in masks[j]."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(0.5, 4.0, (T, k))
+    returns = (rng.normal(0.2, 0.3, n) + factors @ rng.normal(1.0, 0.5, (n, k)).T
+               + rng.normal(0.0, 2.0, (T, n))) * 10.0**log10_scale
+    dates = month_range(196701, T)
+    ports = _write_columns(directory / "portfolios.csv", dates,
+                           {f"P{i + 1}": returns[:, i] for i in range(n)})
+    facts = _write_columns(directory / "factors.csv", dates,
+                           {**{f"F{j + 1}": factors[:, j] for j in range(k)},
+                            "RF": np.zeros(T)})
+    models = _models(directory, "".join(
+        f"M{j} = " + ",".join(sorted({f"F{i % k + 1}" for i in range(4) if mask >> i & 1}))
+        + "\n" for j, mask in enumerate(masks)))
+    return ports, facts, models
+
+
+class TestContract:
+    """Whatever the panel, models and options, ``main`` returns 0, 1 or 2,
+    warns nothing, writes nothing and prints one error line when it fails,
+    and writes only finite distances when it succeeds."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(["rank", "sweep", "equiv"]),
+           seed=st.integers(0, 2**32 - 1), T=st.integers(3, 80), n=st.integers(1, 9),
+           k=st.integers(1, 4), log10_scale=st.floats(-2.0, 160.0),
+           masks=st.lists(st.integers(1, 15), min_size=1, max_size=3),
+           grid=st.lists(st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e300),
+                                   st.sampled_from([1e-200, math.inf])),
+                         min_size=1, max_size=4),
+           log10_hi=st.floats(-6.0, 54.2), benchmark=st.integers(0, 2))
+    # Alphas near 1e153 on three months: every sum of squares of the fit is
+    # finite, but the distance is not.
+    @example(command="equiv", seed=1, T=3, n=9, k=1, log10_scale=153.0, masks=[1],
+             grid=[0.0], log10_hi=2.0, benchmark=0)
+    def test_exit_codes_outputs_and_messages(self, command, seed, T, n, k, log10_scale,
+                                             masks, grid, log10_hi, benchmark):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            ports, facts, models = _contract_inputs(tmp, seed, T, n, k, log10_scale,
+                                                    masks)
+            out = tmp / "out"
+            extra = {"rank": [],
+                     "sweep": ["--grid", ",".join(map(repr, sorted(grid)))],
+                     "equiv": ["--benchmark", f"M{benchmark % len(masks)}",
+                               "--bracket-hi", repr(10.0**log10_hi)]}[command]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([command, "--portfolios", str(ports), "--factors", str(facts),
+                             "--models", str(models), "--out", str(out), *extra])
+            assert not caught, [str(w.message) for w in caught]
+            assert code in (0, 1, 2)
+            if code:
+                assert not out.exists()
+                assert sum(line.startswith(("error: ", "numerical failure: "))
+                           for line in err.getvalue().splitlines()) == 1, err.getvalue()
+                return
+            for path in out.glob("*.csv"):
+                header, rows = _read_rows(path)
+                for row in rows:
+                    for column in set(header).intersection(_DISTANCE_COLUMNS):
+                        assert row[column] == "" or math.isfinite(float(row[column])), (
+                            path.name, column, row)

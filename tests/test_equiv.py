@@ -1,9 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factordist import (
+    Dataset,
+    EquivResult,
+    ModelSpec,
+    PosteriorFamily,
+    ReturnsPanel,
     distance_breakdown,
     equiv,
     fit_ols,
@@ -11,10 +19,17 @@ from factordist import (
     solve_equiv,
     sweep,
 )
-from factordist.equiv import AD_TOL, MAX_BISECTIONS, SIGMA_TOL
-from factordist.errors import BadConfigError, NotBracketedError, NumericalError
+from factordist.equiv import AD_TOL, MAX_BISECTIONS, SIGMA_TOL, solve_equivs
+from factordist.errors import (
+    BadConfigError,
+    NoConvergenceError,
+    NotBracketedError,
+    NumericalError,
+)
+from factordist.linalg import QuadratureStack
+from factordist.transport import distance_metrics
 
-from conftest import make_dataset
+from conftest import make_dataset, random_fit_inputs
 
 
 @pytest.fixture
@@ -57,8 +72,8 @@ class TestSweep:
             def __init__(self, fit):
                 self.fit = fit
 
-            def wd2_to_skeptic(self, sigma):
-                return self.fit.n * (1.0 + rise) ** (2.0 * sigma), 0.0
+            def wd2_to_skeptic(self, sigma):  # elementwise over sigma
+                return self.fit.n * (1.0 + rise) ** (2.0 * sigma), 0.0 * sigma
 
         monkeypatch.setattr(equiv, "PosteriorFamily", Rising)
         if fails:
@@ -132,3 +147,143 @@ class TestSolveEquiv:
         target = sweep(fit, [1.5])[0].ad
         res = solve_equiv(fit, target)
         assert abs(res.ad_at_star - target) <= 1e-6
+
+    def test_bracket_that_cannot_be_halved_converges_where_ad_is_close(self):
+        # Above sigma ~ 8.6e9 no two floats are SIGMA_TOL apart, so the bracket
+        # never narrows to SIGMA_TOL; the bisection ends where the midpoint
+        # equals an end of the bracket, and the AD there is on target.
+        fit = fit_ols(*make_dataset(seed=42))
+        target = sweep(fit, [2e10])[0].ad
+        res = solve_equiv(fit, target, bracket_hi=1e11)
+        assert abs(res.ad_at_star - target) <= AD_TOL
+        assert res.sigma_star_annual > 8.6e9
+        assert res.iterations < MAX_BISECTIONS
+
+    def test_bracket_that_cannot_be_halved_off_target_fails_at_once(self):
+        # Returns scaled by 1e12 make the AD change by more than AD_TOL from
+        # one float sigma to the next near 2e10.
+        fit = fit_ols(*make_dataset(seed=42, alpha=0.15e12, resid_vol=2e12))
+        target = sweep(fit, [2e10])[0].ad
+        with pytest.raises(NoConvergenceError, match="float spacing"):
+            solve_equiv(fit, target, bracket_hi=1e14)
+
+
+def _scalar_bisection(family, target, bracket_hi):
+    """One alternative's bisection in Python floats, one sigma at a time: the
+    reference that the lockstep solver must equal bit for bit."""
+    name = family.fit.model.name
+
+    def ad_at(sigma):
+        return float(distance_metrics(*family.wd2_to_skeptic(sigma), family.fit.n)[1])
+
+    ad_lo = ad_at(0.0)
+    if abs(ad_lo - target) <= AD_TOL:
+        return EquivResult(name, 0.0, ad_lo, 0)
+    if target > ad_lo:
+        return NotBracketedError(f"target AD {target:.6g} exceeds the dogmatic "
+                                 f"AD {ad_lo:.6g} of model {name!r}")
+    ad_hi = ad_at(bracket_hi)
+    if target < ad_hi:
+        return NotBracketedError(f"target AD {target:.6g} below the AD "
+                                 f"{ad_hi:.6g} at sigma = {bracket_hi}%")
+    lo, hi = 0.0, bracket_hi
+    for iteration in range(1, MAX_BISECTIONS + 1):
+        mid = 0.5 * (lo + hi)
+        ad = ad_at(mid)
+        stuck = mid in (lo, hi)
+        if ad > target:
+            lo = mid
+        else:
+            hi = mid
+        if abs(ad - target) <= AD_TOL and (hi - lo <= SIGMA_TOL or stuck):
+            return EquivResult(name, mid, ad, iteration)
+        if stuck:
+            return NoConvergenceError("float spacing")
+    return NoConvergenceError("iteration cap")
+
+
+def _subset_families(seed, T, n, k, spreads=(0.0,)):
+    """A family for every non-empty factor subset of one random panel and of
+    copies of it whose asset j is scaled by 10^(spread (2j / (n - 1) - 1)),
+    for each spread in turn. Spreads give the quadrature tables a range of
+    lengths. The full model of the first panel comes first: it is the
+    benchmark, so its sigma* is 0."""
+    dataset, _ = random_fit_inputs(np.random.default_rng(seed), T=T, n=n, k=k)
+    panel, factors = dataset.portfolios, dataset.factors
+    subsets = [c for size in range(k, 0, -1)
+               for c in itertools.combinations(factors.names, size)]
+    families = []
+    for spread in spreads:
+        scale = 10.0 ** (spread * np.linspace(-1.0, 1.0, n))
+        scaled = Dataset(ReturnsPanel(panel.dates, panel.names, panel.values * scale),
+                         factors)
+        families += [PosteriorFamily(fit_ols(scaled, ModelSpec("S" + "".join(c), c)))
+                     for c in subsets]
+    return families
+
+
+def _bits(result):
+    if isinstance(result, EquivResult):
+        return (result.alt_model, result.sigma_star_annual.hex(),
+                result.ad_at_star.hex(), result.iterations)
+    return type(result).__name__, str(result)
+
+
+class TestLockstep:
+    """``solve_equivs`` bisects all alternatives at once; each must come out as
+    its own scalar bisection would leave it."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(24, 120),
+           n=st.integers(2, 8), k=st.integers(2, 3),
+           spreads=st.lists(st.floats(0.0, 1.5), max_size=2),
+           log10_hi=st.floats(-1.0, 3.0), drop=st.integers(0, 3))
+    @example(seed=6, T=60, n=6, k=3, spreads=[], log10_hi=0.5, drop=0)
+    @example(seed=1, T=60, n=6, k=3, spreads=[0.5, 1.0], log10_hi=1.0, drop=0)
+    def test_equals_scalar_bisection(self, seed, T, n, k, spreads, log10_hi, drop):
+        families = _subset_families(seed, T, n, k, (0.0, *spreads))
+        target = float(distance_breakdown(*skeptic_moments(families[0].fit)).ad)
+        # Rotate the benchmark away from the front, and repeat one alternative.
+        families = families[drop:] + families[:drop] + families[1:2]
+        # Stacked, in any order, each table sums as it does alone. Where
+        # lengths differ this catches a sum that reorders terms, which the
+        # rounded AD mostly hides.
+        tables = [f._quad for f in families[::-1]]
+        u0 = np.array([f._u0 for f in families[::-1]])
+        for gu0 in (1e-6, 1e-3, 0.1, 0.5, 0.9):
+            g = gu0 / u0
+            assert [x.hex() for x in QuadratureStack(tables).remainder(g).tolist()] == [
+                float(t.remainder(x)).hex() for t, x in zip(tables, g.tolist())]
+        bracket_hi = 10.0**log10_hi
+        want = [_scalar_bisection(f, target, bracket_hi) for f in families]
+        failures = [w for w in want if isinstance(w, NoConvergenceError)]
+        if failures:
+            with pytest.raises(NoConvergenceError):
+                solve_equivs(families, target, bracket_hi)
+            return
+        got = solve_equivs(families, target, bracket_hi)
+        assert [_bits(r) for r in got] == [_bits(w) for w in want]
+
+    def test_oracle_panels_cover_every_outcome(self):
+        # The example pinned above has a sigma* = 0, solved alternatives and
+        # both kinds of NotBracketedError.
+        families = _subset_families(seed=6, T=60, n=6, k=3)
+        target = float(distance_breakdown(*skeptic_moments(families[0].fit)).ad)
+        outcomes = {str(r).split(" ")[3] if isinstance(r, NotBracketedError)
+                    else r.iterations > 0
+                    for r in solve_equivs(families, target, 10.0**0.5)}
+        assert outcomes == {False, True, "exceeds", "below"}
+
+    def test_first_failure_in_order_is_raised(self, monkeypatch):
+        # With no AD within the tolerance every bracketed alternative runs to
+        # the cap: the earlier one's error comes out, as one alternative at a
+        # time would give.
+        dataset, _ = make_dataset(seed=42, k=2)
+        families = [PosteriorFamily(fit_ols(dataset, ModelSpec(name, ("F1",))))
+                    for name in ("EARLY", "LATE")]
+        target = sweep(families[0].fit, [3.0])[0].ad
+        monkeypatch.setattr(equiv, "AD_TOL", -1.0)
+        with pytest.raises(NoConvergenceError, match="^model 'EARLY': "):
+            solve_equivs(families, target)
+        with pytest.raises(NoConvergenceError, match="^model 'LATE': "):
+            solve_equivs(families[::-1], target)
