@@ -29,7 +29,10 @@ panels), and one O(q m) quadrature table is built from the rule
 (``linalg.RankOneQuadrature(theta, w, g_max)``, q a few hundred nodes). Below
 ``linalg.GAUSS_RULE_MIN_N`` assets, where one ``eigh(A)`` is cheaper, and
 where Lanczos hits its step cap, the rule is the measure itself, from
-``eigh(A)`` at O(n^3). After that, each sigma_alpha costs O(q) for the
+``eigh(A)`` at O(n^3). :func:`posterior_families` builds a dataset's
+families together: below ``GAUSS_RULE_MIN_N`` the models of one loading
+width share one stacked A and one batched ``eigh``, bit for bit each
+model's own. After that, each sigma_alpha costs O(q) for the
 transport trace, which is taken in a form without cancellation, in one
 elementwise formula (:func:`_wd2_to_skeptic`): a family takes a whole sweep
 grid in one numpy pass, and a :class:`FamilyStack` takes one sigma for each
@@ -45,13 +48,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError
-from .linalg import QuadratureStack, RankOneQuadrature, gauss_rule, symmetrize
-from .regression import RegressionFit, sharpe_sq
+from . import linalg
+from .errors import FactorDistError, NonFiniteError
+from .linalg import QuadratureStack, RankOneQuadrature, eigh_rule, gauss_rule, symmetrize
+from .regression import RegressionFit, _sigma_mle, sharpe_sq
 
 MONTHS_PER_YEAR = 12.0
 
@@ -95,37 +99,19 @@ class GaussianDist:
 class PosteriorFamily:
     """All posteriors of one fitted model, indexed by sigma_alpha.
 
-    Takes its fit as given, from ``fit_ols`` or the commands' union path.
-    Caches the skeptic variance sum and the transport trace quadrature table,
-    built from the Gauss rule of A (the closed form in the module docstring)
-    for alpha_hat: Lanczos at O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N``
-    on, one ``eigh(A)`` below that or past the step cap. The engine behind the
+    Takes its fit as given, from ``fit_ols`` or the commands' union path:
+    the one-fit case of :func:`posterior_families`. Caches the skeptic
+    variance sum and the transport trace quadrature table, built from the
+    Gauss rule of A (the closed form in the module docstring) for alpha_hat:
+    Lanczos at O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N`` on, one
+    ``eigh(A)`` below that or past the step cap. The engine behind the
     sweep/equivalence machinery. Raises NonFiniteError where returns are so
     large that the distance, the rule or the table would overflow.
     """
 
     def __init__(self, fit: RegressionFit):
-        self.fit = fit
-        self.s2, self._u0 = _skeptic_parts(fit)
-        with np.errstate(over="ignore"):
-            self._var_sum = float(_skeptic_var(fit, self.s2, self._u0).sum())
-            self._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
-        if not math.isfinite(self._alpha_sq + self._var_sum):
-            raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
-                                 "the distance overflows")
-        # The Gauss nodes of A lie in (0, tr A] and their weights sum to
-        # |alpha_hat|^2: Lanczos and the table (squared nodes, node times
-        # weight) stay finite where these bounds do.
-        trace_a = fit.n * self.s2 * (fit.T + 1)
-        if not math.isfinite(trace_a * max(trace_a, self._alpha_sq)):
-            raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
-                                 "the posterior's quadrature overflows")
-        # Every sigma > 0 has g = lam c < 1 / u0, and A >= s^2 I is positive
-        # definite.
-        g_max = 1.0 / self._u0
-        self._quad = RankOneQuadrature(
-            *gauss_rule(_scale(fit, self.s2), fit.alpha_hat, g_max), g_max)
-        self._b = self._u0 / (fit.T + 1)
+        (family,) = posterior_families([fit])
+        self.__dict__.update(vars(family))
 
     def at(self, sigma_alpha_annual: float) -> GaussianDist:
         """Posterior at any annualized prior mispricing std in [0, inf]."""
@@ -151,6 +137,66 @@ class PosteriorFamily:
             sigma, self.s2, self._u0, self._b, self._alpha_sq, self._var_sum,
             self._quad.remainder)
         return mean_sq[()], trace_term[()]
+
+
+def posterior_families(fits: Iterable[RegressionFit]) -> Iterator[PosteriorFamily]:
+    """The families of ``fits``, in order, built together: each fit's moments
+    and checks in its turn, then every Gauss rule of A for alpha_hat, then
+    each family's quadrature table. From n = ``linalg.GAUSS_RULE_MIN_N`` on,
+    ``gauss_rule`` takes one family at a time; below it, the fits of one n
+    and loading width share one stacked A and one batched ``eigh``
+    (``linalg.eigh_rule``). ``PosteriorFamily(fit)`` is the case of one fit.
+    A family that fails, or a FactorDistError that ends ``fits``, is raised
+    in its turn, after the families before it; no later fit is drawn.
+    """
+    families, error = [], None
+    try:
+        for fit in fits:
+            families.append(_moments(fit))
+    except FactorDistError as exc:
+        error = exc
+    # Every sigma > 0 has g = lam c < 1 / u0, and A >= s^2 I is positive
+    # definite.
+    rules, groups = {}, {}
+    for j, family in enumerate(families):
+        fit = family.fit
+        if fit.n >= linalg.GAUSS_RULE_MIN_N:
+            a = _scales([fit], [family.s2])[0]
+            rules[j] = gauss_rule(a, fit.alpha_hat, 1.0 / family._u0)
+        else:
+            groups.setdefault((fit.n, fit.sigma_loadings.shape[1]), []).append(j)
+    for members in groups.values():
+        group = [families[j] for j in members]
+        a = _scales([f.fit for f in group], [f.s2 for f in group])
+        rules.update(zip(members, zip(*eigh_rule(a, np.stack([f.fit.alpha_hat for f in group])))))
+    for j, family in enumerate(families):
+        family._quad = RankOneQuadrature(*rules[j], 1.0 / family._u0)
+        yield family
+    if error is not None:
+        raise error
+
+
+def _moments(fit: RegressionFit) -> PosteriorFamily:
+    """A family without its table: s^2, u0, b and the skeptic distance terms,
+    with NonFiniteError where returns are so large that they overflow."""
+    family = object.__new__(PosteriorFamily)
+    family.fit = fit
+    family.s2, family._u0 = _skeptic_parts(fit)
+    with np.errstate(over="ignore"):
+        family._var_sum = float(_skeptic_var(fit, family.s2, family._u0).sum())
+        family._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
+    if not math.isfinite(family._alpha_sq + family._var_sum):
+        raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
+                             "the distance overflows")
+    # The Gauss nodes of A lie in (0, tr A] and their weights sum to
+    # |alpha_hat|^2: Lanczos and the table (squared nodes, node times
+    # weight) stay finite where these bounds do.
+    trace_a = fit.n * family.s2 * (fit.T + 1)
+    if not math.isfinite(trace_a * max(trace_a, family._alpha_sq)):
+        raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
+                             "the posterior's quadrature overflows")
+    family._b = family._u0 / (fit.T + 1)
+    return family
 
 
 class FamilyStack:
@@ -263,9 +309,17 @@ def _skeptic_var(fit: RegressionFit, s2: float, u0: float) -> np.ndarray:
     return (s2 + fit.T * fit.resid_var) * (u0 / (fit.T + 1))
 
 
-def _scale(fit: RegressionFit, s2: float) -> np.ndarray:
-    """A = s^2 I + T Sigma_mle (module docstring)."""
-    return s2 * np.eye(fit.n) + fit.T * fit.sigma_mle
+def _scales(fits: Sequence[RegressionFit], s2: Sequence[float]) -> np.ndarray:
+    """A = s^2 I + T Sigma_mle (module docstring) of each fit, stacked: fits
+    of one n and loading width. Loadings are stacked with each one's own
+    strides, so each product is the one its fit alone would make."""
+    base = fits[0].sigma_base
+    if any(fit.sigma_base is not base for fit in fits):
+        base = np.stack([fit.sigma_base for fit in fits])
+    loadings = np.stack([fit.sigma_loadings.T for fit in fits]).swapaxes(1, 2)
+    sigma = _sigma_mle(base, loadings, np.stack([fit.sigma_core for fit in fits]))
+    t_obs = np.array([fit.T for fit in fits])[:, None, None]
+    return np.array(s2)[:, None, None] * np.eye(fits[0].n) + t_obs * sigma
 
 
 def _closed_form(fit: RegressionFit, lam: float, s2: float, u0: float) -> GaussianDist:
@@ -273,7 +327,7 @@ def _closed_form(fit: RegressionFit, lam: float, s2: float, u0: float) -> Gaussi
     (A + lam c alpha_hat alpha_hat')) with c = 1 / (1 + lam u0); lam = 0 is the
     skeptic. s2 and u0 are :func:`_skeptic_parts` of the fit.
     """
-    cov = _scale(fit, s2)
+    cov = _scales([fit], [s2])[0]
     c = 1.0 / (1.0 + lam * u0)
     alpha = fit.alpha_hat
     if lam != 0.0:

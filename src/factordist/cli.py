@@ -34,7 +34,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .bayes import PosteriorFamily, skeptic_moments
+from .bayes import posterior_families, skeptic_moments
 from .dataio import (
     DEFAULT_MISSING_CODES,
     Dataset,
@@ -222,8 +222,8 @@ def cmd_equiv(args) -> int:
     benchmark_ad = distance_breakdown(*skeptic_moments(benchmark_fit)).ad
     families = []
     try:
-        for fit, _ in fits:
-            families.append(PosteriorFamily(fit))
+        for family in posterior_families(fit for fit, _ in fits):
+            families.append(family)
     except FactorDistError:
         # An alternative before the one that failed reports its own
         # NoConvergenceError first, as one alternative at a time would.

@@ -75,12 +75,15 @@ class ReturnsPanel:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("panel values must be finite")
-        for d in self.dates:
-            if not _is_month(d):
-                raise ParseError(f"{d} is not a valid YYYYMM month")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise ParseError(f"dates not strictly increasing at {prev} -> {cur}")
+        # An object array where a date is outside int64; all months fit.
+        dates = np.array(self.dates)
+        bad = np.flatnonzero(~_is_month(dates))
+        if bad.size:
+            raise ParseError(f"{self.dates[bad[0]]} is not a valid YYYYMM month")
+        bad = np.flatnonzero(np.diff(dates) <= 0)
+        if bad.size:
+            prev, cur = self.dates[bad[0]], self.dates[bad[0] + 1]
+            raise ParseError(f"dates not strictly increasing at {prev} -> {cur}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -277,9 +280,10 @@ def _header(path: Path, lines: Iterator[tuple[int, str]]) -> tuple[str, ...]:
     raise ParseError(f"{path}: no header row found")
 
 
-def _is_month(date: int) -> bool:
-    """Whether ``date`` is a YYYYMM month, year 1 to 9999."""
-    return 101 <= date <= 999912 and 1 <= date % 100 <= 12
+def _is_month(date):
+    """Whether ``date`` is a YYYYMM month, year 1 to 9999; elementwise over an
+    array of dates."""
+    return (101 <= date) & (date <= 999912) & (1 <= date % 100) & (date % 100 <= 12)
 
 
 def _date(path: Path, lineno: int, head: str) -> int:

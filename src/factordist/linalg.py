@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from typing import Sequence
 
 import numpy as np
@@ -139,9 +140,10 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def chol_pivot_floor(trace: float, dim: int, rel: float = CHOL_PIVOT_REL) -> float:
-    """The pivot floor rel * max(trace, 0) / dim of :func:`cholesky_spd`."""
-    return rel * max(trace, 0.0) / dim
+def chol_pivot_floor(trace, dim: int, rel: float = CHOL_PIVOT_REL):
+    """The pivot floor rel * max(trace, 0) / dim of :func:`cholesky_spd`,
+    elementwise over an array of traces."""
+    return rel * np.maximum(trace, 0.0) / dim
 
 
 def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.ndarray:
@@ -164,6 +166,26 @@ def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.
     if bad.size:
         raise NotPDError(f"pivot {pivots[bad[0]]:.3e} at column {bad[0]} is <= {tol:.3e}")
     return lower
+
+
+def cholesky_stack(a: np.ndarray, pivot_tol_factor: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's lower Cholesky factor of each matrix of a (g, d, d) stack, and
+    whether :func:`cholesky_spd` accepts it: bit for bit its factor and its
+    verdict, for matrices that :func:`symmetrize` returns as they are. A
+    stack that ``np.linalg.cholesky`` rejects for one matrix is factored one
+    matrix at a time; a rejected matrix's factor is left zero.
+    """
+    try:
+        lower, ok = np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        lower, ok = np.zeros_like(a), np.zeros(len(a), dtype=bool)
+        for j, m in enumerate(a):
+            with suppress(np.linalg.LinAlgError):
+                lower[j], ok[j] = np.linalg.cholesky(m), True
+    tol = chol_pivot_floor(np.trace(a, axis1=1, axis2=2), a.shape[-1], pivot_tol_factor)
+    ok &= ~(np.diagonal(lower, axis1=1, axis2=2) ** 2 <= tol[:, None]).any(axis=1)
+    return lower, ok
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,15 +306,24 @@ def gauss_rule(a: np.ndarray, v: np.ndarray,
     Lanczos stops once no value moved by more than LANCZOS_STOP_REL, or at once
     when the Krylov space is exhausted (the rule is then exact). Below that n,
     for v = 0, and past LANCZOS_MAX_STEPS_REL * n steps the rule is the measure
-    itself, from one ``eigh(A)``: nodes d and weights (Q'v)^2.
+    itself, :func:`eigh_rule`.
     """
     n = a.shape[0]
     if n >= GAUSS_RULE_MIN_N and v.any():
         rule = _lanczos_rule(a, v, g_max, int(LANCZOS_MAX_STEPS_REL * n))
         if rule is not None:
             return rule
+    return eigh_rule(a, v)
+
+
+def eigh_rule(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The measure itself as :func:`gauss_rule`'s rule: nodes d and weights
+    (Q'v)^2 of A = Q D Q', from one ``eigh(A)``; for a stack of matrices
+    (g, n, n) and vectors (g, n) too, from one batched ``eigh``. The weights
+    come from a matmul, as for one matrix: ``einsum`` changes their last bits.
+    """
     d, q = np.linalg.eigh(a)
-    return d, (q.T @ v) ** 2
+    return d, (np.swapaxes(q, -1, -2) @ v[..., None])[..., 0] ** 2
 
 
 def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,

@@ -22,6 +22,10 @@ r the factors of U it drops. With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
 - the asset means come from the union fit, and R^2 from ``_assemble``'s
   one identity, so neither ``fit_ols`` nor a derived fit takes a second
   pass over the returns;
+- the models of one factor count k are derived together, in one pass of
+  stacked Cholesky factors, solves and products for the g models of that k
+  (``fit_ols`` is the case g = 1), with each fit's squared Sharpe ratio
+  (:func:`sharpe_sq`): bit for bit what each model would get alone;
 - alpha_S = alpha_U + B_r h_S[0]', so with [z, Z] = L_U^{-1} [alpha_U, B_U],
   one forward substitution of K + 1 columns per dataset, GRS takes
   y = L_U^{-1} alpha_S = z + Z_r h_S[0]' and W = Z_r chol(C_S / T). With
@@ -56,8 +60,8 @@ asked for builds L_U and [z, Z], so ``sweep`` and ``equiv`` do no GRS work.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -74,7 +78,8 @@ from .errors import (
     SingularResidualCovError,
     UnknownFactorError,
 )
-from .linalg import chol_pivot_floor, cholesky_spd, f_cdf_upper, solve_lower
+from .linalg import (CHOL_PIVOT_REL, chol_pivot_floor, cholesky_spd, cholesky_stack,
+                     f_cdf_upper, solve_lower, symmetrize)
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
@@ -105,14 +110,23 @@ class RegressionFit:
     factor_cov_mle: np.ndarray  # (k, k)
     r2: np.ndarray              # (n,)
     asset_mean: np.ndarray      # (n,)
+    # Sh^2 from the fit's own pass (:func:`sharpe_sq`): NaN where Omega has no
+    # Cholesky factor, None on a fit assembled by hand.
+    sh2: float | None = None
 
     @property
     def sigma_mle(self) -> np.ndarray:
         """The (n, n) residual covariance, formed when read; exactly symmetric."""
-        if self.sigma_loadings.shape[1] == 0:
-            return self.sigma_base
-        term = self.sigma_loadings @ self.sigma_core @ self.sigma_loadings.T
-        return self.sigma_base + (term + term.T) / 2.0
+        return _sigma_mle(self.sigma_base, self.sigma_loadings, self.sigma_core)
+
+
+def _sigma_mle(base: np.ndarray, loadings: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """base + (L C L' + (L C L')') / 2, ``base`` itself for an empty L;
+    elementwise over stacked loadings (g, n, r) and cores (g, r, r)."""
+    if loadings.shape[-1] == 0:
+        return base
+    term = loadings @ core @ np.swapaxes(loadings, -1, -2)
+    return base + (term + np.swapaxes(term, -1, -2)) / 2.0
 
 
 # A deferred GRS test, and what grs_test raises where the test is undefined.
@@ -171,8 +185,11 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         # numpy forms A'A with BLAS syrk: sigma_mle and factor_cov_mle are exactly symmetric.
         sigma_mle = resid.T @ resid
         sigma_mle /= t_obs
-    return _assemble(dataset, model, coef, sigma_mle, np.empty((n, 0)), np.empty((0, 0)),
-                     np.diag(sigma_mle), returns.mean(axis=0))
+    (fit,) = _assemble(dataset, [model], coef[None], sigma_mle, np.empty((1, n, 0)),
+                       np.empty((1, 0, 0)), np.diag(sigma_mle)[None], returns.mean(axis=0))
+    if isinstance(fit, NonFiniteError):
+        raise fit
+    return fit
 
 
 def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
@@ -182,11 +199,13 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     for every model the union vouches for. The one fitting path of the
     ``rank``, ``sweep`` and ``equiv`` commands, not a library entry point.
 
-    Yields ``(fit, grs)`` in model order, each model derived in its turn;
-    ``grs()`` does the model's GRS work and returns or raises what
+    Yields ``(fit, grs)`` in model order; the derived fits are made before
+    the first, one pass per factor count, and a model's own ``fit_ols`` in
+    its turn. ``grs()`` does the model's GRS work and returns or raises what
     ``grs_test(fit)`` would, to rounding; the first call makes the n x n
     Cholesky and the (K+1)-column forward substitution that later calls
-    share. The errors of ``fit_ols`` are raised in the failing model's turn.
+    share. A model's error, from its own ``fit_ols`` or its derived sums of
+    squares, is raised in its turn.
     """
     t_obs, n = dataset.portfolios.values.shape
     panel = set(dataset.factors.names)
@@ -234,63 +253,93 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     design = np.column_stack([np.ones(t_obs), dataset.factors.select(union)])
     gram = design.T @ design
     column = {name: j for j, name in enumerate(union, start=1)}
-    for model in models:
-        lower_s = None
+    groups: dict[int, list[int]] = {}
+    for i, model in enumerate(models):
         if panel.issuperset(model.factor_names):
-            s = [0, *(column[name] for name in model.factor_names)]
-            with suppress(NotPDError):
-                lower_s = cholesky_spd(gram[np.ix_(s, s)], pivot_tol_factor=RANK_PIVOT_REL)
-        if lower_s is None:
+            groups.setdefault(model.k, []).append(i)
+    derived = {}
+    for members in groups.values():
+        s = np.array([[0, *(column[name] for name in models[i].factor_names)]
+                      for i in members])
+        # The union passed its rank test, so G is finite and below half the
+        # largest float: symmetrize would leave each G_ss as it is.
+        lower, ok = cholesky_stack(gram[s[:, :, None], s[:, None, :]], RANK_PIVOT_REL)
+        members = [i for i, keep in zip(members, ok.tolist()) if keep]
+        if not members:
+            continue
+        s, lower = s[ok], lower[ok]
+        r = np.array([[j for j in range(1, width) if j not in row] for row in s.tolist()],
+                     dtype=np.intp).reshape(len(members), width - s.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # C_S = F_r'M_S F_r, the Schur complement of G_ss in G, and
+            # h_S = G_ss^{-1} G_sr from the same v.
+            v = np.linalg.solve(lower, gram[s[:, :, None], r[:, None, :]])
+            schur = gram[r[:, :, None], r[:, None, :]] - np.swapaxes(v, 1, 2) @ v
+            h = np.linalg.solve(np.swapaxes(lower, 1, 2), v)
+            b_r = np.swapaxes(coef_u[r], 1, 2)
+            # Where this overflows, _assemble gives the model its NonFiniteError.
+            resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=2) / t_obs
+            fits = _assemble(dataset, [models[i] for i in members],
+                             coef_u[s] + h @ coef_u[r], sigma_u, b_r, schur / t_obs,
+                             resid_var, union_fit.asset_mean)
+        derived.update(zip(members, zip(fits, r, h[:, 0])))
+    for i, model in enumerate(models):
+        if i not in derived:
             yield _direct(dataset, model)
             continue
-        r = [j for j in range(1, width) if j not in s]
-        # C_S = F_r'M_S F_r, the Schur complement of G_ss in G, and
-        # h_S = G_ss^{-1} G_sr from the same v.
-        v = np.linalg.solve(lower_s, gram[np.ix_(s, r)])
-        schur = gram[np.ix_(r, r)] - v.T @ v
-        h = np.linalg.solve(lower_s.T, v)
-        b_r = coef_u[r].T
-        resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=1) / t_obs
-        fit = _assemble(dataset, model, coef_u[s] + h @ coef_u[r], sigma_u, b_r,
-                        schur / t_obs, resid_var, union_fit.asset_mean)
-        yield fit, partial(grs, fit, r, h[0])
+        fit, r, h0 = derived[i]
+        if isinstance(fit, NonFiniteError):
+            raise fit
+        yield fit, partial(grs, fit, r, h0)
 
 
-def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
+def _assemble(dataset: Dataset, models: Sequence[ModelSpec], coef: np.ndarray,
               sigma_base: np.ndarray, sigma_loadings: np.ndarray,
               sigma_core: np.ndarray, resid_var: np.ndarray, asset_mean: np.ndarray
-              ) -> RegressionFit:
-    """RegressionFit from coefficients ((k+1) x n), residual covariance parts and
-    variances, and asset means. R - 1 mean' = (F - 1 mu')B' + E, E orthogonal to X,
-    so R^2 = explained / (explained + resid_var), explained = rowsum((B Omega) o B)."""
-    factors = dataset.factors.select(model.factor_names)
-    factor_mean = factors.mean(axis=0)
-    centered = factors - factor_mean
-    factor_cov = centered.T @ centered / dataset.t_obs
-    betas = coef[1:].T
+              ) -> list[RegressionFit | NonFiniteError]:
+    """The fits of g models of one factor count k from stacked coefficients
+    (g, k+1, n), loadings (g, n, r), cores (g, r, r) and residual variances
+    (g, n), with one shared base and asset means; a model whose sums of
+    squares overflow gets its NonFiniteError in its place.
+    R - 1 mean' = (F - 1 mu')B' + E, E orthogonal to X, so
+    R^2 = explained / (explained + resid_var), explained = rowsum((B Omega) o B).
+    Omega is C'C / T over each model's own centered columns C: a sub-block of
+    the union's C'C differs in the last bits."""
+    factors = dataset.factors
+    columns = [[factors.names.index(name) for name in m.factor_names] for m in models]
+    # Each (T, k) slice is column-major, as ``ReturnsPanel.select`` gives one.
+    centered = np.swapaxes(factors.values.T[columns], 1, 2)
+    factor_mean = centered.mean(axis=1)
+    centered -= factor_mean[:, None, :]
+    factor_cov = np.swapaxes(centered, 1, 2) @ centered / dataset.t_obs
+    betas = np.swapaxes(coef[:, 1:], 1, 2)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        explained = ((betas @ factor_cov) * betas).sum(axis=1)
+        explained = ((betas @ factor_cov) * betas).sum(axis=2)
         total = explained + resid_var
         r2 = np.where(total > 0.0, explained / total, 1.0)  # 1 where both are 0
-    if not np.isfinite(total).all():
-        raise NonFiniteError(f"model {model.name!r}: returns too large: "
-                             "residual or total sums of squares overflow")
-    return RegressionFit(
-        model=model,
-        T=dataset.t_obs,
-        n=coef.shape[1],
-        k=model.k,
-        alpha_hat=coef[0].copy(),
-        beta_hat=betas.copy(),
-        sigma_base=sigma_base,
-        sigma_loadings=sigma_loadings,
-        sigma_core=sigma_core,
-        resid_var=resid_var,
-        factor_mean=factor_mean,
-        factor_cov_mle=factor_cov,
-        r2=r2,
-        asset_mean=asset_mean,
-    )
+        sh2 = _sharpe_sqs(factor_cov, factor_mean).tolist()
+    alpha, betas = coef[:, 0].copy(), betas.copy()
+    fits: list[RegressionFit | NonFiniteError] = []
+    for j, (model, finite) in enumerate(zip(models, np.isfinite(total).all(axis=1).tolist())):
+        fits.append(RegressionFit(
+            model=model,
+            T=dataset.t_obs,
+            n=coef.shape[2],
+            k=model.k,
+            alpha_hat=alpha[j],
+            beta_hat=betas[j],
+            sigma_base=sigma_base,
+            sigma_loadings=sigma_loadings[j],
+            sigma_core=sigma_core[j],
+            resid_var=resid_var[j],
+            factor_mean=factor_mean[j],
+            factor_cov_mle=factor_cov[j],
+            r2=r2[j],
+            asset_mean=asset_mean,
+            sh2=sh2[j],
+        ) if finite else NonFiniteError(f"model {model.name!r}: returns too large: "
+                                        "residual or total sums of squares overflow"))
+    return fits
 
 
 def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]:
@@ -301,19 +350,39 @@ def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]
 
 def sharpe_sq(fit: RegressionFit) -> float:
     """Squared Sharpe ratio of the model factors, mu' Omega^{-1} mu = |L^{-1} mu|^2
-    with Omega = L L', the form :func:`grs_test` takes for a' Sigma^{-1} a.
+    with Omega = L L', the form :func:`grs_test` takes for a' Sigma^{-1} a:
+    the fit's own, from the pass that made it, or :func:`_sharpe_sqs` of its
+    moments on a fit assembled by hand.
 
     Raises
     ------
     SingularFactorCovError
         The MLE factor covariance is not positive definite.
     """
-    try:
-        lower = cholesky_spd(fit.factor_cov_mle)
-    except NotPDError as exc:
-        raise SingularFactorCovError(str(exc)) from None
-    z = solve_lower(lower, fit.factor_mean)
-    return float(z @ z)
+    value = fit.sh2
+    if value is None:
+        cov = symmetrize(fit.factor_cov_mle)[None]
+        value = float(_sharpe_sqs(cov, np.asarray(fit.factor_mean, dtype=float)[None])[0])
+    if math.isnan(value):
+        try:
+            cholesky_spd(fit.factor_cov_mle)
+        except NotPDError as exc:
+            raise SingularFactorCovError(str(exc)) from None
+    return value
+
+
+def _sharpe_sqs(cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """|L^{-1} mu|^2 for each Omega = L L' (g, k, k) and mu (g, k) of a stack:
+    one ``linalg.cholesky_stack`` and a forward substitution across the stack,
+    bit for bit ``cholesky_spd`` and ``solve_lower`` of each; NaN where
+    ``cholesky_spd`` rejects Omega."""
+    lower, ok = cholesky_stack(cov, CHOL_PIVOT_REL)
+    z = np.empty(mean.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(mean.shape[1]):
+            dot = (lower[:, i, None, :i] @ z[:, :i, None])[:, 0, 0]
+            z[:, i] = (mean[:, i] - dot) / lower[:, i, i]
+    return np.where(ok, (z[:, None, :] @ z[:, :, None])[:, 0, 0], np.nan)
 
 
 def grs_test(fit: RegressionFit) -> tuple[float, float]:

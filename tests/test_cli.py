@@ -488,20 +488,21 @@ class TestRank:
 
         calls = {"skeptic": 0, "family": 0}
         real_skeptic = bayes.posterior_alpha_skeptic
-        real_init = bayes.PosteriorFamily.__init__
+        real_moments = bayes._moments
 
         def counted_skeptic(fit):
             calls["skeptic"] += 1
             return real_skeptic(fit)
 
-        def counted_init(self, fit):
+        def counted_moments(fit):
             calls["family"] += 1
-            real_init(self, fit)
+            return real_moments(fit)
 
         monkeypatch.setattr(bayes, "posterior_alpha_skeptic", counted_skeptic)
         monkeypatch.setattr(cli, "posterior_alpha_skeptic", counted_skeptic,
                             raising=False)
-        monkeypatch.setattr(bayes.PosteriorFamily, "__init__", counted_init)
+        # Every family, alone or built with others, starts from its moments.
+        monkeypatch.setattr(bayes, "_moments", counted_moments)
         ports, facts = _synth(tmp_path)
         argv = ["--portfolios", str(ports), "--factors", str(facts),
                 "--models", str(_models(tmp_path)), "--out", str(tmp_path / "out")]
@@ -880,18 +881,18 @@ class TestEquiv:
         # ONE cannot converge (no AD is within a negative tolerance) and TWO's
         # family fails to build: the first in the order given is reported, as
         # one alternative at a time would report it.
-        import factordist.cli as cli
+        import factordist.bayes as bayes
         from factordist import equiv
         from factordist.errors import NonFiniteError
 
-        real_family = cli.PosteriorFamily
+        real_moments = bayes._moments
 
-        def family(fit):
+        def moments(fit):
             if fit.model.name == "TWO":
                 raise NonFiniteError("model 'TWO': returns too large")
-            return real_family(fit)
+            return real_moments(fit)
 
-        monkeypatch.setattr(cli, "PosteriorFamily", family)
+        monkeypatch.setattr(bayes, "_moments", moments)
         monkeypatch.setattr(equiv, "AD_TOL", -1.0)
         ports, facts = _synth(tmp_path)
         models = _models(tmp_path, "BOTH = F1,F2\nONE = F1\nTWO = F2\n")
@@ -1142,7 +1143,7 @@ class TestContract:
     @given(command=st.sampled_from(["rank", "sweep", "equiv"]),
            seed=st.integers(0, 2**32 - 1), T=st.integers(3, 80), n=st.integers(1, 9),
            k=st.integers(1, 4), log10_scale=st.floats(-2.0, 160.0),
-           masks=st.lists(st.integers(1, 15), min_size=1, max_size=3),
+           masks=st.lists(st.integers(1, 15), min_size=1, max_size=8),
            grid=st.lists(st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e300),
                                    st.sampled_from([1e-200, math.inf])),
                          min_size=1, max_size=4),

@@ -563,6 +563,19 @@ class TestReturnsPanel:
         with pytest.raises(ParseError, match="1000001 is not a valid YYYYMM"):
             ReturnsPanel((1000001,), ("A",), np.ones((1, 1)))
 
+    @pytest.mark.parametrize("dates, message", [
+        # The first date that is not a month, also ahead of an order fault,
+        # and a date outside int64 like any other.
+        ((196702, 196701, 196713, 2**70), "196713 is not a valid YYYYMM month"),
+        ((196701, 2**70, 196613), f"{2**70} is not a valid YYYYMM month"),
+        ((-2**70,), f"{-2**70} is not a valid YYYYMM month"),
+        ((196701, 0), "0 is not a valid YYYYMM month"),
+        ((196701, 196703, 196703, 196702), "dates not strictly increasing at 196703 -> 196703"),
+    ])
+    def test_first_bad_date_reported(self, dates, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            ReturnsPanel(dates, ("A",), np.ones((len(dates), 1)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(ValueError, match="^panel values must be finite$"):
