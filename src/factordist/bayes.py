@@ -34,10 +34,10 @@ families together: below ``GAUSS_RULE_MIN_N`` the models of one loading
 width share one stacked A and one batched ``eigh``, bit for bit each
 model's own. After that, each sigma_alpha costs O(q) for the
 transport trace, which is taken in a form without cancellation, in one
-elementwise formula (:func:`_wd2_to_skeptic`): a family takes a whole sweep
-grid in one numpy pass, and a :class:`FamilyStack` takes one sigma for each
-of many families in one pass, as an equivalence bisection step does for
-every alternative still in the bisection.
+elementwise formula (:func:`_wd2_to_skeptic`). A :class:`FamilyStack` is
+the one way to evaluate it: it takes one sigma for each of its families in
+one numpy pass, so a sweep stacks one family once per grid point, and an
+equivalence bisection step stacks every alternative.
 
 ``sigma_alpha`` is quoted in annualized percent everywhere a user supplies
 it; annual-to-monthly conversion divides by 12 (an annualized mean scales
@@ -100,18 +100,19 @@ class PosteriorFamily:
     """All posteriors of one fitted model, indexed by sigma_alpha.
 
     Takes its fit as given, from ``fit_ols`` or the commands' union path:
-    the one-fit case of :func:`posterior_families`. Caches the skeptic
-    variance sum and the transport trace quadrature table, built from the
-    Gauss rule of A (the closed form in the module docstring) for alpha_hat:
-    Lanczos at O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N`` on, one
-    ``eigh(A)`` below that or past the step cap. The engine behind the
-    sweep/equivalence machinery. Raises NonFiniteError where returns are so
-    large that the distance, the rule or the table would overflow.
+    ``PosteriorFamily(fit)`` is the family that :func:`posterior_families`
+    builds for ``[fit]``. Caches the skeptic variance sum and the transport
+    trace quadrature table, built from the Gauss rule of A (the closed form
+    in the module docstring) for alpha_hat: Lanczos at O(m n^2) from
+    n = ``linalg.GAUSS_RULE_MIN_N`` on, one ``eigh(A)`` below that or past
+    the step cap. Its distances along sigma come from a :class:`FamilyStack`.
+    Raises NonFiniteError where returns are so large that the distance, the
+    rule or the table would overflow.
     """
 
-    def __init__(self, fit: RegressionFit):
+    def __new__(cls, fit: RegressionFit):
         (family,) = posterior_families([fit])
-        self.__dict__.update(vars(family))
+        return family
 
     def at(self, sigma_alpha_annual: float) -> GaussianDist:
         """Posterior at any annualized prior mispricing std in [0, inf]."""
@@ -120,24 +121,6 @@ class PosteriorFamily:
             return posterior_alpha_dogmatic(self.fit.n)
         return _closed_form(self.fit, lam, self.s2, self._u0)
 
-    def wd2_to_skeptic(self, sigma_alpha_annual):
-        """Squared mean shift and trace term of the distance from the
-        posterior at sigma to the skeptic, elementwise over an array of sigma:
-        :func:`_wd2_to_skeptic` on this family's moments and table.
-
-        Raises
-        ------
-        ValueError
-            If a sigma is negative or NaN.
-        """
-        sigma = np.asarray(sigma_alpha_annual, dtype=float)
-        if not np.all(sigma >= 0.0):
-            raise ValueError(f"sigma_alpha must be non-negative, got {sigma_alpha_annual}")
-        mean_sq, trace_term = _wd2_to_skeptic(
-            sigma, self.s2, self._u0, self._b, self._alpha_sq, self._var_sum,
-            self._quad.remainder)
-        return mean_sq[()], trace_term[()]
-
 
 def posterior_families(fits: Iterable[RegressionFit]) -> Iterator[PosteriorFamily]:
     """The families of ``fits``, in order, built together: each fit's moments
@@ -145,7 +128,8 @@ def posterior_families(fits: Iterable[RegressionFit]) -> Iterator[PosteriorFamil
     each family's quadrature table. From n = ``linalg.GAUSS_RULE_MIN_N`` on,
     ``gauss_rule`` takes one family at a time; below it, the fits of one n
     and loading width share one stacked A and one batched ``eigh``
-    (``linalg.eigh_rule``). ``PosteriorFamily(fit)`` is the case of one fit.
+    (``linalg.eigh_rule``); this is the one place that crossover is decided.
+    ``PosteriorFamily(fit)`` is the case of one fit.
     A family that fails, or a FactorDistError that ends ``fits``, is raised
     in its turn, after the families before it; no later fit is drawn.
     """
@@ -205,8 +189,8 @@ class FamilyStack:
     Gathers each family's s^2, u0, b = u0 / (T + 1), |alpha_hat|^2 and
     skeptic variance sum into arrays, and their quadrature tables into one
     ``linalg.QuadratureStack``, once; an evaluation of every family is then
-    one numpy pass of :func:`_wd2_to_skeptic`, bit for bit what each
-    family's own ``wd2_to_skeptic`` gives.
+    one numpy pass of :func:`_wd2_to_skeptic`. Every step is elementwise, so
+    a family's terms do not depend on which families share its stack.
     """
 
     def __init__(self, families: Sequence[PosteriorFamily]):

@@ -7,9 +7,11 @@ the model's dogmatic average distance, and the whole grid is one numpy pass.
 The solver inverts the monotone map sigma -> AD by bisection to find the
 sigma at which a skeptical view of the alternative model matches a
 benchmark's distance. It bisects all alternatives in lockstep: one step
-evaluates the AD of every alternative still in the bisection in one numpy
-pass, and each alternative leaves at the step where its own stop rule fires,
-with the result it would reach alone.
+evaluates the AD of every alternative in one numpy pass, and each
+alternative leaves at the step where its own stop rule fires, with the
+result it would reach alone. Both evaluate through ``bayes.FamilyStack``,
+whose evaluation is elementwise: a family's AD does not depend on the
+families stacked with it.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ def sweep(fit: RegressionFit, grid: Sequence[float]) -> list[SweepRow]:
         If the average distance fails to be non-increasing along the grid.
     """
     grid = check_grid(grid)
-    family = PosteriorFamily(fit)
+    stack = FamilyStack([PosteriorFamily(fit)] * len(grid))
     _, ad, rmse_alpha, rmse_sigma, ratio_var = distance_metrics(
-        *family.wd2_to_skeptic(np.array(grid)), fit.n)
+        *stack.wd2_to_skeptic(np.array(grid)), fit.n)
     rows = [SweepRow(*row) for row in zip(grid, ad.tolist(), rmse_alpha.tolist(),
                                           rmse_sigma.tolist(), ratio_var.tolist())]
     for prev, cur in zip(rows, rows[1:]):
@@ -140,8 +142,8 @@ def solve_equivs(families: Sequence[PosteriorFamily], benchmark_ad: float,
                  bracket_hi: float = DEFAULT_BRACKET_HI
                  ) -> list[EquivResult | NotBracketedError]:
     """Bisect every family's monotone-decreasing map sigma -> AD on
-    [0, bracket_hi] in lockstep, one :class:`FamilyStack` evaluation per step
-    for every family still in the bisection.
+    [0, bracket_hi] in lockstep, one evaluation of one :class:`FamilyStack`
+    of all the families per step.
 
     A family leaves with its result at sigma = 0 when its dogmatic AD is
     within AD_TOL of the target, and with a NotBracketedError, returned in its
@@ -161,59 +163,48 @@ def solve_equivs(families: Sequence[PosteriorFamily], benchmark_ad: float,
     """
     check_bracket_hi(bracket_hi)
     target = float(benchmark_ad)
-    names = [f.fit.model.name for f in families]
-    results: list = [None] * len(names)
+    stack = FamilyStack(families)
 
-    def unsolved() -> tuple[np.ndarray, FamilyStack]:
-        live = [i for i, r in enumerate(results) if r is None]
-        return np.array(live, dtype=np.intp), FamilyStack([families[i] for i in live])
-
-    def ad_at(stack: FamilyStack, sigma: np.ndarray) -> np.ndarray:
+    def ad_at(sigma: np.ndarray) -> np.ndarray:
         return distance_metrics(*stack.wd2_to_skeptic(sigma), stack.n)[1]
 
-    live, stack = unsolved()
-    for i, ad in zip(live.tolist(), ad_at(stack, np.zeros(live.shape)).tolist()):
-        if abs(ad - target) <= AD_TOL:
-            results[i] = EquivResult(names[i], 0.0, ad, 0)
-        elif target > ad:
-            results[i] = NotBracketedError(
-                f"target AD {target:.6g} exceeds the dogmatic AD {ad:.6g} "
-                f"of model {names[i]!r}")
-    live, stack = unsolved()
-    ad_hi = ad_at(stack, np.full(live.shape, float(bracket_hi)))
-    for i, ad in zip(live.tolist(), ad_hi.tolist()):
-        if target < ad:
-            results[i] = NotBracketedError(
-                f"target AD {target:.6g} below the AD {ad:.6g} at "
-                f"sigma = {bracket_hi}%")
-    live, stack = unsolved()
-    lo, hi = np.zeros(live.shape), np.full(live.shape, float(bracket_hi))
+    names = [f.fit.model.name for f in families]
+    lo, hi = np.zeros(len(names)), np.full(len(names), float(bracket_hi))
+    results: list = []
+    for name, ad_lo, ad_hi in zip(names, ad_at(lo).tolist(), ad_at(hi).tolist()):
+        if abs(ad_lo - target) <= AD_TOL:
+            results.append(EquivResult(name, 0.0, ad_lo, 0))
+        elif target > ad_lo:
+            results.append(NotBracketedError(
+                f"target AD {target:.6g} exceeds the dogmatic AD {ad_lo:.6g} "
+                f"of model {name!r}"))
+        elif target < ad_hi:
+            results.append(NotBracketedError(
+                f"target AD {target:.6g} below the AD {ad_hi:.6g} at "
+                f"sigma = {bracket_hi}%"))
+        else:
+            results.append(None)
+    live = np.array([r is None for r in results], dtype=bool)
     for iteration in range(1, MAX_BISECTIONS + 1):
-        if not live.size:
+        if not live.any():
             break
         mid = 0.5 * (lo + hi)
-        ad = ad_at(stack, mid)
+        ad = ad_at(mid)
         stuck = (mid == lo) | (mid == hi)
         above = ad > target
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
         close = np.abs(ad - target) <= AD_TOL
-        done = close & ((hi - lo <= SIGMA_TOL) | stuck)
-        for i, sigma, ad_i in zip(live[done].tolist(), mid[done].tolist(),
-                                  ad[done].tolist()):
-            results[i] = EquivResult(names[i], sigma, ad_i, iteration)
-        failed = stuck & ~close
-        for i, sigma, ad_i in zip(live[failed].tolist(), mid[failed].tolist(),
-                                  ad[failed].tolist()):
+        done = live & close & ((hi - lo <= SIGMA_TOL) | stuck)
+        for i in np.flatnonzero(done).tolist():
+            results[i] = EquivResult(names[i], float(mid[i]), float(ad[i]), iteration)
+        for i in np.flatnonzero(live & stuck & ~close).tolist():
             results[i] = NoConvergenceError(
-                f"model {names[i]!r}: bisection stopped at sigma = {sigma:.6g}% with "
-                f"|AD - target| = {abs(ad_i - target):.3g} > {AD_TOL}: "
+                f"model {names[i]!r}: bisection stopped at sigma = {mid[i]:.6g}% with "
+                f"|AD - target| = {abs(ad[i] - target):.3g} > {AD_TOL}: "
                 f"sigma's float spacing there leaves no midpoint inside the bracket")
-        keep = ~(done | stuck)
-        if not keep.all():
-            lo, hi = lo[keep], hi[keep]
-            live, stack = unsolved()
-    for i in live.tolist():
+        live &= ~(done | stuck)
+    for i in np.flatnonzero(live).tolist():
         results[i] = NoConvergenceError(
             f"model {names[i]!r}: bisection did not reach |AD - target| <= {AD_TOL} in "
             f"{MAX_BISECTIONS} iterations")

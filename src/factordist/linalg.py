@@ -42,7 +42,8 @@ QUAD_STEP = 0.25
 # truncations are below e^{-39}.
 QUAD_LO_MARGIN = 13.0
 QUAD_HI_MARGIN = 39.0
-# gauss_rule: below this dimension one eigh is cheaper than Lanczos. Measured
+# bayes.posterior_families: below this dimension a family's rule comes from
+# one eigh (eigh_rule), cheaper there than Lanczos (gauss_rule). Measured
 # in-process with one BLAS thread on one CPU of a 2-vCPU Xeon, median over the
 # six nested models of benchmark-style panels (T = 600): n = 112 eigh 1.3-1.5 ms
 # against Lanczos 1.4-1.7 ms; n = 128 eigh 1.8-2.1 ms against 1.4-1.7 ms. At
@@ -219,6 +220,7 @@ class RankOneQuadrature:
     for every g, so one grid serves all g <= g_max: building it costs O(q n)
     for q (a few hundred) nodes, and each g then costs O(q). Terms with
     gamma_i^2 <= 0, a zero node among them, contribute nothing and are dropped.
+    A table is only built here; :class:`QuadratureStack` evaluates it.
     """
 
     def __init__(self, theta: np.ndarray, w: np.ndarray, g_max: float):
@@ -241,12 +243,6 @@ class RankOneQuadrature:
         r *= r
         self._t3_s2 = t ** 3 * (r @ gamma_sq)
         self._factor = math.sqrt(scale) * 2.0 / math.pi * QUAD_STEP
-
-    def remainder(self, g):
-        """g sum(gamma_i^2 / d_i) / 2 - Delta(g) >= 0, without cancellation,
-        O(q) per g; elementwise over an array of g."""
-        g = np.asarray(g, dtype=float)
-        return QuadratureStack([self] * g.size).remainder(g.reshape(-1)).reshape(g.shape)[()]
 
 
 class QuadratureStack:
@@ -278,7 +274,8 @@ class QuadratureStack:
             first, start = last, start + (last - first) * length
 
     def remainder(self, g: np.ndarray) -> np.ndarray:
-        """The remainder of table j at g[j], for every j."""
+        """The remainder R(g[j]) >= 0 of table j, for every j: without
+        cancellation, O(q) per table."""
         g = g[self._order]
         gs1 = np.repeat(g, self._lengths) * self._s1
         terms = self._t3_s2 * gs1 / (1.0 + gs1)
@@ -298,19 +295,18 @@ def gauss_rule(a: np.ndarray, v: np.ndarray,
 
     ``RankOneQuadrature(theta, w, g_max)``, the table's one constructor, builds
     from the rule a table that stands in for the one of D and gamma = D^{1/2}
-    Q'v. From n = GAUSS_RULE_MIN_N on, Lanczos on A from v, with two-pass full
-    reorthogonalisation, gives the m-node Gauss rule (Golub & Welsch 1969): the
-    eigenvalues of the m x m Lanczos tridiagonal and |v|^2 times the squared
-    first components of its eigenvectors, at O(m n^2). Every LANCZOS_BLOCK
-    steps the rule's table is evaluated at g = g_max * LANCZOS_PROBES, and
-    Lanczos stops once no value moved by more than LANCZOS_STOP_REL, or at once
-    when the Krylov space is exhausted (the rule is then exact). Below that n,
-    for v = 0, and past LANCZOS_MAX_STEPS_REL * n steps the rule is the measure
-    itself, :func:`eigh_rule`.
+    Q'v. Lanczos on A from v, with two-pass full reorthogonalisation, gives
+    the m-node Gauss rule (Golub & Welsch 1969): the eigenvalues of the m x m
+    Lanczos tridiagonal and |v|^2 times the squared first components of its
+    eigenvectors, at O(m n^2). Every LANCZOS_BLOCK steps the rule's table is
+    evaluated at g = g_max * LANCZOS_PROBES, and Lanczos stops once no value
+    moved by more than LANCZOS_STOP_REL, or at once when the Krylov space is
+    exhausted (the rule is then exact). For v = 0 and past
+    LANCZOS_MAX_STEPS_REL * n steps the rule is the measure itself,
+    :func:`eigh_rule`. The caller takes ``eigh_rule`` below GAUSS_RULE_MIN_N.
     """
-    n = a.shape[0]
-    if n >= GAUSS_RULE_MIN_N and v.any():
-        rule = _lanczos_rule(a, v, g_max, int(LANCZOS_MAX_STEPS_REL * n))
+    if v.any():
+        rule = _lanczos_rule(a, v, g_max, int(LANCZOS_MAX_STEPS_REL * a.shape[0]))
         if rule is not None:
             return rule
     return eigh_rule(a, v)
@@ -360,8 +356,8 @@ def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,
             rule = theta, norm_sq * s[0] ** 2
             if exhausted:
                 return rule
-            quad = RankOneQuadrature(*rule, g_max)
-            r = quad.remainder(probes)
+            r = QuadratureStack([RankOneQuadrature(*rule, g_max)] * probes.size
+                                ).remainder(probes)
             if last is not None and np.all(np.abs(r - last) <= LANCZOS_STOP_REL * r):
                 return rule
             last = r

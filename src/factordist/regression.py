@@ -79,7 +79,7 @@ from .errors import (
     UnknownFactorError,
 )
 from .linalg import (CHOL_PIVOT_REL, chol_pivot_floor, cholesky_spd, cholesky_stack,
-                     f_cdf_upper, solve_lower, symmetrize)
+                     f_cdf_upper, solve_lower)
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
@@ -111,8 +111,8 @@ class RegressionFit:
     r2: np.ndarray              # (n,)
     asset_mean: np.ndarray      # (n,)
     # Sh^2 from the fit's own pass (:func:`sharpe_sq`): NaN where Omega has no
-    # Cholesky factor, None on a fit assembled by hand.
-    sh2: float | None = None
+    # Cholesky factor.
+    sh2: float
 
     @property
     def sigma_mle(self) -> np.ndarray:
@@ -351,24 +351,19 @@ def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]
 def sharpe_sq(fit: RegressionFit) -> float:
     """Squared Sharpe ratio of the model factors, mu' Omega^{-1} mu = |L^{-1} mu|^2
     with Omega = L L', the form :func:`grs_test` takes for a' Sigma^{-1} a:
-    the fit's own, from the pass that made it, or :func:`_sharpe_sqs` of its
-    moments on a fit assembled by hand.
+    the fit's own, from the pass that made it (:func:`_sharpe_sqs`).
 
     Raises
     ------
     SingularFactorCovError
         The MLE factor covariance is not positive definite.
     """
-    value = fit.sh2
-    if value is None:
-        cov = symmetrize(fit.factor_cov_mle)[None]
-        value = float(_sharpe_sqs(cov, np.asarray(fit.factor_mean, dtype=float)[None])[0])
-    if math.isnan(value):
+    if math.isnan(fit.sh2):
         try:
             cholesky_spd(fit.factor_cov_mle)
         except NotPDError as exc:
             raise SingularFactorCovError(str(exc)) from None
-    return value
+    return fit.sh2
 
 
 def _sharpe_sqs(cov: np.ndarray, mean: np.ndarray) -> np.ndarray:

@@ -24,7 +24,10 @@ from factordist import (
     grs_test,
     load_panel,
 )
+from factordist.bayes import FamilyStack
 from factordist.dataio import month_range
+from factordist.linalg import QuadratureStack
+from factordist.regression import _sharpe_sqs
 
 
 def make_config(seed=42, T=600, n=5, k=1, alpha=0.15, beta=1.0,
@@ -102,7 +105,20 @@ def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
         factor_cov_mle=factor_cov,
         r2=np.full(n, 0.9),
         asset_mean=np.asarray(asset_mean, dtype=float),
+        sh2=float(_sharpe_sqs(factor_cov[None], factor_mean[None])[0]),
     )
+
+
+def wd2(family, sigma):
+    """Squared mean shift and trace term of ``family`` at one sigma, from a
+    one-row ``FamilyStack``."""
+    mean_sq, trace_term = FamilyStack([family]).wd2_to_skeptic(np.array([float(sigma)]))
+    return float(mean_sq[0]), float(trace_term[0])
+
+
+def remainder(table, g):
+    """R(g) of one quadrature table at one g, from a one-row ``QuadratureStack``."""
+    return float(QuadratureStack([table]).remainder(np.array([float(g)]))[0])
 
 
 def direct_fits(dataset, models):

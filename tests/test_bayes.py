@@ -29,7 +29,7 @@ from factordist import bayes, linalg
 from factordist.errors import NonFiniteError
 from factordist.linalg import RankOneQuadrature, gauss_rule
 
-from conftest import make_dataset, panel_from_columns, random_fit_inputs
+from conftest import make_dataset, panel_from_columns, random_fit_inputs, remainder, wd2
 
 
 def matrix_posterior(dataset, model, sigma_annual):
@@ -204,11 +204,11 @@ class TestPosteriorFamily:
         # limit's rows bit for bit.
         family = PosteriorFamily(fit_ols(*base_dataset))
         for sigma, limit in ((1e-200, 0.0), (1e300, math.inf)):
-            assert family.wd2_to_skeptic(sigma) == family.wd2_to_skeptic(limit)
+            assert wd2(family, sigma) == wd2(family, limit)
             got, want = family.at(sigma), family.at(limit)
             np.testing.assert_array_equal(got.mean, want.mean)
             np.testing.assert_array_equal(got.cov, want.cov)
-        assert family.wd2_to_skeptic(1e300) == (0.0, 0.0)
+        assert wd2(family, 1e300) == (0.0, 0.0)
 
     def test_posterior_cov_psd_across_grid(self, base_dataset):
         dataset, model = base_dataset
@@ -239,7 +239,7 @@ class TestPosteriorFamily:
         at_inf = family.at(math.inf)
         np.testing.assert_array_equal(at_inf.mean, skeptic.mean)
         np.testing.assert_array_equal(at_inf.cov, skeptic.cov)
-        mean_sq, trace_term = family.wd2_to_skeptic(sigma)
+        mean_sq, trace_term = wd2(family, sigma)
         mean_sq_ref, trace_ref = wd2_components(post, skeptic)
         # The reference shift alpha_hat - c alpha_hat carries an absolute
         # error of about eps |alpha_hat|, which dominates once 1 - c drops
@@ -281,7 +281,7 @@ class TestPosteriorFamily:
             want = u0 / (fit.T + 1) * (
                 trace_a + c * (trace_a + lam * c * sum(x * x for x in alpha))
                 - 2 * mp.sqrt(c) * sum(mp.sqrt(x) for x in roots))
-            got = family.wd2_to_skeptic(sigma)[1]
+            got = wd2(family, sigma)[1]
             assert float(abs(got - want) / want) <= 1e-13
 
     def test_single_asset_trace_term_never_negative(self):
@@ -489,6 +489,17 @@ def _scale_eigh(fit, s2):
 class TestKrylovFamily:
     """Lanczos Gauss rule against eigh(A), above the crossover dimension."""
 
+    def test_below_crossover_is_the_eigh_table(self):
+        # One asset short of the crossover, the family's table is that of the
+        # eigh measure itself and no Lanczos rule is asked for.
+        fit = fit_ols(*_krylov_panel("factor", 0, n=linalg.GAUSS_RULE_MIN_N - 1))
+        with mock.patch.object(bayes, "gauss_rule", side_effect=AssertionError):
+            family = PosteriorFamily(fit)
+        d, q = _scale_eigh(fit, family.s2)
+        want = RankOneQuadrature(d, (q.T @ fit.alpha_hat) ** 2, 1.0 / family._u0)
+        for name in ("_s1", "_t3_s2", "_factor"):
+            np.testing.assert_array_equal(getattr(family._quad, name), getattr(want, name))
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("spectrum,steps_rel", [
         # These need more than the default cap of n / 4 steps; without it
@@ -518,12 +529,12 @@ class TestKrylovFamily:
         reference = _dense_family(panel)
         for gu0 in np.logspace(-12.0, 0.0, 25) * (1.0 - 1e-6):
             g = gu0 / u0
-            want = dense.remainder(g)
-            assert abs(krylov.remainder(g) - want) <= KRYLOV_REL * want, gu0
+            want = remainder(dense, g)
+            assert abs(remainder(krylov, g) - want) <= KRYLOV_REL * want, gu0
             # g = lam c with lam = s^2 / sigma_monthly^2 and c = 1 / (1 + lam u0).
             sigma = 12.0 * math.sqrt(s2 * (1.0 - gu0) / g)
-            trace_want = reference.wd2_to_skeptic(sigma)[1]
-            trace_got = family.wd2_to_skeptic(sigma)[1]
+            trace_want = wd2(reference, sigma)[1]
+            trace_got = wd2(family, sigma)[1]
             assert abs(trace_got - trace_want) <= KRYLOV_REL * trace_want, gu0
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -538,7 +549,7 @@ class TestKrylovFamily:
         np.testing.assert_array_equal(weights, (q.T @ fit.alpha_hat) ** 2)
         reference = _dense_family(panel)
         for sigma in (0.5, 5.0, 50.0, 5e3):
-            assert family.wd2_to_skeptic(sigma) == reference.wd2_to_skeptic(sigma)
+            assert wd2(family, sigma) == wd2(reference, sigma)
 
 
 class TestSkeptic:

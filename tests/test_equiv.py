@@ -29,7 +29,7 @@ from factordist.errors import (
 from factordist.linalg import QuadratureStack
 from factordist.transport import distance_metrics
 
-from conftest import make_dataset, random_fit_inputs
+from conftest import make_dataset, random_fit_inputs, remainder, wd2
 
 
 @pytest.fixture
@@ -66,16 +66,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("rise, fails", [(1e-6, True), (1e-12, False)])
     def test_rising_distance_fails_past_the_slack(self, monkeypatch, fit, rise, fails):
-        # A family whose AD grows by the factor 1 + rise from one grid point
+        # A stack whose AD grows by the factor 1 + rise from one grid point
         # to the next, all in the mean term: AD = (1 + rise)^sigma.
         class Rising:
-            def __init__(self, fit):
-                self.fit = fit
+            def __init__(self, families):
+                self.n = fit.n
 
             def wd2_to_skeptic(self, sigma):  # elementwise over sigma
-                return self.fit.n * (1.0 + rise) ** (2.0 * sigma), 0.0 * sigma
+                return self.n * (1.0 + rise) ** (2.0 * sigma), 0.0 * sigma
 
-        monkeypatch.setattr(equiv, "PosteriorFamily", Rising)
+        monkeypatch.setattr(equiv, "FamilyStack", Rising)
         if fails:
             with pytest.raises(NumericalError, match="increased along the grid"):
                 sweep(fit, [0.0, 1.0, 2.0])
@@ -174,7 +174,7 @@ def _scalar_bisection(family, target, bracket_hi):
     name = family.fit.model.name
 
     def ad_at(sigma):
-        return float(distance_metrics(*family.wd2_to_skeptic(sigma), family.fit.n)[1])
+        return float(distance_metrics(*wd2(family, sigma), family.fit.n)[1])
 
     ad_lo = ad_at(0.0)
     if abs(ad_lo - target) <= AD_TOL:
@@ -253,7 +253,7 @@ class TestLockstep:
         for gu0 in (1e-6, 1e-3, 0.1, 0.5, 0.9):
             g = gu0 / u0
             assert [x.hex() for x in QuadratureStack(tables).remainder(g).tolist()] == [
-                float(t.remainder(x)).hex() for t, x in zip(tables, g.tolist())]
+                remainder(t, x).hex() for t, x in zip(tables, g.tolist())]
         bracket_hi = 10.0**log10_hi
         want = [_scalar_bisection(f, target, bracket_hi) for f in families]
         failures = [w for w in want if isinstance(w, NoConvergenceError)]
@@ -273,6 +273,18 @@ class TestLockstep:
                     else r.iterations > 0
                     for r in solve_equivs(families, target, 10.0**0.5)}
         assert outcomes == {False, True, "exceeds", "below"}
+
+    @pytest.mark.parametrize("n", [5, 30, 130])
+    def test_sweep_at_sigma_star_is_the_solved_distance(self, n):
+        # Sweeps and solves evaluate through one FamilyStack: the sweep row at
+        # each solved sigma* carries the solver's AD bit for bit, on both
+        # sides of GAUSS_RULE_MIN_N.
+        families = _subset_families(seed=6, T=200, n=n, k=3)
+        target = float(distance_breakdown(*skeptic_moments(families[0].fit)).ad)
+        results = solve_equivs(families[1:], target)
+        assert [type(r) for r in results] == [EquivResult] * 6
+        for family, r in zip(families[1:], results):
+            assert sweep(family.fit, [r.sigma_star_annual])[0].ad == r.ad_at_star
 
     def test_first_failure_in_order_is_raised(self, monkeypatch):
         # With no AD within the tolerance every bracketed alternative runs to

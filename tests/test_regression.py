@@ -29,9 +29,9 @@ from factordist.errors import (
     UnknownFactorError,
 )
 from factordist.linalg import LANCZOS_PROBES
-from factordist.regression import GRS_UNDEFINED, _fit_models
+from factordist.regression import GRS_UNDEFINED, _fit_models, _sharpe_sqs
 
-from conftest import direct_fits, fake_fit, panel_from_columns, random_fit_inputs
+from conftest import direct_fits, fake_fit, panel_from_columns, random_fit_inputs, remainder
 
 
 def _tiny_dataset(factor_values, asset_values, extra_factors=None):
@@ -185,7 +185,8 @@ class TestSharpeSq:
         omega = (omega + omega.T) / 2.0
         mu = rng.normal(size=k) * np.sqrt(lam.max())
         fit = dataclasses.replace(fake_fit(np.zeros(2), k=k), factor_mean=mu,
-                                  factor_cov_mle=omega)
+                                  factor_cov_mle=omega,
+                                  sh2=float(_sharpe_sqs(omega[None], mu[None])[0]))
         want = float(mu @ np.linalg.solve(omega, mu))
         cond = 10.0 ** log10_cond
         assert sharpe_sq(fit) == pytest.approx(
@@ -363,8 +364,8 @@ def _assert_same_family(fit, ref, cond):
         return
     family = PosteriorFamily(fit)
     for g in LANCZOS_PROBES / ref_family._u0:
-        assert family._quad.remainder(g) == pytest.approx(
-            ref_family._quad.remainder(g), rel=rel, abs=1e-300)
+        assert remainder(family._quad, g) == pytest.approx(
+            remainder(ref_family._quad, g), rel=rel, abs=1e-300)
     for row, ref_row in zip(sweep(fit, SWEEP_GRID), sweep(ref, SWEEP_GRID), strict=True):
         # A distance near zero (one asset's trace term crosses zero) is only
         # as accurate as the row's AD; ratio_var = (RMSE_sigma / RMSE_alpha)^2.
