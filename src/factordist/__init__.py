@@ -15,21 +15,20 @@ import importlib
 # Each public name and the module that defines it. Names resolve on first
 # access (PEP 562), so a command imports only the modules it uses.
 _MODULE_OF = {
-    **dict.fromkeys(["GaussianDist", "PosteriorFamily", "posterior_alpha_dogmatic",
-                     "posterior_alpha_skeptic", "sigma_annual_to_monthly",
-                     "skeptic_moments"], "bayes"),
+    **dict.fromkeys(["DistanceBreakdown", "PosteriorFamily", "distance_breakdown",
+                     "sigma_annual_to_monthly", "skeptic_moments"], "bayes"),
     **dict.fromkeys(["Dataset", "ModelSpec", "ReturnsPanel", "build_dataset",
                      "concat_panels", "load_models", "load_panel"], "dataio"),
     **dict.fromkeys(["EquivResult", "SweepRow", "solve_equiv", "sweep"], "equiv"),
-    **dict.fromkeys(["f_cdf_upper", "spd_sqrt", "symmetrize"], "linalg"),
-    **dict.fromkeys(["MetricsReport", "alpha_stats", "build_report",
-                     "rank_models"], "metrics"),
-    **dict.fromkeys(["RegressionFit", "fit_ols", "grs_test", "sharpe_sq"],
-                    "regression"),
+    **dict.fromkeys(["symmetrize"], "linalg"),
+    **dict.fromkeys(["MetricsReport", "alpha_stats", "build_report", "f_cdf_upper",
+                     "grs_test", "rank_models"], "metrics"),
+    **dict.fromkeys(["RegressionFit", "fit_ols", "sharpe_sq"], "regression"),
     **dict.fromkeys(["RNG_ALGORITHM", "SynthConfig", "generate", "power_scenario"],
                     "synth"),
-    **dict.fromkeys(["DistanceBreakdown", "distance_breakdown", "transport_map",
-                     "wd2_components", "wd2_gaussian"], "transport"),
+    **dict.fromkeys(["GaussianDist", "posterior_alpha_dogmatic", "posterior_alpha_skeptic",
+                     "spd_sqrt", "transport_map", "wd2_components", "wd2_gaussian"],
+                    "transport"),
 }
 
 

@@ -20,7 +20,8 @@ and c = 1 is the skeptic.
 
 The distance from dogmatic belief to the skeptic needs only alpha_hat and
 the skeptic variances u0 / (T + 1) diag A: :func:`skeptic_moments` returns
-them in O(n) and is the one source of that distance. The distance of an
+them in O(n) and is the one source of that distance, which
+:func:`distance_breakdown` splits into the reported metrics. The distance of an
 interior posterior from the skeptic needs A only through the spectral
 measure sum_i (Q'alpha_hat)_i^2 delta(d_i) of A = Q D Q'. Per model,
 ``linalg.gauss_rule`` replaces that measure by the m-node Gauss rule that
@@ -37,7 +38,12 @@ transport trace, which is taken in a form without cancellation, in one
 elementwise formula (:func:`_wd2_to_skeptic`). A :class:`FamilyStack` is
 the one way to evaluate it: it takes one sigma for each of its families in
 one numpy pass, so a sweep stacks one family once per grid point, and an
-equivalence bisection step stacks every alternative.
+equivalence bisection step stacks every alternative. Every printed distance
+goes through one formula, :func:`distance_metrics`.
+
+The posteriors as dense n x n Gaussians (:meth:`PosteriorFamily.at`, the
+dogmatic and skeptic posteriors) are the paper's definitions, and the
+``transport`` module holds them; no command imports it.
 
 ``sigma_alpha`` is quoted in annualized percent everywhere a user supplies
 it; annual-to-monthly conversion divides by 12 (an annualized mean scales
@@ -47,15 +53,17 @@ linearly with horizon).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import FactorDistError, NonFiniteError
-from .linalg import QuadratureStack, RankOneQuadrature, eigh_rule, gauss_rule, symmetrize
+from .linalg import QuadratureStack, RankOneQuadrature, eigh_rule, gauss_rule
 from .regression import RegressionFit, _sigma_mle, sharpe_sq
+
+if TYPE_CHECKING:
+    from .transport import GaussianDist
 
 MONTHS_PER_YEAR = 12.0
 
@@ -66,34 +74,6 @@ def sigma_annual_to_monthly(sigma_alpha_annual: float) -> float:
     if not s >= 0.0:
         raise ValueError(f"sigma_alpha must be non-negative, got {s}")
     return s / MONTHS_PER_YEAR
-
-
-@dataclass(frozen=True)
-class GaussianDist:
-    """Gaussian distribution of pricing errors: mean vector plus covariance.
-
-    The degenerate point mass at zero is represented by a zero mean and a
-    zero covariance matrix.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = symmetrize(np.array(self.cov, dtype=float))
-        if cov.shape[0] != mean.shape[0]:
-            raise ValueError(
-                f"mean has {mean.shape[0]} entries but cov is {cov.shape}"
-            )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("distribution moments must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
 
 
 class PosteriorFamily:
@@ -115,7 +95,10 @@ class PosteriorFamily:
         return family
 
     def at(self, sigma_alpha_annual: float) -> GaussianDist:
-        """Posterior at any annualized prior mispricing std in [0, inf]."""
+        """Posterior at any annualized prior mispricing std in [0, inf], as a
+        dense ``transport.GaussianDist``."""
+        from .transport import _closed_form, posterior_alpha_dogmatic
+
         lam = float(_precision(sigma_annual_to_monthly(sigma_alpha_annual), self.s2))
         if math.isinf(lam):
             return posterior_alpha_dogmatic(self.fit.n)
@@ -218,9 +201,10 @@ def _precision(sigma_monthly, s2):
 
 
 def _wd2_to_skeptic(sigma, s2, u0, b, alpha_sq, var_sum, remainder):
-    """Closed form of ``wd2_components(family.at(sigma), family.at(inf))``,
-    elementwise over sigma and the moments of its family; the one formula of
-    the distance along sigma, behind sweeps and the equivalence solver.
+    """Closed form of ``transport.wd2_components(family.at(sigma),
+    family.at(inf))``, elementwise over sigma and the moments of its family;
+    the one formula of the distance along sigma, behind sweeps and the
+    equivalence solver.
 
     With A = Q D Q', gamma = D^{1/2} Q' alpha_hat, b = u0 / (T + 1),
     v = b tr A the skeptic variance sum and g = lam c: mean term
@@ -255,32 +239,60 @@ def _wd2_to_skeptic(sigma, s2, u0, b, alpha_sq, var_sum, remainder):
             np.where(dogmatic, var_sum, np.where(skeptic, 0.0, trace_term)))
 
 
-def posterior_alpha_dogmatic(n: int) -> GaussianDist:
-    """Point mass at zero: the posterior under a dogmatic (sigma = 0) prior."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return GaussianDist(np.zeros(n), np.zeros((n, n)))
-
-
-def posterior_alpha_skeptic(fit: RegressionFit) -> GaussianDist:
-    """Data-based posterior at sigma = inf, from a fit's sufficient statistics.
-
-    Mean equals the OLS alphas exactly; covariance is
-    ``(1 + Sh^2) / T * (s^2 I + S) / (T + 1)`` with S the residual
-    cross-product matrix.
-    """
-    return _closed_form(fit, 0.0, *_skeptic_parts(fit))
-
-
 def skeptic_moments(fit: RegressionFit) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variances of the skeptic posterior: alpha_hat and
     u0 / (T + 1) (s^2 + T diag Sigma_mle), in O(n).
 
     Equal, bit for bit, to the mean and the covariance diagonal of
-    :func:`posterior_alpha_skeptic`; the distance from dogmatic belief needs
-    nothing else.
+    ``transport.posterior_alpha_skeptic``; the distance from dogmatic belief
+    (:func:`distance_breakdown`) needs nothing else.
     """
     return fit.alpha_hat, _skeptic_var(fit, *_skeptic_parts(fit))
+
+
+class DistanceBreakdown(NamedTuple):
+    """Distance metrics of one posterior against the point mass at zero.
+
+    All fields are in percent per month except the dimensionless
+    ``ratio_var``, the variance share sum(v_ii) / sum(a_i^2) (infinite when
+    every alpha is zero).
+    """
+
+    td: float
+    ad: float
+    rmse_alpha: float
+    rmse_sigma: float
+    marginal: np.ndarray
+    ratio_var: float
+
+
+def distance_metrics(mean_sq, trace_term, n):
+    """TD, AD, RMSE_alpha, RMSE_sigma and ratio_var on n assets from the
+    squared mean shift and the trace term, elementwise over arrays: the one
+    formula behind :func:`distance_breakdown`, every sweep row and every
+    equivalence bisection step."""
+    mean_sq = np.asarray(mean_sq, dtype=float)
+    td = np.sqrt(mean_sq + trace_term)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_var = np.where(mean_sq > 0.0, trace_term / mean_sq, np.inf)[()]
+    return td, td / np.sqrt(n), np.sqrt(mean_sq / n), np.sqrt(trace_term / n), ratio_var
+
+
+def distance_breakdown(alpha: np.ndarray, var: np.ndarray) -> DistanceBreakdown:
+    """Per-asset decomposition of the distance from dogmatic belief to a
+    posterior with mean ``alpha`` and non-negative variances ``var``.
+
+    The trace is basis-free, so the diagonal gives the full-matrix distance
+    from the zero point mass. Raises NonFiniteError where that overflows.
+    """
+    with np.errstate(over="ignore"):
+        mean_sq, var_sum = float(alpha @ alpha), float(var.sum())
+    if not math.isfinite(mean_sq + var_sum):
+        raise NonFiniteError("returns too large: the distance overflows")
+    td, ad, rmse_alpha, rmse_sigma, ratio_var = map(float, distance_metrics(
+        mean_sq, var_sum, alpha.shape[0]))
+    return DistanceBreakdown(td, ad, rmse_alpha, rmse_sigma,
+                             np.sqrt(alpha**2 + var), ratio_var)
 
 
 def _skeptic_parts(fit: RegressionFit) -> tuple[float, float]:
@@ -289,7 +301,8 @@ def _skeptic_parts(fit: RegressionFit) -> tuple[float, float]:
 
 
 def _skeptic_var(fit: RegressionFit, s2: float, u0: float) -> np.ndarray:
-    # Associated as in _closed_form at c = 1, so the diagonals agree exactly.
+    # Associated as in transport._closed_form at c = 1, so the diagonals agree
+    # exactly.
     return (s2 + fit.T * fit.resid_var) * (u0 / (fit.T + 1))
 
 
@@ -304,17 +317,3 @@ def _scales(fits: Sequence[RegressionFit], s2: Sequence[float]) -> np.ndarray:
     sigma = _sigma_mle(base, loadings, np.stack([fit.sigma_core for fit in fits]))
     t_obs = np.array([fit.T for fit in fits])[:, None, None]
     return np.array(s2)[:, None, None] * np.eye(fits[0].n) + t_obs * sigma
-
-
-def _closed_form(fit: RegressionFit, lam: float, s2: float, u0: float) -> GaussianDist:
-    """Posterior at finite prior precision lam: N(c alpha_hat, u0 c / (T + 1)
-    (A + lam c alpha_hat alpha_hat')) with c = 1 / (1 + lam u0); lam = 0 is the
-    skeptic. s2 and u0 are :func:`_skeptic_parts` of the fit.
-    """
-    cov = _scales([fit], [s2])[0]
-    c = 1.0 / (1.0 + lam * u0)
-    alpha = fit.alpha_hat
-    if lam != 0.0:
-        cov += lam * c * np.outer(alpha, alpha)
-    cov *= u0 * c / (fit.T + 1)
-    return GaussianDist(c * alpha, cov)

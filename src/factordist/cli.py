@@ -34,7 +34,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .bayes import posterior_families, skeptic_moments
+from .bayes import distance_breakdown, posterior_families, skeptic_moments
 from .dataio import (
     DEFAULT_MISSING_CODES,
     Dataset,
@@ -47,8 +47,7 @@ from .dataio import (
 from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, check_grid, solve_equivs, sweep
 from .errors import FactorDistError, InputError, NotBracketedError
 from .linalg import square
-from .regression import GRS_UNDEFINED, _fit_models
-from .transport import distance_breakdown
+from .regression import _fit_models
 
 DEFAULT_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 # How every output float is written.
@@ -143,7 +142,7 @@ def _metadata(args, command: str, extra: str = "") -> str:
 
 
 def cmd_rank(args) -> int:
-    from .metrics import build_report, rank_models
+    from .metrics import GRS_UNDEFINED, build_report, rank_models
 
     dataset = _load_dataset(args)
     models = load_models(args.models)

@@ -25,9 +25,8 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -51,8 +50,24 @@ _VALUE_SYNTAX = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 _PLAIN_QUOTES = re.compile(r'(?:"[^",]*"|[^",]*)(?:,(?:"[^",]*"|[^",]*))*\n?')
 
 
-@dataclass(frozen=True)
-class ReturnsPanel:
+class _Checked:
+    """Base of a record that checks its fields in ``__new__``: ``_replace``
+    builds through ``_make``, so a changed copy is checked as a new record is."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _PanelFields(NamedTuple):
+    dates: tuple[int, ...]
+    names: tuple[str, ...]
+    values: np.ndarray
+
+
+class ReturnsPanel(_Checked, _PanelFields):
     """Aligned monthly return matrix: T dates by m named columns, in percent.
 
     Dates are strictly increasing YYYYMM integers. Rows dropped during
@@ -60,31 +75,29 @@ class ReturnsPanel:
     always preserved.
     """
 
-    dates: tuple[int, ...]
-    names: tuple[str, ...]
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(int(d) for d in self.dates))
-        object.__setattr__(self, "names", tuple(str(n) for n in self.names))
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.dates), len(self.names)):
+    def __new__(cls, dates, names, values):
+        dates = tuple(int(d) for d in dates)
+        names = tuple(str(n) for n in names)
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (len(dates), len(names)):
             raise ValueError(
                 f"values shape {vals.shape} does not match "
-                f"{len(self.dates)} dates x {len(self.names)} names"
+                f"{len(dates)} dates x {len(names)} names"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("panel values must be finite")
         # An object array where a date is outside int64; all months fit.
-        dates = np.array(self.dates)
-        bad = np.flatnonzero(~_is_month(dates))
+        array = np.array(dates)
+        bad = np.flatnonzero(~_is_month(array))
         if bad.size:
-            raise ParseError(f"{self.dates[bad[0]]} is not a valid YYYYMM month")
-        bad = np.flatnonzero(np.diff(dates) <= 0)
+            raise ParseError(f"{dates[bad[0]]} is not a valid YYYYMM month")
+        bad = np.flatnonzero(np.diff(array) <= 0)
         if bad.size:
-            prev, cur = self.dates[bad[0]], self.dates[bad[0] + 1]
+            prev, cur = dates[bad[0]], dates[bad[0] + 1]
             raise ParseError(f"dates not strictly increasing at {prev} -> {cur}")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, dates, names, vals)
 
     @property
     def t_obs(self) -> int:
@@ -105,35 +118,43 @@ class ReturnsPanel:
         return ReturnsPanel(tuple(dates), self.names, self.values[idx])
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Named factor subset defining one asset-pricing model."""
-
+class _ModelFields(NamedTuple):
     name: str
     factor_names: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "factor_names", tuple(self.factor_names))
-        if not self.factor_names:
-            raise ValueError(f"model {self.name!r} has no factors")
-        if len(set(self.factor_names)) != len(self.factor_names):
-            raise ValueError(f"model {self.name!r} lists a factor twice")
+
+class ModelSpec(_Checked, _ModelFields):
+    """Named factor subset defining one asset-pricing model."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, factor_names):
+        factor_names = tuple(factor_names)
+        if not factor_names:
+            raise ValueError(f"model {name!r} has no factors")
+        if len(set(factor_names)) != len(factor_names):
+            raise ValueError(f"model {name!r} lists a factor twice")
+        return super().__new__(cls, name, factor_names)
 
     @property
     def k(self) -> int:
         return len(self.factor_names)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Excess portfolio returns and factor returns on identical dates."""
-
+class _DatasetFields(NamedTuple):
     portfolios: ReturnsPanel
     factors: ReturnsPanel
 
-    def __post_init__(self):
-        if self.portfolios.dates != self.factors.dates:
+
+class Dataset(_Checked, _DatasetFields):
+    """Excess portfolio returns and factor returns on identical dates."""
+
+    __slots__ = ()
+
+    def __new__(cls, portfolios, factors):
+        if portfolios.dates != factors.dates:
             raise ValueError("portfolio and factor panels must share dates exactly")
+        return super().__new__(cls, portfolios, factors)
 
     @property
     def t_obs(self) -> int:

@@ -16,15 +16,13 @@ families stacked with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bayes import FamilyStack, PosteriorFamily
+from .bayes import FamilyStack, PosteriorFamily, distance_metrics
 from .errors import BadConfigError, NoConvergenceError, NotBracketedError, NumericalError
 from .regression import RegressionFit
-from .transport import distance_metrics
 
 AD_TOL = 1e-6
 # The bracket must also collapse before convergence is declared; on flat
@@ -36,8 +34,7 @@ DEFAULT_BRACKET_HI = 100.0
 MONOTONE_SLACK = 1e-10
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Distance metrics at one prior mispricing std (annualized percent).
 
     ``rmse_alpha`` is the mean-shift contribution and ``rmse_sigma`` the
@@ -53,8 +50,7 @@ class SweepRow:
     ratio_var: float
 
 
-@dataclass(frozen=True)
-class EquivResult:
+class EquivResult(NamedTuple):
     """Solved prior mispricing std making two models distance equivalent."""
 
     alt_model: str

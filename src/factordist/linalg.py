@@ -1,5 +1,5 @@
-"""Dense symmetric-matrix kernels, the rank-one square-root trace, the
-Lanczos Gauss rule that feeds it and the F-distribution upper tail.
+"""Dense symmetric-matrix kernels, the rank-one square-root trace and the
+Lanczos Gauss rule that feeds it.
 
 Everything operates on plain float64 numpy arrays. Symmetric inputs are
 validated and re-symmetrized on entry so downstream factorizations see
@@ -16,22 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidDoFError,
-    NoConvergenceError,
-    NotPDError,
-    NotPSDError,
-    NotSymmetricError,
-)
+from .errors import NotPDError, NotSymmetricError
 
 # Relative asymmetry accepted before a matrix is rejected.
 SYMMETRY_TOL = 1e-12
-# Eigenvalues in [-PSD_CLAMP_REL * ||M||_2, 0) are treated as roundoff.
-PSD_CLAMP_REL = 1e-10
-# transport.wd2_components: trace residues below this fraction of the total
-# trace are cancellation noise; they must collapse to exactly zero or the
-# square root inflates them (sqrt(1e-15) is a visible 3e-8).
-TRACE_SNAP_REL = 1e-13
 # Default rel of chol_pivot_floor.
 CHOL_PIVOT_REL = 1e-14
 # Trapezoidal step in u = log t for RankOneQuadrature: the integrand is
@@ -68,9 +56,6 @@ LANCZOS_STOP_REL = 1e-12
 # and 133 ms for eigh. A panel that reaches the cap pays about one eigh more:
 # at n = 300 with residual variances over six decades, 18 ms against 9.4 ms.
 LANCZOS_MAX_STEPS_REL = 0.25
-# Step cap and relative step tolerance of the incomplete-beta continued fraction.
-BETA_CF_MAX_ITER = 200
-BETA_CF_EPS = 1e-12
 # symmetrize: entries below this cannot overflow M + M'.
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 
@@ -112,33 +97,6 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
             f"asymmetry {gap:.3e} exceeds tolerance {SYMMETRY_TOL * scale:.3e}"
         )
     return (a + a.T) / 2.0
-
-
-def spd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root S of a symmetric PSD matrix, S @ S == M.
-
-    Computed by eigendecomposition of the symmetrized input. Eigenvalues
-    within roundoff below zero (at least -PSD_CLAMP_REL times the spectral
-    norm) are clamped to zero, so exactly singular and zero matrices are
-    accepted.
-
-    Raises
-    ------
-    NotSymmetricError
-        If the input is materially asymmetric.
-    NotPSDError
-        If an eigenvalue lies below the clamping band.
-    """
-    a = symmetrize(m)
-    w, v = np.linalg.eigh(a)
-    spectral = float(np.abs(w).max())
-    if float(w.min()) < -PSD_CLAMP_REL * spectral:
-        raise NotPSDError(
-            f"eigenvalue {w.min():.3e} below -{PSD_CLAMP_REL:g} * ||M|| = "
-            f"{-PSD_CLAMP_REL * spectral:.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
 
 
 def chol_pivot_floor(trace, dim: int, rel: float = CHOL_PIVOT_REL):
@@ -363,86 +321,3 @@ def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,
             last = r
         np.divide(w, beta, out=basis[m])
     return None
-
-
-def f_cdf_upper(x: float, d1: int, d2: int) -> float:
-    """Upper-tail probability P(F_{d1,d2} > x) of the F distribution.
-
-    Evaluated through the regularized incomplete beta function,
-    P(F > x) = I_{d2/(d2 + d1 x)}(d2/2, d1/2), with the continued fraction
-    computed by the modified Lentz iteration.
-
-    Raises
-    ------
-    InvalidDoFError
-        If either degrees-of-freedom argument is below one.
-    ValueError
-        If x is negative.
-    """
-    if d1 < 1 or d2 < 1:
-        raise InvalidDoFError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"F statistic must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    xb = d2 / (d2 + d1 * x)
-    return _reg_inc_beta(d2 / 2.0, d1 / 2.0, xb)
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        + math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-    )
-    front = math.exp(ln_front)
-    # The continued fraction converges fast only on one side of the mean;
-    # use the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) on the other.
-    if x < (a + 1.0) / (a + b + 2.0):
-        value = front * _beta_cont_frac(a, b, x) / a
-    else:
-        value = 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-    return min(max(value, 0.0), 1.0)
-
-
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz method)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, BETA_CF_MAX_ITER + 1):
-        m2 = 2 * m
-        # One Lentz step for the even numerator, one for the odd.
-        for num in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                    -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + num * d
-            if abs(d) < tiny:
-                d = tiny
-            c = 1.0 + num / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < BETA_CF_EPS:
-            return h
-    raise NoConvergenceError(
-        f"incomplete beta continued fraction: no convergence in {BETA_CF_MAX_ITER} steps"
-    )

@@ -2,8 +2,9 @@
 
 One fit per (dataset, model): OLS alphas and betas from the normal
 equations, residual covariance with the maximum-likelihood divisor T,
-factor moments, per-asset R-squared, and the finite-sample GRS joint test
-of zero alphas (Gibbons, Ross & Shanken 1989).
+factor moments and per-asset R-squared. The finite-sample GRS joint test of
+zero alphas (Gibbons, Ross & Shanken 1989) is ``metrics.grs_test``: only
+``rank`` reads it, and a model's deferred GRS imports it when first called.
 
 :func:`fit_ols` fits one model at O(n^2 T) for the residual cross product.
 ``rank``, ``sweep`` and ``equiv`` fit all their models with ``_fit_models``
@@ -28,11 +29,8 @@ r the factors of U it drops. With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
   (:func:`sharpe_sq`): bit for bit what each model would get alone;
 - alpha_S = alpha_U + B_r h_S[0]', so with [z, Z] = L_U^{-1} [alpha_U, B_U],
   one forward substitution of K + 1 columns per dataset, GRS takes
-  y = L_U^{-1} alpha_S = z + Z_r h_S[0]' and W = Z_r chol(C_S / T). With
-  W = QR, alpha' Sigma_S^{-1} alpha = |y - Q Q'y|^2 + (Q'y)'(I + R R')^{-1} Q'y,
-  a sum of non-negative terms. (The Woodbury form y'y - ... cancels: with
-  dropped loadings 1000 times larger it lost up to 4e-8 relative, the
-  projection form 7e-12 against a 50-digit reference.)
+  y = L_U^{-1} alpha_S = z + Z_r h_S[0]' and W = Z_r chol(C_S / T), and
+  ``metrics._grs`` the quadratic form alpha' Sigma_S^{-1} alpha from them.
 
 A model takes its own :func:`fit_ols` (``_direct``) wherever the union
 cannot vouch for its fit:
@@ -41,8 +39,8 @@ cannot vouch for its fit:
   or its cross products or sums of squares overflow;
 - a factor is not in the panel, or G_ss fails the rank test: the model's
   own ``fit_ols`` decides.
-A model's deferred GRS raises the DegenerateDoFError of ``grs_test`` where
-T - n - k < 1, and is ``grs_test`` of the model's own ``fit_ols`` wherever
+A model's deferred GRS raises the DegenerateDoFError of ``metrics.grs_test``
+where T - n - k < 1, and is ``grs_test`` of the model's own ``fit_ols`` wherever
 the union cannot vouch for the same GRS result:
 - Sigma_U is singular: n > T - K - 1, or its Cholesky fails. Past
   n = T - K - 1 LAPACK can accept a singular Sigma_U on roundoff pivots,
@@ -62,31 +60,27 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataio import Dataset, ModelSpec
 from .errors import (
-    DegenerateDoFError,
     InsufficientSampleError,
     NonFiniteError,
     NotPDError,
     RankDeficientError,
     SingularFactorCovError,
-    SingularResidualCovError,
     UnknownFactorError,
 )
-from .linalg import (CHOL_PIVOT_REL, chol_pivot_floor, cholesky_spd, cholesky_stack,
-                     f_cdf_upper, solve_lower)
+from .linalg import CHOL_PIVOT_REL, chol_pivot_floor, cholesky_spd, cholesky_stack, solve_lower
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(NamedTuple):
     """OLS estimates for one model on one cross section.
 
     ``sigma_mle`` = ``sigma_base + L C L'`` (L = ``sigma_loadings``, C =
@@ -129,9 +123,8 @@ def _sigma_mle(base: np.ndarray, loadings: np.ndarray, core: np.ndarray) -> np.n
     return base + (term + np.swapaxes(term, -1, -2)) / 2.0
 
 
-# A deferred GRS test, and what grs_test raises where the test is undefined.
+# A deferred GRS test (``metrics.grs_test``).
 GRSTest = Callable[[], tuple[float, float]]
-GRS_UNDEFINED = (DegenerateDoFError, SingularResidualCovError)
 
 
 def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
@@ -202,7 +195,7 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     Yields ``(fit, grs)`` in model order; the derived fits are made before
     the first, one pass per factor count, and a model's own ``fit_ols`` in
     its turn. ``grs()`` does the model's GRS work and returns or raises what
-    ``grs_test(fit)`` would, to rounding; the first call makes the n x n
+    ``metrics.grs_test(fit)`` would, to rounding; the first call makes the n x n
     Cholesky and the (K+1)-column forward substitution that later calls
     share. A model's error, from its own ``fit_ols`` or its derived sums of
     squares, is raised in its turn.
@@ -237,6 +230,8 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
         return float((np.diag(chol_u) ** 2).min()), solve_lower(chol_u, coef_u.T)
 
     def grs(fit: RegressionFit, r: list[int], h0: np.ndarray) -> tuple[float, float]:
+        from .metrics import _grs, _grs_dof, grs_test
+
         dof2 = _grs_dof(fit)
         min_pivot, scaled = basis()
         # Sigma_S >= Sigma_U, so no pivot of Sigma_S is below min_pivot.
@@ -343,14 +338,20 @@ def _assemble(dataset: Dataset, models: Sequence[ModelSpec], coef: np.ndarray,
 
 
 def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]:
-    """One model's own ``fit_ols``, and its ``grs_test`` deferred."""
+    """One model's own ``fit_ols``, and its ``metrics.grs_test`` deferred."""
     fit = fit_ols(dataset, model)
-    return fit, partial(grs_test, fit)
+
+    def grs() -> tuple[float, float]:
+        from .metrics import grs_test
+
+        return grs_test(fit)
+
+    return fit, grs
 
 
 def sharpe_sq(fit: RegressionFit) -> float:
     """Squared Sharpe ratio of the model factors, mu' Omega^{-1} mu = |L^{-1} mu|^2
-    with Omega = L L', the form :func:`grs_test` takes for a' Sigma^{-1} a:
+    with Omega = L L', the form ``metrics.grs_test`` takes for a' Sigma^{-1} a:
     the fit's own, from the pass that made it (:func:`_sharpe_sqs`).
 
     Raises
@@ -378,51 +379,3 @@ def _sharpe_sqs(cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
             dot = (lower[:, i, None, :i] @ z[:, :i, None])[:, 0, 0]
             z[:, i] = (mean[:, i] - dot) / lower[:, i, i]
     return np.where(ok, (z[:, None, :] @ z[:, :, None])[:, 0, 0], np.nan)
-
-
-def grs_test(fit: RegressionFit) -> tuple[float, float]:
-    """Finite-sample joint F test that all alphas are zero.
-
-    Returns the statistic
-    ``(T - n - k) / n * (1 + Sh^2)^{-1} * a' Sigma^{-1} a`` and its p-value
-    from the F(n, T - n - k) upper tail.
-
-    Raises
-    ------
-    DegenerateDoFError
-        If T - n - k < 1.
-    SingularResidualCovError
-        If the residual covariance cannot be inverted.
-    """
-    dof2 = _grs_dof(fit)
-    try:
-        lower = cholesky_spd(fit.sigma_mle)
-    except NotPDError as exc:
-        raise SingularResidualCovError(
-            f"residual covariance singular (n={fit.n}, T={fit.T}): {exc}"
-        ) from None
-    # a' Sigma^{-1} a = |L^{-1} a|^2 with Sigma = L L'.
-    return _grs(fit, dof2, solve_lower(lower, fit.alpha_hat), np.empty((fit.n, 0)))
-
-
-def _grs_dof(fit: RegressionFit) -> int:
-    """The GRS denominator degrees of freedom T - n - k; DegenerateDoFError below 1."""
-    dof2 = fit.T - fit.n - fit.k
-    if dof2 < 1:
-        raise DegenerateDoFError(
-            f"T - n - k = {fit.T} - {fit.n} - {fit.k} = {dof2} < 1"
-        )
-    return dof2
-
-
-def _grs(fit: RegressionFit, dof2: int, y: np.ndarray,
-         w: np.ndarray) -> tuple[float, float]:
-    """GRS statistic and p-value from a' Sigma^{-1} a = y'(I + W W')^{-1} y,
-    taken as |y - Q Q'y|^2 + z'(I + R R')^{-1} z with W = QR and z = Q'y: two
-    non-negative terms, no cancellation (|y|^2 for an empty W)."""
-    q, r = np.linalg.qr(w)
-    z = q.T @ y
-    perp = y - q @ z
-    quad = float(perp @ perp) + float(z @ np.linalg.solve(np.eye(len(z)) + r @ r.T, z))
-    stat = dof2 / fit.n * quad / (1.0 + sharpe_sq(fit))
-    return stat, f_cdf_upper(stat, fit.n, dof2)

@@ -12,21 +12,20 @@ scaled-covariance scenarios share their underlying standard normals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataio import Dataset, ReturnsPanel, month_range
 from .errors import BadConfigError
-from .linalg import spd_sqrt, symmetrize
+from .linalg import symmetrize
 
 RNG_ALGORITHM = f"numpy.random.Philox (numpy {np.__version__})"
 START_DATE = 196701
 MAX_T = 96_396  # months from START_DATE to 999912, the last YYYYMM month
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(NamedTuple):
     """Ground truth for one synthetic panel.
 
     ``true_alpha`` is in percent per month; ``true_beta`` is n x k. Both
@@ -87,6 +86,8 @@ def _factor_root(cov: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
+        from .transport import spd_sqrt
+
         return spd_sqrt(cov)
 
 
@@ -125,6 +126,6 @@ def power_scenario(base: SynthConfig,
         raise BadConfigError("scales must be positive")
     rcov = np.asarray(base.resid_cov, dtype=float)
     return [
-        (float(s), generate(replace(base, resid_cov=float(s) * rcov)))
+        (float(s), generate(base._replace(resid_cov=float(s) * rcov)))
         for s in scales
     ]

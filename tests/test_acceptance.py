@@ -177,11 +177,10 @@ def test_criterion_06_grs_null_calibration():
 
 def test_criterion_07_power_problem():
     # Analytic scale collapse: fixed alphas, scaled residual covariance.
-    import dataclasses
     fit = fake_fit(np.array([0.2, -0.1, 0.3]), sigma_diag=[4.0, 5.0, 6.0])
     base_stat, _ = grs_test(fit)
     for c in (0.5, 2.0, 4.0):
-        stat, _ = grs_test(dataclasses.replace(fit, sigma_base=c * fit.sigma_base))
+        stat, _ = grs_test(fit._replace(sigma_base=c * fit.sigma_base))
         assert abs(stat - base_stat / c) <= 1e-10 * base_stat
 
     # Fixed-seed resampled scenario: ratio statistic falls as noise grows,

@@ -485,9 +485,10 @@ class TestRank:
         # per alternative.
         import factordist.bayes as bayes
         import factordist.cli as cli
+        import factordist.transport as transport
 
         calls = {"skeptic": 0, "family": 0}
-        real_skeptic = bayes.posterior_alpha_skeptic
+        real_skeptic = transport.posterior_alpha_skeptic
         real_moments = bayes._moments
 
         def counted_skeptic(fit):
@@ -498,7 +499,7 @@ class TestRank:
             calls["family"] += 1
             return real_moments(fit)
 
-        monkeypatch.setattr(bayes, "posterior_alpha_skeptic", counted_skeptic)
+        monkeypatch.setattr(transport, "posterior_alpha_skeptic", counted_skeptic)
         monkeypatch.setattr(cli, "posterior_alpha_skeptic", counted_skeptic,
                             raising=False)
         # Every family, alone or built with others, starts from its moments.
@@ -559,6 +560,27 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     run = _python("-c", script)
     assert run.stdout.strip() == "[0, 0, 0] False [False, False] [True, False]", run.stderr
 
+
+@pytest.mark.parametrize("command, extra", [
+    ("rank", []), ("sweep", []), ("equiv", ["--benchmark", "BOTH"]),
+], ids=["rank", "sweep", "equiv"])
+def test_command_loads_only_what_it_runs(tmp_path, command, extra):
+    # Where no bytecode is cached, each module a command imports is compiled
+    # on every run. No command loads dataclasses or the dense Gaussian forms
+    # (factordist.transport), and only rank loads the GRS (factordist.metrics).
+    ports, facts = _synth(tmp_path)
+    argv = [command, "--portfolios", str(ports), "--factors", str(facts),
+            "--models", str(_models(tmp_path)), "--out", str(tmp_path / "out"), *extra]
+    script = (
+        "import sys\n"
+        "from factordist.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, [m for m in ('dataclasses', 'factordist.metrics', "
+        "'factordist.transport') if m in sys.modules])\n"
+    )
+    run = _python("-c", script)
+    loaded = ["factordist.metrics"] if command == "rank" else []
+    assert run.stdout.strip() == f"0 {loaded}", run.stderr
 
 def test_every_public_name_imports():
     # The package resolves its names on first access; each one must resolve,
@@ -1010,6 +1032,7 @@ class TestOneFittingPath:
             self, tmp_path, monkeypatch, command, calls):
         # The union vouches for every model: one fit_ols, the union's, and
         # the GRS work only where rank asks for it.
+        import factordist.metrics as metrics
         import factordist.regression as regression
 
         seen = []
@@ -1020,8 +1043,9 @@ class TestOneFittingPath:
                 return real(*args)
             return wrapper
 
-        for name in ("fit_ols", "_grs", "f_cdf_upper"):
-            monkeypatch.setattr(regression, name, spy(name, getattr(regression, name)))
+        for module, name in ((regression, "fit_ols"), (metrics, "_grs"),
+                             (metrics, "f_cdf_upper")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         ports, facts = _synth(tmp_path, n=6, k=3)
         models = _models(tmp_path, "M1 = F1\nM2 = F1,F2\nM3 = F1,F2,F3\nM4 = F2,F3\n")
         extra = ["--benchmark", "M3"] if command == "equiv" else []

@@ -19,6 +19,7 @@ from factordist import (
     solve_equiv,
     sweep,
 )
+from factordist.bayes import distance_metrics
 from factordist.equiv import AD_TOL, MAX_BISECTIONS, SIGMA_TOL, solve_equivs
 from factordist.errors import (
     BadConfigError,
@@ -27,7 +28,6 @@ from factordist.errors import (
     NumericalError,
 )
 from factordist.linalg import QuadratureStack
-from factordist.transport import distance_metrics
 
 from conftest import make_dataset, random_fit_inputs, remainder, wd2
 

@@ -20,13 +20,13 @@ from factordist.linalg import (
     RankOneQuadrature,
     chol_pivot_floor,
     cholesky_spd,
-    f_cdf_upper,
     gauss_rule,
     solve_lower,
-    spd_sqrt,
     symmetrize,
 )
+from factordist.metrics import f_cdf_upper
 from factordist.regression import RANK_PIVOT_REL
+from factordist.transport import spd_sqrt
 
 from conftest import random_spd, remainder
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -142,10 +141,10 @@ class TestRankModels:
 
     def test_tie_broken_by_td_then_name(self):
         a = _report_from([0.3, 0.4], model_name="B")
-        b = dataclasses.replace(a, model_name="A")
+        b = a._replace(model_name="A")
         assert [r.model_name for r in rank_models([a, b])] == ["A", "B"]
         # Same AD, different TD: construct by hand.
-        lo_td = dataclasses.replace(a, model_name="C", td=a.td - 0.01)
+        lo_td = a._replace(model_name="C", td=a.td - 0.01)
         assert rank_models([a, lo_td])[0].model_name == "C"
 
     def test_stable_under_permutation(self):

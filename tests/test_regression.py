@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -29,7 +28,8 @@ from factordist.errors import (
     UnknownFactorError,
 )
 from factordist.linalg import LANCZOS_PROBES
-from factordist.regression import GRS_UNDEFINED, _fit_models, _sharpe_sqs
+from factordist.metrics import GRS_UNDEFINED
+from factordist.regression import _fit_models, _sharpe_sqs
 
 from conftest import direct_fits, fake_fit, panel_from_columns, random_fit_inputs, remainder
 
@@ -184,9 +184,9 @@ class TestSharpeSq:
         omega = (q * lam) @ q.T
         omega = (omega + omega.T) / 2.0
         mu = rng.normal(size=k) * np.sqrt(lam.max())
-        fit = dataclasses.replace(fake_fit(np.zeros(2), k=k), factor_mean=mu,
-                                  factor_cov_mle=omega,
-                                  sh2=float(_sharpe_sqs(omega[None], mu[None])[0]))
+        fit = fake_fit(np.zeros(2), k=k)._replace(
+            factor_mean=mu, factor_cov_mle=omega,
+            sh2=float(_sharpe_sqs(omega[None], mu[None])[0]))
         want = float(mu @ np.linalg.solve(omega, mu))
         cond = 10.0 ** log10_cond
         assert sharpe_sq(fit) == pytest.approx(
@@ -205,7 +205,7 @@ class TestGrs:
         fit = fake_fit(np.array([0.2, -0.1, 0.3]), sigma_diag=[4.0, 5.0, 6.0])
         base, _ = grs_test(fit)
         for c in (0.5, 2.0, 4.0):
-            scaled = dataclasses.replace(fit, sigma_base=c * fit.sigma_base)
+            scaled = fit._replace(sigma_base=c * fit.sigma_base)
             stat, _ = grs_test(scaled)
             assert stat == pytest.approx(base / c, rel=1e-10)
 
@@ -370,7 +370,7 @@ def _assert_same_family(fit, ref, cond):
         # A distance near zero (one asset's trace term crosses zero) is only
         # as accurate as the row's AD; ratio_var = (RMSE_sigma / RMSE_alpha)^2.
         scale = rel * ref_row.ad
-        assert [f.name for f in dataclasses.fields(SweepRow)] == [
+        assert list(SweepRow._fields) == [
             "sigma_alpha_annual", "ad", "rmse_alpha", "rmse_sigma", "ratio_var"]
         assert row.sigma_alpha_annual == ref_row.sigma_alpha_annual
         for name in ("ad", "rmse_alpha", "rmse_sigma"):
@@ -507,13 +507,15 @@ def _mp_grs_stat(mpmath, dataset, model):
 def spies(monkeypatch):
     """Record the model of every fit_ols call, count grs_test calls and
     record the size of every Cholesky factorization and the shape of every
-    solve_lower call made through factordist.regression."""
+    solve_lower call made through factordist.regression and, for the GRS,
+    factordist.metrics."""
+    import factordist.linalg as linalg
+    import factordist.metrics as metrics
     import factordist.regression as regression
 
     calls = {"fit_ols": [], "grs_test": 0, "chol_sizes": [], "solve_lower": []}
     real_fit, real_grs, real_chol, real_solve = (
-        regression.fit_ols, regression.grs_test, regression.cholesky_spd,
-        regression.solve_lower)
+        regression.fit_ols, metrics.grs_test, linalg.cholesky_spd, linalg.solve_lower)
 
     def fit_spy(dataset, model):
         calls["fit_ols"].append(model.name)
@@ -532,9 +534,10 @@ def spies(monkeypatch):
         return real_solve(lower, b)
 
     monkeypatch.setattr(regression, "fit_ols", fit_spy)
-    monkeypatch.setattr(regression, "grs_test", grs_spy)
-    monkeypatch.setattr(regression, "cholesky_spd", chol_spy)
-    monkeypatch.setattr(regression, "solve_lower", solve_spy)
+    monkeypatch.setattr(metrics, "grs_test", grs_spy)
+    for module in (regression, metrics):
+        monkeypatch.setattr(module, "cholesky_spd", chol_spy)
+        monkeypatch.setattr(module, "solve_lower", solve_spy)
     return calls
 
 

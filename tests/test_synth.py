@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -73,8 +72,7 @@ class TestGenerate:
         ("resid_cov", np.eye(4)),
     ])
     def test_shape_mismatch_rejected(self, field, value):
-        config = dataclasses.replace(make_config(seed=1, T=50, n=5, k=1),
-                                     **{field: value})
+        config = make_config(seed=1, T=50, n=5, k=1)._replace(**{field: value})
         with pytest.raises(BadConfigError):
             generate(config)
 
@@ -88,7 +86,7 @@ class TestGenerate:
         value.flat[0] = bad
         monkeypatch.setattr(np.random, "Philox", None)
         with pytest.raises(BadConfigError, match=f"^{field} must be finite$"):
-            generate(dataclasses.replace(config, **{field: value}))
+            generate(config._replace(**{field: value}))
 
     def test_overflowing_draws_rejected(self):
         # Finite ground truth whose returns overflow; no RuntimeWarning escapes.
@@ -98,7 +96,7 @@ class TestGenerate:
 
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(BadConfigError):
-            generate(dataclasses.replace(make_config(seed=1), T=0))
+            generate(make_config(seed=1)._replace(T=0))
 
     def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(np.random, "Philox", None)

@@ -17,7 +17,7 @@ from factordist import (
     wd2_gaussian,
 )
 from factordist.errors import DimMismatchError, NonFiniteError, SingularSourceError
-from factordist.transport import distance_metrics
+from factordist.bayes import distance_metrics
 
 from conftest import random_fit_inputs, random_spd
 

@@ -48,7 +48,7 @@ MUTANTS = (
     ("e = (1 - c) / 2", PKG + "bayes.py",
      "e = one_minus_c / (1.0 + root_c)", "e = one_minus_c / 2.0",
      ["tests/test_bayes.py"]),
-    ("GRS quadratic form without |y - QQ'y|^2", PKG + "regression.py",
+    ("GRS quadratic form without |y - QQ'y|^2", PKG + "metrics.py",
      "quad = float(perp @ perp) + float(", "quad = 0.0 + float(",
      ["tests/test_regression.py"]),
 )
