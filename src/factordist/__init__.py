@@ -19,7 +19,7 @@ _MODULE_OF = {
                      "sigma_annual_to_monthly", "skeptic_moments"], "bayes"),
     **dict.fromkeys(["Dataset", "ModelSpec", "ReturnsPanel", "build_dataset",
                      "concat_panels", "load_models", "load_panel"], "dataio"),
-    **dict.fromkeys(["EquivResult", "SweepRow", "solve_equiv", "sweep"], "equiv"),
+    **dict.fromkeys(["EquivResult", "SweepRow", "solve_equivs", "sweep"], "equiv"),
     **dict.fromkeys(["symmetrize"], "linalg"),
     **dict.fromkeys(["MetricsReport", "alpha_stats", "build_report", "f_cdf_upper",
                      "grs_test", "rank_models"], "metrics"),

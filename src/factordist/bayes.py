@@ -30,16 +30,17 @@ panels), and one O(q m) quadrature table is built from the rule
 (``linalg.RankOneQuadrature(theta, w, g_max)``, q a few hundred nodes). Below
 ``linalg.GAUSS_RULE_MIN_N`` assets, where one ``eigh(A)`` is cheaper, and
 where Lanczos hits its step cap, the rule is the measure itself, from
-``eigh(A)`` at O(n^3). :func:`posterior_families` builds a dataset's
-families together: below ``GAUSS_RULE_MIN_N`` the models of one loading
-width share one stacked A and one batched ``eigh``, bit for bit each
-model's own. After that, each sigma_alpha costs O(q) for the
-transport trace, which is taken in a form without cancellation, in one
-elementwise formula (:func:`_wd2_to_skeptic`). A :class:`FamilyStack` is
-the one way to evaluate it: it takes one sigma for each of its families in
-one numpy pass, so a sweep stacks one family once per grid point, and an
-equivalence bisection step stacks every alternative. Every printed distance
-goes through one formula, :func:`distance_metrics`.
+``eigh(A)`` at O(n^3). :func:`posterior_families`, the one builder of
+``sweep`` and ``equiv``, builds a dataset's families together: below
+``GAUSS_RULE_MIN_N`` the models of one loading width share one stacked A
+and one batched ``eigh``, bit for bit each model's own. After that, each
+sigma_alpha costs O(q) for the transport trace, which is taken in a form
+without cancellation, in one elementwise formula (:func:`_wd2_to_skeptic`).
+A :class:`FamilyStack` is the one way to evaluate it: it takes one sigma
+for each of its families in one numpy pass, so a sweep stacks one family
+once per grid point, and an equivalence bisection step stacks every
+alternative. Every printed distance goes through one formula,
+:func:`distance_metrics`.
 
 The posteriors as dense n x n Gaussians (:meth:`PosteriorFamily.at`, the
 dogmatic and skeptic posteriors) are the paper's definitions, and the
@@ -81,10 +82,11 @@ class PosteriorFamily:
 
     Takes its fit as given, from ``fit_ols`` or the commands' union path:
     ``PosteriorFamily(fit)`` is the family that :func:`posterior_families`
-    builds for ``[fit]``. Caches the skeptic variance sum and the transport
-    trace quadrature table, built from the Gauss rule of A (the closed form
-    in the module docstring) for alpha_hat: Lanczos at O(m n^2) from
-    n = ``linalg.GAUSS_RULE_MIN_N`` on, one ``eigh(A)`` below that or past
+    builds for ``[fit]``, the library's one-fit case; the commands build theirs
+    through ``posterior_families``. Caches the skeptic variance sum and the
+    transport trace quadrature table, built from the Gauss rule of A (the
+    closed form in the module docstring) for alpha_hat: Lanczos at O(m n^2)
+    from n = ``linalg.GAUSS_RULE_MIN_N`` on, one ``eigh(A)`` below that or past
     the step cap. Its distances along sigma come from a :class:`FamilyStack`.
     Raises NonFiniteError where returns are so large that the distance, the
     rule or the table would overflow.
@@ -106,9 +108,10 @@ class PosteriorFamily:
 
 
 def posterior_families(fits: Iterable[RegressionFit]) -> Iterator[PosteriorFamily]:
-    """The families of ``fits``, in order, built together: each fit's moments
-    and checks in its turn, then every Gauss rule of A for alpha_hat, then
-    each family's quadrature table. From n = ``linalg.GAUSS_RULE_MIN_N`` on,
+    """The families of ``fits``, in order, built together: the one builder
+    of ``sweep`` and ``equiv``. First each fit's moments and checks in its
+    turn, then every Gauss rule of A for alpha_hat, then each family's
+    quadrature table. From n = ``linalg.GAUSS_RULE_MIN_N`` on,
     ``gauss_rule`` takes one family at a time; below it, the fits of one n
     and loading width share one stacked A and one batched ``eigh``
     (``linalg.eigh_rule``); this is the one place that crossover is decided.

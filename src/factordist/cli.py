@@ -86,9 +86,15 @@ def _parse_floats(text: str) -> list[float]:
 
 class _OutputSet:
     """Buffered CSV outputs, staged in temporary files and renamed into place
-    together. A repeated name or a target that is a directory is rejected
-    before any output is replaced, and a failure while staging leaves no
-    partial output; a rename that fails otherwise is not rolled back."""
+    together, all or nothing. A repeated name or a target that is a
+    directory is rejected before any output is replaced. Each existing target
+    is moved aside to a hidden name, its staged file renamed into the free
+    name, and the old files are unlinked once every output is in place; if
+    staging or any rename fails, the new files go and the old ones are
+    renamed back. No rename lands on an existing file, so ext4 does not
+    flush the staged data to disk as it does for a rename over one. The cost:
+    while the set is replaced, a name may be briefly absent, but it is never
+    half written."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -103,6 +109,8 @@ class _OutputSet:
     def flush(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         staged: list[tuple[Path, Path]] = []
+        aside: list[tuple[Path, Path]] = []
+        placed: list[Path] = []
         try:
             for path, body in self._files.items():
                 if path.is_dir():
@@ -111,11 +119,22 @@ class _OutputSet:
                 staged.append((tmp, path))
                 tmp.write_text(body, encoding="utf-8")
             for tmp, path in staged:
-                os.replace(tmp, path)
+                if os.path.lexists(path):
+                    old = path.with_name(f".{path.name}.{os.getpid()}.old")
+                    os.rename(path, old)
+                    aside.append((old, path))
+                os.rename(tmp, path)
+                placed.append(path)
         except BaseException:
+            for path in placed:
+                path.unlink()
+            for old, path in aside:
+                os.rename(old, path)
             for tmp, _ in staged:
                 tmp.unlink(missing_ok=True)
             raise
+        for old, _ in aside:
+            old.unlink()
 
 
 def _load_dataset(args) -> Dataset:
@@ -191,10 +210,13 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
     models = load_models(args.models)
     check_grid(grid)  # before any model's fit can fail
+    # Each family is swept as it is yielded, so a model's sweep failure comes
+    # before a later model's fit or family error, which is raised after it.
+    families = posterior_families(fit for fit, _ in _fit_models(dataset, models))
     rows = [
-        ",".join([fit.model.name, _fmt(r.sigma_alpha_annual), _fmt(r.ad),
+        ",".join([family.fit.model.name, _fmt(r.sigma_alpha_annual), _fmt(r.ad),
                   _fmt(r.rmse_alpha), _fmt(r.rmse_sigma), _fmt(r.ratio_var)])
-        for fit, _ in _fit_models(dataset, models) for r in sweep(fit, grid)
+        for family in families for r in sweep(family, grid)
     ]
     out = _OutputSet(Path(args.out))
     out.add("sweep.csv", _metadata(args, "sweep", f"grid={args.grid}"),
@@ -252,16 +274,18 @@ def cmd_equiv(args) -> int:
 def cmd_synth(args) -> int:
     from .synth import RNG_ALGORITHM, SynthConfig, generate
 
+    # generate rejects an n or k below 1 by name; numpy cannot size by one.
+    n, k = max(args.n, 0), max(args.k, 0)
     config = SynthConfig(
         T=args.T,
         n=args.n,
         k=args.k,
-        true_alpha=np.full(args.n, args.alpha),
-        true_beta=np.ones((args.n, args.k)),
-        factor_mean=np.full(args.k, args.factor_mean),
+        true_alpha=np.full(n, args.alpha),
+        true_beta=np.ones((n, k)),
+        factor_mean=np.full(k, args.factor_mean),
         # A square that overflows is inf, which generate rejects.
-        factor_cov=np.diag(np.full(args.k, square(args.factor_vol))),
-        resid_cov=np.diag(np.full(args.n, square(args.resid_vol))),
+        factor_cov=np.diag(np.full(k, square(args.factor_vol))),
+        resid_cov=np.diag(np.full(n, square(args.resid_vol))),
         seed=args.seed,
     )
     # generate warns about a short sample; say so in one plain line.

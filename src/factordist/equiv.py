@@ -9,9 +9,10 @@ sigma at which a skeptical view of the alternative model matches a
 benchmark's distance. It bisects all alternatives in lockstep: one step
 evaluates the AD of every alternative in one numpy pass, and each
 alternative leaves at the step where its own stop rule fires, with the
-result it would reach alone. Both evaluate through ``bayes.FamilyStack``,
-whose evaluation is elementwise: a family's AD does not depend on the
-families stacked with it.
+result it would reach alone. Both take families built by
+``bayes.posterior_families`` (or ``PosteriorFamily(fit)``, its case of one
+fit) and evaluate them through ``bayes.FamilyStack``, whose evaluation is
+elementwise: a family's AD does not depend on the families stacked with it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .bayes import FamilyStack, PosteriorFamily, distance_metrics
 from .errors import BadConfigError, NoConvergenceError, NotBracketedError, NumericalError
-from .regression import RegressionFit
 
 AD_TOL = 1e-6
 # The bracket must also collapse before convergence is declared; on flat
@@ -72,8 +72,8 @@ def check_grid(grid: Sequence[float]) -> list[float]:
     return grid
 
 
-def sweep(fit: RegressionFit, grid: Sequence[float]) -> list[SweepRow]:
-    """Evaluate a fitted model's distance metrics over a sorted sigma grid.
+def sweep(family: PosteriorFamily, grid: Sequence[float]) -> list[SweepRow]:
+    """Evaluate a built family's distance metrics over a sorted sigma grid.
 
     Raises
     ------
@@ -83,9 +83,9 @@ def sweep(fit: RegressionFit, grid: Sequence[float]) -> list[SweepRow]:
         If the average distance fails to be non-increasing along the grid.
     """
     grid = check_grid(grid)
-    stack = FamilyStack([PosteriorFamily(fit)] * len(grid))
+    stack = FamilyStack([family] * len(grid))
     _, ad, rmse_alpha, rmse_sigma, ratio_var = distance_metrics(
-        *stack.wd2_to_skeptic(np.array(grid)), fit.n)
+        *stack.wd2_to_skeptic(np.array(grid)), family.fit.n)
     rows = [SweepRow(*row) for row in zip(grid, ad.tolist(), rmse_alpha.tolist(),
                                           rmse_sigma.tolist(), ratio_var.tolist())]
     for prev, cur in zip(rows, rows[1:]):
@@ -106,34 +106,6 @@ def check_bracket_hi(bracket_hi: float) -> None:
                              f"{top:.6g}, got {bracket_hi}")
 
 
-def solve_equiv(fit: RegressionFit, benchmark_ad: float,
-                bracket_hi: float = DEFAULT_BRACKET_HI) -> EquivResult:
-    """Find sigma such that the fitted alternative model's AD equals the target:
-    :func:`solve_equivs` for one family.
-
-    ``AD_TOL`` and ``SIGMA_TOL`` are absolute values in the package's percent
-    units (AD in percent per month, sigma in annualized percent) and do not
-    scale with the returns: with returns scaled by 1e-4, sigma* scaled back
-    moves in its 4th significant digit.
-
-    Raises
-    ------
-    BadConfigError
-        ``bracket_hi`` is not positive or above SIGMA_TOL * 2**MAX_BISECTIONS
-        (about 1.6e54), past which MAX_BISECTIONS halvings leave it too wide.
-    NotBracketedError
-        Target above the dogmatic AD or below the AD at ``bracket_hi``.
-    NoConvergenceError
-        Iteration cap reached, or the bracket can no longer be halved at
-        sigma's float spacing while the AD is still off the target.
-    """
-    check_bracket_hi(bracket_hi)
-    result = solve_equivs([PosteriorFamily(fit)], benchmark_ad, bracket_hi)[0]
-    if isinstance(result, NotBracketedError):
-        raise result
-    return result
-
-
 def solve_equivs(families: Sequence[PosteriorFamily], benchmark_ad: float,
                  bracket_hi: float = DEFAULT_BRACKET_HI
                  ) -> list[EquivResult | NotBracketedError]:
@@ -148,12 +120,18 @@ def solve_equivs(families: Sequence[PosteriorFamily], benchmark_ad: float,
     midpoint is within AD_TOL of the target and the bracket is at most
     SIGMA_TOL wide, or until the midpoint equals an end of the bracket, which
     then cannot be halved: that midpoint is the result if its AD is within
-    AD_TOL, and a NoConvergenceError otherwise.
+    AD_TOL, and a NoConvergenceError otherwise. One family is a list of one.
+
+    ``AD_TOL`` and ``SIGMA_TOL`` are absolute values in the package's percent
+    units (AD in percent per month, sigma in annualized percent) and do not
+    scale with the returns: with returns scaled by 1e-4, sigma* scaled back
+    moves in its 4th significant digit.
 
     Raises
     ------
     BadConfigError
-        ``bracket_hi`` outside what :func:`check_bracket_hi` accepts.
+        ``bracket_hi`` is not positive or above SIGMA_TOL * 2**MAX_BISECTIONS
+        (about 1.6e54), past which MAX_BISECTIONS halvings leave it too wide.
     NoConvergenceError
         The first, in family order, that fails to converge.
     """

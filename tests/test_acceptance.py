@@ -26,7 +26,7 @@ from factordist import (
     power_scenario,
     sharpe_sq,
     skeptic_moments,
-    solve_equiv,
+    solve_equivs,
     sweep,
     transport_map,
     wd2_gaussian,
@@ -145,7 +145,7 @@ def test_criterion_05_shrinkage_endpoints_and_monotone_distance():
     assert rel <= 1e-6
 
     grid = list(np.linspace(0.0, 12.0, 20))
-    ads = [row.ad for row in sweep(fit_ols(dataset, model), grid)]
+    ads = [row.ad for row in sweep(PosteriorFamily(fit_ols(dataset, model)), grid)]
     assert all(a > b for a, b in zip(ads, ads[1:]))
     _passed(5, "posterior endpoints match OLS/zero and AD strictly decreases "
                "over a 20-point grid")
@@ -202,8 +202,8 @@ def test_criterion_08_equivalence_round_trip():
     dataset, model = make_dataset(seed=42)
     worst = 0.0
     for planted in (1.0, 3.0, 7.0):
-        target = sweep(fit_ols(dataset, model), [planted])[0].ad
-        result = solve_equiv(fit_ols(dataset, model), target)
+        target = sweep(PosteriorFamily(fit_ols(dataset, model)), [planted])[0].ad
+        result = solve_equivs([PosteriorFamily(fit_ols(dataset, model))], target)[0]
         worst = max(worst, abs(result.sigma_star_annual - planted))
     assert worst <= 1e-4
     _passed(8, f"planted sigma 1/3/7 recovered, worst error {worst:.2e} "

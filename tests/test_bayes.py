@@ -295,7 +295,7 @@ class TestPosteriorFamily:
         u0 = (1.0 + sharpe_sq(fit)) / fit.T
         c = u0 * (s2 + fit.T * s2) / float(fit.alpha_hat[0]) ** 2
         sigma = 12.0 * math.sqrt(s2 * u0 / (1.0 / c - 1.0))
-        rows = sweep(fit, [sigma * (1.0 + k * 1e-9) for k in range(-20, 21)])
+        rows = sweep(family, [sigma * (1.0 + k * 1e-9) for k in range(-20, 21)])
         assert all(0.0 <= r.rmse_sigma <= 1e-8 for r in rows)
 
     def test_at_reuses_the_cached_prior_scale(self, base_dataset):
@@ -391,7 +391,7 @@ class TestSkepticMoments:
     @given(panel=panels)
     def test_sweep_sigma_zero_is_the_dogmatic_distance(self, panel):
         fit = fit_ols(*panel)
-        row = sweep(fit, [0.0])[0]
+        row = sweep(PosteriorFamily(fit), [0.0])[0]
         assert row.ad == distance_breakdown(*skeptic_moments(fit)).ad
 
     @settings(max_examples=60, deadline=None)

@@ -345,6 +345,67 @@ class TestRank:
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
         assert sorted(p.name for p in out.iterdir()) == sorted([*before, "marginal_ONE.csv"])
 
+    def test_no_rename_lands_on_an_existing_file(self, tmp_path, monkeypatch):
+        # Old outputs are moved aside before the new ones are renamed in: a
+        # rename over an existing file makes ext4 flush it to disk.
+        ports, facts = _synth(tmp_path)
+        out = tmp_path / "out"
+        targets = []
+
+        def recording(real):
+            def rename(src, dst):
+                targets.append((Path(dst).name, os.path.lexists(dst)))
+                return real(src, dst)
+            return rename
+
+        monkeypatch.setattr(os, "replace", recording(os.replace))
+        monkeypatch.setattr(os, "rename", recording(os.rename))
+        for text in ("ONE = F1\nBOTH = F1,F2\n", "ONE = F1\nBOTH = F1,F2\n", "TWO = F2\n"):
+            assert main(["rank", "--portfolios", str(ports), "--factors", str(facts),
+                         "--models", str(_models(tmp_path, text)), "--out", str(out)]) == 0
+        # Three files renamed in; three moved aside and three renamed in; one
+        # moved aside and two renamed in.
+        assert len(targets) == 3 + 6 + 3
+        assert [name for name, existed in targets if existed] == []
+        assert sorted(p.name for p in out.iterdir()) == [
+            "marginal_BOTH.csv", "marginal_ONE.csv", "marginal_TWO.csv", "report.csv"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_failed_rename_keeps_previous_outputs(self, tmp_path, monkeypatch, capsys, k):
+        # The old set holds report.csv and marginal_BOTH.csv, changed since
+        # they were written, and no marginal_ONE.csv. The rerun moves two old
+        # files aside and renames three new ones in; whichever rename fails,
+        # the directory holds the old set, byte for byte.
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path)
+        out = tmp_path / "out"
+        argv = ["rank", "--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(models), "--out", str(out)]
+        assert main(argv) == 0
+        (out / "report.csv").write_bytes(b"previous run\n")
+        (out / "marginal_ONE.csv").unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_rename = os.rename
+        calls = []
+
+        def rename(src, dst):
+            calls.append(dst)
+            if len(calls) == fail_at:
+                raise OSError(f"rename {fail_at} failed")
+            return real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", rename)
+        fail_at = k
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: rename {k} failed\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # Each fault above struck one of the five renames a rerun makes.
+        calls.clear()
+        fail_at = 0
+        assert main(argv) == 0
+        assert len(calls) == 5
+
     def test_model_names_sharing_a_file_exit_1_before_writing(self, tmp_path, capsys):
         ports, facts = _synth(tmp_path)
         models = _models(tmp_path, "M 1 = F1\nM_1 = F1,F2\n")
@@ -804,6 +865,48 @@ class TestSweep:
             got = [float(row[c]) for c in ("AD", "RMSE_alpha", "RMSE_sigma")]
             assert got == pytest.approx(want, rel=1e-5), row
 
+    def test_one_eigh_per_loading_width(self, tmp_path, monkeypatch):
+        # Below GAUSS_RULE_MIN_N the families of one loading width share one
+        # batched eigh: the one-factor models each drop two of the union's
+        # three factors, the two-factor models one.
+        import factordist.bayes as bayes
+
+        batches = []
+        real = bayes.eigh_rule
+
+        def spy(a, v):
+            batches.append(a.shape[0])
+            return real(a, v)
+
+        monkeypatch.setattr(bayes, "eigh_rule", spy)
+        ports, facts = _synth(tmp_path, n=25, k=3, T=400)
+        models = _models(tmp_path, "S1 = F1\nS12 = F1,F2\nS2 = F2\nS3 = F3\n"
+                                   "S13 = F1,F3\nS23 = F2,F3\n")
+        assert main(["sweep", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(models), "--out", str(tmp_path / "out")]) == 0
+        assert batches == [3, 3]
+
+    @pytest.mark.parametrize("n", [25, 130])
+    def test_joint_rows_equal_rows_alone(self, tmp_path, n):
+        # Families built together, in one eigh per loading width below
+        # GAUSS_RULE_MIN_N or by Lanczos from it on, print each model's rows
+        # as a run with that model alone does.
+        ports, facts = _synth(tmp_path, n=n, k=3, T=400)
+        lines = ["S1 = F1", "S23 = F2,F3", "S123 = F1,F2,F3", "S12 = F1,F2", "S3 = F3"]
+
+        def rows(text, out):
+            assert main(["sweep", "--portfolios", str(ports), "--factors", str(facts),
+                         "--models", str(_models(tmp_path, text)), "--out", str(out),
+                         "--grid", "0,1e-200,0.5,2,8,1e3,1e60,inf"]) == 0
+            return (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[2:]
+
+        joint = rows("\n".join(lines) + "\n", tmp_path / "joint")
+        assert len(joint) == 8 * len(lines)
+        for line in lines:
+            name = line.split(" ")[0]
+            assert rows(line + "\n", tmp_path / name) == [
+                row for row in joint if row.startswith(name + ",")], name
+
     def test_inf_grid_is_skeptic_row(self, tmp_path):
         ports, facts = _synth(tmp_path)
         models = _models(tmp_path, "BOTH = F1,F2\n")
@@ -818,10 +921,12 @@ class TestSweep:
 
 class TestGolden:
     """rank, sweep and equiv outputs pinned byte for byte below the metadata
-    line.
+    line, on an n = 6 panel and, past ``linalg.GAUSS_RULE_MIN_N``, on an
+    n = 130 panel whose every family takes its rule from Lanczos.
 
-    The files under tests/data (``golden_<output name>``) fix every printed
-    number; rewrite them only for an intended change of output.
+    The files under tests/data (``golden_<output name>``, and
+    ``golden_n130_<output name>``) fix every printed number; rewrite them
+    only for an intended change of output.
     """
 
     OUTPUTS = {"rank": ("report.csv", "marginal_M3.csv"),
@@ -833,7 +938,27 @@ class TestGolden:
         ("rank", ()),
     ])
     def test_matches_golden(self, tmp_path, command, extra):
-        ports, facts = _synth(tmp_path, n=6, k=3)
+        self._check(tmp_path, command, extra, "golden_", n=6, k=3)
+
+    @pytest.mark.parametrize("command,extra", [
+        ("sweep", ()),
+        ("equiv", ("--benchmark", "M3")),
+    ])
+    def test_lanczos_path_matches_golden(self, tmp_path, monkeypatch, command, extra):
+        rules = []
+        real = linalg._lanczos_rule
+
+        def spy(*args):
+            rules.append(real(*args))
+            return rules[-1]
+
+        monkeypatch.setattr(linalg, "_lanczos_rule", spy)
+        self._check(tmp_path, command, extra, "golden_n130_", n=130, k=3, T=400)
+        assert len(rules) == (3 if command == "sweep" else 2)
+        assert all(rule is not None for rule in rules)
+
+    def _check(self, tmp_path, command, extra, prefix, **panel):
+        ports, facts = _synth(tmp_path, **panel)
         models = _models(tmp_path, "M1 = F1\nM2 = F1,F2\nM3 = F1,F2,F3\n")
         out = tmp_path / "out"
         assert main([command, "--portfolios", str(ports), "--factors",
@@ -841,7 +966,7 @@ class TestGolden:
                      *extra]) == 0
         for name in self.OUTPUTS[command]:
             got = (out / name).read_bytes().split(b"\n", 1)
-            want = (DATA / f"golden_{name}").read_bytes().split(b"\n", 1)
+            want = (DATA / f"{prefix}{name}").read_bytes().split(b"\n", 1)
             assert got[0].startswith(b"# factordist")
             assert got[1] == want[1], name
 
@@ -894,15 +1019,18 @@ class TestEquiv:
         assert code == 1
 
 
-    @pytest.mark.parametrize("order, code, message", [
-        (["ONE", "TWO"], 2, "numerical failure: model 'ONE': bisection"),
-        (["TWO", "ONE"], 1, "error: model 'TWO': returns too large"),
+    @pytest.mark.parametrize("command, order, code, message", [
+        ("equiv", ["ONE", "TWO"], 2, "numerical failure: model 'ONE': bisection"),
+        ("equiv", ["TWO", "ONE"], 1, "error: model 'TWO': returns too large"),
+        ("sweep", ["ONE", "TWO"], 2, "numerical failure: average distance increased"),
+        ("sweep", ["TWO", "ONE"], 1, "error: model 'TWO': returns too large"),
     ])
     def test_failures_reported_in_model_order(self, tmp_path, capsys, monkeypatch,
-                                              order, code, message):
-        # ONE cannot converge (no AD is within a negative tolerance) and TWO's
-        # family fails to build: the first in the order given is reported, as
-        # one alternative at a time would report it.
+                                              command, order, code, message):
+        # ONE cannot converge (no AD is within a negative tolerance) or its
+        # sweep fails (no AD falls by a negative slack), and TWO's family
+        # fails to build: the first in the order given is reported, as one
+        # model at a time would report it.
         import factordist.bayes as bayes
         from factordist import equiv
         from factordist.errors import NonFiniteError
@@ -916,13 +1044,20 @@ class TestEquiv:
 
         monkeypatch.setattr(bayes, "_moments", moments)
         monkeypatch.setattr(equiv, "AD_TOL", -1.0)
+        monkeypatch.setattr(equiv, "MONOTONE_SLACK", -1.0)
         ports, facts = _synth(tmp_path)
-        models = _models(tmp_path, "BOTH = F1,F2\nONE = F1\nTWO = F2\n")
+        factors = {"ONE": "F1", "TWO": "F2"}
+        if command == "equiv":
+            text = "BOTH = F1,F2\nONE = F1\nTWO = F2\n"
+            extra = ["--benchmark", "BOTH", "--alternatives", *order]
+        else:
+            text = "".join(f"{name} = {factors[name]}\n" for name in order)
+            extra = []
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main(["equiv", "--portfolios", str(ports), "--factors", str(facts),
-                     "--models", str(models), "--out", str(out),
-                     "--benchmark", "BOTH", "--alternatives", *order]) == code
+        assert main([command, "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(_models(tmp_path, text)), "--out", str(out),
+                     *extra]) == code
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
         assert not out.exists()
@@ -1158,10 +1293,27 @@ def _contract_inputs(directory, seed, T, n, k, log10_scale, masks):
     return ports, facts, models
 
 
+def _run_contract(argv, out):
+    """``main(argv)``: exit code 0, 1 or 2 and no warning; on failure one error
+    line and nothing written at ``out``. Returns the exit code."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    if code:
+        assert not out.exists()
+        assert sum(line.startswith(("error: ", "numerical failure: "))
+                   for line in err.getvalue().splitlines()) == 1, err.getvalue()
+    return code
+
+
 class TestContract:
     """Whatever the panel, models and options, ``main`` returns 0, 1 or 2,
     warns nothing, writes nothing and prints one error line when it fails,
-    and writes only finite distances when it succeeds."""
+    and writes only finite distances when it succeeds; ``synth`` writes
+    only finite returns."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(command=st.sampled_from(["rank", "sweep", "equiv"]),
@@ -1187,18 +1339,8 @@ class TestContract:
                      "sweep": ["--grid", ",".join(map(repr, sorted(grid)))],
                      "equiv": ["--benchmark", f"M{benchmark % len(masks)}",
                                "--bracket-hi", repr(10.0**log10_hi)]}[command]
-            err = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = main([command, "--portfolios", str(ports), "--factors", str(facts),
-                             "--models", str(models), "--out", str(out), *extra])
-            assert not caught, [str(w.message) for w in caught]
-            assert code in (0, 1, 2)
-            if code:
-                assert not out.exists()
-                assert sum(line.startswith(("error: ", "numerical failure: "))
-                           for line in err.getvalue().splitlines()) == 1, err.getvalue()
+            if _run_contract([command, "--portfolios", str(ports), "--factors", str(facts),
+                              "--models", str(models), *extra], out):
                 return
             for path in out.glob("*.csv"):
                 header, rows = _read_rows(path)
@@ -1206,3 +1348,35 @@ class TestContract:
                     for column in set(header).intersection(_DISTANCE_COLUMNS):
                         assert row[column] == "" or math.isfinite(float(row[column])), (
                             path.name, column, row)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(T=st.integers(1, 120), n=st.integers(1, 12), k=st.integers(1, 4),
+           seed=st.integers(-1, 2**63),
+           values=st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+           wild=st.tuples(st.integers(0, 7), st.floats()))
+    # Sizes below 1: generate names them, before any array is sized by one.
+    @example(T=10, n=-1, k=-2, seed=1, values=[0.0, 2.0, 0.5, 4.5], wild=(4, 0.0))
+    @example(T=0, n=0, k=0, seed=1, values=[0.0, 2.0, 0.5, 4.5], wild=(4, 0.0))
+    # A T past the last YYYYMM month, rejected before any month is built, a
+    # negative seed and a huge factor volatility, whose square overflows.
+    @example(T=10**9, n=3, k=1, seed=1, values=[0.0, 2.0, 0.5, 4.5], wild=(4, 0.0))
+    @example(T=10, n=3, k=1, seed=-1, values=[0.0, 2.0, 0.5, 4.5], wild=(4, 0.0))
+    @example(T=10, n=3, k=1, seed=1, values=[0.0, 2.0, 0.5, 4.5], wild=(3, 1e200))
+    def test_synth_exit_codes_and_finite_returns(self, T, n, k, seed, values, wild):
+        # In half the examples one option takes any float: nan, inf or huge.
+        where, value = wild
+        if where < len(values):
+            values[where] = value
+        options = ("--alpha", "--resid-vol", "--factor-mean", "--factor-vol")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            if _run_contract(["synth", f"--T={T}", f"--n={n}", f"--k={k}",
+                              f"--seed={seed}",
+                              *(f"{o}={v!r}" for o, v in zip(options, values))], out):
+                return
+            assert sorted(p.name for p in out.iterdir()) == ["factors.csv", "portfolios.csv"]
+            for path in out.iterdir():
+                _, rows = _read_rows(path)
+                assert len(rows) == T
+                for row in rows:
+                    assert all(math.isfinite(float(v)) for v in list(row.values())[1:]), row

@@ -16,11 +16,11 @@ from factordist import (
     equiv,
     fit_ols,
     skeptic_moments,
-    solve_equiv,
+    solve_equivs,
     sweep,
 )
 from factordist.bayes import distance_metrics
-from factordist.equiv import AD_TOL, MAX_BISECTIONS, SIGMA_TOL, solve_equivs
+from factordist.equiv import AD_TOL, MAX_BISECTIONS, SIGMA_TOL
 from factordist.errors import (
     BadConfigError,
     NoConvergenceError,
@@ -39,7 +39,7 @@ def fit(base_dataset):
 
 class TestSweep:
     def test_zero_row_equals_dogmatic_breakdown(self, fit):
-        row = sweep(fit, [0.0])[0]
+        row = sweep(PosteriorFamily(fit), [0.0])[0]
         bd = distance_breakdown(*skeptic_moments(fit))
         # One owner of the dogmatic distance: the fields agree exactly.
         assert row.ad == bd.ad
@@ -48,12 +48,12 @@ class TestSweep:
         assert row.ratio_var == bd.ratio_var
 
     def test_strictly_decreasing_on_default_grid(self, fit):
-        rows = sweep(fit, [0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+        rows = sweep(PosteriorFamily(fit), [0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
         ads = [r.ad for r in rows]
         assert all(a > b for a, b in zip(ads, ads[1:]))
 
     def test_component_identity(self, fit):
-        for row in sweep(fit, [0.0, 1.0, 3.0, 9.0]):
+        for row in sweep(PosteriorFamily(fit), [0.0, 1.0, 3.0, 9.0]):
             assert row.ad**2 == pytest.approx(
                 row.rmse_alpha**2 + row.rmse_sigma**2, abs=1e-12)
             if np.isfinite(row.ratio_var) and row.rmse_alpha > 0:
@@ -61,7 +61,7 @@ class TestSweep:
                     (row.rmse_sigma / row.rmse_alpha) ** 2, rel=1e-9)
 
     def test_distance_vanishes_at_extreme_skepticism(self, fit):
-        rows = sweep(fit, [0.0, 1e4])
+        rows = sweep(PosteriorFamily(fit), [0.0, 1e4])
         assert rows[1].ad <= 1e-3 * rows[0].ad
 
     @pytest.mark.parametrize("rise, fails", [(1e-6, True), (1e-12, False)])
@@ -78,43 +78,43 @@ class TestSweep:
         monkeypatch.setattr(equiv, "FamilyStack", Rising)
         if fails:
             with pytest.raises(NumericalError, match="increased along the grid"):
-                sweep(fit, [0.0, 1.0, 2.0])
+                sweep(PosteriorFamily(fit), [0.0, 1.0, 2.0])
         else:
-            ads = [r.ad for r in sweep(fit, [0.0, 1.0, 2.0])]
+            ads = [r.ad for r in sweep(PosteriorFamily(fit), [0.0, 1.0, 2.0])]
             assert ads[0] < ads[1] < ads[2]  # a rise within the slack
 
     @pytest.mark.parametrize("grid", [[], [-1.0, 2.0], [4.0, 2.0], [math.nan],
                                       [0.0, math.nan], [math.nan, 2.0]])
     def test_bad_grids_rejected(self, grid, fit):
         with pytest.raises(BadConfigError):
-            sweep(fit, grid)
+            sweep(PosteriorFamily(fit), grid)
 
 
 class TestSolveEquiv:
     def test_boundary_target(self, fit):
-        target = sweep(fit, [0.0])[0].ad
-        res = solve_equiv(fit, target)
+        target = sweep(PosteriorFamily(fit), [0.0])[0].ad
+        res = solve_equivs([PosteriorFamily(fit)], target)[0]
         assert res.sigma_star_annual == 0.0
         assert res.iterations == 0
 
     def test_round_trip(self, fit):
         planted = 3.0
-        target = sweep(fit, [planted])[0].ad
-        res = solve_equiv(fit, target)
+        target = sweep(PosteriorFamily(fit), [planted])[0].ad
+        res = solve_equivs([PosteriorFamily(fit)], target)[0]
         assert abs(res.sigma_star_annual - planted) <= 1e-4
         assert abs(res.ad_at_star - target) <= 1e-6
 
     def test_round_trip_lands_on_grid_point(self, fit):
         grid = [0.0, 2.0, 4.0, 6.0]
-        rows = sweep(fit, grid)
-        res = solve_equiv(fit, rows[2].ad)
+        rows = sweep(PosteriorFamily(fit), grid)
+        res = solve_equivs([PosteriorFamily(fit)], rows[2].ad)[0]
         assert abs(res.sigma_star_annual - 4.0) <= 1e-4
 
     @pytest.mark.parametrize("hi", [math.nan, math.inf, -5.0, 0.0, 1.7e54, 1e60, 1e300])
     def test_bad_bracket_hi_rejected(self, hi, fit):
-        target = sweep(fit, [2.0])[0].ad
+        target = sweep(PosteriorFamily(fit), [2.0])[0].ad
         with pytest.raises(BadConfigError):
-            solve_equiv(fit, target, bracket_hi=hi)
+            solve_equivs([PosteriorFamily(fit)], target, bracket_hi=hi)
 
     @pytest.mark.parametrize("scale", [1.5e54 / (SIGMA_TOL * 2**MAX_BISECTIONS), 1 - 1e-6])
     def test_bracket_just_inside_the_bound_converges(self, scale, fit):
@@ -122,30 +122,31 @@ class TestSolveEquiv:
         # SIGMA_TOL, up to the rounding of each midpoint; a wider bracket is
         # rejected above.
         hi = scale * SIGMA_TOL * 2**MAX_BISECTIONS
-        target = sweep(fit, [2.0])[0].ad
-        res = solve_equiv(fit, target, bracket_hi=hi)
+        target = sweep(PosteriorFamily(fit), [2.0])[0].ad
+        res = solve_equivs([PosteriorFamily(fit)], target, bracket_hi=hi)[0]
         assert res.iterations <= MAX_BISECTIONS
         assert abs(res.ad_at_star - target) <= AD_TOL
         assert abs(res.sigma_star_annual - 2.0) <= 1e-4
 
     def test_target_above_dogmatic_not_bracketed(self, fit):
-        dogmatic_ad = sweep(fit, [0.0])[0].ad
-        with pytest.raises(NotBracketedError):
-            solve_equiv(fit, 2.0 * dogmatic_ad)
+        dogmatic_ad = sweep(PosteriorFamily(fit), [0.0])[0].ad
+        res = solve_equivs([PosteriorFamily(fit)], 2.0 * dogmatic_ad)[0]
+        assert isinstance(res, NotBracketedError)
 
     def test_target_below_bracket_not_bracketed(self, fit):
-        unreachable = sweep(fit, [50.0])[0].ad
-        with pytest.raises(NotBracketedError):
-            solve_equiv(fit, unreachable, bracket_hi=5.0)
+        unreachable = sweep(PosteriorFamily(fit), [50.0])[0].ad
+        res = solve_equivs([PosteriorFamily(fit)], unreachable, bracket_hi=5.0)[0]
+        assert isinstance(res, NotBracketedError)
 
     def test_monotone_twenty_point_grid(self):
         grid = list(np.linspace(0.0, 12.0, 20))
-        ads = [r.ad for r in sweep(fit_ols(*make_dataset(seed=9, alpha=0.2)), grid)]
+        family = PosteriorFamily(fit_ols(*make_dataset(seed=9, alpha=0.2)))
+        ads = [r.ad for r in sweep(family, grid)]
         assert all(a > b for a, b in zip(ads, ads[1:]))
 
     def test_result_invariant(self, fit):
-        target = sweep(fit, [1.5])[0].ad
-        res = solve_equiv(fit, target)
+        target = sweep(PosteriorFamily(fit), [1.5])[0].ad
+        res = solve_equivs([PosteriorFamily(fit)], target)[0]
         assert abs(res.ad_at_star - target) <= 1e-6
 
     def test_bracket_that_cannot_be_halved_converges_where_ad_is_close(self):
@@ -153,8 +154,8 @@ class TestSolveEquiv:
         # never narrows to SIGMA_TOL; the bisection ends where the midpoint
         # equals an end of the bracket, and the AD there is on target.
         fit = fit_ols(*make_dataset(seed=42))
-        target = sweep(fit, [2e10])[0].ad
-        res = solve_equiv(fit, target, bracket_hi=1e11)
+        target = sweep(PosteriorFamily(fit), [2e10])[0].ad
+        res = solve_equivs([PosteriorFamily(fit)], target, bracket_hi=1e11)[0]
         assert abs(res.ad_at_star - target) <= AD_TOL
         assert res.sigma_star_annual > 8.6e9
         assert res.iterations < MAX_BISECTIONS
@@ -163,9 +164,9 @@ class TestSolveEquiv:
         # Returns scaled by 1e12 make the AD change by more than AD_TOL from
         # one float sigma to the next near 2e10.
         fit = fit_ols(*make_dataset(seed=42, alpha=0.15e12, resid_vol=2e12))
-        target = sweep(fit, [2e10])[0].ad
+        target = sweep(PosteriorFamily(fit), [2e10])[0].ad
         with pytest.raises(NoConvergenceError, match="float spacing"):
-            solve_equiv(fit, target, bracket_hi=1e14)
+            solve_equivs([PosteriorFamily(fit)], target, bracket_hi=1e14)
 
 
 def _scalar_bisection(family, target, bracket_hi):
@@ -284,7 +285,8 @@ class TestLockstep:
         results = solve_equivs(families[1:], target)
         assert [type(r) for r in results] == [EquivResult] * 6
         for family, r in zip(families[1:], results):
-            assert sweep(family.fit, [r.sigma_star_annual])[0].ad == r.ad_at_star
+            row = sweep(PosteriorFamily(family.fit), [r.sigma_star_annual])[0]
+            assert row.ad == r.ad_at_star
 
     def test_first_failure_in_order_is_raised(self, monkeypatch):
         # With no AD within the tolerance every bracketed alternative runs to
@@ -293,7 +295,7 @@ class TestLockstep:
         dataset, _ = make_dataset(seed=42, k=2)
         families = [PosteriorFamily(fit_ols(dataset, ModelSpec(name, ("F1",))))
                     for name in ("EARLY", "LATE")]
-        target = sweep(families[0].fit, [3.0])[0].ad
+        target = sweep(PosteriorFamily(families[0].fit), [3.0])[0].ad
         monkeypatch.setattr(equiv, "AD_TOL", -1.0)
         with pytest.raises(NoConvergenceError, match="^model 'EARLY': "):
             solve_equivs(families, target)

@@ -366,7 +366,8 @@ def _assert_same_family(fit, ref, cond):
     for g in LANCZOS_PROBES / ref_family._u0:
         assert remainder(family._quad, g) == pytest.approx(
             remainder(ref_family._quad, g), rel=rel, abs=1e-300)
-    for row, ref_row in zip(sweep(fit, SWEEP_GRID), sweep(ref, SWEEP_GRID), strict=True):
+    for row, ref_row in zip(sweep(family, SWEEP_GRID), sweep(ref_family, SWEEP_GRID),
+                            strict=True):
         # A distance near zero (one asset's trace term crosses zero) is only
         # as accurate as the row's AD; ratio_var = (RMSE_sigma / RMSE_alpha)^2.
         scale = rel * ref_row.ad
@@ -462,7 +463,8 @@ class TestFitModels:
         for fit in fits:
             _assert_same_family(fit, fit_ols(dataset, fit.model), _union_cond(dataset, models))
         # The union model's own fit comes out of the union bit for bit.
-        assert sweep(fits[-1], SWEEP_GRID) == sweep(fit_ols(dataset, models[-1]), SWEEP_GRID)
+        assert sweep(PosteriorFamily(fits[-1]), SWEEP_GRID) == sweep(
+            PosteriorFamily(fit_ols(dataset, models[-1])), SWEEP_GRID)
 
     def test_grs_no_less_accurate_than_direct_at_large_loadings(self):
         # Loadings on the factors a small model drops are 1000x: against a
