@@ -30,12 +30,10 @@ panels), and one O(q m) quadrature table is built from the rule
 (``linalg.RankOneQuadrature(theta, w, g_max)``, q a few hundred nodes). Below
 ``linalg.GAUSS_RULE_MIN_N`` assets, where one ``eigh(A)`` is cheaper, and
 where Lanczos hits its step cap, the rule is the measure itself, from
-``eigh(A)`` at O(n^3). :func:`posterior_families`, the one builder of
-``sweep`` and ``equiv``, builds a dataset's families together: below
-``GAUSS_RULE_MIN_N`` the models of one loading width share one stacked A
-and one batched ``eigh``, bit for bit each model's own. After that, each
-sigma_alpha costs O(q) for the transport trace, which is taken in a form
-without cancellation, in one elementwise formula (:func:`_wd2_to_skeptic`).
+``eigh(A)`` at O(n^3). ``PosteriorFamily(fit)`` builds one model's family,
+the one builder of ``sweep`` and ``equiv``. After that, each sigma_alpha
+costs O(q) for the transport trace, which is taken in a form without
+cancellation, in one elementwise formula (:func:`_wd2_to_skeptic`).
 A :class:`FamilyStack` is the one way to evaluate it: it takes one sigma
 for each of its families in one numpy pass, so a sweep stacks one family
 once per grid point, and an equivalence bisection step stacks every
@@ -54,14 +52,14 @@ linearly with horizon).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import FactorDistError, NonFiniteError
+from .errors import NonFiniteError
 from .linalg import QuadratureStack, RankOneQuadrature, eigh_rule, gauss_rule
-from .regression import RegressionFit, _sigma_mle, sharpe_sq
+from .regression import RegressionFit, sharpe_sq
 
 if TYPE_CHECKING:
     from .transport import GaussianDist
@@ -80,21 +78,28 @@ def sigma_annual_to_monthly(sigma_alpha_annual: float) -> float:
 class PosteriorFamily:
     """All posteriors of one fitted model, indexed by sigma_alpha.
 
-    Takes its fit as given, from ``fit_ols`` or the commands' union path:
-    ``PosteriorFamily(fit)`` is the family that :func:`posterior_families`
-    builds for ``[fit]``, the library's one-fit case; the commands build theirs
-    through ``posterior_families``. Caches the skeptic variance sum and the
-    transport trace quadrature table, built from the Gauss rule of A (the
-    closed form in the module docstring) for alpha_hat: Lanczos at O(m n^2)
-    from n = ``linalg.GAUSS_RULE_MIN_N`` on, one ``eigh(A)`` below that or past
-    the step cap. Its distances along sigma come from a :class:`FamilyStack`.
-    Raises NonFiniteError where returns are so large that the distance, the
-    rule or the table would overflow.
+    Takes its fit as given, from ``fit_ols`` or the commands' union path, and
+    builds the family in one pass: the moments and their overflow checks
+    (:func:`_moments`), A (the closed form in the module docstring), the Gauss
+    rule of A for alpha_hat and the transport trace quadrature table. The rule
+    comes from Lanczos at O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N`` on, and
+    from one ``eigh(A)`` below that or past the step cap; this is the one
+    place that crossover is decided. Its distances along sigma come from a
+    :class:`FamilyStack`. Raises NonFiniteError where returns are so large
+    that the distance, the rule or the table would overflow.
     """
 
-    def __new__(cls, fit: RegressionFit):
-        (family,) = posterior_families([fit])
-        return family
+    def __init__(self, fit: RegressionFit):
+        self.fit = fit
+        self.s2, self._u0, self._b, self._alpha_sq, self._var_sum = _moments(fit)
+        # Every sigma > 0 has g = lam c < 1 / u0, and A >= s^2 I is positive
+        # definite.
+        a, g_max = _scale(fit, self.s2), 1.0 / self._u0
+        if fit.n >= linalg.GAUSS_RULE_MIN_N:
+            rule = gauss_rule(a, fit.alpha_hat, g_max)
+        else:
+            rule = eigh_rule(a, fit.alpha_hat)
+        self._quad = RankOneQuadrature(*rule, g_max)
 
     def at(self, sigma_alpha_annual: float) -> GaussianDist:
         """Posterior at any annualized prior mispricing std in [0, inf], as a
@@ -107,66 +112,24 @@ class PosteriorFamily:
         return _closed_form(self.fit, lam, self.s2, self._u0)
 
 
-def posterior_families(fits: Iterable[RegressionFit]) -> Iterator[PosteriorFamily]:
-    """The families of ``fits``, in order, built together: the one builder
-    of ``sweep`` and ``equiv``. First each fit's moments and checks in its
-    turn, then every Gauss rule of A for alpha_hat, then each family's
-    quadrature table. From n = ``linalg.GAUSS_RULE_MIN_N`` on,
-    ``gauss_rule`` takes one family at a time; below it, the fits of one n
-    and loading width share one stacked A and one batched ``eigh``
-    (``linalg.eigh_rule``); this is the one place that crossover is decided.
-    ``PosteriorFamily(fit)`` is the case of one fit.
-    A family that fails, or a FactorDistError that ends ``fits``, is raised
-    in its turn, after the families before it; no later fit is drawn.
-    """
-    families, error = [], None
-    try:
-        for fit in fits:
-            families.append(_moments(fit))
-    except FactorDistError as exc:
-        error = exc
-    # Every sigma > 0 has g = lam c < 1 / u0, and A >= s^2 I is positive
-    # definite.
-    rules, groups = {}, {}
-    for j, family in enumerate(families):
-        fit = family.fit
-        if fit.n >= linalg.GAUSS_RULE_MIN_N:
-            a = _scales([fit], [family.s2])[0]
-            rules[j] = gauss_rule(a, fit.alpha_hat, 1.0 / family._u0)
-        else:
-            groups.setdefault((fit.n, fit.sigma_loadings.shape[1]), []).append(j)
-    for members in groups.values():
-        group = [families[j] for j in members]
-        a = _scales([f.fit for f in group], [f.s2 for f in group])
-        rules.update(zip(members, zip(*eigh_rule(a, np.stack([f.fit.alpha_hat for f in group])))))
-    for j, family in enumerate(families):
-        family._quad = RankOneQuadrature(*rules[j], 1.0 / family._u0)
-        yield family
-    if error is not None:
-        raise error
-
-
-def _moments(fit: RegressionFit) -> PosteriorFamily:
-    """A family without its table: s^2, u0, b and the skeptic distance terms,
+def _moments(fit: RegressionFit) -> tuple[float, float, float, float, float]:
+    """s^2, u0, b = u0 / (T + 1), |alpha_hat|^2 and the skeptic variance sum,
     with NonFiniteError where returns are so large that they overflow."""
-    family = object.__new__(PosteriorFamily)
-    family.fit = fit
-    family.s2, family._u0 = _skeptic_parts(fit)
+    s2, u0 = _skeptic_parts(fit)
     with np.errstate(over="ignore"):
-        family._var_sum = float(_skeptic_var(fit, family.s2, family._u0).sum())
-        family._alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
-    if not math.isfinite(family._alpha_sq + family._var_sum):
+        var_sum = float(_skeptic_var(fit, s2, u0).sum())
+        alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
+    if not math.isfinite(alpha_sq + var_sum):
         raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
                              "the distance overflows")
     # The Gauss nodes of A lie in (0, tr A] and their weights sum to
     # |alpha_hat|^2: Lanczos and the table (squared nodes, node times
     # weight) stay finite where these bounds do.
-    trace_a = fit.n * family.s2 * (fit.T + 1)
-    if not math.isfinite(trace_a * max(trace_a, family._alpha_sq)):
+    trace_a = fit.n * s2 * (fit.T + 1)
+    if not math.isfinite(trace_a * max(trace_a, alpha_sq)):
         raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
                              "the posterior's quadrature overflows")
-    family._b = family._u0 / (fit.T + 1)
-    return family
+    return s2, u0, u0 / (fit.T + 1), alpha_sq, var_sum
 
 
 class FamilyStack:
@@ -309,14 +272,6 @@ def _skeptic_var(fit: RegressionFit, s2: float, u0: float) -> np.ndarray:
     return (s2 + fit.T * fit.resid_var) * (u0 / (fit.T + 1))
 
 
-def _scales(fits: Sequence[RegressionFit], s2: Sequence[float]) -> np.ndarray:
-    """A = s^2 I + T Sigma_mle (module docstring) of each fit, stacked: fits
-    of one n and loading width. Loadings are stacked with each one's own
-    strides, so each product is the one its fit alone would make."""
-    base = fits[0].sigma_base
-    if any(fit.sigma_base is not base for fit in fits):
-        base = np.stack([fit.sigma_base for fit in fits])
-    loadings = np.stack([fit.sigma_loadings.T for fit in fits]).swapaxes(1, 2)
-    sigma = _sigma_mle(base, loadings, np.stack([fit.sigma_core for fit in fits]))
-    t_obs = np.array([fit.T for fit in fits])[:, None, None]
-    return np.array(s2)[:, None, None] * np.eye(fits[0].n) + t_obs * sigma
+def _scale(fit: RegressionFit, s2: float) -> np.ndarray:
+    """A = s^2 I + T Sigma_mle of the module docstring."""
+    return s2 * np.eye(fit.n) + fit.T * fit.sigma_mle

@@ -34,7 +34,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .bayes import distance_breakdown, posterior_families, skeptic_moments
+from .bayes import PosteriorFamily, distance_breakdown, skeptic_moments
 from .dataio import (
     DEFAULT_MISSING_CODES,
     Dataset,
@@ -210,13 +210,13 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
     models = load_models(args.models)
     check_grid(grid)  # before any model's fit can fail
-    # Each family is swept as it is yielded, so a model's sweep failure comes
-    # before a later model's fit or family error, which is raised after it.
-    families = posterior_families(fit for fit, _ in _fit_models(dataset, models))
+    # One model at a time: a model's sweep failure comes before a later
+    # model's fit or family error.
     rows = [
-        ",".join([family.fit.model.name, _fmt(r.sigma_alpha_annual), _fmt(r.ad),
+        ",".join([fit.model.name, _fmt(r.sigma_alpha_annual), _fmt(r.ad),
                   _fmt(r.rmse_alpha), _fmt(r.rmse_sigma), _fmt(r.ratio_var)])
-        for family in families for r in sweep(family, grid)
+        for fit, _ in _fit_models(dataset, models)
+        for r in sweep(PosteriorFamily(fit), grid)
     ]
     out = _OutputSet(Path(args.out))
     out.add("sweep.csv", _metadata(args, "sweep", f"grid={args.grid}"),
@@ -243,8 +243,8 @@ def cmd_equiv(args) -> int:
     benchmark_ad = distance_breakdown(*skeptic_moments(benchmark_fit)).ad
     families = []
     try:
-        for family in posterior_families(fit for fit, _ in fits):
-            families.append(family)
+        for fit, _ in fits:
+            families.append(PosteriorFamily(fit))
     except FactorDistError:
         # An alternative before the one that failed reports its own
         # NoConvergenceError first, as one alternative at a time would.

@@ -10,9 +10,9 @@ benchmark's distance. It bisects all alternatives in lockstep: one step
 evaluates the AD of every alternative in one numpy pass, and each
 alternative leaves at the step where its own stop rule fires, with the
 result it would reach alone. Both take families built by
-``bayes.posterior_families`` (or ``PosteriorFamily(fit)``, its case of one
-fit) and evaluate them through ``bayes.FamilyStack``, whose evaluation is
-elementwise: a family's AD does not depend on the families stacked with it.
+``bayes.PosteriorFamily(fit)`` and evaluate them through
+``bayes.FamilyStack``, whose evaluation is elementwise: a family's AD does
+not depend on the families stacked with it.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ QUAD_STEP = 0.25
 # truncations are below e^{-39}.
 QUAD_LO_MARGIN = 13.0
 QUAD_HI_MARGIN = 39.0
-# bayes.posterior_families: below this dimension a family's rule comes from
-# one eigh (eigh_rule), cheaper there than Lanczos (gauss_rule). Measured
+# bayes.PosteriorFamily: below this dimension a family's rule comes from one
+# eigh (eigh_rule), cheaper there than Lanczos (gauss_rule). Measured
 # in-process with one BLAS thread on one CPU of a 2-vCPU Xeon, median over the
 # six nested models of benchmark-style panels (T = 600): n = 112 eigh 1.3-1.5 ms
 # against Lanczos 1.4-1.7 ms; n = 128 eigh 1.8-2.1 ms against 1.4-1.7 ms. At
@@ -272,12 +272,9 @@ def gauss_rule(a: np.ndarray, v: np.ndarray,
 
 def eigh_rule(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The measure itself as :func:`gauss_rule`'s rule: nodes d and weights
-    (Q'v)^2 of A = Q D Q', from one ``eigh(A)``; for a stack of matrices
-    (g, n, n) and vectors (g, n) too, from one batched ``eigh``. The weights
-    come from a matmul, as for one matrix: ``einsum`` changes their last bits.
-    """
+    (Q'v)^2 of A = Q D Q', from one ``eigh(A)``."""
     d, q = np.linalg.eigh(a)
-    return d, (np.swapaxes(q, -1, -2) @ v[..., None])[..., 0] ** 2
+    return d, (q.T @ v) ** 2
 
 
 def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import _scales, _skeptic_parts
+from .bayes import _scale, _skeptic_parts
 from .dataio import _Checked
 from .errors import DimMismatchError, NotPSDError, SingularSourceError
 from .linalg import symmetrize
@@ -129,7 +129,7 @@ def _closed_form(fit: RegressionFit, lam: float, s2: float, u0: float) -> Gaussi
     (A + lam c alpha_hat alpha_hat')) with c = 1 / (1 + lam u0); lam = 0 is the
     skeptic. s2 and u0 are ``bayes._skeptic_parts`` of the fit.
     """
-    cov = _scales([fit], [s2])[0]
+    cov = _scale(fit, s2)
     c = 1.0 / (1.0 + lam * u0)
     alpha = fit.alpha_hat
     if lam != 0.0:

@@ -865,32 +865,11 @@ class TestSweep:
             got = [float(row[c]) for c in ("AD", "RMSE_alpha", "RMSE_sigma")]
             assert got == pytest.approx(want, rel=1e-5), row
 
-    def test_one_eigh_per_loading_width(self, tmp_path, monkeypatch):
-        # Below GAUSS_RULE_MIN_N the families of one loading width share one
-        # batched eigh: the one-factor models each drop two of the union's
-        # three factors, the two-factor models one.
-        import factordist.bayes as bayes
-
-        batches = []
-        real = bayes.eigh_rule
-
-        def spy(a, v):
-            batches.append(a.shape[0])
-            return real(a, v)
-
-        monkeypatch.setattr(bayes, "eigh_rule", spy)
-        ports, facts = _synth(tmp_path, n=25, k=3, T=400)
-        models = _models(tmp_path, "S1 = F1\nS12 = F1,F2\nS2 = F2\nS3 = F3\n"
-                                   "S13 = F1,F3\nS23 = F2,F3\n")
-        assert main(["sweep", "--portfolios", str(ports), "--factors", str(facts),
-                     "--models", str(models), "--out", str(tmp_path / "out")]) == 0
-        assert batches == [3, 3]
-
     @pytest.mark.parametrize("n", [25, 130])
     def test_joint_rows_equal_rows_alone(self, tmp_path, n):
-        # Families built together, in one eigh per loading width below
-        # GAUSS_RULE_MIN_N or by Lanczos from it on, print each model's rows
-        # as a run with that model alone does.
+        # Families whose fits come from one grouped pass, with rules from
+        # eigh below GAUSS_RULE_MIN_N or from Lanczos from it on, print each
+        # model's rows as a run with that model alone does.
         ports, facts = _synth(tmp_path, n=n, k=3, T=400)
         lines = ["S1 = F1", "S23 = F2,F3", "S123 = F1,F2,F3", "S12 = F1,F2", "S3 = F3"]
 
@@ -906,6 +885,33 @@ class TestSweep:
             name = line.split(" ")[0]
             assert rows(line + "\n", tmp_path / name) == [
                 row for row in joint if row.startswith(name + ",")], name
+
+    def test_sweep_builds_no_family_past_a_failed_sweep(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # sweep fits, builds and sweeps one model at a time: ONE's sweep fails
+        # (no AD falls by a negative slack), so TWO's family is never built.
+        import factordist.bayes as bayes
+        from factordist import equiv
+
+        built = []
+        real_moments = bayes._moments
+
+        def moments(fit):
+            built.append(fit.model.name)
+            return real_moments(fit)
+
+        monkeypatch.setattr(bayes, "_moments", moments)
+        monkeypatch.setattr(equiv, "MONOTONE_SLACK", -1.0)
+        ports, facts = _synth(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["sweep", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(_models(tmp_path, "ONE = F1\nTWO = F2\n")),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: average distance increased"), err
+        assert built == ["ONE"]
+        assert not out.exists()
 
     def test_inf_grid_is_skeptic_row(self, tmp_path):
         ports, facts = _synth(tmp_path)
@@ -1060,6 +1066,24 @@ class TestEquiv:
                      *extra]) == code
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_iteration_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # No AD is within a negative tolerance, so ONE's bisection runs to a
+        # cap of 30 steps, for which a bracket of 1000 is inside the bound.
+        from factordist import equiv
+
+        monkeypatch.setattr(equiv, "AD_TOL", -1.0)
+        monkeypatch.setattr(equiv, "MAX_BISECTIONS", 30)
+        ports, facts = _synth(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["equiv", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(_models(tmp_path)), "--benchmark", "BOTH",
+                     "--bracket-hi", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: model 'ONE': bisection did not reach "
+                       "|AD - target| <= -1.0 in 30 iterations\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("hi", ["nan", "-5", "inf", "0", "1.7e54", "1e60", "1e300"])

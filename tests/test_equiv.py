@@ -168,6 +168,19 @@ class TestSolveEquiv:
         with pytest.raises(NoConvergenceError, match="float spacing"):
             solve_equivs([PosteriorFamily(fit)], target, bracket_hi=1e14)
 
+    def test_iteration_cap_raises(self, fit, monkeypatch):
+        # No AD is within a negative tolerance, and 30 halvings of a bracket
+        # of 1000, inside check_bracket_hi's bound for that cap, leave every
+        # midpoint distinct from the ends: the bisection stops at the cap.
+        monkeypatch.setattr(equiv, "AD_TOL", -1.0)
+        monkeypatch.setattr(equiv, "MAX_BISECTIONS", 30)
+        family = PosteriorFamily(fit)
+        ads = [row.ad for row in sweep(family, [0.0, 3.0, 1000.0])]
+        assert ads[0] > ads[1] > ads[2]
+        with pytest.raises(NoConvergenceError,
+                           match=r"did not reach \|AD - target\| <= -1.0 in 30 iterations"):
+            solve_equivs([family], ads[1], bracket_hi=1000.0)
+
 
 def _scalar_bisection(family, target, bracket_hi):
     """One alternative's bisection in Python floats, one sigma at a time: the

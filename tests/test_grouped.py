@@ -1,16 +1,16 @@
-"""The grouped passes of ``regression._fit_models`` (one per factor count)
-and ``bayes.posterior_families`` (one stacked A and ``eigh`` per loading
-width below ``linalg.GAUSS_RULE_MIN_N``) against per-model reference forms
-written out here: every field of every fit, every Sh^2, and every family's
-moments and quadrature table agree bit for bit, and each model's error is
-raised in its turn."""
+"""The grouped passes of ``regression._fit_models`` (one per factor count),
+and ``bayes.PosteriorFamily`` built on their fits, against per-model
+reference forms written out here: every field of every fit, every Sh^2, and
+every family's moments and quadrature table agree bit for bit on both sides
+of ``linalg.GAUSS_RULE_MIN_N``, and each model's error is raised in its
+turn."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factordist import linalg
-from factordist.bayes import posterior_families
+from factordist.bayes import PosteriorFamily
 from factordist.dataio import Dataset, ModelSpec
 from factordist.errors import (
     FactorDistError,
@@ -261,7 +261,7 @@ class TestGroupedPassesMatchPerModelForms:
         want_families = _run(want[:len(fits)], _ref_family)
         if not want_families or not isinstance(want_families[-1], Exception):
             want_families += ended
-        _assert_same(_run(posterior_families(then_end())), want_families)
+        _assert_same(_run(then_end(), PosteriorFamily), want_families)
         if scenario == "overflow":
             # The model that drops F4 fails in its turn, after those before it.
             assert isinstance(got[-1], NonFiniteError) and "'DROPS'" in str(got[-1])

@@ -20,6 +20,7 @@ from factordist.linalg import (
     RankOneQuadrature,
     chol_pivot_floor,
     cholesky_spd,
+    cholesky_stack,
     gauss_rule,
     solve_lower,
     symmetrize,
@@ -170,6 +171,33 @@ class TestCholeskyOracle:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         else:
             assert got == want
+
+
+class TestCholeskyStack:
+    @pytest.mark.parametrize("rejected", [0, 2, 4])
+    def test_stack_with_a_rejected_matrix_is_factored_one_at_a_time(self, rejected):
+        # LAPACK rejects the matrix made indefinite, so the stack is factored
+        # matrix by matrix: each other factor is LAPACK's own, bit for bit,
+        # the rejected one is zero, and every verdict is cholesky_spd's. The
+        # matrix at 1 passes LAPACK but has a pivot under the floor.
+        rng = np.random.default_rng(rejected)
+        stack = np.stack([random_spd(rng, 5) for _ in range(5)])
+        stack[1] = np.diag([2.0, 1.0, 1e-20, 3.0, 1.0])
+        stack[rejected, -1, -1] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        lower, ok = cholesky_stack(stack, CHOL_PIVOT_REL)
+        for j, m in enumerate(stack):
+            try:
+                want = cholesky_spd(m, CHOL_PIVOT_REL)
+            except NotPDError:
+                assert not ok[j]
+            else:
+                assert ok[j]
+                np.testing.assert_array_equal(lower[j], want)
+        np.testing.assert_array_equal(lower[rejected], 0.0)
+        np.testing.assert_array_equal(lower[1], np.linalg.cholesky(stack[1]))
+        assert ok.tolist() == [j not in (1, rejected) for j in range(5)]
 
 
 class TestSolveLower:

@@ -22,12 +22,13 @@ from factordist.errors import (
     FactorDistError,
     InsufficientSampleError,
     NonFiniteError,
+    NotPDError,
     RankDeficientError,
     SingularFactorCovError,
     SingularResidualCovError,
     UnknownFactorError,
 )
-from factordist.linalg import LANCZOS_PROBES
+from factordist.linalg import LANCZOS_PROBES, cholesky_spd
 from factordist.metrics import GRS_UNDEFINED
 from factordist.regression import _fit_models, _sharpe_sqs
 
@@ -191,6 +192,18 @@ class TestSharpeSq:
         cond = 10.0 ** log10_cond
         assert sharpe_sq(fit) == pytest.approx(
             want, rel=100 * k * cond * np.finfo(float).eps)
+
+    def test_nan_sh2_rechecks_the_factor_covariance(self):
+        # A fit whose grouped pass left Sh^2 NaN is rechecked by cholesky_spd,
+        # and its pivot message names the singular factor covariance.
+        omega = np.diag([1.0, 1e-20])
+        fit = fake_fit(np.zeros(2), k=2)._replace(factor_cov_mle=omega, sh2=np.nan)
+        with pytest.raises(NotPDError) as want:
+            cholesky_spd(omega)
+        with pytest.raises(SingularFactorCovError) as got:
+            sharpe_sq(fit)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("pivot 1.000e-20 at column 1 is <= ")
 
 
 class TestGrs:

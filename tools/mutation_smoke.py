@@ -45,6 +45,9 @@ MUTANTS = (
     ("MONOTONE_SLACK 1e-10 -> 1e-3", PKG + "equiv.py",
      "MONOTONE_SLACK = 1e-10", "MONOTONE_SLACK = 1e-3",
      ["tests/test_equiv.py"]),
+    ("eigh/Lanczos crossover moved up by one", PKG + "bayes.py",
+     "if fit.n >= linalg.GAUSS_RULE_MIN_N:", "if fit.n > linalg.GAUSS_RULE_MIN_N:",
+     ["tests/test_grouped.py"]),
     ("e = (1 - c) / 2", PKG + "bayes.py",
      "e = one_minus_c / (1.0 + root_c)", "e = one_minus_c / 2.0",
      ["tests/test_bayes.py"]),
