@@ -8,6 +8,11 @@ hashes, and parameter values. Exit codes: 0 success, 1 user or data error,
 or a singular residual covariance), ``rank`` still reports the distance,
 leaves the GRS cells empty and names the reason on stderr.
 
+Arguments are parsed before any numeric module loads: this module imports
+only the standard library and ``errors``, and each ``cmd_*`` imports numpy
+and the modules it runs when it starts. So ``--version``, ``--help`` and a
+usage error load no numpy, and a command loads only its own modules.
+
 Two entries: ``run()`` is the process entry, behind both
 ``python -m factordist.cli`` and the ``factordist`` console script, and
 ``main(argv)`` is the in-process entry, which returns the exit code. Only
@@ -23,31 +28,18 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import os
 import re
 import sys
 import warnings
 from pathlib import Path
-from typing import NoReturn
-
-import numpy as np
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
-from .bayes import PosteriorFamily, distance_breakdown, skeptic_moments
-from .dataio import (
-    DEFAULT_MISSING_CODES,
-    Dataset,
-    ReturnsPanel,
-    build_dataset,
-    concat_panels,
-    load_models,
-    load_panel,
-)
-from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, check_grid, solve_equivs, sweep
 from .errors import FactorDistError, InputError, NotBracketedError
-from .linalg import square
-from .regression import _fit_models
+
+if TYPE_CHECKING:
+    from .dataio import Dataset
 
 DEFAULT_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 # How every output float is written.
@@ -63,6 +55,8 @@ def _sanitize(name: str) -> str:
 
 
 def _file_tag(path: str | Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
@@ -138,6 +132,10 @@ class _OutputSet:
 
 
 def _load_dataset(args) -> Dataset:
+    from .dataio import DEFAULT_MISSING_CODES, build_dataset, concat_panels, load_panel
+
+    if args.missing is None:
+        args.missing = ",".join(str(c) for c in DEFAULT_MISSING_CODES)
     missing = _parse_floats(args.missing)
     panels = [load_panel(p, missing) for p in args.portfolios]
     portfolios = concat_panels(panels)
@@ -161,7 +159,12 @@ def _metadata(args, command: str, extra: str = "") -> str:
 
 
 def cmd_rank(args) -> int:
+    import numpy as np
+
+    from .bayes import distance_breakdown, skeptic_moments
+    from .dataio import load_models
     from .metrics import GRS_UNDEFINED, build_report, rank_models
+    from .regression import _fit_models
 
     dataset = _load_dataset(args)
     models = load_models(args.models)
@@ -206,6 +209,11 @@ def cmd_rank(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .bayes import PosteriorFamily
+    from .dataio import load_models
+    from .equiv import check_grid, sweep
+    from .regression import _fit_models
+
     grid = _parse_floats(args.grid)
     dataset = _load_dataset(args)
     models = load_models(args.models)
@@ -226,6 +234,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .bayes import PosteriorFamily, distance_breakdown, skeptic_moments
+    from .dataio import load_models
+    from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, solve_equivs
+    from .regression import _fit_models
+
+    if args.bracket_hi is None:
+        args.bracket_hi = DEFAULT_BRACKET_HI
     check_bracket_hi(args.bracket_hi)
     dataset = _load_dataset(args)
     models = load_models(args.models)
@@ -272,6 +287,10 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    import numpy as np
+
+    from .dataio import ReturnsPanel
+    from .linalg import square
     from .synth import RNG_ALGORITHM, SynthConfig, generate
 
     # generate rejects an n or k below 1 by name; numpy cannot size by one.
@@ -322,8 +341,8 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--factors", required=True, help="factor returns CSV")
     p.add_argument("--models", required=True, help="model definition file")
     p.add_argument("--rf", default="RF", help="risk-free column name")
-    p.add_argument("--missing", default=",".join(str(c) for c in DEFAULT_MISSING_CODES),
-                   help="comma-separated missing-value codes")
+    # None stands for dataio.DEFAULT_MISSING_CODES, filled in after its import.
+    p.add_argument("--missing", default=None, help="comma-separated missing-value codes")
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -350,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--benchmark", required=True, help="benchmark model name")
     p_equiv.add_argument("--alternatives", nargs="*", default=None,
                          help="alternative model names (default: all others)")
-    p_equiv.add_argument("--bracket-hi", type=float, default=DEFAULT_BRACKET_HI,
+    # None stands for equiv.DEFAULT_BRACKET_HI, filled in after its import.
+    p_equiv.add_argument("--bracket-hi", type=float, default=None,
                          help="upper bisection bracket, annual percent; at most "
                               "1e-6 * 2**200 (~1.6e54), which 200 halvings narrow to 1e-6")
     p_equiv.set_defaults(func=cmd_equiv)

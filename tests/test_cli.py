@@ -504,7 +504,6 @@ class TestRank:
         # the union path prints what fitting one model at a time printed,
         # in the same order, and exits with the same code.
         import factordist.bayes as bayes
-        import factordist.cli as cli
         import factordist.regression as regression
         from factordist.errors import SingularFactorCovError
 
@@ -530,7 +529,7 @@ class TestRank:
         code = main(argv)
         err = capsys.readouterr().err
         with monkeypatch.context() as m:
-            m.setattr(cli, "_fit_models", direct_fits)
+            m.setattr(regression, "_fit_models", direct_fits)
             want_code = main(argv)
             want_err = capsys.readouterr().err
         assert (code, err) == (want_code, want_err)
@@ -622,26 +621,44 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     assert run.stdout.strip() == "[0, 0, 0] False [False, False] [True, False]", run.stderr
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("rank", []), ("sweep", []), ("equiv", ["--benchmark", "BOTH"]),
-], ids=["rank", "sweep", "equiv"])
-def test_command_loads_only_what_it_runs(tmp_path, command, extra):
+_RANK_LOADS = ["bayes", "dataio", "linalg", "metrics", "regression"]
+_POSTERIOR_LOADS = ["bayes", "dataio", "equiv", "linalg", "regression"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["rank", "DATA"], _RANK_LOADS),
+    (["sweep", "DATA"], _POSTERIOR_LOADS),
+    (["equiv", "DATA", "--benchmark", "BOTH"], _POSTERIOR_LOADS),
+    (["synth", "OUT"], ["dataio", "linalg", "synth"]),
+    (["--version"], []),
+    (["--help"], []),
+    (["rank"], []),
+], ids=["rank", "sweep", "equiv", "synth", "version", "help", "usage-error"])
+def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     # Where no bytecode is cached, each module a command imports is compiled
-    # on every run. No command loads dataclasses or the dense Gaussian forms
-    # (factordist.transport), and only rank loads the GRS (factordist.metrics).
+    # on every run. Arguments are parsed before numpy loads, so --version,
+    # --help and a usage error load no numeric module. Only rank loads the
+    # GRS (factordist.metrics), only sweep and equiv the posterior sweep and
+    # solver (factordist.equiv), and no command loads dataclasses or the
+    # dense Gaussian forms (factordist.transport).
     ports, facts = _synth(tmp_path)
-    argv = [command, "--portfolios", str(ports), "--factors", str(facts),
-            "--models", str(_models(tmp_path)), "--out", str(tmp_path / "out"), *extra]
+    out = ["--out", str(tmp_path / "out")]
+    data = ["--portfolios", str(ports), "--factors", str(facts),
+            "--models", str(_models(tmp_path)), *out]
+    argv = [tok for arg in argv for tok in {"DATA": data, "OUT": out}.get(arg, [arg])]
     script = (
         "import sys\n"
         "from factordist.cli import main\n"
         f"code = main({argv!r})\n"
-        "print(code, [m for m in ('dataclasses', 'factordist.metrics', "
-        "'factordist.transport') if m in sys.modules])\n"
+        "print(code, sorted(m for m in sys.modules if m in ('dataclasses', 'numpy') "
+        "or m.startswith('factordist.')))\n"
     )
     run = _python("-c", script)
-    loaded = ["factordist.metrics"] if command == "rank" else []
-    assert run.stdout.strip() == f"0 {loaded}", run.stderr
+    want = sorted(["factordist.cli", "factordist.errors",
+                   *(f"factordist.{m}" for m in loaded), *(["numpy"] if loaded else [])])
+    code = 1 if argv == ["rank"] else 0
+    assert run.stdout.splitlines()[-1] == f"{code} {want}", run.stderr
+
 
 def test_every_public_name_imports():
     # The package resolves its names on first access; each one must resolve,
@@ -688,10 +705,11 @@ class TestProcessEntry:
         script = (
             "import sys\n"
             "import factordist.cli as cli\n"
+            "import factordist.regression as regression\n"
             "from factordist.errors import NumericalError\n"
             "def boom(dataset, models):\n"
             "    raise NumericalError('synthetic breakage')\n"
-            "cli._fit_models = boom\n"
+            "regression._fit_models = boom\n"
             f"sys.argv = {argv!r}\n"
             "cli.run()\n"
         )
@@ -1105,23 +1123,24 @@ class TestEquiv:
 
 
 class TestOneFittingPath:
-    """rank, sweep and equiv take every fit from ``cli._fit_models``."""
+    """rank, sweep and equiv take every fit from ``regression._fit_models``."""
 
     def test_printed_values_agree_bit_for_bit(self, tmp_path, monkeypatch):
         # Printed in full, rank's AD is the AD of sweep's sigma = 0 row for
         # every model, and equiv's target is rank's AD of the benchmark.
         import factordist.cli as cli
+        import factordist.equiv as equiv
 
         ports, facts = _synth(tmp_path)
         targets = []
-        real_solve = cli.solve_equivs
+        real_solve = equiv.solve_equivs
 
         def solve_spy(*args, **kwargs):
             targets.append(args[-1])
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_fmt", lambda v: "" if v is None else repr(float(v)))
-        monkeypatch.setattr(cli, "solve_equivs", solve_spy)
+        monkeypatch.setattr(equiv, "solve_equivs", solve_spy)
         out = tmp_path / "out"
         argv = ["--portfolios", str(ports), "--factors", str(facts),
                 "--models", str(_models(tmp_path)), "--out", str(out)]
@@ -1140,7 +1159,7 @@ class TestOneFittingPath:
                                                monkeypatch, case):
         # Fitting one model at a time prints the same errors and exits with
         # the same codes; the files agree too.
-        import factordist.cli as cli
+        import factordist.regression as regression
 
         ports, facts = _synth(tmp_path, **({"T": 30, "n": 40} if case == "short" else {}))
         text = {"unknown": "ONE = F1\nBAD = NOPE\nBOTH = F1,F2\n",
@@ -1162,7 +1181,7 @@ class TestOneFittingPath:
             code = main([*argv, "--out", str(got)])
             err = capsys.readouterr().err
             with monkeypatch.context() as m:
-                m.setattr(cli, "_fit_models", direct_fits)
+                m.setattr(regression, "_fit_models", direct_fits)
                 assert (code, err) == (main([*argv, "--out", str(want)]),
                                        capsys.readouterr().err), argv
             assert code == (1 if case in ("unknown", "grid") else 0), argv
@@ -1284,7 +1303,7 @@ class TestSynthCommand:
         def boom(dataset, models):
             raise NumericalError("synthetic breakage")
 
-        monkeypatch.setattr("factordist.cli._fit_models", boom)
+        monkeypatch.setattr("factordist.regression._fit_models", boom)
         ports, facts = _synth(tmp_path)
         models = _models(tmp_path)
         code = main(["rank", "--portfolios", str(ports), "--factors",

@@ -1,7 +1,7 @@
 """Oracle-strength smoke check: each one-line mutant must fail its tests.
 
 Copies the checkout once into a temporary directory, then for each mutant
-replaces one line of source text in the copy, runs the named test files there
+replaces one line of source text in the copy, runs the named tests there
 with ``-x`` and requires pytest to report failing tests (exit code 1). The
 copy holds the whole checkout because ``pyproject.toml`` puts its own ``src``
 first on ``sys.path``, ahead of any ``PYTHONPATH``. A mutant whose original
@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PKG = "src/factordist/"
 
-# (name, file, original text, mutated text, test files that must fail)
+# (name, file, original text, mutated text, test files or test ids that must fail)
 MUTANTS = (
     ("QUAD_HI_MARGIN 39 -> 8", PKG + "linalg.py",
      "QUAD_HI_MARGIN = 39.0", "QUAD_HI_MARGIN = 8.0",
@@ -54,6 +54,9 @@ MUTANTS = (
     ("GRS quadratic form without |y - QQ'y|^2", PKG + "metrics.py",
      "quad = float(perp @ perp) + float(", "quad = 0.0 + float(",
      ["tests/test_regression.py"]),
+    ("cli imports a numeric module before parsing", PKG + "cli.py",
+     "from . import __version__", "from . import __version__, bayes",
+     ["tests/test_cli.py::test_command_loads_only_what_it_runs"]),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

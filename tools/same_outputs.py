@@ -13,8 +13,12 @@ The matrix: the three benchmark workloads at seeds 1-3; ``sweep`` and
 ``equiv`` on the n = 800 ``rank-wide`` inputs; ``equiv`` of the 62 factor
 subsets at n = 300; ``sweep`` on the ``equiv-paper`` inputs, with the default
 grid and an extreme one; ``equiv`` with ``--bracket-hi`` 0.5 and 1e60; a short
-panel (n > T, so no GRS) and one with collinear factors; and ``synth``. The
-benchmark inputs come from ``benchmarks/workloads.py``, read, not changed.
+panel (n > T, so no GRS) and one with collinear factors; ``synth``; and runs
+with no data, which end in the parser or before any input is read:
+``--version``, ``--help``, each command's ``--help``, ``rank`` without its
+data options, an unknown command, ``equiv --bracket-hi abc`` and
+``sweep --grid 2,1``. The benchmark inputs come from
+``benchmarks/workloads.py``, read, not changed.
 """
 
 from __future__ import annotations
@@ -112,6 +116,14 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
         ("synth", ["synth", "--T", "120", "--n", "5", "--k", "2", "--seed", "1"]),
         ("synth, short sample", ["synth", "--T", "60", "--n", "80", "--k", "2"]),
         ("synth --alpha inf", ["synth", "--alpha", "inf"]),
+        ("--version", ["--version"]),
+        ("--help", ["--help"]),
+        *((f"{command} --help", [command, "--help"])
+          for command in ("rank", "sweep", "equiv", "synth")),
+        ("rank without data options", ["rank"]),
+        ("unknown command", ["no-such-command"]),
+        ("equiv --bracket-hi abc", ["equiv", "--bracket-hi", "abc"]),
+        ("sweep --grid 2,1 without data", ["sweep", "--grid", "2,1"]),
     ]
     return runs
 
