@@ -256,17 +256,18 @@ def cmd_equiv(args) -> int:
     fits = _fit_models(dataset, [by_name[n] for n in (args.benchmark, *alternatives)])
     benchmark_fit, _ = next(fits)
     benchmark_ad = distance_breakdown(*skeptic_moments(benchmark_fit)).ad
-    families = []
+    families, failure = [], None
     try:
         for fit, _ in fits:
             families.append(PosteriorFamily(fit))
-    except FactorDistError:
-        # An alternative before the one that failed reports its own
-        # NoConvergenceError first, as one alternative at a time would.
-        solve_equivs(families, benchmark_ad, bracket_hi=args.bracket_hi)
-        raise
-    rows = []
+    except FactorDistError as exc:
+        failure = exc
+    # An alternative before the one that failed reports its own
+    # NoConvergenceError first, as one alternative at a time would.
     results = solve_equivs(families, benchmark_ad, bracket_hi=args.bracket_hi)
+    if failure is not None:
+        raise failure
+    rows = []
     for family, res in zip(families, results):
         if isinstance(res, NotBracketedError):
             rows.append(",".join([family.fit.model.name, args.benchmark, "", "",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import suppress
 from typing import Sequence
 
 import numpy as np
@@ -125,26 +124,6 @@ def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.
     if bad.size:
         raise NotPDError(f"pivot {pivots[bad[0]]:.3e} at column {bad[0]} is <= {tol:.3e}")
     return lower
-
-
-def cholesky_stack(a: np.ndarray, pivot_tol_factor: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK's lower Cholesky factor of each matrix of a (g, d, d) stack, and
-    whether :func:`cholesky_spd` accepts it: bit for bit its factor and its
-    verdict, for matrices that :func:`symmetrize` returns as they are. A
-    stack that ``np.linalg.cholesky`` rejects for one matrix is factored one
-    matrix at a time; a rejected matrix's factor is left zero.
-    """
-    try:
-        lower, ok = np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        lower, ok = np.zeros_like(a), np.zeros(len(a), dtype=bool)
-        for j, m in enumerate(a):
-            with suppress(np.linalg.LinAlgError):
-                lower[j], ok[j] = np.linalg.cholesky(m), True
-    tol = chol_pivot_floor(np.trace(a, axis1=1, axis2=2), a.shape[-1], pivot_tol_factor)
-    ok &= ~(np.diagonal(lower, axis1=1, axis2=2) ** 2 <= tol[:, None]).any(axis=1)
-    return lower, ok
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

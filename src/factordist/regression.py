@@ -23,10 +23,9 @@ r the factors of U it drops. With G_ss = L_s L_s' and v = L_s^{-1} G_sr:
 - the asset means come from the union fit, and R^2 from ``_assemble``'s
   one identity, so neither ``fit_ols`` nor a derived fit takes a second
   pass over the returns;
-- the models of one factor count k are derived together, in one pass of
-  stacked Cholesky factors, solves and products for the g models of that k
-  (``fit_ols`` is the case g = 1), with each fit's squared Sharpe ratio
-  (:func:`sharpe_sq`): bit for bit what each model would get alone;
+- each model is derived in its turn from one-matrix forms (the Cholesky
+  factor L_s, solves for v and h_S), and ``_assemble``, which ``fit_ols``
+  shares, adds its R^2 and squared Sharpe ratio (:func:`sharpe_sq`);
 - alpha_S = alpha_U + B_r h_S[0]', so with [z, Z] = L_U^{-1} [alpha_U, B_U],
   one forward substitution of K + 1 columns per dataset, GRS takes
   y = L_U^{-1} alpha_S = z + Z_r h_S[0]' and W = Z_r chol(C_S / T), and
@@ -60,6 +59,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
+from contextlib import suppress
 from functools import cache, partial
 from typing import NamedTuple
 
@@ -74,7 +74,7 @@ from .errors import (
     SingularFactorCovError,
     UnknownFactorError,
 )
-from .linalg import CHOL_PIVOT_REL, chol_pivot_floor, cholesky_spd, cholesky_stack, solve_lower
+from .linalg import chol_pivot_floor, cholesky_spd, solve_lower
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
@@ -104,23 +104,20 @@ class RegressionFit(NamedTuple):
     factor_cov_mle: np.ndarray  # (k, k)
     r2: np.ndarray              # (n,)
     asset_mean: np.ndarray      # (n,)
-    # Sh^2 from the fit's own pass (:func:`sharpe_sq`): NaN where Omega has no
-    # Cholesky factor.
+    # Sh^2 (:func:`sharpe_sq`) as ``_assemble`` stored it: NaN where Omega has
+    # no Cholesky factor.
     sh2: float
 
     @property
     def sigma_mle(self) -> np.ndarray:
-        """The (n, n) residual covariance, formed when read; exactly symmetric."""
-        return _sigma_mle(self.sigma_base, self.sigma_loadings, self.sigma_core)
-
-
-def _sigma_mle(base: np.ndarray, loadings: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """base + (L C L' + (L C L')') / 2, ``base`` itself for an empty L;
-    elementwise over stacked loadings (g, n, r) and cores (g, r, r)."""
-    if loadings.shape[-1] == 0:
-        return base
-    term = loadings @ core @ np.swapaxes(loadings, -1, -2)
-    return base + (term + np.swapaxes(term, -1, -2)) / 2.0
+        """The (n, n) residual covariance base + (L C L' + (L C L')') / 2,
+        formed when read (``sigma_base`` itself for an empty L); exactly
+        symmetric."""
+        loadings = self.sigma_loadings
+        if loadings.shape[1] == 0:
+            return self.sigma_base
+        term = loadings @ self.sigma_core @ loadings.T
+        return self.sigma_base + (term + term.T) / 2.0
 
 
 # A deferred GRS test (``metrics.grs_test``).
@@ -178,11 +175,8 @@ def fit_ols(dataset: Dataset, model: ModelSpec) -> RegressionFit:
         # numpy forms A'A with BLAS syrk: sigma_mle and factor_cov_mle are exactly symmetric.
         sigma_mle = resid.T @ resid
         sigma_mle /= t_obs
-    (fit,) = _assemble(dataset, [model], coef[None], sigma_mle, np.empty((1, n, 0)),
-                       np.empty((1, 0, 0)), np.diag(sigma_mle)[None], returns.mean(axis=0))
-    if isinstance(fit, NonFiniteError):
-        raise fit
-    return fit
+    return _assemble(dataset, model, coef, sigma_mle, np.empty((n, 0)), np.empty((0, 0)),
+                     np.diag(sigma_mle), returns.mean(axis=0))
 
 
 def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
@@ -192,13 +186,12 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     for every model the union vouches for. The one fitting path of the
     ``rank``, ``sweep`` and ``equiv`` commands, not a library entry point.
 
-    Yields ``(fit, grs)`` in model order; the derived fits are made before
-    the first, one pass per factor count, and a model's own ``fit_ols`` in
-    its turn. ``grs()`` does the model's GRS work and returns or raises what
-    ``metrics.grs_test(fit)`` would, to rounding; the first call makes the n x n
-    Cholesky and the (K+1)-column forward substitution that later calls
-    share. A model's error, from its own ``fit_ols`` or its derived sums of
-    squares, is raised in its turn.
+    Yields ``(fit, grs)`` in model order, each fit made in its turn: derived
+    from the union, or the model's own ``fit_ols``. ``grs()`` does the model's
+    GRS work and returns or raises what ``metrics.grs_test(fit)`` would, to
+    rounding; the first call makes the n x n Cholesky and the (K+1)-column
+    forward substitution that later calls share. A model's error, from its
+    own ``fit_ols`` or its derived sums of squares, is raised in its turn.
     """
     t_obs, n = dataset.portfolios.values.shape
     panel = set(dataset.factors.names)
@@ -248,93 +241,81 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
     design = np.column_stack([np.ones(t_obs), dataset.factors.select(union)])
     gram = design.T @ design
     column = {name: j for j, name in enumerate(union, start=1)}
-    groups: dict[int, list[int]] = {}
-    for i, model in enumerate(models):
+    for model in models:
+        lower = None
         if panel.issuperset(model.factor_names):
-            groups.setdefault(model.k, []).append(i)
-    derived = {}
-    for members in groups.values():
-        s = np.array([[0, *(column[name] for name in models[i].factor_names)]
-                      for i in members])
-        # The union passed its rank test, so G is finite and below half the
-        # largest float: symmetrize would leave each G_ss as it is.
-        lower, ok = cholesky_stack(gram[s[:, :, None], s[:, None, :]], RANK_PIVOT_REL)
-        members = [i for i, keep in zip(members, ok.tolist()) if keep]
-        if not members:
+            s = [0, *(column[name] for name in model.factor_names)]
+            # The union passed its rank test, so G is finite and below half the
+            # largest float: symmetrize leaves G_ss as it is.
+            with suppress(NotPDError):
+                lower = cholesky_spd(gram[np.ix_(s, s)], RANK_PIVOT_REL)
+        if lower is None:
+            yield _direct(dataset, model)
             continue
-        s, lower = s[ok], lower[ok]
-        r = np.array([[j for j in range(1, width) if j not in row] for row in s.tolist()],
-                     dtype=np.intp).reshape(len(members), width - s.shape[1])
+        r = [j for j in range(1, width) if j not in s]
         with np.errstate(over="ignore", invalid="ignore"):
             # C_S = F_r'M_S F_r, the Schur complement of G_ss in G, and
             # h_S = G_ss^{-1} G_sr from the same v.
-            v = np.linalg.solve(lower, gram[s[:, :, None], r[:, None, :]])
-            schur = gram[r[:, :, None], r[:, None, :]] - np.swapaxes(v, 1, 2) @ v
-            h = np.linalg.solve(np.swapaxes(lower, 1, 2), v)
-            b_r = np.swapaxes(coef_u[r], 1, 2)
-            # Where this overflows, _assemble gives the model its NonFiniteError.
-            resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=2) / t_obs
-            fits = _assemble(dataset, [models[i] for i in members],
-                             coef_u[s] + h @ coef_u[r], sigma_u, b_r, schur / t_obs,
-                             resid_var, union_fit.asset_mean)
-        derived.update(zip(members, zip(fits, r, h[:, 0])))
-    for i, model in enumerate(models):
-        if i not in derived:
-            yield _direct(dataset, model)
-            continue
-        fit, r, h0 = derived[i]
-        if isinstance(fit, NonFiniteError):
-            raise fit
-        yield fit, partial(grs, fit, r, h0)
+            v = np.linalg.solve(lower, gram[np.ix_(s, r)])
+            schur = gram[np.ix_(r, r)] - v.T @ v
+            h = np.linalg.solve(lower.T, v)
+            b_r = coef_u[r].T
+            # Where this overflows, _assemble raises the model's NonFiniteError.
+            resid_var = resid_var_u + ((b_r @ schur) * b_r).sum(axis=1) / t_obs
+            coef = coef_u[s] + h @ coef_u[r]
+        fit = _assemble(dataset, model, coef, sigma_u, b_r, schur / t_obs, resid_var,
+                        union_fit.asset_mean)
+        yield fit, partial(grs, fit, r, h[0])
 
 
-def _assemble(dataset: Dataset, models: Sequence[ModelSpec], coef: np.ndarray,
+def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
               sigma_base: np.ndarray, sigma_loadings: np.ndarray,
               sigma_core: np.ndarray, resid_var: np.ndarray, asset_mean: np.ndarray
-              ) -> list[RegressionFit | NonFiniteError]:
-    """The fits of g models of one factor count k from stacked coefficients
-    (g, k+1, n), loadings (g, n, r), cores (g, r, r) and residual variances
-    (g, n), with one shared base and asset means; a model whose sums of
-    squares overflow gets its NonFiniteError in its place.
+              ) -> RegressionFit:
+    """The fit of a model of k factors from its coefficients (k+1, n), loadings
+    (n, r), core (r, r), residual variances (n,), base and asset means.
     R - 1 mean' = (F - 1 mu')B' + E, E orthogonal to X, so
     R^2 = explained / (explained + resid_var), explained = rowsum((B Omega) o B).
-    Omega is C'C / T over each model's own centered columns C: a sub-block of
-    the union's C'C differs in the last bits."""
-    factors = dataset.factors
-    columns = [[factors.names.index(name) for name in m.factor_names] for m in models]
-    # Each (T, k) slice is column-major, as ``ReturnsPanel.select`` gives one.
-    centered = np.swapaxes(factors.values.T[columns], 1, 2)
-    factor_mean = centered.mean(axis=1)
-    centered -= factor_mean[:, None, :]
-    factor_cov = np.swapaxes(centered, 1, 2) @ centered / dataset.t_obs
-    betas = np.swapaxes(coef[:, 1:], 1, 2)
+    Omega is C'C / T over the model's own centered columns C: a sub-block of
+    the union's C'C differs in the last bits. Sh^2 = |L^{-1} mu|^2 with
+    Omega = L L' (:func:`sharpe_sq`), NaN where ``cholesky_spd`` rejects Omega.
+    Raises the model's NonFiniteError where its sums of squares overflow.
+    """
+    factors = dataset.factors.select(model.factor_names)
+    factor_mean = factors.mean(axis=0)
+    centered = factors - factor_mean
+    factor_cov = centered.T @ centered / dataset.t_obs
+    betas = coef[1:].T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        explained = ((betas @ factor_cov) * betas).sum(axis=2)
+        explained = ((betas @ factor_cov) * betas).sum(axis=1)
         total = explained + resid_var
         r2 = np.where(total > 0.0, explained / total, 1.0)  # 1 where both are 0
-        sh2 = _sharpe_sqs(factor_cov, factor_mean).tolist()
-    alpha, betas = coef[:, 0].copy(), betas.copy()
-    fits: list[RegressionFit | NonFiniteError] = []
-    for j, (model, finite) in enumerate(zip(models, np.isfinite(total).all(axis=1).tolist())):
-        fits.append(RegressionFit(
-            model=model,
-            T=dataset.t_obs,
-            n=coef.shape[2],
-            k=model.k,
-            alpha_hat=alpha[j],
-            beta_hat=betas[j],
-            sigma_base=sigma_base,
-            sigma_loadings=sigma_loadings[j],
-            sigma_core=sigma_core[j],
-            resid_var=resid_var[j],
-            factor_mean=factor_mean[j],
-            factor_cov_mle=factor_cov[j],
-            r2=r2[j],
-            asset_mean=asset_mean,
-            sh2=sh2[j],
-        ) if finite else NonFiniteError(f"model {model.name!r}: returns too large: "
-                                        "residual or total sums of squares overflow"))
-    return fits
+        if not np.isfinite(total).all():
+            raise NonFiniteError(f"model {model.name!r}: returns too large: "
+                                 "residual or total sums of squares overflow")
+        try:
+            z = solve_lower(cholesky_spd(factor_cov), factor_mean)
+        except NotPDError:
+            sh2 = math.nan
+        else:
+            sh2 = float(z @ z)
+    return RegressionFit(
+        model=model,
+        T=dataset.t_obs,
+        n=coef.shape[1],
+        k=model.k,
+        alpha_hat=coef[0].copy(),
+        beta_hat=betas.copy(),
+        sigma_base=sigma_base,
+        sigma_loadings=sigma_loadings,
+        sigma_core=sigma_core,
+        resid_var=resid_var,
+        factor_mean=factor_mean,
+        factor_cov_mle=factor_cov,
+        r2=r2,
+        asset_mean=asset_mean,
+        sh2=sh2,
+    )
 
 
 def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]:
@@ -352,7 +333,7 @@ def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]
 def sharpe_sq(fit: RegressionFit) -> float:
     """Squared Sharpe ratio of the model factors, mu' Omega^{-1} mu = |L^{-1} mu|^2
     with Omega = L L', the form ``metrics.grs_test`` takes for a' Sigma^{-1} a:
-    the fit's own, from the pass that made it (:func:`_sharpe_sqs`).
+    the fit's own, stored by the ``_assemble`` that made it.
 
     Raises
     ------
@@ -366,16 +347,3 @@ def sharpe_sq(fit: RegressionFit) -> float:
             raise SingularFactorCovError(str(exc)) from None
     return fit.sh2
 
-
-def _sharpe_sqs(cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """|L^{-1} mu|^2 for each Omega = L L' (g, k, k) and mu (g, k) of a stack:
-    one ``linalg.cholesky_stack`` and a forward substitution across the stack,
-    bit for bit ``cholesky_spd`` and ``solve_lower`` of each; NaN where
-    ``cholesky_spd`` rejects Omega."""
-    lower, ok = cholesky_stack(cov, CHOL_PIVOT_REL)
-    z = np.empty(mean.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(mean.shape[1]):
-            dot = (lower[:, i, None, :i] @ z[:, :i, None])[:, 0, 0]
-            z[:, i] = (mean[:, i] - dot) / lower[:, i, i]
-    return np.where(ok, (z[:, None, :] @ z[:, :, None])[:, 0, 0], np.nan)

@@ -26,8 +26,7 @@ from factordist import (
 )
 from factordist.bayes import FamilyStack
 from factordist.dataio import month_range
-from factordist.linalg import QuadratureStack
-from factordist.regression import _sharpe_sqs
+from factordist.linalg import QuadratureStack, cholesky_spd, solve_lower
 
 
 def make_config(seed=42, T=600, n=5, k=1, alpha=0.15, beta=1.0,
@@ -81,6 +80,13 @@ def panel_from_columns(columns: dict, start=200001):
     return ReturnsPanel(month_range(start, values.shape[0]), names, values)
 
 
+def sh2_of(factor_cov, factor_mean):
+    """Sh^2 = |L^{-1} mu|^2 with Omega = L L', the one-matrix form of
+    ``regression._assemble``."""
+    z = solve_lower(cholesky_spd(factor_cov), factor_mean)
+    return float(z @ z)
+
+
 def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
              model_name="FAKE"):
     """Hand-assembled RegressionFit for metric-level tests."""
@@ -105,7 +111,7 @@ def fake_fit(alpha, T=600, k=1, sigma_diag=None, asset_mean=None,
         factor_cov_mle=factor_cov,
         r2=np.full(n, 0.9),
         asset_mean=np.asarray(asset_mean, dtype=float),
-        sh2=float(_sharpe_sqs(factor_cov[None], factor_mean[None])[0]),
+        sh2=sh2_of(factor_cov, factor_mean),
     )
 
 

@@ -885,9 +885,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("n", [25, 130])
     def test_joint_rows_equal_rows_alone(self, tmp_path, n):
-        # Families whose fits come from one grouped pass, with rules from
-        # eigh below GAUSS_RULE_MIN_N or from Lanczos from it on, print each
-        # model's rows as a run with that model alone does.
+        # Families whose fits are derived from one union fit, with rules
+        # from eigh below GAUSS_RULE_MIN_N or from Lanczos from it on, print
+        # each model's rows as a run with that model alone does.
         ports, facts = _synth(tmp_path, n=n, k=3, T=400)
         lines = ["S1 = F1", "S23 = F2,F3", "S123 = F1,F2,F3", "S12 = F1,F2", "S3 = F3"]
 
@@ -929,6 +929,34 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: average distance increased"), err
         assert built == ["ONE"]
+        assert not out.exists()
+
+    def test_sweep_derives_no_fit_past_a_failed_sweep(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # Each fit is derived in its turn: ONE's sweep fails (no AD falls by a
+        # negative slack), so _assemble runs for the union and for ONE only,
+        # and TWO, of another factor count, is never derived.
+        from factordist import equiv, regression
+
+        assembled = []
+        real_assemble = regression._assemble
+
+        def assemble(*args):
+            assembled.append(args[1])
+            return real_assemble(*args)
+
+        monkeypatch.setattr(regression, "_assemble", assemble)
+        monkeypatch.setattr(equiv, "MONOTONE_SLACK", -1.0)
+        ports, facts = _synth(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["sweep", "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(_models(tmp_path, "ONE = F1\nTWO = F1,F2\n")),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: average distance increased"), err
+        assert len(assembled) == 2
+        assert [model.name for model in assembled] == ["union", "ONE"]
         assert not out.exists()
 
     def test_inf_grid_is_skeptic_row(self, tmp_path):

@@ -1,9 +1,8 @@
-"""The grouped passes of ``regression._fit_models`` (one per factor count),
-and ``bayes.PosteriorFamily`` built on their fits, against per-model
-reference forms written out here: every field of every fit, every Sh^2, and
-every family's moments and quadrature table agree bit for bit on both sides
-of ``linalg.GAUSS_RULE_MIN_N``, and each model's error is raised in its
-turn."""
+"""The fits that ``regression._fit_models`` derives from the union fit, and
+``bayes.PosteriorFamily`` built on them, against per-model reference forms
+written out here: every field of every fit, every Sh^2, and every family's
+moments and quadrature table agree bit for bit on both sides of
+``linalg.GAUSS_RULE_MIN_N``, and each model's error is raised in its turn."""
 
 import numpy as np
 from hypothesis import example, given, settings

@@ -30,9 +30,16 @@ from factordist.errors import (
 )
 from factordist.linalg import LANCZOS_PROBES, cholesky_spd
 from factordist.metrics import GRS_UNDEFINED
-from factordist.regression import _fit_models, _sharpe_sqs
+from factordist.regression import _fit_models
 
-from conftest import direct_fits, fake_fit, panel_from_columns, random_fit_inputs, remainder
+from conftest import (
+    direct_fits,
+    fake_fit,
+    panel_from_columns,
+    random_fit_inputs,
+    remainder,
+    sh2_of,
+)
 
 
 def _tiny_dataset(factor_values, asset_values, extra_factors=None):
@@ -187,14 +194,14 @@ class TestSharpeSq:
         mu = rng.normal(size=k) * np.sqrt(lam.max())
         fit = fake_fit(np.zeros(2), k=k)._replace(
             factor_mean=mu, factor_cov_mle=omega,
-            sh2=float(_sharpe_sqs(omega[None], mu[None])[0]))
+            sh2=sh2_of(omega, mu))
         want = float(mu @ np.linalg.solve(omega, mu))
         cond = 10.0 ** log10_cond
         assert sharpe_sq(fit) == pytest.approx(
             want, rel=100 * k * cond * np.finfo(float).eps)
 
     def test_nan_sh2_rechecks_the_factor_covariance(self):
-        # A fit whose grouped pass left Sh^2 NaN is rechecked by cholesky_spd,
+        # A fit whose _assemble left Sh^2 NaN is rechecked by cholesky_spd,
         # and its pivot message names the singular factor covariance.
         omega = np.diag([1.0, 1e-20])
         fit = fake_fit(np.zeros(2), k=2)._replace(factor_cov_mle=omega, sh2=np.nan)
@@ -584,14 +591,16 @@ class TestFitModelsFallback:
     @pytest.mark.parametrize("T, n, k", [(200, 30, 6), (14, 12, 2)], ids=["nested", "band"])
     def test_fits_alone_do_no_grs_work(self, spies, T, n, k):
         # Taking only the fits, as sweep and equiv do: the union's fit_ols,
-        # no n x n Cholesky and no forward substitution, on nested models
-        # and in the band T - K - 1 < n <= T - k - 1 alike.
+        # no n x n Cholesky and no forward substitution with n rows (Sh^2's
+        # have k rows), on nested models and in the band
+        # T - K - 1 < n <= T - k - 1 alike.
         dataset = _factor_panel_dataset(11, T=T, n=n, k=k, extra=False)
         models = [ModelSpec(f"M{j}", tuple(f"F{i + 1}" for i in range(j)))
                   for j in range(1, k + 1)]
         pairs = list(_fit_models(dataset, models))
         assert spies["fit_ols"] == ["union"] and n not in spies["chol_sizes"]
-        assert spies["solve_lower"] == [] and spies["grs_test"] == 0
+        assert [shape for shape in spies["solve_lower"] if shape[0] == n] == []
+        assert spies["grs_test"] == 0
         _assert_same_outcomes(_outcomes(pairs), _outcomes(direct_fits(dataset, models)))
 
     def test_collinear_across_models_takes_the_direct_path(self, spies):

@@ -54,6 +54,9 @@ MUTANTS = (
     ("GRS quadratic form without |y - QQ'y|^2", PKG + "metrics.py",
      "quad = float(perp @ perp) + float(", "quad = 0.0 + float(",
      ["tests/test_regression.py"]),
+    ("derived coefficients without the Frisch-Waugh-Lovell term", PKG + "regression.py",
+     "coef_u[s] + h @ coef_u[r]", "coef_u[s]",
+     ["tests/test_grouped.py"]),
     ("cli imports a numeric module before parsing", PKG + "cli.py",
      "from . import __version__", "from . import __version__, bayes",
      ["tests/test_cli.py::test_command_loads_only_what_it_runs"]),
