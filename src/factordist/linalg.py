@@ -1,10 +1,10 @@
 """Dense symmetric-matrix kernels, the rank-one square-root trace and the
 Lanczos Gauss rule that feeds it.
 
-Everything operates on plain float64 numpy arrays. Symmetric inputs are
-validated and re-symmetrized on entry so downstream factorizations see
-exactly symmetric data. All functions are pure, and a RankOneQuadrature
-table does not change once built.
+Everything operates on plain float64 numpy arrays. :func:`cholesky_spd`
+takes the exactly symmetric matrices the package builds as given, and
+:func:`symmetrize` checks one from outside. All functions are pure, and a
+RankOneQuadrature table does not change once built.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ LANCZOS_STOP_REL = 1e-12
 # and 133 ms for eigh. A panel that reaches the cap pays about one eigh more:
 # at n = 300 with residual variances over six decades, 18 ms against 9.4 ms.
 LANCZOS_MAX_STEPS_REL = 0.25
-# symmetrize: entries below this cannot overflow M + M'.
-_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 def square(x: float) -> float:
@@ -68,12 +66,10 @@ def square(x: float) -> float:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return (M + M') / 2 after checking M is square and symmetric.
-
-    The asymmetry tolerance SYMMETRY_TOL is relative to max(1, max|entry|).
-    An M that is bitwise symmetric, finite and below half the largest float
-    comes back as it is (for a float64 array, the same object), which is
-    (M + M') / 2 bit for bit; a caller that keeps the result copies it.
+    """Return (M + M') / 2, a new array, after checking M is square and
+    symmetric to SYMMETRY_TOL relative to max(1, max|entry|): the check of
+    outside input (``synth``'s configs, ``transport``'s dense forms, the fits
+    given to ``metrics.grs_test`` and ``sharpe_sq``).
 
     Raises
     ------
@@ -85,11 +81,7 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:
         raise NotSymmetricError("empty matrix")
-    top = float(np.abs(a).max())
-    # There M + M' is 2M exactly; NaN fails the bound.
-    if top < _HALF_MAX and np.array_equal(a.view(np.int64), a.T.view(np.int64)):
-        return a
-    scale = max(1.0, top)
+    scale = max(1.0, float(np.abs(a).max()))
     gap = float(np.abs(a - a.T).max())
     if gap > SYMMETRY_TOL * scale:
         raise NotSymmetricError(
@@ -107,16 +99,17 @@ def chol_pivot_floor(trace, dim: int, rel: float = CHOL_PIVOT_REL):
 def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.ndarray:
     """Lower-triangular Cholesky factor with an explicit pivot threshold.
 
-    The factor is LAPACK's (``np.linalg.cholesky``). A matrix LAPACK rejects,
+    M is factored as given (LAPACK's ``np.linalg.cholesky`` reads its lower
+    triangle), so its caller owns its exact symmetry. A matrix LAPACK rejects,
     or a pivot (squared diagonal entry) at or below
     ``chol_pivot_floor(trace(M), dim, pivot_tol_factor)``, raises NotPDError,
     which callers use both to reject singular covariance matrices and to
     detect rank deficiency.
     """
-    a = symmetrize(m)
-    tol = chol_pivot_floor(float(np.trace(a)), a.shape[0], pivot_tol_factor)
+    with np.errstate(over="ignore"):  # an overflowing trace: an infinite floor
+        tol = chol_pivot_floor(float(np.trace(m)), m.shape[0], pivot_tol_factor)
     try:
-        lower = np.linalg.cholesky(a)
+        lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NotPDError("matrix is not positive definite") from None
     pivots = np.diag(lower) ** 2

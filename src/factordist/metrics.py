@@ -27,7 +27,7 @@ from .errors import (
     NotPDError,
     SingularResidualCovError,
 )
-from .linalg import cholesky_spd, solve_lower
+from .linalg import cholesky_spd, solve_lower, symmetrize
 from .regression import RegressionFit, sharpe_sq
 
 # Step cap and relative step tolerance of the incomplete-beta continued fraction.
@@ -102,7 +102,7 @@ def grs_test(fit: RegressionFit) -> tuple[float, float]:
 
     Returns the statistic
     ``(T - n - k) / n * (1 + Sh^2)^{-1} * a' Sigma^{-1} a`` and its p-value
-    from the F(n, T - n - k) upper tail.
+    from the F(n, T - n - k) upper tail, after ``symmetrize`` checks Sigma.
 
     Raises
     ------
@@ -113,7 +113,7 @@ def grs_test(fit: RegressionFit) -> tuple[float, float]:
     """
     dof2 = _grs_dof(fit)
     try:
-        lower = cholesky_spd(fit.sigma_mle)
+        lower = cholesky_spd(symmetrize(fit.sigma_mle))
     except NotPDError as exc:
         raise SingularResidualCovError(
             f"residual covariance singular (n={fit.n}, T={fit.T}): {exc}"

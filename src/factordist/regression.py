@@ -74,7 +74,7 @@ from .errors import (
     SingularFactorCovError,
     UnknownFactorError,
 )
-from .linalg import chol_pivot_floor, cholesky_spd, solve_lower
+from .linalg import chol_pivot_floor, cholesky_spd, solve_lower, symmetrize
 
 # Pivot threshold factor for detecting collinear factor columns in X'X.
 RANK_PIVOT_REL = 1e-10
@@ -104,8 +104,7 @@ class RegressionFit(NamedTuple):
     factor_cov_mle: np.ndarray  # (k, k)
     r2: np.ndarray              # (n,)
     asset_mean: np.ndarray      # (n,)
-    # Sh^2 (:func:`sharpe_sq`) as ``_assemble`` stored it: NaN where Omega has
-    # no Cholesky factor.
+    # Sh^2 (:func:`sharpe_sq`) as ``_assemble`` stored it; NaN only by hand.
     sh2: float
 
     @property
@@ -245,8 +244,7 @@ def _fit_models(dataset: Dataset, models: Sequence[ModelSpec]
         lower = None
         if panel.issuperset(model.factor_names):
             s = [0, *(column[name] for name in model.factor_names)]
-            # The union passed its rank test, so G is finite and below half the
-            # largest float: symmetrize leaves G_ss as it is.
+            # G_ss, a sub-block of numpy's A'A product, is exactly symmetric.
             with suppress(NotPDError):
                 lower = cholesky_spd(gram[np.ix_(s, s)], RANK_PIVOT_REL)
         if lower is None:
@@ -278,7 +276,7 @@ def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
     R^2 = explained / (explained + resid_var), explained = rowsum((B Omega) o B).
     Omega is C'C / T over the model's own centered columns C: a sub-block of
     the union's C'C differs in the last bits. Sh^2 = |L^{-1} mu|^2 with
-    Omega = L L' (:func:`sharpe_sq`), NaN where ``cholesky_spd`` rejects Omega.
+    Omega = L L' (:func:`sharpe_sq`): T Omega's pivots passed X'X's rank test.
     Raises the model's NonFiniteError where its sums of squares overflow.
     """
     factors = dataset.factors.select(model.factor_names)
@@ -293,12 +291,8 @@ def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
         if not np.isfinite(total).all():
             raise NonFiniteError(f"model {model.name!r}: returns too large: "
                                  "residual or total sums of squares overflow")
-        try:
-            z = solve_lower(cholesky_spd(factor_cov), factor_mean)
-        except NotPDError:
-            sh2 = math.nan
-        else:
-            sh2 = float(z @ z)
+        z = solve_lower(cholesky_spd(factor_cov), factor_mean)
+        sh2 = float(z @ z)
     return RegressionFit(
         model=model,
         T=dataset.t_obs,
@@ -333,7 +327,8 @@ def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]
 def sharpe_sq(fit: RegressionFit) -> float:
     """Squared Sharpe ratio of the model factors, mu' Omega^{-1} mu = |L^{-1} mu|^2
     with Omega = L L', the form ``metrics.grs_test`` takes for a' Sigma^{-1} a:
-    the fit's own, stored by the ``_assemble`` that made it.
+    the fit's own, as ``_assemble`` stored it. A NaN (a fit assembled by hand,
+    outside input) is rechecked through ``symmetrize`` and ``cholesky_spd``.
 
     Raises
     ------
@@ -342,7 +337,7 @@ def sharpe_sq(fit: RegressionFit) -> float:
     """
     if math.isnan(fit.sh2):
         try:
-            cholesky_spd(fit.factor_cov_mle)
+            cholesky_spd(symmetrize(fit.factor_cov_mle))
         except NotPDError as exc:
             raise SingularFactorCovError(str(exc)) from None
     return fit.sh2

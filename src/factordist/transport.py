@@ -66,7 +66,7 @@ class GaussianDist(_Checked, _GaussianFields):
 
     def __new__(cls, mean, cov):
         mean = np.asarray(mean, dtype=float).reshape(-1)
-        cov = symmetrize(np.array(cov, dtype=float))
+        cov = symmetrize(cov)
         if cov.shape[0] != mean.shape[0]:
             raise ValueError(
                 f"mean has {mean.shape[0]} entries but cov is {cov.shape}"

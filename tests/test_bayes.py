@@ -619,8 +619,8 @@ class TestGaussianDist:
         np.testing.assert_array_equal(d.cov, d.cov.T)
 
     def test_cov_not_shared_with_caller(self):
-        # An exactly symmetric cov, which symmetrize returns as is, and one
-        # that it averages.
+        # An exactly symmetric cov and one that symmetrize averages: either
+        # way its result is a new array.
         for off in (0.5, 0.5 + 1e-14):
             cov = np.array([[1.0, off], [0.5, 1.0]])
             d = GaussianDist(np.zeros(2), cov)

@@ -749,6 +749,35 @@ class TestProcessEntry:
         label, count = run.stdout.split()
         assert label == "frozen" and int(count) > 0
 
+    def test_run_calls_main_with_the_collector_off(self, tmp_path):
+        argv = ["factordist", "sweep", *self._data(tmp_path), "--out", str(tmp_path / "out")]
+        script = (
+            "import gc, sys\n"
+            "import factordist.cli as cli\n"
+            "real = cli.main\n"
+            "def spy():\n"
+            "    print('enabled', gc.isenabled())\n"
+            "    return real()\n"
+            "cli.main = spy\n"
+            f"sys.argv = {argv!r}\n"
+            "cli.run()\n"
+        )
+        run = _python("-c", script)
+        assert (run.returncode, run.stdout) == (0, "enabled False\n"), run.stderr
+
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path):
+        argv = ["sweep", *self._data(tmp_path)]
+        script = (
+            "import gc\n"
+            "from factordist.cli import main\n"
+            "for i, switch in enumerate((gc.enable, gc.disable)):\n"
+            "    switch()\n"
+            f"    code = main({argv!r} + ['--out', {str(tmp_path)!r} + f'/out{{i}}'])\n"
+            "    print(code, gc.isenabled(), gc.get_freeze_count())\n"
+        )
+        run = _python("-c", script)
+        assert (run.returncode, run.stdout) == (0, "0 True 0\n0 False 0\n"), run.stderr
+
 
 class TestSweep:
     def test_grid_zero_matches_rank_ad(self, tmp_path):
@@ -1180,6 +1209,44 @@ class TestOneFittingPath:
         rank_ad = {r["model"]: r["AD"] for r in rank_rows}
         assert {r["model"]: r["AD"] for r in sweep_rows} == rank_ad
         assert [repr(t) for t in targets] == [rank_ad["ONE"]]
+
+    def test_every_factored_matrix_is_bitwise_symmetric(self, tmp_path, monkeypatch):
+        # cholesky_spd factors its input as given, so each caller owns exact
+        # symmetry. Nested models derive from the union (X'X, G_ss, Omega,
+        # Sigma_U); beside F3 = 2 F1 the union is collinear and each model
+        # takes its own fit_ols and grs_test.
+        import factordist.metrics as metrics
+        import factordist.regression as regression
+
+        factored = []
+
+        def chol_spy(module):
+            def spy(m, *args, **kwargs):
+                factored.append((module.__name__, m.shape[0], m.copy()))
+                return linalg.cholesky_spd(m, *args, **kwargs)
+            return spy
+
+        for module in (regression, metrics):
+            monkeypatch.setattr(module, "cholesky_spd", chol_spy(module))
+        ports, facts = _synth(tmp_path, n=5)
+        facts = _with_doubled_f1(tmp_path, facts)
+        callers = set()
+        for label, text in (("nested", "ONE = F1\nBOTH = F1,F2\n"),
+                            ("direct", "ONE = F1\nTHREE = F3\nBOTH = F1,F2\n")):
+            argv = ["--portfolios", str(ports), "--factors", str(facts),
+                    "--models", str(_models(tmp_path, text)),
+                    "--out", str(tmp_path / label)]
+            for extra in (["rank"], ["sweep"], ["equiv", "--benchmark", "BOTH"]):
+                factored.clear()
+                assert main([*extra, *argv]) == 0
+                assert factored
+                for _, _, m in factored:
+                    assert np.array_equal(m.view(np.int64), m.T.view(np.int64))
+                callers |= {(name, size) for name, size, _ in factored}
+        # X'X and G_ss of orders 2 to 4, Omega of 1 and 2, and Sigma: Sigma_U
+        # in regression, a model's own in metrics.grs_test.
+        assert callers == {*(("factordist.regression", size) for size in range(1, 6)),
+                           ("factordist.metrics", 5)}
 
     @pytest.mark.parametrize("case", ["unknown", "collinear", "short", "grid",
                                       "alternatives"])

@@ -548,6 +548,10 @@ class TestConcatPanels:
         a = panel_from_columns({"P": [1.0]})
         assert concat_panels([a]) is a
 
+    def test_no_panels(self):
+        with pytest.raises(ValueError, match="^no panels to concatenate$"):
+            concat_panels([])
+
     def test_no_overlap(self):
         a = panel_from_columns({"P1": [1.0]}, start=196701)
         b = panel_from_columns({"P2": [1.0, 2.0]}, start=196702)

@@ -8,8 +8,10 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from factordist import metrics
 from factordist.errors import (
     InvalidDoFError,
+    NoConvergenceError,
     NotPDError,
     NotPSDError,
     NotSymmetricError,
@@ -373,10 +375,15 @@ class TestSymmetrize:
         with pytest.raises(NotSymmetricError):
             symmetrize(np.ones((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(NotSymmetricError, match="^empty matrix$"):
+            symmetrize(np.zeros((0, 0)))
+
     def test_exactly_symmetric_returned_as_is(self, rng):
         b = rng.standard_normal((40, 40))
         m = b + b.T
-        assert symmetrize(m) is m
+        # (M + M') / 2 has M's bits.
+        np.testing.assert_array_equal(symmetrize(m).view(np.int64), m.view(np.int64))
         np.testing.assert_array_equal(m, (m + m.T) / 2.0)
 
     @pytest.mark.parametrize("m", [
@@ -463,3 +470,16 @@ class TestFCdfUpper:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             f_cdf_upper(-0.1, 2, 5)
+
+    @pytest.mark.parametrize("d1,d2", [(2, 2), (5, 100), (25, 574)])
+    def test_extreme_x_end_at_the_incomplete_beta_bounds(self, d1, d2):
+        # At x = 1e308, d1 x overflows and the argument d2 / (d2 + d1 x) is 0;
+        # at x = 1e-300 it rounds to 1. Both return before the continued fraction.
+        for x in (1e308, 1e-300):
+            assert f_cdf_upper(x, d1, d2) == pytest.approx(
+                scipy.stats.f.sf(x, d1, d2), rel=1e-8, abs=1e-300)
+
+    def test_continued_fraction_step_cap(self, monkeypatch):
+        monkeypatch.setattr(metrics, "BETA_CF_MAX_ITER", 1)
+        with pytest.raises(NoConvergenceError, match="no convergence in 1 steps$"):
+            f_cdf_upper(1.0, 10, 50)

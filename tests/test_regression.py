@@ -28,9 +28,9 @@ from factordist.errors import (
     SingularResidualCovError,
     UnknownFactorError,
 )
-from factordist.linalg import LANCZOS_PROBES, cholesky_spd
+from factordist.linalg import CHOL_PIVOT_REL, LANCZOS_PROBES, cholesky_spd
 from factordist.metrics import GRS_UNDEFINED
-from factordist.regression import _fit_models
+from factordist.regression import RANK_PIVOT_REL, _fit_models
 
 from conftest import (
     direct_fits,
@@ -201,7 +201,8 @@ class TestSharpeSq:
             want, rel=100 * k * cond * np.finfo(float).eps)
 
     def test_nan_sh2_rechecks_the_factor_covariance(self):
-        # A fit whose _assemble left Sh^2 NaN is rechecked by cholesky_spd,
+        # No fit _assemble makes has a NaN Sh^2; a fit assembled by hand with
+        # one is outside input, rechecked through symmetrize and cholesky_spd,
         # and its pivot message names the singular factor covariance.
         omega = np.diag([1.0, 1e-20])
         fit = fake_fit(np.zeros(2), k=2)._replace(factor_cov_mle=omega, sh2=np.nan)
@@ -678,8 +679,6 @@ class TestFitModelsFallback:
         # Asset A0 is almost exactly priced by F1 and F2: L_U's smallest
         # pivot passes Sigma_U's threshold but not the larger
         # CHOL_PIVOT_REL tr Sigma_S / n of the model that drops F2.
-        from factordist.linalg import CHOL_PIVOT_REL
-
         T, n = 120, 3
         rng = np.random.default_rng(8)
         f = rng.normal(0.5, 4.0, (T, 2))
@@ -703,6 +702,50 @@ class TestFitModelsFallback:
         assert got[1][0].sigma_loadings.shape == (n, 1)
         assert spies["fit_ols"] == ["union", "ONE"] and spies["grs_test"] == 1
         _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
+
+    def test_direct_fit_that_succeeds_leaves_later_models_to_the_union(
+            self, spies, monkeypatch):
+        # ONE's G_ss is rejected (forced: the first 2 x 2 factorization at
+        # RANK_PIVOT_REL), and its own fit_ols passes: ONE takes that fit and
+        # BOTH, after it, still derives from the union.
+        import factordist.regression as regression
+
+        dataset = _factor_panel_dataset(3, T=120, n=5, k=2, extra=False)
+        models = [ModelSpec("ONE", ("F1",)), ModelSpec("BOTH", ("F1", "F2"))]
+        chol, rejected = regression.cholesky_spd, []
+
+        def reject_first_g_ss(m, *args, **kwargs):
+            rel = args[0] if args else kwargs.get("pivot_tol_factor", CHOL_PIVOT_REL)
+            if m.shape == (2, 2) and rel == RANK_PIVOT_REL and not rejected:
+                rejected.append(m)
+                raise NotPDError("forced")
+            return chol(m, *args, **kwargs)
+
+        monkeypatch.setattr(regression, "cholesky_spd", reject_first_g_ss)
+        got = _outcomes(_fit_models(dataset, models))
+        assert len(rejected) == 1
+        assert spies["fit_ols"] == ["union", "ONE"] and len(got) == 2
+        assert got[1][0].sigma_base is not got[0][0].sigma_base
+        _assert_same_outcomes(got, _outcomes(direct_fits(dataset, models)))
+
+    def test_factor_term_without_cholesky_takes_the_models_own_grs(
+            self, spies, monkeypatch):
+        # C_S / T has no Cholesky factor (forced for ONE's): its GRS is
+        # grs_test of its own fit_ols.
+        dataset = _factor_panel_dataset(3, T=120, n=5, k=2, extra=False)
+        models = [ModelSpec("ONE", ("F1",)), ModelSpec("BOTH", ("F1", "F2"))]
+        (fit, grs), _ = _fit_models(dataset, models)
+        real = np.linalg.cholesky
+
+        def no_factor(m, *args, **kwargs):
+            if m is fit.sigma_core:
+                raise np.linalg.LinAlgError("forced")
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        got = grs()
+        assert spies["fit_ols"] == ["union", "ONE"] and spies["grs_test"] == 1
+        assert got == grs_test(fit_ols(dataset, models[0]))
 
     def test_undefined_grs_reason_is_unchanged(self, spies):
         # T - n - k < 1 for every model: the reason grs_test gives, no

@@ -132,6 +132,10 @@ class TestTransportMap:
         with pytest.raises(SingularSourceError):
             transport_map(point, target)
 
+    def test_dim_mismatch(self, rng):
+        with pytest.raises(DimMismatchError, match="^dimensions differ: 2 vs 3$"):
+            transport_map(random_gaussian(rng, 2), random_gaussian(rng, 3))
+
 
 class TestDistanceBreakdown:
     def test_zero_posterior(self):

@@ -57,6 +57,11 @@ MUTANTS = (
     ("derived coefficients without the Frisch-Waugh-Lovell term", PKG + "regression.py",
      "coef_u[s] + h @ coef_u[r]", "coef_u[s]",
      ["tests/test_grouped.py"]),
+    ("Omega one ulp off symmetric", PKG + "regression.py",
+     "factor_cov = centered.T @ centered / dataset.t_obs",
+     "factor_cov = centered.T @ centered / dataset.t_obs; "
+     "factor_cov[0, -1] = np.nextafter(factor_cov[0, -1], np.inf)",
+     ["tests/test_cli.py::TestOneFittingPath::test_every_factored_matrix_is_bitwise_symmetric"]),
     ("cli imports a numeric module before parsing", PKG + "cli.py",
      "from . import __version__", "from . import __version__, bayes",
      ["tests/test_cli.py::test_command_loads_only_what_it_runs"]),
