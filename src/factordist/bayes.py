@@ -116,12 +116,8 @@ def _moments(fit: RegressionFit) -> tuple[float, float, float, float, float]:
     """s^2, u0, b = u0 / (T + 1), |alpha_hat|^2 and the skeptic variance sum,
     with NonFiniteError where returns are so large that they overflow."""
     s2, u0 = _skeptic_parts(fit)
-    with np.errstate(over="ignore"):
-        var_sum = float(_skeptic_var(fit, s2, u0).sum())
-        alpha_sq = float(fit.alpha_hat @ fit.alpha_hat)
-    if not math.isfinite(alpha_sq + var_sum):
-        raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
-                             "the distance overflows")
+    var = _skeptic_var(fit, s2, u0)
+    alpha_sq, var_sum = float(fit.alpha_hat @ fit.alpha_hat), float(var.sum())
     # The Gauss nodes of A lie in (0, tr A] and their weights sum to
     # |alpha_hat|^2: Lanczos and the table (squared nodes, node times
     # weight) stay finite where these bounds do.
@@ -211,7 +207,8 @@ def skeptic_moments(fit: RegressionFit) -> tuple[np.ndarray, np.ndarray]:
 
     Equal, bit for bit, to the mean and the covariance diagonal of
     ``transport.posterior_alpha_skeptic``; the distance from dogmatic belief
-    (:func:`distance_breakdown`) needs nothing else.
+    (:func:`distance_breakdown`) needs nothing else. Raises the model's
+    NonFiniteError where returns are so large that the distance overflows.
     """
     return fit.alpha_hat, _skeptic_var(fit, *_skeptic_parts(fit))
 
@@ -249,7 +246,8 @@ def distance_breakdown(alpha: np.ndarray, var: np.ndarray) -> DistanceBreakdown:
     posterior with mean ``alpha`` and non-negative variances ``var``.
 
     The trace is basis-free, so the diagonal gives the full-matrix distance
-    from the zero point mass. Raises NonFiniteError where that overflows.
+    from the zero point mass. Raises NonFiniteError where that overflows, for
+    moments given from outside: :func:`skeptic_moments` names a fit's model.
     """
     with np.errstate(over="ignore"):
         mean_sq, var_sum = float(alpha @ alpha), float(var.sum())
@@ -267,9 +265,17 @@ def _skeptic_parts(fit: RegressionFit) -> tuple[float, float]:
 
 
 def _skeptic_var(fit: RegressionFit, s2: float, u0: float) -> np.ndarray:
+    """The skeptic variances, with the model's NonFiniteError where the
+    distance from dogmatic belief overflows: the one check of it per fit."""
     # Associated as in transport._closed_form at c = 1, so the diagonals agree
     # exactly.
-    return (s2 + fit.T * fit.resid_var) * (u0 / (fit.T + 1))
+    with np.errstate(over="ignore"):
+        var = (s2 + fit.T * fit.resid_var) * (u0 / (fit.T + 1))
+        total = float(fit.alpha_hat @ fit.alpha_hat) + float(var.sum())
+    if not math.isfinite(total):
+        raise NonFiniteError(f"model {fit.model.name!r}: returns too large: "
+                             "the distance overflows")
+    return var
 
 
 def _scale(fit: RegressionFit, s2: float) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Command-line interface: rank | sweep | equiv | synth.
 
 Outputs are deterministic: identical inputs and flags produce byte-identical
-CSVs (floats at 6 significant digits, no timestamps). Every output CSV
-starts with a metadata comment line carrying the tool version, input file
-hashes, and parameter values. Exit codes: 0 success, 1 user or data error,
+CSVs (floats at 6 significant digits, no timestamps). Each ``cmd_*`` only
+computes: it returns its metadata fields (input file hashes and parameter
+values) and its tables, and ``main`` writes them once, under one metadata
+comment line that starts with the tool version and command, so a command
+that fails writes nothing. Exit codes: 0 success, 1 user or data error,
 2 internal numerical failure. Where the GRS test is undefined (T - n - k < 1
 or a singular residual covariance), ``rank`` still reports the distance,
 leaves the GRS cells empty and names the reason on stderr.
@@ -79,57 +81,51 @@ def _parse_floats(text: str) -> list[float]:
         raise InputError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-class _OutputSet:
-    """Buffered CSV outputs, staged in temporary files and renamed into place
-    together, all or nothing. A repeated name or a target that is a
-    directory is rejected before any output is replaced. Each existing target
-    is moved aside to a hidden name, its staged file renamed into the free
-    name, and the old files are unlinked once every output is in place; if
-    staging or any rename fails, the new files go and the old ones are
-    renamed back. No rename lands on an existing file, so ext4 does not
-    flush the staged data to disk as it does for a rename over one. The cost:
-    while the set is replaced, a name may be briefly absent, but it is never
-    half written."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self._files: dict[Path, str] = {}
-
-    def add(self, name: str, metadata: str, header: str, rows: list[str]) -> None:
-        path = self.out_dir / name
-        if path in self._files:
+def _write(out_dir: Path, metadata: str, tables: list[tuple[str, str, list[str]]]) -> None:
+    """Write each ``(name, header, rows)`` table to ``out_dir/name`` under the
+    ``# metadata`` line, all or nothing: a repeated name or a target that is
+    a directory is rejected before any output is replaced. Each file is staged
+    in a temporary file; each existing target is moved aside to a hidden name,
+    its staged file renamed into the free name, and the old files are
+    unlinked once every output is in place; if staging or any rename fails,
+    the new files go and the old ones are renamed back. No rename lands on an
+    existing file, so ext4 does not flush the staged data to disk as it does
+    for a rename over one. The cost: while the set is replaced, a name may be
+    briefly absent, but it is never half written."""
+    files: dict[Path, str] = {}
+    for name, header, rows in tables:
+        path = out_dir / name
+        if path in files:
             raise InputError(f"two outputs would be written to {path}")
-        self._files[path] = "\n".join([f"# {metadata}", header, *rows]) + "\n"
-
-    def flush(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        staged: list[tuple[Path, Path]] = []
-        aside: list[tuple[Path, Path]] = []
-        placed: list[Path] = []
-        try:
-            for path, body in self._files.items():
-                if path.is_dir():
-                    raise IsADirectoryError(f"output path {path} is a directory")
-                tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-                staged.append((tmp, path))
-                tmp.write_text(body, encoding="utf-8")
-            for tmp, path in staged:
-                if os.path.lexists(path):
-                    old = path.with_name(f".{path.name}.{os.getpid()}.old")
-                    os.rename(path, old)
-                    aside.append((old, path))
-                os.rename(tmp, path)
-                placed.append(path)
-        except BaseException:
-            for path in placed:
-                path.unlink()
-            for old, path in aside:
-                os.rename(old, path)
-            for tmp, _ in staged:
-                tmp.unlink(missing_ok=True)
-            raise
-        for old, _ in aside:
-            old.unlink()
+        files[path] = "\n".join([f"# {metadata}", header, *rows]) + "\n"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged: list[tuple[Path, Path]] = []
+    aside: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
+    try:
+        for path, body in files.items():
+            if path.is_dir():
+                raise IsADirectoryError(f"output path {path} is a directory")
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.append((tmp, path))
+            tmp.write_text(body, encoding="utf-8")
+        for tmp, path in staged:
+            if os.path.lexists(path):
+                old = path.with_name(f".{path.name}.{os.getpid()}.old")
+                os.rename(path, old)
+                aside.append((old, path))
+            os.rename(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in placed:
+            path.unlink()
+        for old, path in aside:
+            os.rename(old, path)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for old, _ in aside:
+        old.unlink()
 
 
 def _load_dataset(args) -> Dataset:
@@ -144,22 +140,17 @@ def _load_dataset(args) -> Dataset:
     return build_dataset(portfolios, factors, args.rf)
 
 
-def _metadata(args, command: str, extra: str = "") -> str:
-    parts = [
-        f"factordist {__version__}",
-        f"cmd={command}",
+def _inputs(args) -> list[str]:
+    return [
         "portfolios=" + ",".join(_file_tag(p) for p in args.portfolios),
         f"factors={_file_tag(args.factors)}",
         f"models={_file_tag(args.models)}",
         f"rf={args.rf}",
         f"missing={args.missing}",
     ]
-    if extra:
-        parts.append(extra)
-    return " | ".join(parts)
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> tuple[list[str], list]:
     import numpy as np
 
     from .bayes import distance_breakdown, skeptic_moments
@@ -181,9 +172,6 @@ def cmd_rank(args) -> int:
         report = build_report(fit, distance_breakdown(alpha, var), grs)
         results.append((report, alpha, var))
     ranked = rank_models([r for r, _, _ in results])
-    meta = _metadata(args, "rank")
-    out = _OutputSet(Path(args.out))
-
     header = ("model,n,T,k,TD,AD,RMSE_alpha,RMSE_sigma,ratio_var,"
               "GRS,GRS_pvalue,MAE,MAE_over_Ar,mean_R2")
     rows = [",".join([
@@ -192,8 +180,7 @@ def cmd_rank(args) -> int:
         _fmt(r.ratio_var), _fmt(r.grs), _fmt(r.grs_pvalue),
         _fmt(r.mae), _fmt(r.mae_over_ar), _fmt(r.mean_r2),
     ]) for r in ranked]
-    out.add("report.csv", meta, header, rows)
-
+    tables = [("report.csv", header, rows)]
     assets = dataset.portfolios.names
     row_format = ",".join(["%s"] + 4 * [_FLOAT])
     for report, alpha, var in results:
@@ -203,13 +190,12 @@ def cmd_rank(args) -> int:
         lines = [row_format % row for row in zip(
             assets, alpha.tolist(), sigma.tolist(), tstat.tolist(),
             report.marginal.tolist())]
-        out.add(f"marginal_{_sanitize(report.model_name)}.csv", meta,
-                "asset,alpha,sigma_alpha,t_stat,marginal", lines)
-    out.flush()
-    return 0
+        tables.append((f"marginal_{_sanitize(report.model_name)}.csv",
+                       "asset,alpha,sigma_alpha,t_stat,marginal", lines))
+    return _inputs(args), tables
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[list[str], list]:
     from .bayes import PosteriorFamily
     from .dataio import load_models
     from .equiv import check_grid, sweep
@@ -227,14 +213,11 @@ def cmd_sweep(args) -> int:
         for fit, _ in _fit_models(dataset, models)
         for r in sweep(PosteriorFamily(fit), grid)
     ]
-    out = _OutputSet(Path(args.out))
-    out.add("sweep.csv", _metadata(args, "sweep", f"grid={args.grid}"),
-            "model,sigma_alpha_annual,AD,RMSE_alpha,RMSE_sigma,ratio", rows)
-    out.flush()
-    return 0
+    return [*_inputs(args), f"grid={args.grid}"], [
+        ("sweep.csv", "model,sigma_alpha_annual,AD,RMSE_alpha,RMSE_sigma,ratio", rows)]
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> tuple[list[str], list]:
     from .bayes import PosteriorFamily, distance_breakdown, skeptic_moments
     from .dataio import load_models
     from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, solve_equivs
@@ -278,17 +261,13 @@ def cmd_equiv(args) -> int:
                 res.alt_model, args.benchmark, _fmt(res.sigma_star_annual),
                 _fmt(res.ad_at_star), str(res.iterations), "true", "ok",
             ]))
-    out = _OutputSet(Path(args.out))
-    out.add("equiv.csv",
-            _metadata(args, "equiv",
-                      f"benchmark={args.benchmark} | bracket_hi={args.bracket_hi}"),
-            "alt_model,benchmark_model,sigma_star_annual,ad_at_star,"
-            "iterations,converged,status", rows)
-    out.flush()
-    return 0
+    fields = [*_inputs(args), f"benchmark={args.benchmark}",
+              f"bracket_hi={args.bracket_hi}"]
+    return fields, [("equiv.csv", "alt_model,benchmark_model,sigma_star_annual,"
+                     "ad_at_star,iterations,converged,status", rows)]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[list[str], list]:
     import numpy as np
 
     from .dataio import ReturnsPanel
@@ -315,25 +294,23 @@ def cmd_synth(args) -> int:
         dataset = generate(config)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    meta = " | ".join([
-        f"factordist {__version__}", "cmd=synth",
+    fields = [
         f"T={args.T}", f"n={args.n}", f"k={args.k}", f"seed={args.seed}",
         f"alpha={_fmt(args.alpha)}", f"resid_vol={_fmt(args.resid_vol)}",
         f"factor_mean={_fmt(args.factor_mean)}",
         f"factor_vol={_fmt(args.factor_vol)}", f"rng={RNG_ALGORITHM}",
-    ])
+    ]
     factors = dataset.factors
     with_rf = ReturnsPanel(
         factors.dates, factors.names + ("RF",),
         np.hstack([factors.values, np.zeros((factors.t_obs, 1))]),
     )
-    out = _OutputSet(Path(args.out))
-    for name, panel in (("portfolios.csv", dataset.portfolios), ("factors.csv", with_rf)):
-        out.add(name, meta, "date," + ",".join(panel.names),
-                [str(d) + "," + ",".join(_fmt(v) for v in row)
-                 for d, row in zip(panel.dates, panel.values)])
-    out.flush()
-    return 0
+    return fields, [
+        (name, "date," + ",".join(panel.names),
+         [str(d) + "," + ",".join(_fmt(v) for v in row)
+          for d, row in zip(panel.dates, panel.values)])
+        for name, panel in (("portfolios.csv", dataset.portfolios), ("factors.csv", with_rf))
+    ]
 
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:
@@ -399,7 +376,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        fields, tables = args.func(args)
+        metadata = " | ".join([f"factordist {__version__}", f"cmd={args.command}", *fields])
+        _write(Path(args.out), metadata, tables)
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except (InputError, OSError) as exc:

@@ -290,14 +290,19 @@ def _skipped(line: str) -> bool:
 
 
 def _header(path: Path, lines: Iterator[tuple[int, str]]) -> tuple[str, ...]:
-    """Series names of the first line in numbered ``lines`` not skipped."""
+    """Series names of the first line in numbered ``lines`` not skipped; a
+    name that breaks a CSV row or repeats an earlier one is a ParseError."""
     for lineno, line in lines:
         if not _skipped(line):
             header = next(csv.reader([line]))
             if len(header) < 2:
                 raise ParseError(f"{path}:{lineno}: header needs a date column "
                                  "and at least one series")
-            return tuple(_check_name(path, lineno, c.strip()) for c in header[1:])
+            names = tuple(_check_name(path, lineno, c.strip()) for c in header[1:])
+            if len(set(names)) < len(names):
+                repeated = next(n for i, n in enumerate(names) if n in names[:i])
+                raise ParseError(f"{path}:{lineno}: duplicate series name {repeated!r}")
+            return names
     raise ParseError(f"{path}: no header row found")
 
 

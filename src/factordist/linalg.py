@@ -81,13 +81,17 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:
         raise NotSymmetricError("empty matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    gap = float(np.abs(a - a.T).max())
+    # One n x n temporary: the gap, then the result in its place.
+    scale = max(1.0, float(a.max()), -float(a.min()))
+    d = a - a.T
+    gap = float(np.abs(d, out=d).max())
     if gap > SYMMETRY_TOL * scale:
         raise NotSymmetricError(
             f"asymmetry {gap:.3e} exceeds tolerance {SYMMETRY_TOL * scale:.3e}"
         )
-    return (a + a.T) / 2.0
+    np.add(a, a.T, out=d)
+    d /= 2.0
+    return d
 
 
 def chol_pivot_floor(trace, dim: int, rel: float = CHOL_PIVOT_REL):

@@ -160,12 +160,12 @@ def f_cdf_upper(x: float, d1: int, d2: int) -> float:
     InvalidDoFError
         If either degrees-of-freedom argument is below one.
     ValueError
-        If x is negative.
+        If x is negative or NaN.
     """
     if d1 < 1 or d2 < 1:
         raise InvalidDoFError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"F statistic must be non-negative, got {x}")
     if x == 0.0:
         return 1.0

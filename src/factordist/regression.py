@@ -291,8 +291,7 @@ def _assemble(dataset: Dataset, model: ModelSpec, coef: np.ndarray,
         if not np.isfinite(total).all():
             raise NonFiniteError(f"model {model.name!r}: returns too large: "
                                  "residual or total sums of squares overflow")
-        z = solve_lower(cholesky_spd(factor_cov), factor_mean)
-        sh2 = float(z @ z)
+        sh2 = _sharpe_sq_of(factor_cov, factor_mean)
     return RegressionFit(
         model=model,
         T=dataset.t_obs,
@@ -324,11 +323,18 @@ def _direct(dataset: Dataset, model: ModelSpec) -> tuple[RegressionFit, GRSTest]
     return fit, grs
 
 
+def _sharpe_sq_of(factor_cov: np.ndarray, factor_mean: np.ndarray) -> float:
+    """|L^{-1} mu|^2 with Omega = L L'; raises NotPDError for a singular Omega."""
+    z = solve_lower(cholesky_spd(factor_cov), factor_mean)
+    return float(z @ z)
+
+
 def sharpe_sq(fit: RegressionFit) -> float:
     """Squared Sharpe ratio of the model factors, mu' Omega^{-1} mu = |L^{-1} mu|^2
     with Omega = L L', the form ``metrics.grs_test`` takes for a' Sigma^{-1} a:
     the fit's own, as ``_assemble`` stored it. A NaN (a fit assembled by hand,
-    outside input) is rechecked through ``symmetrize`` and ``cholesky_spd``.
+    outside input) is computed again in the same form, from ``symmetrize``
+    of the fit's Omega.
 
     Raises
     ------
@@ -337,7 +343,7 @@ def sharpe_sq(fit: RegressionFit) -> float:
     """
     if math.isnan(fit.sh2):
         try:
-            cholesky_spd(symmetrize(fit.factor_cov_mle))
+            return _sharpe_sq_of(symmetrize(fit.factor_cov_mle), fit.factor_mean)
         except NotPDError as exc:
             raise SingularFactorCovError(str(exc)) from None
     return fit.sh2

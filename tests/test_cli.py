@@ -181,7 +181,8 @@ class TestRank:
     @pytest.mark.parametrize("command, extra", [
         ("rank", []), ("sweep", []), ("equiv", ["--benchmark", "ONE"]),
     ], ids=["rank", "sweep", "equiv"])
-    @pytest.mark.parametrize("kind", ["model", "series"])
+    @pytest.mark.parametrize("kind", ["model", "series", "repeated_portfolio",
+                                      "repeated_factor"])
     def test_name_breaking_a_csv_row_exit_1(self, tmp_path, capsys, command,
                                             extra, kind):
         ports, facts = _synth(tmp_path)
@@ -189,17 +190,26 @@ class TestRank:
                          else "ONE = F1\n")
         if kind == "model":
             where = "models.txt:2: name 'ONE,X'"
-        else:
+        elif kind == "series":
             lines = ports.read_text(encoding="utf-8").splitlines()
             lines[1] = lines[1].replace("A1", '"A1,x"')
             ports.write_text("\n".join(lines) + "\n", encoding="utf-8")
             where = "portfolios.csv:2: name 'A1,x'"
+        else:
+            # A name repeated in a header: the factors' F1 would make the
+            # union model list it twice, and two marginal rows would share A1.
+            path, name = (ports, "A1") if kind == "repeated_portfolio" else (facts, "F1")
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lines[1] += f",{name}"
+            lines[2:] = [line + "," + line.split(",")[1] for line in lines[2:]]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            where = f"{path.name}:2: duplicate series name {name!r}"
         out = tmp_path / "out"
         code = main([command, "--portfolios", str(ports), "--factors", str(facts),
                      "--models", str(models), "--out", str(out), *extra])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ") and where in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and where in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, spoiled, text, message", [
@@ -269,8 +279,7 @@ class TestRank:
                          "--out", str(out), *extra])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.endswith("returns too large: the distance overflows\n")
-        assert err.count("error: ") == 1 and "Warning" not in err
+        assert err == "error: model 'M0': returns too large: the distance overflows\n"
         assert not out.exists()
 
     def test_huge_riskfree_rate_exit_0(self, tmp_path, capsys):

@@ -281,10 +281,12 @@ class TestLoadPanel:
         assert p1.dates == p2.dates and p1.names == p2.names
         assert p1.values.tobytes() == p2.values.tobytes()
 
-    @pytest.mark.parametrize("name", ['"A,x"', '"A""x"', 'A"x'])
+    @pytest.mark.parametrize("name", ['"A,x"', '"A""x"', 'A"x', "B"])
     def test_name_breaking_a_csv_row_rejected(self, tmp_path, name):
+        # "B" repeats the first series name: two output rows would share it.
         path = _write(tmp_path, "f.csv", f"# meta\ndate,B,{name}\n200001,1,2\n")
-        with pytest.raises(ParseError, match=r"f\.csv:2: name .* holds"):
+        fault = "duplicate series name 'B'" if name == "B" else "name .* holds"
+        with pytest.raises(ParseError, match=rf"f\.csv:2: {fault}"):
             load_panel(path)
 
     @pytest.mark.parametrize("rows", [8, 800], ids=["under_8KB", "over_8KB"])
@@ -347,7 +349,8 @@ class TestLoadPanel:
         rows = [f"{100001 + i % 12 + 100 * (i // 12)}" + ",0.125" * 30
                 for i in range(6000)]
         rows[5990] += "x"
-        path = _write(tmp_path, "f.csv", "date" + ",S" * 30 + "\n" + "\n".join(rows))
+        header = "date" + "".join(f",S{j}" for j in range(30))
+        path = _write(tmp_path, "f.csv", header + "\n" + "\n".join(rows))
         assert path.stat().st_size > 2**20
         with pytest.raises(ParseError, match=r"f\.csv:5992: non-numeric value"):
             load_panel(path)

@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from factordist import metrics
 from factordist.errors import (
@@ -19,6 +20,7 @@ from factordist.errors import (
 from factordist.linalg import (
     CHOL_PIVOT_REL,
     GAUSS_RULE_MIN_N,
+    SYMMETRY_TOL,
     RankOneQuadrature,
     chol_pivot_floor,
     cholesky_spd,
@@ -399,6 +401,34 @@ class TestSymmetrize:
         assert not np.shares_memory(out, m)
         np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+               hnp.arrays(np.float64, (n, n), elements=st.floats(width=64)),
+               hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))),
+           st.sampled_from([0.0, 1e-13, 4e-13, 6e-13, 1e-12, 1e-11]))
+    @example((np.array([[2.0, 1.0 + 1e-12], [1.0, 3.0]]), np.zeros((2, 2))), 0.0)
+    def test_matches_the_plain_forms(self, pair, tilt):
+        # Symmetric, off by a skew part near the tolerance, or anything at all:
+        # the check takes the plain forms' scale and gap, the result has the
+        # bits of (M + M') / 2, and M is left as it was.
+        b, c = pair
+        with np.errstate(all="ignore"):
+            m = b + b.T if tilt else b.copy()
+            if tilt:
+                m += tilt * max(1.0, float(np.abs(m).max())) * (c - c.T)
+            before = m.copy()
+            scale = max(1.0, float(np.abs(m).max()))
+            too_far = float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale
+            expected = (m + m.T) / 2.0
+            if too_far:
+                with pytest.raises(NotSymmetricError):
+                    symmetrize(m)
+            else:
+                out = symmetrize(m)
+                np.testing.assert_array_equal(out.view(np.int64),
+                                              expected.view(np.int64))
+        np.testing.assert_array_equal(m.view(np.int64), before.view(np.int64))
+
 
 def _mp_f_cdf_upper(x, d1, d2):
     """P(F_{d1,d2} > x) = I_z(d2/2, d1/2) at z = d2 / (d2 + d1 x), to 60 digits.
@@ -470,6 +500,9 @@ class TestFCdfUpper:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             f_cdf_upper(-0.1, 2, 5)
+        # So is NaN, at once, not after the continued fraction's 200 steps.
+        with pytest.raises(ValueError, match="must be non-negative, got nan"):
+            f_cdf_upper(float("nan"), 3, 10)
 
     @pytest.mark.parametrize("d1,d2", [(2, 2), (5, 100), (25, 574)])
     def test_extreme_x_end_at_the_incomplete_beta_bounds(self, d1, d2):

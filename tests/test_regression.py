@@ -213,6 +213,16 @@ class TestSharpeSq:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("pivot 1.000e-20 at column 1 is <= ")
 
+    def test_nan_sh2_is_computed_again_bit_for_bit(self, rng):
+        # A fit whose stored Sh^2 was replaced by NaN gets the same Sh^2 back,
+        # and so the same GRS result as the fit itself.
+        for T, n, k in ((37, 11, 1), (120, 4, 3)):
+            dataset, model = random_fit_inputs(rng, T=T, n=n, k=k)
+            fit = fit_ols(dataset, model)
+            blank = fit._replace(sh2=np.nan)
+            assert sharpe_sq(blank) == fit.sh2
+            assert grs_test(blank) == grs_test(fit)
+
 
 class TestGrs:
     def test_zero_alpha_gives_zero_statistic(self):

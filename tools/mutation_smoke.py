@@ -65,6 +65,9 @@ MUTANTS = (
     ("cli imports a numeric module before parsing", PKG + "cli.py",
      "from . import __version__", "from . import __version__, bayes",
      ["tests/test_cli.py::test_command_loads_only_what_it_runs"]),
+    ("output rollback leaves the old files aside", PKG + "cli.py",
+     "os.rename(old, path)", "pass",
+     ["tests/test_cli.py::TestRank::test_failed_rename_keeps_previous_outputs"]),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
