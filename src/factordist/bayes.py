@@ -24,13 +24,13 @@ them in O(n) and is the one source of that distance, which
 :func:`distance_breakdown` splits into the reported metrics. The distance of an
 interior posterior from the skeptic needs A only through the spectral
 measure sum_i (Q'alpha_hat)_i^2 delta(d_i) of A = Q D Q'. Per model,
-``linalg.gauss_rule`` replaces that measure by the m-node Gauss rule that
-Lanczos on A from alpha_hat gives, at O(m n^2) (m is 32-64 on the benchmark
-panels), and one O(q m) quadrature table is built from the rule
-(``linalg.RankOneQuadrature(theta, w, g_max)``, q a few hundred nodes). Below
-``linalg.GAUSS_RULE_MIN_N`` assets, where one ``eigh(A)`` is cheaper, and
-where Lanczos hits its step cap, the rule is the measure itself, from
-``eigh(A)`` at O(n^3). ``PosteriorFamily(fit)`` builds one model's family,
+one ``linalg.gauss_rule`` call returns the family's quadrature table
+(``linalg.RankOneQuadrature``, q a few hundred nodes), built at O(q m) from
+the m-node Gauss rule that Lanczos on A from alpha_hat gives at O(m n^2) (m
+is 32-64 on the benchmark panels). Below ``linalg.GAUSS_RULE_MIN_N`` assets,
+where one ``eigh(A)`` is cheaper, and where Lanczos hits its step cap, the
+rule is the measure itself, from ``eigh(A)`` at O(n^3); ``gauss_rule``
+makes that choice. ``PosteriorFamily(fit)`` builds one model's family,
 the one builder of ``sweep`` and ``equiv``. After that, each sigma_alpha
 costs O(q) for the transport trace, which is taken in a form without
 cancellation, in one elementwise formula (:func:`_wd2_to_skeptic`).
@@ -56,9 +56,8 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import NonFiniteError
-from .linalg import QuadratureStack, RankOneQuadrature, eigh_rule, gauss_rule
+from .linalg import QuadratureStack, gauss_rule
 from .regression import RegressionFit, sharpe_sq
 
 if TYPE_CHECKING:
@@ -80,11 +79,10 @@ class PosteriorFamily:
 
     Takes its fit as given, from ``fit_ols`` or the commands' union path, and
     builds the family in one pass: the moments and their overflow checks
-    (:func:`_moments`), A (the closed form in the module docstring), the Gauss
-    rule of A for alpha_hat and the transport trace quadrature table. The rule
-    comes from Lanczos at O(m n^2) from n = ``linalg.GAUSS_RULE_MIN_N`` on, and
-    from one ``eigh(A)`` below that or past the step cap; this is the one
-    place that crossover is decided. Its distances along sigma come from a
+    (:func:`_moments`), A (the closed form in the module docstring) and the
+    transport trace quadrature table, from one ``linalg.gauss_rule`` call,
+    which takes the Gauss rule of A for alpha_hat from Lanczos or from
+    ``eigh(A)``. Its distances along sigma come from a
     :class:`FamilyStack`. Raises NonFiniteError where returns are so large
     that the distance, the rule or the table would overflow.
     """
@@ -94,12 +92,7 @@ class PosteriorFamily:
         self.s2, self._u0, self._b, self._alpha_sq, self._var_sum = _moments(fit)
         # Every sigma > 0 has g = lam c < 1 / u0, and A >= s^2 I is positive
         # definite.
-        a, g_max = _scale(fit, self.s2), 1.0 / self._u0
-        if fit.n >= linalg.GAUSS_RULE_MIN_N:
-            rule = gauss_rule(a, fit.alpha_hat, g_max)
-        else:
-            rule = eigh_rule(a, fit.alpha_hat)
-        self._quad = RankOneQuadrature(*rule, g_max)
+        self._quad = gauss_rule(_scale(fit, self.s2), fit.alpha_hat, 1.0 / self._u0)
 
     def at(self, sigma_alpha_annual: float) -> GaussianDist:
         """Posterior at any annualized prior mispricing std in [0, inf], as a

@@ -29,8 +29,8 @@ QUAD_STEP = 0.25
 # truncations are below e^{-39}.
 QUAD_LO_MARGIN = 13.0
 QUAD_HI_MARGIN = 39.0
-# bayes.PosteriorFamily: below this dimension a family's rule comes from one
-# eigh (eigh_rule), cheaper there than Lanczos (gauss_rule). Measured
+# gauss_rule: below this dimension the rule comes from one eigh, cheaper there
+# than Lanczos; gauss_rule is the one place this is read. Measured
 # in-process with one BLAS thread on one CPU of a 2-vCPU Xeon, median over the
 # six nested models of benchmark-style panels (T = 600): n = 112 eigh 1.3-1.5 ms
 # against Lanczos 1.4-1.7 ms; n = 128 eigh 1.8-2.1 ms against 1.4-1.7 ms. At
@@ -94,10 +94,10 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return d
 
 
-def chol_pivot_floor(trace, dim: int, rel: float = CHOL_PIVOT_REL):
-    """The pivot floor rel * max(trace, 0) / dim of :func:`cholesky_spd`,
-    elementwise over an array of traces."""
-    return rel * np.maximum(trace, 0.0) / dim
+def chol_pivot_floor(trace: float, dim: int, rel: float = CHOL_PIVOT_REL) -> float:
+    """The pivot floor rel * max(trace, 0) / dim of :func:`cholesky_spd`, for
+    the trace of one dim x dim matrix."""
+    return rel * max(trace, 0.0) / dim
 
 
 def cholesky_spd(m: np.ndarray, pivot_tol_factor: float = CHOL_PIVOT_REL) -> np.ndarray:
@@ -139,8 +139,8 @@ def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 class RankOneQuadrature:
     """The second-order remainder R(g) = g sum(gamma_i^2 / d_i) / 2 - Delta(g)
     of Delta(g) = tr sqrt(D^2 + g gamma gamma') - tr D, for D = diag(d) >= 0
-    and every g in [0, g_max], from one table built from the Gauss rule
-    (theta, w) of :func:`gauss_rule`: d^2 = theta^2 and gamma^2 = theta w,
+    and every g in [0, g_max], from one table that :func:`gauss_rule` builds
+    from its rule (theta, w): d^2 = theta^2 and gamma^2 = theta w,
     node times weight standing in for the square of gamma = D^{1/2} Q'v.
 
     Only the squares d^2 and gamma^2 enter. Sherman-Morrison turns Delta into
@@ -222,40 +222,38 @@ class QuadratureStack:
         return out
 
 
-def gauss_rule(a: np.ndarray, v: np.ndarray,
-               g_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes theta and weights w of a quadrature rule for the spectral measure
-    sum_i (Q'v)_i^2 delta(d_i) of a symmetric positive-definite A = Q D Q'.
+def gauss_rule(a: np.ndarray, v: np.ndarray, g_max: float) -> RankOneQuadrature:
+    """The :class:`RankOneQuadrature` table, for g in [0, g_max], of a
+    quadrature rule (nodes theta, weights w) for the spectral measure
+    sum_i (Q'v)_i^2 delta(d_i) of a symmetric positive-definite A = Q D Q':
+    the table that stands in for the one of D and gamma = D^{1/2} Q'v.
 
-    ``RankOneQuadrature(theta, w, g_max)``, the table's one constructor, builds
-    from the rule a table that stands in for the one of D and gamma = D^{1/2}
-    Q'v. Lanczos on A from v, with two-pass full reorthogonalisation, gives
-    the m-node Gauss rule (Golub & Welsch 1969): the eigenvalues of the m x m
-    Lanczos tridiagonal and |v|^2 times the squared first components of its
-    eigenvectors, at O(m n^2). Every LANCZOS_BLOCK steps the rule's table is
-    evaluated at g = g_max * LANCZOS_PROBES, and Lanczos stops once no value
-    moved by more than LANCZOS_STOP_REL, or at once when the Krylov space is
-    exhausted (the rule is then exact). For v = 0 and past
-    LANCZOS_MAX_STEPS_REL * n steps the rule is the measure itself,
-    :func:`eigh_rule`. The caller takes ``eigh_rule`` below GAUSS_RULE_MIN_N.
+    This is the one place the rule is chosen. From n = GAUSS_RULE_MIN_N on,
+    and for v != 0, Lanczos on A from v, with two-pass full
+    reorthogonalisation, gives the m-node Gauss rule (Golub & Welsch 1969):
+    the eigenvalues of the m x m Lanczos tridiagonal and |v|^2 times the
+    squared first components of its eigenvectors, at O(m n^2). Every
+    LANCZOS_BLOCK steps the rule's table is evaluated at
+    g = g_max * LANCZOS_PROBES, and Lanczos stops once no value moved by more
+    than LANCZOS_STOP_REL, returning the table of that check, or at once when
+    the Krylov space is exhausted (the rule is then exact). Below
+    GAUSS_RULE_MIN_N, for v = 0 and past LANCZOS_MAX_STEPS_REL * n steps the
+    rule is the measure itself: nodes d and weights (Q'v)^2 from one
+    ``eigh(A)``.
     """
-    if v.any():
-        rule = _lanczos_rule(a, v, g_max, int(LANCZOS_MAX_STEPS_REL * a.shape[0]))
-        if rule is not None:
-            return rule
-    return eigh_rule(a, v)
-
-
-def eigh_rule(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The measure itself as :func:`gauss_rule`'s rule: nodes d and weights
-    (Q'v)^2 of A = Q D Q', from one ``eigh(A)``."""
+    n = a.shape[0]
+    if n >= GAUSS_RULE_MIN_N and v.any():
+        table = _lanczos_rule(a, v, g_max, int(LANCZOS_MAX_STEPS_REL * n))
+        if table is not None:
+            return table
     d, q = np.linalg.eigh(a)
-    return d, (q.T @ v) ** 2
+    return RankOneQuadrature(d, (q.T @ v) ** 2, g_max)
 
 
 def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,
-                  max_steps: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """gauss_rule's Lanczos iteration; None once max_steps pass unconverged."""
+                  max_steps: int) -> RankOneQuadrature | None:
+    """gauss_rule's Lanczos iteration and the table of its last stop check;
+    None once max_steps pass unconverged."""
     norm_sq = float(v @ v)
     basis = np.empty((max_steps + 1, v.shape[0]))
     basis[0] = v / math.sqrt(norm_sq)
@@ -284,13 +282,12 @@ def _lanczos_rule(a: np.ndarray, v: np.ndarray, g_max: float,
             tri.flat[::m + 1] = diag[:m]
             tri.flat[m::m + 1] = off[:m - 1]
             theta, s = np.linalg.eigh(tri)
-            rule = theta, norm_sq * s[0] ** 2
+            table = RankOneQuadrature(theta, norm_sq * s[0] ** 2, g_max)
             if exhausted:
-                return rule
-            r = QuadratureStack([RankOneQuadrature(*rule, g_max)] * probes.size
-                                ).remainder(probes)
+                return table
+            r = QuadratureStack([table] * probes.size).remainder(probes)
             if last is not None and np.all(np.abs(r - last) <= LANCZOS_STOP_REL * r):
-                return rule
+                return table
             last = r
         np.divide(w, beta, out=basis[m])
     return None

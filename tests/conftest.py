@@ -24,6 +24,7 @@ from factordist import (
     grs_test,
     load_panel,
 )
+from factordist import linalg
 from factordist.bayes import FamilyStack
 from factordist.dataio import month_range
 from factordist.linalg import QuadratureStack, cholesky_spd, solve_lower
@@ -138,6 +139,22 @@ def direct_fits(dataset, models):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Every quadrature table ``linalg`` builds during the test, in order,
+    each carrying the rule (theta, w) it was built from as ``rule``."""
+    tables = []
+
+    class Recorded(linalg.RankOneQuadrature):
+        def __init__(self, theta, w, g_max):
+            super().__init__(theta, w, g_max)
+            self.rule = theta, w
+            tables.append(self)
+
+    monkeypatch.setattr(linalg, "RankOneQuadrature", Recorded)
+    return tables
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from factordist import (
 )
 from factordist import bayes, linalg
 from factordist.errors import NonFiniteError
-from factordist.linalg import RankOneQuadrature, gauss_rule
+from factordist.linalg import RankOneQuadrature
 
 from conftest import make_dataset, panel_from_columns, random_fit_inputs, remainder, wd2
 
@@ -455,26 +455,23 @@ def _krylov_panel(spectrum, seed, n=KRYLOV_N, k=2):
     return dataset, ModelSpec("RND", tuple(f"F{j + 1}" for j in range(k)))
 
 
-def _family_with_spies(panel):
-    """The family, the Gauss rule it was built from and the number of n x n
-    ``np.linalg.eigh`` calls made while building it."""
+def _family_with_spies(panel, tables):
+    """The family, the Gauss rule of its table, which is the last table
+    built, and the number of n x n ``np.linalg.eigh`` calls made while
+    building it. ``tables`` is the ``built_tables`` fixture."""
     eigh = np.linalg.eigh
-    shapes, rules = [], []
+    shapes = []
 
     def spy(a):
         shapes.append(a.shape)
         return eigh(a)
 
-    def record(a, v, g_max):
-        rules.append(gauss_rule(a, v, g_max))
-        return rules[-1]
-
     fit = fit_ols(*panel)
-    with mock.patch.object(np.linalg, "eigh", spy), \
-            mock.patch.object(bayes, "gauss_rule", record):
+    with mock.patch.object(np.linalg, "eigh", spy):
         family = PosteriorFamily(fit)
+    assert family._quad is tables[-1]
     n = family.fit.n
-    return family, rules[0], shapes.count((n, n))
+    return family, tables[-1].rule, shapes.count((n, n))
 
 
 def _dense_family(panel):
@@ -493,7 +490,7 @@ class TestKrylovFamily:
         # One asset short of the crossover, the family's table is that of the
         # eigh measure itself and no Lanczos rule is asked for.
         fit = fit_ols(*_krylov_panel("factor", 0, n=linalg.GAUSS_RULE_MIN_N - 1))
-        with mock.patch.object(bayes, "gauss_rule", side_effect=AssertionError):
+        with mock.patch.object(linalg, "_lanczos_rule", side_effect=AssertionError):
             family = PosteriorFamily(fit)
         d, q = _scale_eigh(fit, family.s2)
         want = RankOneQuadrature(d, (q.T @ fit.alpha_hat) ** 2, 1.0 / family._u0)
@@ -508,10 +505,11 @@ class TestKrylovFamily:
         ("factor", linalg.LANCZOS_MAX_STEPS_REL),
         ("exhausted", linalg.LANCZOS_MAX_STEPS_REL),
     ])
-    def test_rule_matches_eigh_over_twelve_decades(self, spectrum, steps_rel, seed):
+    def test_rule_matches_eigh_over_twelve_decades(self, spectrum, steps_rel, seed,
+                                                   built_tables):
         panel = _krylov_panel(spectrum, seed)
         with mock.patch.object(linalg, "LANCZOS_MAX_STEPS_REL", steps_rel):
-            family, (nodes, weights), dense_calls = _family_with_spies(panel)
+            family, (nodes, weights), dense_calls = _family_with_spies(panel, built_tables)
         fit = family.fit
         s2 = family.s2
         u0 = (1.0 + sharpe_sq(fit)) / fit.T
@@ -521,6 +519,8 @@ class TestKrylovFamily:
         if spectrum in ("short", "exhausted"):
             assert fit.T < fit.n
         assert dense_calls == 0 and nodes.shape[0] < fit.n
+        # One table per stop check, and the family's is the last check's.
+        assert len(built_tables) == -(-nodes.shape[0] // linalg.LANCZOS_BLOCK)
         # Ritz values lie in the spectrum of A >= s^2 I; with T < n its bottom
         # is s^2 itself, which rounding may undercut by a few ulps of A.
         assert nodes.min() >= s2 * (1.0 - 1e-12)
@@ -539,12 +539,15 @@ class TestKrylovFamily:
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("spectrum", ["hetero", "clustered", "short"])
-    def test_step_cap_falls_back_to_eigh(self, spectrum, seed):
+    def test_step_cap_falls_back_to_eigh(self, spectrum, seed, built_tables):
         panel = _krylov_panel(spectrum, seed)
-        family, (nodes, weights), dense_calls = _family_with_spies(panel)
+        family, (nodes, weights), dense_calls = _family_with_spies(panel, built_tables)
         fit = family.fit
         d, q = _scale_eigh(fit, family.s2)
         assert dense_calls == 1
+        # One table per stop check of the capped Lanczos run, then the eigh one.
+        cap = int(linalg.LANCZOS_MAX_STEPS_REL * fit.n)
+        assert len(built_tables) == cap // linalg.LANCZOS_BLOCK + 1
         np.testing.assert_array_equal(nodes, d)
         np.testing.assert_array_equal(weights, (q.T @ fit.alpha_hat) ** 2)
         reference = _dense_family(panel)

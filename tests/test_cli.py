@@ -2,6 +2,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -1059,6 +1060,83 @@ class TestGolden:
             want = (DATA / f"{prefix}{name}").read_bytes().split(b"\n", 1)
             assert got[0].startswith(b"# factordist")
             assert got[1] == want[1], name
+
+
+def _permuted_columns(path, out, order):
+    """A copy of a returns CSV with its value columns in ``order``, a
+    permutation of their indices; the date column and comment lines stay."""
+    rows = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        fields = line.split(",")
+        rows.append(line if line.startswith("#")
+                    else ",".join([fields[0], *(fields[1 + i] for i in order)]))
+    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return out
+
+
+def _same_cell(a, b):
+    """Equal text, or numbers within one unit in the 6th significant digit."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return a == b
+    if x == y or not (math.isfinite(x) and math.isfinite(y)):
+        return x == y
+    return abs(x - y) <= 10.0 ** (math.floor(math.log10(max(abs(x), abs(y)))) - 5)
+
+
+class TestInputOrder:
+    """Permuting the asset columns, the factor columns and the model lines
+    together changes no output cell: rows are matched by model, by (model,
+    sigma), by alternative and, in the marginal files, by asset name."""
+
+    KEYS = {"report.csv": ("model",), "sweep.csv": ("model", "sigma_alpha_annual"),
+            "equiv.csv": ("alt_model",)}
+
+    @pytest.mark.parametrize("n", [25, 130])
+    def test_outputs_do_not_depend_on_input_order(self, tmp_path, n):
+        k = 4
+        ports, facts = _synth(tmp_path, n=n, k=k, T=300)
+        names = [f"F{j + 1}" for j in range(k)]
+        lines = [f"S{''.join(c[1:] for c in subset)} = {','.join(subset)}\n"
+                 for size in range(1, k + 1)
+                 for subset in itertools.combinations(names, size)]
+        rng = np.random.default_rng(7)
+        runs = {}
+        for label, ports_in, facts_in, text in [
+            ("given", ports, facts, "".join(lines)),
+            ("permuted",
+             _permuted_columns(ports, tmp_path / "ports.csv", rng.permutation(n)),
+             # RF, the last column, moves with the factors.
+             _permuted_columns(facts, tmp_path / "facts.csv", rng.permutation(k + 1)),
+             "".join(lines[i] for i in rng.permutation(len(lines)))),
+        ]:
+            models = tmp_path / f"{label}.txt"
+            models.write_text(text, encoding="utf-8")
+            out = tmp_path / label
+            for command, extra in [("rank", ()), ("sweep", ()),
+                                   ("equiv", ("--benchmark", "S1234"))]:
+                assert main([command, "--portfolios", str(ports_in), "--factors",
+                             str(facts_in), "--models", str(models), "--out", str(out),
+                             *extra]) == 0
+            runs[label] = {path.name: self._rows(path) for path in out.glob("*.csv")}
+        given, permuted = runs["given"], runs["permuted"]
+        assert sorted(given) == sorted(permuted)
+        assert len(given) == 3 + len(lines)
+        for name, rows in given.items():
+            assert rows.keys() == permuted[name].keys(), name
+            for key, row in rows.items():
+                other = permuted[name][key]
+                assert row.keys() == other.keys()
+                assert all(_same_cell(row[c], other[c]) for c in row), (name, row, other)
+
+    def _rows(self, path):
+        """The rows of one output file, keyed by the columns that name them."""
+        _, rows = _read_rows(path)
+        key = self.KEYS.get(path.name, ("asset",))
+        keyed = {tuple(row[c] for c in key): row for row in rows}
+        assert len(keyed) == len(rows)
+        return keyed
 
 
 class TestEquiv:

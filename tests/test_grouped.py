@@ -144,14 +144,14 @@ def _ref_family(fit):
         raise NonFiniteError(f"model {name!r}: returns too large: "
                              "the posterior's quadrature overflows")
     a = s2 * np.eye(n) + T * fit["sigma_mle"]
-    rule = None
+    table = None
     if n >= linalg.GAUSS_RULE_MIN_N and alpha.any():
-        rule = linalg._lanczos_rule(a, alpha, 1.0 / u0,
-                                    int(linalg.LANCZOS_MAX_STEPS_REL * n))
-    if rule is None:
+        table = linalg._lanczos_rule(a, alpha, 1.0 / u0,
+                                     int(linalg.LANCZOS_MAX_STEPS_REL * n))
+    if table is None:
         d, q = np.linalg.eigh(a)
-        rule = d, (q.T @ alpha) ** 2
-    return s2, u0, u0 / (T + 1), alpha_sq, var_sum, RankOneQuadrature(*rule, 1.0 / u0)
+        table = RankOneQuadrature(d, (q.T @ alpha) ** 2, 1.0 / u0)
+    return s2, u0, u0 / (T + 1), alpha_sq, var_sum, table
 
 
 def _run(items, step=lambda item: item):

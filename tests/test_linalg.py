@@ -349,19 +349,24 @@ class TestGaussRule:
     """gauss_rule on matrices built by hand; PosteriorFamily's panels, and its
     eigh rule below GAUSS_RULE_MIN_N, are in tests/test_bayes.py."""
 
-    def test_zero_vector_is_the_eigh_measure(self, rng):
+    def test_zero_vector_is_the_eigh_measure(self, rng, built_tables):
         a = random_spd(rng, GAUSS_RULE_MIN_N)
-        nodes, weights = gauss_rule(a, np.zeros(GAUSS_RULE_MIN_N), 1.0)
+        table = gauss_rule(a, np.zeros(GAUSS_RULE_MIN_N), 1.0)
+        assert built_tables == [table]
+        nodes, weights = table.rule
         np.testing.assert_array_equal(nodes, np.linalg.eigh(a)[0])
         assert not weights.any()
 
-    def test_exhausted_krylov_space_gives_the_exact_measure(self, rng):
+    def test_exhausted_krylov_space_gives_the_exact_measure(self, rng, built_tables):
         # Three distinct eigenvalues: Lanczos spans the Krylov space in three
-        # steps and the three-node rule is the measure itself.
+        # steps, before its first stop check, and the one table built is that
+        # of the three-node rule, the measure itself.
         n = 2 * GAUSS_RULE_MIN_N
         a, q, group = _three_level_spd(rng, n)
         v = rng.normal(size=n)
-        nodes, weights = gauss_rule(a, v, 10.0)
+        table = gauss_rule(a, v, 10.0)
+        assert built_tables == [table]
+        nodes, weights = table.rule
         np.testing.assert_allclose(nodes, [0.5, 3.0, 40.0], rtol=1e-12)
         np.testing.assert_allclose(weights, np.bincount(group, weights=(q.T @ v) ** 2),
                                    rtol=1e-11)

@@ -45,9 +45,12 @@ MUTANTS = (
     ("MONOTONE_SLACK 1e-10 -> 1e-3", PKG + "equiv.py",
      "MONOTONE_SLACK = 1e-10", "MONOTONE_SLACK = 1e-3",
      ["tests/test_equiv.py"]),
-    ("eigh/Lanczos crossover moved up by one", PKG + "bayes.py",
-     "if fit.n >= linalg.GAUSS_RULE_MIN_N:", "if fit.n > linalg.GAUSS_RULE_MIN_N:",
+    ("eigh/Lanczos crossover moved up by one", PKG + "linalg.py",
+     "if n >= GAUSS_RULE_MIN_N and v.any():", "if n > GAUSS_RULE_MIN_N and v.any():",
      ["tests/test_grouped.py"]),
+    ("exhausted Krylov space never detected", PKG + "linalg.py",
+     "exhausted = beta <= ulps * top", "exhausted = False",
+     ["tests/test_linalg.py::TestGaussRule::test_exhausted_krylov_space_gives_the_exact_measure"]),
     ("e = (1 - c) / 2", PKG + "bayes.py",
      "e = one_minus_c / (1.0 + root_c)", "e = one_minus_c / 2.0",
      ["tests/test_bayes.py"]),
