@@ -270,7 +270,6 @@ def cmd_equiv(args) -> tuple[list[str], list]:
 def cmd_synth(args) -> tuple[list[str], list]:
     import numpy as np
 
-    from .dataio import ReturnsPanel
     from .linalg import square
     from .synth import RNG_ALGORITHM, SynthConfig, generate
 
@@ -300,17 +299,16 @@ def cmd_synth(args) -> tuple[list[str], list]:
         f"factor_mean={_fmt(args.factor_mean)}",
         f"factor_vol={_fmt(args.factor_vol)}", f"rng={RNG_ALGORITHM}",
     ]
-    factors = dataset.factors
-    with_rf = ReturnsPanel(
-        factors.dates, factors.names + ("RF",),
-        np.hstack([factors.values, np.zeros((factors.t_obs, 1))]),
-    )
-    return fields, [
-        (name, "date," + ",".join(panel.names),
-         [str(d) + "," + ",".join(_fmt(v) for v in row)
-          for d, row in zip(panel.dates, panel.values)])
-        for name, panel in (("portfolios.csv", dataset.portfolios), ("factors.csv", with_rf))
-    ]
+    tables = []
+    for name, panel, rf in (("portfolios.csv", dataset.portfolios, ()),
+                            ("factors.csv", dataset.factors, (0.0,))):
+        # The factors file ends in an RF column of zeros.
+        names = panel.names + ("RF",) * len(rf)
+        row_format = ",".join(["%d"] + [_FLOAT] * len(names))
+        tables.append((name, "date," + ",".join(names),
+                       [row_format % (d, *row.tolist(), *rf)
+                        for d, row in zip(panel.dates, panel.values)]))
+    return fields, tables
 
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:

@@ -9,7 +9,6 @@ RankOneQuadrature table does not change once built.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
@@ -181,44 +180,34 @@ class RankOneQuadrature:
 
 class QuadratureStack:
     """Several :class:`RankOneQuadrature` tables evaluated together, each at
-    its own g, in one numpy pass: the one evaluation of the remainder.
+    its own g, in one numpy pass per table length: the one evaluation of the
+    remainder.
 
-    The tables are laid end to end, shortest first. The terms of every table
-    are formed in one elementwise pass, and the tables of one length are then
-    summed as the rows of one 2-D view, which adds each row in the order its
-    own 1-D sum would. A row zero-padded to a common length, or a segmented
+    The tables of one length are held as the rows of 2-D arrays, and each
+    row's terms are summed along the row, in the order its own 1-D sum would
+    add them. A row zero-padded to a common length, or a segmented
     ``np.add.reduceat``, adds in another order and changes the last bits.
     """
 
     def __init__(self, tables: Sequence[RankOneQuadrature]):
-        lengths = np.array([t._s1.shape[0] for t in tables], dtype=np.intp)
-        self._order = np.argsort(lengths, kind="stable")
-        ordered = [tables[i] for i in self._order.tolist()]
-        self._lengths = lengths[self._order]
-        self._factor = np.array([t._factor for t in ordered])
-        self._s1 = np.concatenate([t._s1 for t in ordered] or [np.zeros(0)])
-        self._t3_s2 = np.concatenate([t._t3_s2 for t in ordered] or [np.zeros(0)])
-        # Runs of equal length: rows [first, last) of the sorted tables, whose
-        # terms start at entry ``start``.
-        self._runs = []
-        first = start = 0
-        for length, run in itertools.groupby(self._lengths.tolist()):
-            last = first + len(list(run))
-            self._runs.append((first, last, start, length))
-            first, start = last, start + (last - first) * length
+        by_length: dict[int, list[int]] = {}
+        for j, t in enumerate(tables):
+            by_length.setdefault(t._s1.shape[0], []).append(j)
+        # Per length: the row indices, the factors, and S1 and t^3 S2 as the
+        # rows of two (tables x length) arrays.
+        self._blocks = [(np.array(rows), np.array([tables[j]._factor for j in rows]),
+                         np.array([tables[j]._s1 for j in rows]),
+                         np.array([tables[j]._t3_s2 for j in rows]))
+                        for rows in by_length.values()]
 
     def remainder(self, g: np.ndarray) -> np.ndarray:
         """The remainder R(g[j]) >= 0 of table j, for every j: without
         cancellation, O(q) per table."""
-        g = g[self._order]
-        gs1 = np.repeat(g, self._lengths) * self._s1
-        terms = self._t3_s2 * gs1 / (1.0 + gs1)
-        sums = np.empty(g.shape)
-        for first, last, start, length in self._runs:
-            block = terms[start:start + (last - first) * length]
-            sums[first:last] = block.reshape(last - first, length).sum(axis=1)
         out = np.empty(g.shape)
-        out[self._order] = self._factor * g * sums
+        for rows, factor, s1, t3_s2 in self._blocks:
+            g_rows = g[rows]
+            gs1 = g_rows[:, None] * s1
+            out[rows] = factor * g_rows * (t3_s2 * gs1 / (1.0 + gs1)).sum(axis=1)
         return out
 
 

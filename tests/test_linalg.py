@@ -21,6 +21,7 @@ from factordist.linalg import (
     CHOL_PIVOT_REL,
     GAUSS_RULE_MIN_N,
     SYMMETRY_TOL,
+    QuadratureStack,
     RankOneQuadrature,
     chol_pivot_floor,
     cholesky_spd,
@@ -334,6 +335,39 @@ class TestRankOneQuadrature:
         quad = RankOneQuadrature(*rule_of(d * d, gamma_sq), g_max)
         want = sqrt_trace_rank_one(d * d, gamma_sq, g)
         assert abs(quadrature_delta(quad, g) - want) <= 1e-14 * want
+
+
+class TestQuadratureStack:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_row_is_its_own_1d_sum(self, seed):
+        # Every other test of the stack compares it with itself; this one
+        # compares it with a plain 1-D sum per table, bit for bit.
+        rng = np.random.default_rng(seed)
+        tables, g_max = [], []
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            d = 10.0 ** rng.uniform(-rng.uniform(0.0, 3.0), 0.0, n)
+            g_max.append(10.0 ** rng.uniform(-2.0, 6.0))
+            tables.append(RankOneQuadrature(*rule_of(d * d, rng.uniform(size=n)),
+                                            g_max[-1]))
+        # One table twice, and an empty one (all weights 0).
+        tables += [tables[0], RankOneQuadrature(np.ones(3), np.zeros(3), 1.0)]
+        g_max += [g_max[0], 1.0]
+        order = rng.permutation(len(tables))
+        tables = [tables[j] for j in order]
+        g = np.array(g_max)[order] * 10.0 ** rng.uniform(-12.0, 0.0, len(tables))
+        lengths = [t._s1.shape[0] for t in tables]
+        # Past 128 terms numpy's pairwise sum splits, and some length holds
+        # two distinct tables.
+        assert 0 in lengths and max(lengths) > 128
+        assert any(len({id(t) for t, q in zip(tables, lengths) if q == length}) > 1
+                   for length in set(lengths) - {0})
+        want = []
+        for t, x in zip(tables, g.tolist()):
+            gs1 = x * t._s1
+            want.append(float(t._factor * x * np.sum(t._t3_s2 * gs1 / (1.0 + gs1))))
+        got = QuadratureStack(tables).remainder(g).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def _three_level_spd(rng, n, levels=(0.5, 3.0, 40.0)):

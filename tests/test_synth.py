@@ -76,6 +76,16 @@ class TestGenerate:
         with pytest.raises(BadConfigError):
             generate(config)
 
+    @pytest.mark.parametrize("resid_cov,reason", [
+        ([[1.0, 0.5], [0.0, 1.0]], "asymmetry 5.000e-01 exceeds tolerance 1.000e-12"),
+        (np.ones(2), "expected a square matrix, got shape (2,)"),
+    ])
+    def test_covariance_check_names_its_reason(self, resid_cov, reason):
+        config = make_config(seed=1, T=50, n=2, k=1)._replace(resid_cov=resid_cov)
+        with pytest.raises(BadConfigError) as caught:
+            generate(config)
+        assert str(caught.value) == f"covariance matrices must be symmetric: {reason}"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["true_alpha", "true_beta", "factor_mean",
                                        "factor_cov", "resid_cov"])

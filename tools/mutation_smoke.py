@@ -45,6 +45,9 @@ MUTANTS = (
     ("MONOTONE_SLACK 1e-10 -> 1e-3", PKG + "equiv.py",
      "MONOTONE_SLACK = 1e-10", "MONOTONE_SLACK = 1e-3",
      ["tests/test_equiv.py"]),
+    ("a stack block's results written to its rows reversed", PKG + "linalg.py",
+     "out[rows] = factor", "out[rows[::-1]] = factor",
+     ["tests/test_linalg.py::TestQuadratureStack::test_each_row_is_its_own_1d_sum"]),
     ("eigh/Lanczos crossover moved up by one", PKG + "linalg.py",
      "if n >= GAUSS_RULE_MIN_N and v.any():", "if n > GAUSS_RULE_MIN_N and v.any():",
      ["tests/test_grouped.py"]),
