@@ -1,11 +1,13 @@
 """Command-line interface: rank | sweep | equiv | synth.
 
 Outputs are deterministic: identical inputs and flags produce byte-identical
-CSVs (floats at 6 significant digits, no timestamps). Each ``cmd_*`` only
-computes: it returns its metadata fields (input file hashes and parameter
-values) and its tables, and ``main`` writes them once, under one metadata
-comment line that starts with the tool version and command, so a command
-that fails writes nothing. Exit codes: 0 success, 1 user or data error,
+CSVs (floats at 6 significant digits, no timestamps). A run has three steps:
+``_load`` reads every input of ``rank``, ``sweep`` and ``equiv`` and tags
+each file by a sha256 prefix of its bytes right after its parse; the
+``cmd_*`` functions compute, each returning its metadata fields (input tags
+and parameter values) and its tables; and ``main`` writes them once, under
+one metadata comment line that starts with the tool version and command, so
+a command that fails writes nothing. Exit codes: 0 success, 1 user or data error,
 2 internal numerical failure. Where the GRS test is undefined (T - n - k < 1
 or a singular residual covariance), ``rank`` still reports the distance,
 leaves the GRS cells empty and names the reason on stderr.
@@ -42,7 +44,7 @@ from . import __version__
 from .errors import FactorDistError, InputError, NotBracketedError
 
 if TYPE_CHECKING:
-    from .dataio import Dataset
+    from .dataio import Dataset, ModelSpec
 
 DEFAULT_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 # How every output float is written.
@@ -128,38 +130,39 @@ def _write(out_dir: Path, metadata: str, tables: list[tuple[str, str, list[str]]
         old.unlink()
 
 
-def _load_dataset(args) -> Dataset:
-    from .dataio import DEFAULT_MISSING_CODES, build_dataset, concat_panels, load_panel
+def _load(args) -> tuple[Dataset, list[ModelSpec], list[str]]:
+    """The dataset, models and metadata fields of ``rank``, ``sweep`` and
+    ``equiv``. Each file is tagged right after its parse, before any fit."""
+    from .dataio import (DEFAULT_MISSING_CODES, build_dataset, concat_panels,
+                         load_models, load_panel)
 
     if args.missing is None:
         args.missing = ",".join(str(c) for c in DEFAULT_MISSING_CODES)
     missing = _parse_floats(args.missing)
-    panels = [load_panel(p, missing) for p in args.portfolios]
-    portfolios = concat_panels(panels)
-    factors = load_panel(args.factors, missing)
-    return build_dataset(portfolios, factors, args.rf)
+    tags = []
 
+    def read(load, path, *rest):
+        value = load(path, *rest)
+        tags.append(_file_tag(path))
+        return value
 
-def _inputs(args) -> list[str]:
-    return [
-        "portfolios=" + ",".join(_file_tag(p) for p in args.portfolios),
-        f"factors={_file_tag(args.factors)}",
-        f"models={_file_tag(args.models)}",
-        f"rf={args.rf}",
-        f"missing={args.missing}",
-    ]
+    portfolios = concat_panels([read(load_panel, p, missing) for p in args.portfolios])
+    dataset = build_dataset(portfolios, read(load_panel, args.factors, missing), args.rf)
+    models = read(load_models, args.models)
+    *ports, factors, models_tag = tags
+    return dataset, models, [
+        "portfolios=" + ",".join(ports), f"factors={factors}", f"models={models_tag}",
+        f"rf={args.rf}", f"missing={args.missing}"]
 
 
 def cmd_rank(args) -> tuple[list[str], list]:
     import numpy as np
 
     from .bayes import distance_breakdown, skeptic_moments
-    from .dataio import load_models
     from .metrics import GRS_UNDEFINED, build_report, rank_models
     from .regression import _fit_models
 
-    dataset = _load_dataset(args)
-    models = load_models(args.models)
+    dataset, models, fields = _load(args)
     results = []
     for fit, deferred_grs in _fit_models(dataset, models):
         alpha, var = skeptic_moments(fit)
@@ -192,18 +195,16 @@ def cmd_rank(args) -> tuple[list[str], list]:
             report.marginal.tolist())]
         tables.append((f"marginal_{_sanitize(report.model_name)}.csv",
                        "asset,alpha,sigma_alpha,t_stat,marginal", lines))
-    return _inputs(args), tables
+    return fields, tables
 
 
 def cmd_sweep(args) -> tuple[list[str], list]:
     from .bayes import PosteriorFamily
-    from .dataio import load_models
     from .equiv import check_grid, sweep
     from .regression import _fit_models
 
     grid = _parse_floats(args.grid)
-    dataset = _load_dataset(args)
-    models = load_models(args.models)
+    dataset, models, fields = _load(args)
     check_grid(grid)  # before any model's fit can fail
     # One model at a time: a model's sweep failure comes before a later
     # model's fit or family error.
@@ -213,21 +214,19 @@ def cmd_sweep(args) -> tuple[list[str], list]:
         for fit, _ in _fit_models(dataset, models)
         for r in sweep(PosteriorFamily(fit), grid)
     ]
-    return [*_inputs(args), f"grid={args.grid}"], [
+    return [*fields, f"grid={args.grid}"], [
         ("sweep.csv", "model,sigma_alpha_annual,AD,RMSE_alpha,RMSE_sigma,ratio", rows)]
 
 
 def cmd_equiv(args) -> tuple[list[str], list]:
     from .bayes import PosteriorFamily, distance_breakdown, skeptic_moments
-    from .dataio import load_models
     from .equiv import DEFAULT_BRACKET_HI, check_bracket_hi, solve_equivs
     from .regression import _fit_models
 
     if args.bracket_hi is None:
         args.bracket_hi = DEFAULT_BRACKET_HI
     check_bracket_hi(args.bracket_hi)
-    dataset = _load_dataset(args)
-    models = load_models(args.models)
+    dataset, models, fields = _load(args)
     by_name = {m.name: m for m in models}
     if args.benchmark not in by_name:
         raise InputError(f"benchmark model {args.benchmark!r} not in model file")
@@ -261,10 +260,9 @@ def cmd_equiv(args) -> tuple[list[str], list]:
                 res.alt_model, args.benchmark, _fmt(res.sigma_star_annual),
                 _fmt(res.ad_at_star), str(res.iterations), "true", "ok",
             ]))
-    fields = [*_inputs(args), f"benchmark={args.benchmark}",
-              f"bracket_hi={args.bracket_hi}"]
-    return fields, [("equiv.csv", "alt_model,benchmark_model,sigma_star_annual,"
-                     "ad_at_star,iterations,converged,status", rows)]
+    return [*fields, f"benchmark={args.benchmark}", f"bracket_hi={args.bracket_hi}"], [
+        ("equiv.csv", "alt_model,benchmark_model,sigma_star_annual,"
+                      "ad_at_star,iterations,converged,status", rows)]
 
 
 def cmd_synth(args) -> tuple[list[str], list]:

@@ -464,6 +464,13 @@ class TestRank:
         assert code == 0
         _, rows = _read_rows(out / "report.csv")
         assert rows[0]["n"] == "7"
+        # The metadata line tags the portfolio files in argument order.
+        tags = [_tag(p) for p in (ports, second / "portfolios.csv", facts, models)]
+        assert tags[0] != tags[1]
+        missing = ",".join(str(c) for c in dataio.DEFAULT_MISSING_CODES)
+        assert (out / "report.csv").read_text().splitlines()[0] == (
+            f"# factordist {__version__} | cmd=rank | portfolios={tags[0]},{tags[1]}"
+            f" | factors={tags[2]} | models={tags[3]} | rf=RF | missing={missing}")
 
 
     def test_grs_undefined_still_reports_distance(self, tmp_path, capsys):
@@ -600,6 +607,57 @@ def test_file_tag_hashes_a_file_over_several_chunks(tmp_path):
     path = tmp_path / "big.csv"
     path.write_bytes(data)
     assert _file_tag(path) == f"big.csv:{hashlib.sha256(data).hexdigest()[:12]}"
+
+
+def _tag(path):
+    """``name:`` and the first 12 hex digits of the sha256 of the file's bytes."""
+    return f"{path.name}:{hashlib.sha256(path.read_bytes()).hexdigest()[:12]}"
+
+
+class TestInputTags:
+    @pytest.mark.parametrize("command, output", [
+        ("rank", "report.csv"), ("sweep", "sweep.csv"), ("equiv", "equiv.csv")])
+    def test_input_rewritten_during_the_fits_keeps_its_parsed_tag(
+            self, tmp_path, monkeypatch, command, output):
+        # A comment line appended to the portfolio file once its parse is
+        # done: the metadata line still names the bytes that were parsed.
+        import factordist.regression as regression
+
+        ports, facts = _synth(tmp_path)
+        parsed = _tag(ports)
+        real = regression._fit_models
+
+        def rewriting_fits(dataset, models):
+            with open(ports, "a", encoding="utf-8") as fh:
+                fh.write("# rewritten\n")
+            return real(dataset, models)
+
+        monkeypatch.setattr(regression, "_fit_models", rewriting_fits)
+        out = tmp_path / "out"
+        assert main([command, "--portfolios", str(ports), "--factors", str(facts),
+                     "--models", str(_models(tmp_path)), "--out", str(out),
+                     *(["--benchmark", "BOTH"] if command == "equiv" else [])]) == 0
+        assert _tag(ports) != parsed
+        assert f" | portfolios={parsed} | " in (out / output).read_text().splitlines()[0]
+
+    def test_tag_is_of_the_raw_bytes(self, tmp_path):
+        # A UTF-8 BOM and CRLF line ends change no output below the metadata
+        # line; each tag is of the bytes as they are on disk.
+        ports, facts = _synth(tmp_path)
+        models = _models(tmp_path)
+        inputs = (ports, facts, models)
+        argv = ["rank", "--portfolios", str(ports), "--factors", str(facts),
+                "--models", str(models), "--out"]
+        assert main([*argv, str(tmp_path / "plain")]) == 0
+        for path in inputs:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+        assert main([*argv, str(tmp_path / "bom")]) == 0
+        plain, bom = ((tmp_path / d / "report.csv").read_text().splitlines()
+                      for d in ("plain", "bom"))
+        assert bom[1:] == plain[1:]
+        for name, path in zip(("portfolios", "factors", "models"), inputs):
+            assert f" | {name}={_tag(path)} | " in bom[0]
+            assert f" | {name}={_tag(path)} | " not in plain[0]
 
 
 def _python(*args):

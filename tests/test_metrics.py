@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factordist import (
     Dataset,
     ModelSpec,
+    PosteriorFamily,
     ReturnsPanel,
     alpha_stats,
+    build_dataset,
     build_report,
     distance_breakdown,
     fit_ols,
     grs_test,
     rank_models,
     skeptic_moments,
+    sweep,
 )
 
 from conftest import fake_fit, make_dataset, random_fit_inputs
@@ -181,3 +186,51 @@ class TestRankModels:
                                  dataset.factors.values / 100.0),
         )
         assert winner(dataset) == winner(scaled)
+
+
+# Relative tolerance of the returns-scale checks, below the outputs' 6th
+# significant digit. The worst of 600 seeded draws was 1.6e-10: the GRS where
+# the alphas nearly cancel.
+SCALE_RTOL = 1e-7
+
+
+class TestReturnsScale:
+    """Portfolio returns and RF in units c times as large (factors as they
+    are): alphas, their posterior and the distances scale by c, the betas
+    absorb the rest, and every ratio, GRS and R^2 stays."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(1, 3),
+           log10_c=st.floats(-2.0, 4.0))
+    @example(seed=5, n=12, k=3, log10_c=-2.0)
+    @example(seed=5, n=12, k=3, log10_c=2.0)
+    @example(seed=5, n=12, k=3, log10_c=4.0)
+    def test_distances_scale_by_c_and_ratios_stay(self, seed, n, k, log10_c):
+        c = 10.0 ** log10_c
+        rng = np.random.default_rng(seed)
+        dataset, model = random_fit_inputs(rng, T=240, n=n, k=k)
+        ports, facts = dataset.portfolios, dataset.factors
+        rf = rng.uniform(0.0, 0.5, ports.t_obs)
+        grid = np.array([0.0, 0.5, 2.0, 8.0, 32.0, np.inf])
+
+        def outputs(scale):
+            raw = ReturnsPanel(ports.dates, ports.names,
+                               scale * (ports.values + rf[:, None]))
+            factors = ReturnsPanel(facts.dates, (*facts.names, "RF"),
+                                   np.column_stack([facts.values, scale * rf]))
+            fit = fit_ols(build_dataset(raw, factors, "RF"), model)
+            report = build_report(fit, distance_breakdown(*skeptic_moments(fit)),
+                                  grs_test(fit))
+            return report, sweep(PosteriorFamily(fit), scale * grid)
+
+        (report, rows), (scaled, scaled_rows) = outputs(1.0), outputs(c)
+        for name in ("td", "ad", "rmse_alpha", "rmse_sigma", "mae"):
+            assert getattr(scaled, name) == pytest.approx(
+                c * getattr(report, name), rel=SCALE_RTOL), name
+        for name in ("ratio_var", "grs", "grs_pvalue", "mae_over_ar", "mean_r2"):
+            assert getattr(scaled, name) == pytest.approx(
+                getattr(report, name), rel=SCALE_RTOL), name
+        for row, scaled_row in zip(rows, scaled_rows, strict=True):
+            for name in ("ad", "rmse_alpha", "rmse_sigma"):
+                assert getattr(scaled_row, name) == pytest.approx(
+                    c * getattr(row, name), rel=SCALE_RTOL), (row.sigma_alpha_annual, name)

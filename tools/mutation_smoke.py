@@ -74,6 +74,9 @@ MUTANTS = (
     ("output rollback leaves the old files aside", PKG + "cli.py",
      "os.rename(old, path)", "pass",
      ["tests/test_cli.py::TestRank::test_failed_rename_keeps_previous_outputs"]),
+    ("the portfolio tags joined in reverse order", PKG + "cli.py",
+     '"portfolios=" + ",".join(ports)', '"portfolios=" + ",".join(ports[::-1])',
+     ["tests/test_cli.py::TestRank::test_multiple_portfolio_files_concatenate"]),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
